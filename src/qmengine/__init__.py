@@ -29,52 +29,33 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .feedback import (
-    FeedbackAmplitudes,
-    PredictedMeans,
     TrajectoryRecord,
     WorkLedger,
     apply_reset,
-    feedback_amplitudes,
-    predicted_means,
     run_trajectory,
-    step_with_feedback,
-    work_increment_ito,
-    work_increment_stratonovich,
 )
 from .gaussian import (
     GaussianState,
     MeasurementChannels,
     NoiseSource,
-    ReadoutSample,
     covariance_series,
     covariance_step,
-    mean_step,
-    sample_readout,
     thermal_state,
 )
 from .single_shot import (
-    CoherentOutcome,
-    CycleResult,
     added_quantum_check,
     binary_average_work,
     binary_efficiency,
     extract_work_binary,
-    extract_work_full,
     max_binary_efficiency,
-    rectify,
-    run_cycle,
-    sample_outcome,
     sample_outcomes,
 )
 from .thermo import (
     ClassicalConfig,
-    ErasureLedger,
     binary_erasure_cost,
     binary_p0,
     binary_thermo_efficiency,
     classical_cycle,
-    continuous_memory_entropy,
-    continuous_thermo_efficiency,
 )
 
 __version__ = "0.1.0"

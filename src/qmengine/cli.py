@@ -24,6 +24,8 @@ import numpy as np
 from . import __version__
 from .config import EngineConfig, POLICIES, SCHEMES
 from .ensembles import (
+    WorkStatistics,
+    _moments,
     efficiency_series,
     exact_work_cdf,
     exact_work_pdf,
@@ -33,7 +35,7 @@ from .ensembles import (
     run_ensemble,
     sigma_schedule,
 )
-from .errors import UnsupportedConfigurationError
+from .errors import UncertaintyViolationError, UnsupportedConfigurationError
 from .feedback import run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
@@ -75,7 +77,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--r0", type=float)
     p.add_argument("--demon-kbtd", type=float)
-    p.add_argument("--delta", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--output-dir", type=Path)
 
@@ -100,7 +101,10 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
     values: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
-            values.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config} must hold a JSON object")
+        values.update(loaded)
     mapping = {
         "nbar": "nbar",
         "tau1": "tau1",
@@ -112,7 +116,6 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
         "scheme": "scheme",
         "r0": "r0",
         "demon_kbtd": "demon_kbtd",
-        "delta": "delta",
         "seed": "seed",
     }
     if getattr(args, "tau", None) is not None:
@@ -125,7 +128,10 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
     if getattr(args, "output_dir", None) is not None:
         values["output_path"] = Path(args.output_dir)
     elif "output_path" in values and values["output_path"] is not None:
-        values["output_path"] = Path(values["output_path"])
+        path = values["output_path"]
+        if not isinstance(path, str):
+            raise UsageError(f"output_path must be a string, got {path!r}")
+        values["output_path"] = Path(path)
     unknown = set(values) - {f.name for f in dataclasses.fields(EngineConfig)}
     if unknown:
         raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
@@ -160,12 +166,6 @@ def _config_echo(config: EngineConfig, with_path: bool = False) -> dict:
         # keep the summary byte-identical across output locations
         del echo["output_path"]
     return echo
-
-
-def _moments(samples: np.ndarray) -> tuple[float, float]:
-    mean = math.fsum(samples) / len(samples)
-    stderr = float(np.std(samples, ddof=1)) / math.sqrt(len(samples))
-    return mean, stderr
 
 
 class _Run:
@@ -219,7 +219,7 @@ def _run_single_shot(config: EngineConfig, run: _Run) -> dict:
     rng = NoiseSource(config.seed).generator()
     r, theta = sample_outcomes(config.nbar, config.n_traj, rng)
     work = r * r
-    mean, se = _moments(work)
+    mean, _, se = _moments(work)
     expect = 1.0 + config.nbar
     run.csv(
         "cycles.csv",
@@ -245,8 +245,8 @@ def _run_single_shot(config: EngineConfig, run: _Run) -> dict:
 def _run_binary(config: EngineConfig, run: _Run) -> dict:
     rng = NoiseSource(config.seed).generator()
     r, theta = sample_outcomes(config.nbar, config.n_traj, rng)
-    work = np.where(r >= 0.5 * config.r0, 2.0 * r * config.r0 - config.r0**2, 0.0)
-    mean, se = _moments(work)
+    work = extract_work_binary(r, config.r0)
+    mean, _, se = _moments(work)
     closed = binary_average_work(config.nbar, config.r0)
     p0_mc = float(np.mean(r >= 0.5 * config.r0))
     p0_se = math.sqrt(max(p0_mc * (1.0 - p0_mc), 1e-12) / config.n_traj)
@@ -279,7 +279,7 @@ def _run_binary(config: EngineConfig, run: _Run) -> dict:
     }
 
 
-def _run_continuous(config: EngineConfig, run: _Run) -> dict:
+def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatistics]:
     _emit_trajectory(run, config)
     stats = run_ensemble(config)
     run.csv(
@@ -315,7 +315,7 @@ def _run_continuous(config: EngineConfig, run: _Run) -> dict:
         )
         checks["mean_work_within_3se"] = abs(stats.mean - expected) <= 3.0 * stats.stderr
         checks["work_distribution_ks_pass_1pct"] = ks.passed
-    return {"results": results, "checks": checks}
+    return {"results": results, "checks": checks}, stats
 
 
 def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float) -> dict:
@@ -328,7 +328,7 @@ def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float)
     )
     expect = 0.5 * kbt
     if kbt > 0.0:
-        mean, se = _moments(samples)
+        mean, _, se = _moments(samples)
         checks = {"classical_mean_within_3se": abs(mean - expect) <= 3.0 * se}
     else:
         mean, se = float(np.max(samples)), 0.0
@@ -341,8 +341,7 @@ def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float)
 
 def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
     config = config.with_updates(policy="terminal")
-    out = _run_continuous(config, run)
-    stats = run_ensemble(config)
+    out, stats = _run_continuous(config, run)
     schedule = sigma_schedule(
         config.nbar, config.channels(), config.resolved_dt, config.t_final
     )
@@ -479,7 +478,7 @@ def run_experiment(args: argparse.Namespace) -> int:
         elif family == "binary":
             out = _run_binary(config, run)
         elif family == "continuous":
-            out = _run_continuous(config, run)
+            out, _ = _run_continuous(config, run)
         elif family == "classical":
             out = _run_classical(config, run, args.spring_k, args.kbt)
         else:
@@ -524,7 +523,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, UnsupportedConfigurationError, OSError) as exc:
+    except (
+        ValueError, UnsupportedConfigurationError, UncertaintyViolationError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

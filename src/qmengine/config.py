@@ -5,7 +5,9 @@ All quantities are dimensionless: energies in hbar*omega, times in 1/omega.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import UnsupportedConfigurationError
@@ -36,7 +38,6 @@ class EngineConfig:
     scheme: str = "stratonovich"
     r0: float = 1.0
     demon_kbtd: float = 0.0
-    delta: float = 0.1
     seed: int = 0
     output_path: Path | None = None
 
@@ -66,19 +67,34 @@ class EngineConfig:
         return int(k)
 
     def validate(self) -> "EngineConfig":
-        """Check every domain constraint; returns self for chaining."""
-        if self.nbar < 0.0:
-            raise ValueError(f"nbar must be >= 0, got {self.nbar}")
+        """Check every domain constraint; returns self for chaining.
+
+        Values may come from a JSON file, so types are checked first, and
+        every comparison is written so that NaN fails it.  tau = inf is valid
+        and switches a channel off.
+        """
+        for name in ("nbar", "tau1", "tau2", "dt", "t_final", "r0", "demon_kbtd"):
+            value = getattr(self, name)
+            if name == "dt" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("n_traj", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not 0.0 <= self.nbar < math.inf:
+            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
         if not self.tau1 > 0.0 or not self.tau2 > 0.0:
             raise ValueError(
                 f"measurement times must be positive, got ({self.tau1}, {self.tau2})"
             )
-        if self.t_final <= 0.0:
-            raise ValueError(f"t_final must be > 0, got {self.t_final}")
+        if not 0.0 < self.t_final < math.inf:
+            raise ValueError(f"t_final must be finite and > 0, got {self.t_final}")
         dt = self.resolved_dt
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        if dt > MAX_DT_FRACTION * min(self.tau1, self.tau2, 1.0):
+        if not dt <= MAX_DT_FRACTION * min(self.tau1, self.tau2, 1.0):
             raise ValueError(
                 f"dt={dt} too large: must be <= {MAX_DT_FRACTION} * min(tau1, tau2, 1)"
             )
@@ -93,12 +109,12 @@ class EngineConfig:
                 "the Ito work ledger is defined only for symmetric channels "
                 f"(tau1 == tau2); got ({self.tau1}, {self.tau2})"
             )
-        if self.r0 <= 0.0:
-            raise ValueError(f"r0 must be > 0, got {self.r0}")
-        if self.demon_kbtd < 0.0:
-            raise ValueError(f"demon_kbtd must be >= 0, got {self.demon_kbtd}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0.0 < self.r0 < math.inf:
+            raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
+        if not 0.0 <= self.demon_kbtd < math.inf:
+            raise ValueError(
+                f"demon_kbtd must be finite and >= 0, got {self.demon_kbtd}"
+            )
         return self
 
     def with_updates(self, **kwargs) -> "EngineConfig":

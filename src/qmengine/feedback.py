@@ -1,4 +1,13 @@
-"""Work extraction from continuously monitored trajectories.
+"""Conditional-state step kernel, work extraction, and trajectory drivers.
+
+Each step of the monitored oscillator is one Gaussian conditional-state
+update: the two readouts r_i = q_i + sqrt(tau_i/dt) * g_i (g_i standard
+normal; an unmonitored channel reports r_i = q_i), an Euler-Maruyama mean
+step driven by the innovations r_i - q_i weighted by the current
+covariances, a work-ledger increment, and an optional reset.  One array
+function, ``_advance``, performs this update for a block of trajectories;
+``run_ensemble_arrays`` calls it once per chunk of trajectories and
+``run_trajectory`` calls it for a single trajectory, recording every step.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
@@ -30,37 +39,11 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import UnsupportedConfigurationError
-from .gaussian import (
-    GaussianState,
-    MeasurementChannels,
-    NoiseSource,
-    ReadoutSample,
-    covariance_series,
-    covariance_step,
-    mean_step,
-    sample_readout,
-    thermal_state,
-)
+from .gaussian import GaussianState, NoiseSource, covariance_series, thermal_state
 
 #: Absolute slack on |q4| and |q3 - q5| when the Ito ledger checks that the
 #: covariance matrix is in normal form.
 NORMAL_FORM_TOL = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class FeedbackAmplitudes:
-    """Coefficients of the linear feedback Hamiltonian f1*x + f2*p."""
-
-    f1: float
-    f2: float
-
-
-@dataclass(frozen=True, slots=True)
-class PredictedMeans:
-    """Measurement-free evolution of the means at the current time."""
-
-    qbar1: float
-    qbar2: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,12 +76,7 @@ class TrajectoryRecord:
     r2: np.ndarray
     ledger: WorkLedger
     extracted: np.ndarray
-    energy: np.ndarray
     policy: str
-
-    @property
-    def work_extracted_total(self) -> float:
-        return float(math.fsum(self.extracted))
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,125 +98,112 @@ class EnsembleRecord:
     q2: np.ndarray
 
 
-def predicted_means(initial: GaussianState, t: float) -> PredictedMeans:
-    """Rotate the initial means by the free harmonic evolution up to time t."""
-    c, s = math.cos(t), math.sin(t)
-    return PredictedMeans(
-        qbar1=initial.q1 * c + initial.q2 * s,
-        qbar2=-initial.q1 * s + initial.q2 * c,
-    )
+@dataclass(frozen=True, slots=True)
+class _Steps:
+    """What ``_advance`` records: arrays of shape (len(record), m).
 
-
-def feedback_amplitudes(
-    state: GaussianState,
-    readout: ReadoutSample,
-    predicted: PredictedMeans,
-    channels: MeasurementChannels,
-) -> FeedbackAmplitudes:
-    """Linear feedback amplitudes that cancel the measurement backaction.
-
-    The amplitudes are linear in the innovations of the readouts against the
-    predicted (measurement-free) means; applied every step they keep the
-    conditional means on the free rotation.
+    Row i belongs to the step ending at grid point record[i].  A row for
+    grid point 0 holds the starting means and zeros elsewhere.
     """
+
+    q1: np.ndarray  # means after the mean update, before any reset
+    q2: np.ndarray
+    r1: np.ndarray  # readouts of the step
+    r2: np.ndarray
+    increment: np.ndarray  # work-ledger increment of the step
+    ledger: np.ndarray  # running sum of the increments
+    harvest: np.ndarray  # work banked by a per-step reset at this step
+    harvested: np.ndarray  # running sum of the harvests
+
+
+def _advance(
+    config: EngineConfig,
+    cov: np.ndarray,
+    noise: np.ndarray,
+    start: tuple[float, float],
+    record: Sequence[int],
+) -> _Steps:
+    """Advance m trajectories by noise.shape[1] conditional-state steps.
+
+    ``noise`` has shape (m, n_steps, 2): two standard normals per trajectory
+    and step, consumed also for unmonitored channels so the stream layout
+    does not depend on the channel setup.  ``cov`` holds the covariance
+    triplet (q3, q4, q5) at grid points 0..n_steps, ``start`` the means at
+    grid point 0, and ``record`` the grid points to record.  The policy
+    decides whether the means are reset after each step; the scheme picks
+    the ledger rule.
+    """
+    m, n_steps, _ = noise.shape
+    dt = config.resolved_dt
+    channels = config.channels()
     i1 = channels.inv_2tau1
     i2 = channels.inv_2tau2
-    d1 = readout.r1 - predicted.qbar1
-    d2 = readout.r2 - predicted.qbar2
-    f2 = -(state.q3 * i1 * d1) - state.q4 * i2 * d2
-    f1 = state.q4 * i1 * d1 + state.q5 * i2 * d2
-    return FeedbackAmplitudes(f1=f1, f2=f2)
+    w1 = math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0
+    w2 = math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0
 
-
-def step_with_feedback(
-    state: GaussianState,
-    channels: MeasurementChannels,
-    readout: ReadoutSample,
-    predicted: PredictedMeans,
-    dt: float,
-) -> GaussianState:
-    """One Euler-Maruyama mean step with the feedback Hamiltonian applied.
-
-    The feedback enters the drift as (+f2, -f1); when the current means equal
-    the predicted ones the innovation terms cancel exactly and the step
-    reduces to the free rotation.
-    """
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
-    innov1 = readout.r1 - state.q1
-    innov2 = readout.r2 - state.q2
-    fb = feedback_amplitudes(state, readout, predicted, channels)
-    new_q1 = state.q1 + dt * (
-        state.q2 + state.q3 * i1 * innov1 + state.q4 * i2 * innov2 + fb.f2
-    )
-    new_q2 = state.q2 + dt * (
-        -state.q1 + state.q4 * i1 * innov1 + state.q5 * i2 * innov2 - fb.f1
-    )
-    return replace(state, q1=new_q1, q2=new_q2)
-
-
-def _strat_increment(q1a, q2a, q1b, q2b, c3, c4, c5, inc1, inc2):
-    """Midpoint-rule work increment; works on floats and on aligned arrays."""
-    m1 = 0.5 * (q1a + q1b)
-    m2 = 0.5 * (q2a + q2b)
-    return (m1 * c3 + m2 * c4) * inc1 + (m1 * c4 + m2 * c5) * inc2
-
-
-def _ito_increment(q1, q2, c3, c5, inc1, inc2, dt, tau):
-    """Ito work increment: power drift plus martingale part."""
-    nu = 0.5 * c3
-    return nu * nu / tau * dt + q1 * c3 * inc1 + q2 * c5 * inc2
-
-
-def work_increment_stratonovich(
-    prev: GaussianState,
-    new: GaussianState,
-    readout: ReadoutSample,
-    channels: MeasurementChannels,
-    dt: float,
-) -> float:
-    """Work increment of one step in the midpoint (Stratonovich) rule.
-
-    ``prev`` and ``new`` must be the means before and after one mean_step
-    driven by ``readout``; covariances are taken at the pre-step values.
-    Along a drift-free path the cumulative sum telescopes to the
-    displacement energy (q1**2 + q2**2)/2 up to O(dt) rotation remainders.
-    """
-    inc1 = (readout.r1 - prev.q1) * channels.inv_2tau1 * dt
-    inc2 = (readout.r2 - prev.q2) * channels.inv_2tau2 * dt
-    return _strat_increment(
-        prev.q1, prev.q2, new.q1, new.q2, prev.q3, prev.q4, prev.q5, inc1, inc2
-    )
-
-
-def work_increment_ito(
-    state: GaussianState,
-    readout: ReadoutSample,
-    channels: MeasurementChannels,
-    dt: float,
-) -> float:
-    """Work increment of one step in the Ito rule.
-
-    Only defined for symmetric channels with the covariance matrix in normal
-    form (q4 = 0, q3 = q5); the deterministic drift then equals
-    nu**2/tau * dt with nu = q3/2, and the expectation of the increment at a
-    fixed state is exactly that drift.
-    """
-    if not channels.symmetric:
+    use_ito = config.scheme == "ito"
+    if use_ito and (
+        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
+        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
+    ):
         raise UnsupportedConfigurationError(
-            "Ito work increments require tau1 == tau2; "
-            f"got ({channels.tau1}, {channels.tau2})"
+            "Ito work ledger requires the covariance normal form along the run"
         )
-    if abs(state.q4) > NORMAL_FORM_TOL or abs(state.q3 - state.q5) > NORMAL_FORM_TOL:
-        raise UnsupportedConfigurationError(
-            "Ito work increments require the covariance normal form "
-            f"(q4 = 0, q3 = q5); got q3={state.q3}, q4={state.q4}, q5={state.q5}"
-        )
-    inc1 = (readout.r1 - state.q1) * channels.inv_2tau1 * dt
-    inc2 = (readout.r2 - state.q2) * channels.inv_2tau2 * dt
-    return _ito_increment(
-        state.q1, state.q2, state.q3, state.q5, inc1, inc2, dt, channels.tau1
-    )
+    per_step = config.policy == "per-step"
+
+    out = _Steps(*(np.zeros((len(record), m)) for _ in range(8)))
+    rows = {int(k): i for i, k in enumerate(record)}
+    row = rows.get(0)
+    if row is not None:
+        out.q1[row] = start[0]
+        out.q2[row] = start[1]
+
+    q1 = np.full(m, float(start[0]))
+    q2 = np.full(m, float(start[1]))
+    led = np.zeros(m)
+    ext = np.zeros(m)
+    for k in range(n_steps):
+        c3, c4, c5 = cov[k]
+        rr1 = q1 + w1 * noise[:, k, 0]
+        rr2 = q2 + w2 * noise[:, k, 1]
+        innov1 = rr1 - q1
+        innov2 = rr2 - q2
+        new1 = q1 + dt * (q2 + c3 * i1 * innov1 + c4 * i2 * innov2)
+        new2 = q2 + dt * (-q1 + c4 * i1 * innov1 + c5 * i2 * innov2)
+
+        inc1 = innov1 * i1 * dt
+        inc2 = innov2 * i2 * dt
+        if use_ito:
+            # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
+            nu = 0.5 * c3
+            dW = nu * nu / channels.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
+        else:
+            # midpoint rule on the pre- and post-step means
+            m1 = 0.5 * (q1 + new1)
+            m2 = 0.5 * (q2 + new2)
+            dW = (m1 * c3 + m2 * c4) * inc1 + (m1 * c4 + m2 * c5) * inc2
+        led = led + dW
+
+        if per_step:
+            harvest = 0.5 * (new1 * new1 + new2 * new2)
+            ext = ext + harvest
+            q1 = np.zeros(m)
+            q2 = np.zeros(m)
+        else:
+            q1, q2 = new1, new2
+
+        row = rows.get(k + 1)
+        if row is not None:
+            out.q1[row] = new1
+            out.q2[row] = new2
+            out.r1[row] = rr1
+            out.r2[row] = rr2
+            out.increment[row] = dW
+            out.ledger[row] = led
+            out.harvested[row] = ext
+            if per_step:
+                out.harvest[row] = harvest
+    return out
 
 
 def apply_reset(state: GaussianState) -> tuple[GaussianState, float]:
@@ -255,79 +220,39 @@ def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord
     """Simulate one trajectory from a thermal state under the configured policy.
 
     Pure function of (config, noise): identical inputs reproduce identical
-    records.  The work ledger accrues increments in config.scheme; harvested
-    work is recorded separately in ``extracted`` (every step for the
-    per-step policy, once at the horizon for the terminal policy).
+    records, and trajectory j of ``run_ensemble_arrays`` equals this record
+    for NoiseSource(config.seed, j).  The work ledger accrues increments in
+    config.scheme; harvested work is recorded separately in ``extracted``
+    (every step for the per-step policy, once at the horizon for the
+    terminal policy).
     """
     config.validate()
-    dt = config.resolved_dt
-    n_steps = config.n_steps
-    channels = config.channels()
-    rng = noise.generator()
-
-    state = thermal_state(config.nbar)
-    n = n_steps
-    t = np.arange(n + 1) * dt
-    q1 = np.zeros(n + 1)
-    q2 = np.zeros(n + 1)
-    q3 = np.empty(n + 1)
-    q4 = np.empty(n + 1)
-    q5 = np.empty(n + 1)
-    r1 = np.empty(n)
-    r2 = np.empty(n)
-    increments = np.empty(n)
-    extracted = np.zeros(n)
-    energy = np.empty(n + 1)
-
-    q3[0], q4[0], q5[0] = state.q3, state.q4, state.q5
-    energy[0] = state.energy_above_ground()
-
-    for k in range(n):
-        readout = sample_readout(state, channels, dt, rng)
-        prev = state
-        state = mean_step(state, channels, readout, dt)
-        if config.scheme == "ito":
-            increments[k] = work_increment_ito(prev, readout, channels, dt)
-        else:
-            increments[k] = work_increment_stratonovich(
-                prev, state, readout, channels, dt
-            )
-        r1[k], r2[k] = readout.r1, readout.r2
-
-        # Record the post-update, pre-reset means: the series shows the
-        # displacement that is about to be harvested.
-        q1[k + 1], q2[k + 1] = state.q1, state.q2
-
-        if config.policy == "per-step":
-            state, extracted[k] = apply_reset(state)
-        state = covariance_step(state, channels, dt)
-        q3[k + 1], q4[k + 1], q5[k + 1] = state.q3, state.q4, state.q5
-        energy[k + 1] = GaussianState(
-            q1[k + 1], q2[k + 1], q3[k + 1], q4[k + 1], q5[k + 1]
-        ).energy_above_ground()
-
-    if config.policy == "terminal":
-        # Energy of the recorded (pre-reset) terminal state is already in
-        # ``energy``; the harvest equals its displacement energy bit-exactly.
-        extracted[n - 1] = GaussianState(
-            q1[n], q2[n], q3[n], q4[n], q5[n]
-        ).displacement_energy()
-
-    ledger = WorkLedger(
-        scheme=config.scheme, increments=increments, cumulative=np.cumsum(increments)
+    n = config.n_steps
+    cov = covariance_series(
+        thermal_state(config.nbar), config.channels(), config.resolved_dt, n
     )
+    g = noise.generator().standard_normal((1, n, 2))
+    steps = _advance(config, cov, g, (0.0, 0.0), range(n + 1))
+    q1 = steps.q1[:, 0]
+    q2 = steps.q2[:, 0]
+    extracted = steps.harvest[1:, 0]
+    if config.policy == "terminal":
+        extracted[-1] = 0.5 * (q1[n] * q1[n] + q2[n] * q2[n])
     return TrajectoryRecord(
-        t=t,
+        t=np.arange(n + 1) * config.resolved_dt,
         q1=q1,
         q2=q2,
-        q3=q3,
-        q4=q4,
-        q5=q5,
-        r1=r1,
-        r2=r2,
-        ledger=ledger,
+        q3=cov[:, 0],
+        q4=cov[:, 1],
+        q5=cov[:, 2],
+        r1=steps.r1[1:, 0],
+        r2=steps.r2[1:, 0],
+        ledger=WorkLedger(
+            scheme=config.scheme,
+            increments=steps.increment[1:, 0],
+            cumulative=steps.ledger[1:, 0],
+        ),
         extracted=extracted,
-        energy=energy,
         policy=config.policy,
     )
 
@@ -338,120 +263,58 @@ def _chunk_size(n_traj: int, n_steps: int) -> int:
     return max(128, min(n_traj, budget // per_traj))
 
 
+def _noise_block(base: NoiseSource, start: int, stop: int, n_steps: int) -> np.ndarray:
+    """Noise of trajectories start..stop-1, each from its own stream (seed, j)."""
+    noise = np.empty((stop - start, n_steps, 2))
+    for j in range(start, stop):
+        noise[j - start] = base.substream(j).generator().standard_normal((n_steps, 2))
+    return noise
+
+
 def run_ensemble_arrays(
     config: EngineConfig,
     checkpoints: Sequence[float],
     base_noise: NoiseSource | None = None,
-    initial_means: tuple[float, float] = (0.0, 0.0),
 ) -> EnsembleRecord:
     """Advance n_traj independent trajectories, checkpointing work quantities.
 
     Trajectory j consumes noise stream (config.seed, j), so results are
-    independent of chunking and bit-identical to scalar run_trajectory calls
-    with the matching substream.  Checkpoint times must lie on the step grid.
+    independent of chunking and equal to run_trajectory with the matching
+    substream.  Checkpoint times must lie on the step grid.
 
     Returns per-trajectory arrays at each checkpoint: the ledger cumulative,
     the cumulative harvested work, the displacement energy (q1**2+q2**2)/2
     of the running state before any reset at that step, the single-step
     harvest/increment of the step ending at the checkpoint, and the means.
-    Nonzero initial_means are a diagnostics aid (rotation checks); the work
-    bookkeeping assumes the engine's zero-mean thermal start.
     """
     config.validate()
     if base_noise is None:
         base_noise = NoiseSource(config.seed)
-    dt = config.resolved_dt
     n_steps = config.n_steps
-    channels = config.channels()
     cp_idx = np.array([config.step_index(tc) for tc in checkpoints], dtype=int)
     if len(cp_idx) == 0:
         raise ValueError("need at least one checkpoint")
+    cov = covariance_series(
+        thermal_state(config.nbar), config.channels(), config.resolved_dt, n_steps
+    )
 
-    cov = covariance_series(thermal_state(config.nbar), channels, dt, n_steps)
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
-    w1 = math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0
-    w2 = math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0
-
-    use_ito = config.scheme == "ito"
-    if use_ito and (
-        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
-        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
-    ):
-        raise UnsupportedConfigurationError(
-            "Ito work ledger requires the covariance normal form along the run"
-        )
-
-    n_cp = len(cp_idx)
     n_traj = config.n_traj
-    ledger_cum = np.zeros((n_cp, n_traj))
-    extracted_cum = np.zeros((n_cp, n_traj))
-    displacement = np.zeros((n_cp, n_traj))
-    step_work = np.zeros((n_cp, n_traj))
-    mean_q1 = np.zeros((n_cp, n_traj))
-    mean_q2 = np.zeros((n_cp, n_traj))
-    cp_lookup = {int(k): i for i, k in enumerate(cp_idx)}
-
+    ledger_cum, extracted_cum, displacement, step_work, mean_q1, mean_q2 = (
+        np.zeros((len(cp_idx), n_traj)) for _ in range(6)
+    )
     chunk = _chunk_size(n_traj, n_steps)
-    per_step = config.policy == "per-step"
-
     for start in range(0, n_traj, chunk):
         stop = min(start + chunk, n_traj)
-        m = stop - start
-        noise = np.empty((m, n_steps, 2))
-        for j in range(m):
-            gen = base_noise.substream(start + j).generator()
-            noise[j] = gen.standard_normal((n_steps, 2))
-
-        q1 = np.full(m, initial_means[0])
-        q2 = np.full(m, initial_means[1])
-        led = np.zeros(m)
-        ext = np.zeros(m)
-
-        for k in range(n_steps):
-            c3, c4, c5 = cov[k]
-            g1 = noise[:, k, 0]
-            g2 = noise[:, k, 1]
-            rr1 = q1 + w1 * g1
-            rr2 = q2 + w2 * g2
-            innov1 = rr1 - q1
-            innov2 = rr2 - q2
-            new1 = q1 + dt * (q2 + c3 * i1 * innov1 + c4 * i2 * innov2)
-            new2 = q2 + dt * (-q1 + c4 * i1 * innov1 + c5 * i2 * innov2)
-
-            inc1 = innov1 * i1 * dt
-            inc2 = innov2 * i2 * dt
-            if use_ito:
-                dW = _ito_increment(q1, q2, c3, c5, inc1, inc2, dt, channels.tau1)
-            else:
-                dW = _strat_increment(q1, q2, new1, new2, c3, c4, c5, inc1, inc2)
-            led = led + dW
-
-            if per_step:
-                harvest = 0.5 * (new1 * new1 + new2 * new2)
-                ext = ext + harvest
-                q1 = np.zeros(m)
-                q2 = np.zeros(m)
-            else:
-                harvest = dW
-                q1, q2 = new1, new2
-
-            pos = cp_lookup.get(k + 1)
-            if pos is not None:
-                ledger_cum[pos, start:stop] = led
-                extracted_cum[pos, start:stop] = ext
-                displacement[pos, start:stop] = 0.5 * (new1 * new1 + new2 * new2)
-                step_work[pos, start:stop] = harvest
-                mean_q1[pos, start:stop] = new1
-                mean_q2[pos, start:stop] = new2
-
-        pos = cp_lookup.get(0)
-        if pos is not None:
-            mean_q1[pos, start:stop] = initial_means[0]
-            mean_q2[pos, start:stop] = initial_means[1]
-            displacement[pos, start:stop] = 0.5 * (
-                initial_means[0] ** 2 + initial_means[1] ** 2
-            )
+        noise = _noise_block(base_noise, start, stop, n_steps)
+        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx)
+        ledger_cum[:, start:stop] = steps.ledger
+        extracted_cum[:, start:stop] = steps.harvested
+        displacement[:, start:stop] = 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
+        step_work[:, start:stop] = (
+            steps.harvest if config.policy == "per-step" else steps.increment
+        )
+        mean_q1[:, start:stop] = steps.q1
+        mean_q2[:, start:stop] = steps.q2
 
     return EnsembleRecord(
         times=np.asarray(checkpoints, dtype=float),

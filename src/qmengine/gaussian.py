@@ -12,14 +12,14 @@ Gaussian, so five numbers carry it:
 
 The means obey an innovations stochastic differential equation driven by the
 readouts r_i = q_i + sqrt(tau_i) * zeta_i (unit-intensity white noise
-zeta_i); the covariances obey a deterministic Riccati flow that is
-independent of the measurement record.  Means are advanced by
-Euler-Maruyama, covariances by an explicit midpoint (second-order) step.
+zeta_i); the step kernel in ``feedback`` integrates it.  The covariances
+obey a deterministic Riccati flow that is independent of the measurement
+record; this module advances them by an explicit midpoint (second-order)
+step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,14 +51,6 @@ class GaussianState:
     def displacement_energy(self) -> float:
         """Energy stored in the mean displacement, (q1^2 + q2^2)/2."""
         return 0.5 * (self.q1 * self.q1 + self.q2 * self.q2)
-
-    def energy_above_ground(self) -> float:
-        """Oscillator energy above the zero point, in units of hbar*omega."""
-        return self.displacement_energy() + self.variance_excess()
-
-    def variance_excess(self) -> float:
-        """(q3 + q5)/4 - 1/2, the energy stored in the variances."""
-        return 0.25 * (self.q3 + self.q5) - 0.5
 
     def is_physical(self, tol: float = UNCERTAINTY_TOL) -> bool:
         return (
@@ -104,20 +96,6 @@ class MeasurementChannels:
     @property
     def symmetric(self) -> bool:
         return self.tau1 == self.tau2
-
-
-@dataclass(frozen=True, slots=True)
-class ReadoutSample:
-    """One step's noisy records of the two quadrature channels.
-
-    Discretized over a step of length dt the readout of a monitored channel
-    is r_i = q_i + sqrt(tau_i/dt) * g_i with g_i a standard normal deviate.
-    Unmonitored channels report r_i = q_i (zero innovation).
-    """
-
-    r1: float
-    r2: float
-    dt: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,52 +182,3 @@ def covariance_series(
         current = covariance_step(current, channels, dt)
         out[k + 1] = (current.q3, current.q4, current.q5)
     return out
-
-
-def sample_readout(
-    state: GaussianState,
-    channels: MeasurementChannels,
-    dt: float,
-    rng: np.random.Generator,
-) -> ReadoutSample:
-    """Draw the two readouts for one step of length dt.
-
-    Consumes exactly two standard normals per call (also for unmonitored
-    channels, to keep the stream layout independent of the channel setup).
-    """
-    if dt <= 0.0:
-        raise ValueError(f"step length must be positive, got {dt}")
-    g1, g2 = rng.standard_normal(2)
-    r1 = state.q1 + math.sqrt(channels.tau1 / dt) * g1 if channels.monitors_position else state.q1
-    r2 = state.q2 + math.sqrt(channels.tau2 / dt) * g2 if channels.monitors_momentum else state.q2
-    return ReadoutSample(float(r1), float(r2), dt)
-
-
-def mean_step(
-    state: GaussianState,
-    channels: MeasurementChannels,
-    readout: ReadoutSample,
-    dt: float,
-) -> GaussianState:
-    """Advance the means by one Euler-Maruyama step.
-
-    The drift carries the harmonic rotation (dq1 <- +q2, dq2 <- -q1); the
-    stochastic part enters through the innovations r_i - q_i weighted by the
-    current covariances.  Covariance entries are left untouched; the caller
-    advances them separately with covariance_step.
-    """
-    if readout.dt != dt:
-        raise ValueError(
-            f"readout was generated for dt={readout.dt}, stepping with dt={dt}"
-        )
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
-    innov1 = readout.r1 - state.q1
-    innov2 = readout.r2 - state.q2
-    new_q1 = state.q1 + dt * (
-        state.q2 + state.q3 * i1 * innov1 + state.q4 * i2 * innov2
-    )
-    new_q2 = state.q2 + dt * (
-        -state.q1 + state.q4 * i1 * innov1 + state.q5 * i2 * innov2
-    )
-    return replace(state, q1=new_q1, q2=new_q2)

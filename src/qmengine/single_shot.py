@@ -13,7 +13,6 @@ amount r0 only when r >= r0/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
@@ -21,44 +20,14 @@ from scipy.special import erfc
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, slots=True)
-class CoherentOutcome:
-    """Polar coordinates of a coherent-state measurement outcome."""
-
-    r: float
-    theta: float
-
-
-@dataclass(frozen=True, slots=True)
-class CycleResult:
-    """One engine cycle: extracted work, rectification delay, raw outcome."""
-
-    work: float
-    wait_time: float
-    outcome: CoherentOutcome
-
-
-def sample_outcome(nbar: float, rng: np.random.Generator) -> CoherentOutcome:
-    """Draw one measurement outcome from the thermal-state Husimi law.
-
-    Uses inverse-transform sampling of the exact radial law (r**2 exponential
-    with mean 1 + nbar) and a uniform phase.  Consumes one exponential and
-    one uniform deviate, in that order.
-    """
-    if nbar < 0.0:
-        raise ValueError(f"mean thermal occupation must be >= 0, got {nbar}")
-    r = math.sqrt(rng.exponential(1.0 + nbar))
-    theta = rng.uniform(0.0, TWO_PI)
-    return CoherentOutcome(r, theta)
-
-
 def sample_outcomes(
     nbar: float, n_samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized outcome draw; returns (r, theta) arrays of length n_samples.
+    """Draw n_samples outcomes from the thermal-state Husimi law.
 
-    Batch layout: all radial deviates are drawn first, then all phases, so a
-    batch does not reproduce a sequence of sample_outcome calls draw-by-draw.
+    Uses inverse-transform sampling of the exact radial law (r**2 exponential
+    with mean 1 + nbar) and a uniform phase.  Returns (r, theta) arrays; all
+    radial deviates are drawn first, then all phases.
     """
     if nbar < 0.0:
         raise ValueError(f"mean thermal occupation must be >= 0, got {nbar}")
@@ -69,35 +38,18 @@ def sample_outcomes(
     return r, theta
 
 
-def rectify(outcome: CoherentOutcome) -> tuple[float, float]:
-    """Free-evolution delay that rotates the outcome onto the positive x axis.
+def extract_work_binary(r: np.ndarray, r0: float) -> np.ndarray:
+    """Work of the binary protocol with trap shift r0, per outcome amplitude.
 
-    Returns (r, wait_time) with wait_time = theta in units of 1/omega; the
-    displaced state is aligned at phase zero afterwards.
-    """
-    return outcome.r, outcome.theta
-
-
-def extract_work_full(r: float) -> float:
-    """Work from shifting the trap onto the rectified outcome: r**2."""
-    if r < 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {r}")
-    return r * r
-
-
-def extract_work_binary(r: float, r0: float) -> float:
-    """Work from the binary protocol with trap shift r0.
-
-    Zero when r < r0/2 (no action); otherwise 2*r*r0 - r0**2, continuous at
+    Zero where r < r0/2 (no action); otherwise 2*r*r0 - r0**2, continuous at
     the threshold.
     """
+    r = np.asarray(r, dtype=float)
     if r0 <= 0.0:
         raise ValueError(f"shift threshold must be > 0, got {r0}")
-    if r < 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {r}")
-    if r < 0.5 * r0:
-        return 0.0
-    return 2.0 * r * r0 - r0 * r0
+    if np.any(r < 0.0):
+        raise ValueError("amplitudes must be >= 0")
+    return np.where(r >= 0.5 * r0, 2.0 * r * r0 - r0**2, 0.0)
 
 
 def binary_average_work(nbar: float, r0: float) -> float:
@@ -135,32 +87,6 @@ def max_binary_efficiency(
     eta = math.sqrt(math.pi) * u * erfc(0.5 * u)
     best = int(np.argmax(eta))
     return float(u[best]), float(eta[best])
-
-
-def run_cycle(
-    nbar: float,
-    rng: np.random.Generator,
-    feedback: str = "full",
-    r0: float | None = None,
-) -> CycleResult:
-    """Execute one complete cycle and return the work bookkeeping.
-
-    feedback="full" harvests r**2; feedback="binary" applies the fixed-shift
-    protocol and requires r0.  Thermalization between cycles is taken as
-    instantaneous and perfect, and the rectification wait is pure
-    bookkeeping (no dissipation while waiting).
-    """
-    outcome = sample_outcome(nbar, rng)
-    r, wait_time = rectify(outcome)
-    if feedback == "full":
-        work = extract_work_full(r)
-    elif feedback == "binary":
-        if r0 is None:
-            raise ValueError("binary feedback requires a shift threshold r0")
-        work = extract_work_binary(r, r0)
-    else:
-        raise ValueError(f"unknown feedback mode {feedback!r}")
-    return CycleResult(work, wait_time, outcome)
 
 
 def added_quantum_check(

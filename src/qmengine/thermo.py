@@ -7,9 +7,7 @@ The quantum engine beats this bound at T = 0 thanks to the quantum of noise
 added by the dual-quadrature measurement.
 
 Erasing the demon's memory costs at least kB*T_D times the Shannon entropy
-of the record (Landauer); for the binary protocol the record is one bit, for
-continuous readouts the entropy follows the Gaussian readout density plus a
-detector-resolution term -log(delta**2).
+of the record (Landauer); for the binary protocol the record is one bit.
 """
 
 from __future__ import annotations
@@ -31,27 +29,14 @@ class ClassicalConfig:
     n_samples: int
 
     def __post_init__(self) -> None:
-        if self.spring_k <= 0.0:
-            raise ValueError(f"spring constant must be > 0, got {self.spring_k}")
-        if self.kbt < 0.0:
-            raise ValueError(f"kB*T must be >= 0, got {self.kbt}")
+        if not 0.0 < self.spring_k < math.inf:
+            raise ValueError(
+                f"spring constant must be finite and > 0, got {self.spring_k}"
+            )
+        if not 0.0 <= self.kbt < math.inf:
+            raise ValueError(f"kB*T must be finite and >= 0, got {self.kbt}")
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
-
-
-@dataclass(frozen=True, slots=True)
-class ErasureLedger:
-    """Demon memory bookkeeping for one operating point."""
-
-    demon_kbtd: float
-    p0: float
-    resolution_delta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p0 <= 1.0:
-            raise ValueError(f"p0 must lie in [0, 1], got {self.p0}")
-        if self.resolution_delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {self.resolution_delta}")
 
 
 def classical_cycle(config: ClassicalConfig, rng: np.random.Generator) -> np.ndarray:
@@ -98,39 +83,3 @@ def binary_thermo_efficiency(nbar: float, r0: float, demon_kbtd: float) -> float
     work = binary_average_work(nbar, r0)
     cost = binary_erasure_cost(binary_p0(nbar, r0), demon_kbtd)
     return (work - cost) / (1.0 + nbar)
-
-
-def continuous_memory_entropy(
-    readout_variances: tuple[float, float], resolution_delta: float
-) -> float:
-    """Shannon entropy (nats) of the discretized two-channel readout record.
-
-    The readouts are independent Gaussians, so the differential entropy is
-    the sum of 0.5*log(2*pi*e*var) per channel; binning into squares of side
-    delta adds -log(delta**2).
-    """
-    v1, v2 = readout_variances
-    if v1 <= 0.0 or v2 <= 0.0:
-        raise ValueError(f"readout variances must be > 0, got ({v1}, {v2})")
-    if resolution_delta <= 0.0:
-        raise ValueError(f"delta must be > 0, got {resolution_delta}")
-    differential = 0.5 * math.log(2.0 * math.pi * math.e * v1) + 0.5 * math.log(
-        2.0 * math.pi * math.e * v2
-    )
-    return differential - 2.0 * math.log(resolution_delta)
-
-
-def continuous_thermo_efficiency(
-    mean_work: float,
-    heat_input: float,
-    memory_entropy: float,
-    demon_kbtd: float,
-) -> float:
-    """Compose the continuous-cycle efficiency from caller-supplied pieces.
-
-    (mean_work - kB*T_D * memory_entropy) / heat_input; which work average
-    and observation time enter is the caller's choice.
-    """
-    if heat_input <= 0.0:
-        raise ValueError(f"heat input must be > 0, got {heat_input}")
-    return (mean_work - demon_kbtd * memory_entropy) / heat_input

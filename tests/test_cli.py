@@ -69,6 +69,41 @@ class TestParsing:
     def test_out_of_domain_value_is_usage_error(self, tmp_path):
         assert run_cli(["continuous", "--nbar", "-1", "--output-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize(
+        "flags,config_file,key",
+        [
+            (["--nbar", "nan"], None, "nbar"),
+            (["--dt", "nan"], None, "dt"),
+            ([], {"nbar": "abc"}, "nbar"),
+            (["--t-final", "inf"], None, "t_final"),
+            ([], {"n_traj": 1.5}, "n_traj"),
+            ([], {"output_path": 3}, "output_path"),
+            ([], [1, 2], "JSON object"),
+            (
+                ["--nbar", "1000", "--tau", "0.001", "--dt", "0.0001"],
+                None,
+                "uncertainty",
+            ),
+        ],
+        ids=[
+            "nbar-nan", "dt-nan", "nbar-string-in-file", "t-final-inf",
+            "n-traj-float-in-file", "output-path-number-in-file", "file-not-an-object",
+            "covariance-step-too-coarse",
+        ],
+    )
+    def test_bad_value_exits_one_with_one_line(
+        self, tmp_path, monkeypatch, capsys, flags, config_file, key
+    ):
+        monkeypatch.chdir(tmp_path)  # no --output-dir: it would mask output_path
+        if config_file is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(config_file))
+            flags = flags + ["--config", str(path)]
+        code = run_cli(["continuous", *flags])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and key in err[0]
+
     def test_asymmetric_ito_rejected(self, tmp_path):
         code = run_cli(
             ["continuous", "--tau1", "1", "--tau2", "0.9", "--scheme", "ito",
@@ -172,6 +207,19 @@ class TestFamilies:
         ) == 0
         summary = json.loads((tmp_path / "t0" / "summary.json").read_text())
         assert summary["checks"]["zero_work_at_zero_temperature"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["single-shot", "binary", "classical"])
+    def test_single_sample_summary_is_strict_json(self, tmp_path, family):
+        code = run_cli(
+            [family, "--n-traj", "1", "--seed", "3", "--output-dir", str(tmp_path)]
+        )
+        assert code in (0, 2)
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
 
     def test_per_step_continuous(self, tmp_path):
         assert run_cli(

@@ -1,115 +1,35 @@
-"""Tests for feedback amplitudes, work ledgers, resets, and trajectories."""
+"""Tests for the step kernel, work ledgers, resets, and trajectory drivers."""
 
 from __future__ import annotations
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmengine as qm
+from qmengine import feedback
 from qmengine.errors import UnsupportedConfigurationError
-from qmengine.feedback import run_ensemble_arrays
+from qmengine.feedback import _advance, _noise_block, run_ensemble_arrays
 
 
-class TestFeedbackAmplitudes:
-    def test_zero_innovation_gives_zero_feedback(self):
-        state = qm.GaussianState(0.3, -0.8, 1.2, 0.1, 1.4)
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        predicted = qm.PredictedMeans(0.3, -0.8)
-        ro = qm.ReadoutSample(0.3, -0.8, 0.01)
-        fb = qm.feedback_amplitudes(state, ro, predicted, ch)
-        assert (fb.f1, fb.f2) == (0.0, 0.0)
-
-    def test_single_channel_innovation(self):
-        # q3=1, q4=0, tau1=tau2=tau: innovation eps on channel 1 only
-        tau, eps = 2.0, 0.37
-        state = qm.GaussianState(0.0, 0.0, 1.0, 0.0, 1.0)
-        ch = qm.MeasurementChannels(tau, tau)
-        predicted = qm.PredictedMeans(0.0, 0.0)
-        ro = qm.ReadoutSample(eps, 0.0, 0.01)
-        fb = qm.feedback_amplitudes(state, ro, predicted, ch)
-        assert fb.f2 == pytest.approx(-eps / (2.0 * tau), rel=1e-15)
-        assert fb.f1 == 0.0
-
-    def test_general_formula(self):
-        state = qm.GaussianState(0.1, 0.2, 1.3, -0.2, 1.5)
-        ch = qm.MeasurementChannels(0.8, 1.1)
-        predicted = qm.PredictedMeans(-0.4, 0.6)
-        ro = qm.ReadoutSample(2.0, -3.0, 0.01)
-        d1, d2 = 2.0 - (-0.4), -3.0 - 0.6
-        fb = qm.feedback_amplitudes(state, ro, predicted, ch)
-        assert fb.f2 == pytest.approx(
-            -state.q3 / (2 * 0.8) * d1 - state.q4 / (2 * 1.1) * d2, rel=1e-14
-        )
-        assert fb.f1 == pytest.approx(
-            state.q4 / (2 * 0.8) * d1 + state.q5 / (2 * 1.1) * d2, rel=1e-14
-        )
-
-
-class TestBackactionCancellation:
-    def test_single_step_reduces_to_free_rotation(self):
-        # when the means sit on the prediction, the fed-back step equals the
-        # drift-only Euler rotation exactly, which is O(dt^2) from the true
-        # rotation
-        state = qm.GaussianState(0.7, -0.3, 1.1, 0.05, 1.2)
-        ch = qm.MeasurementChannels(1.0, 1.3)
-        dt = 0.01
-        predicted = qm.PredictedMeans(0.7, -0.3)
-        rng = qm.NoiseSource(4).generator()
-        ro = qm.sample_readout(state, ch, dt, rng)
-        new = qm.step_with_feedback(state, ch, ro, predicted, dt)
-        assert new.q1 == state.q1 + dt * state.q2
-        assert new.q2 == state.q2 - dt * state.q1
-        exact = qm.predicted_means(state, dt)
-        assert abs(new.q1 - exact.qbar1) <= dt**2
-        assert abs(new.q2 - exact.qbar2) <= dt**2
-
-    def test_zero_mean_trajectory_pinned_at_origin(self):
-        # with zero initial means the prediction is identically zero and the
-        # feedback cancels the backaction bit-exactly every step
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        dt = 0.01
-        rng = qm.NoiseSource(40).generator()
-        state = qm.thermal_state(0.0)
-        predicted = qm.PredictedMeans(0.0, 0.0)
-        for _ in range(500):
-            ro = qm.sample_readout(state, ch, dt, rng)
-            state = qm.step_with_feedback(state, ch, ro, predicted, dt)
-            state = qm.covariance_step(state, ch, dt)
-        assert (state.q1, state.q2) == (0.0, 0.0)
-
-    def test_feedback_beats_diffusion(self):
-        # same noise, with and without feedback: the fed-back displacement
-        # stays bounded by the single-step innovation scale
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        dt, n = 0.01, 500
-        gens = [qm.NoiseSource(41).generator() for _ in range(2)]
-        fed = qm.thermal_state(0.0)
-        free = qm.thermal_state(0.0)
-        predicted = qm.PredictedMeans(0.0, 0.0)
-        max_fed, max_free = 0.0, 0.0
-        for _ in range(n):
-            ro_f = qm.sample_readout(fed, ch, dt, gens[0])
-            fed = qm.covariance_step(
-                qm.step_with_feedback(fed, ch, ro_f, predicted, dt), ch, dt
-            )
-            ro = qm.sample_readout(free, ch, dt, gens[1])
-            free = qm.covariance_step(qm.mean_step(free, ch, ro, dt), ch, dt)
-            max_fed = max(max_fed, fed.displacement_energy())
-            max_free = max(max_free, free.displacement_energy())
-        kick = 0.5 * math.sqrt(dt / ch.tau1)  # single-step innovation scale
-        assert max_fed <= (5.0 * kick) ** 2
-        assert max_free > 10.0 * max_fed
+def constant_cov(q3, q4, q5, n_steps):
+    """A fixed covariance triplet at every grid point, for single-step checks."""
+    return np.tile([q3, q4, q5], (n_steps + 1, 1))
 
 
 class TestStratonovichLedger:
     def test_zero_means_zero_increment(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        prev = qm.thermal_state(0.0)
-        new = qm.GaussianState(0.0, 0.0, 1.0, 0.0, 1.0)
-        ro = qm.ReadoutSample(3.0, -2.0, 0.01)
-        assert qm.work_increment_stratonovich(prev, new, ro, ch, 0.01) == 0.0
+        # zero means before and after the step: the midpoint rule banks nothing
+        cfg = qm.EngineConfig(dt=0.01, policy="none")
+        cov = constant_cov(1.0, 0.0, 1.0, 1)
+        steps = _advance(cfg, cov, np.zeros((3, 1, 2)), (0.0, 0.0), [1])
+        assert np.all(steps.q1 == 0.0) and np.all(steps.q2 == 0.0)
+        assert np.all(steps.increment == 0.0)
 
     def test_cumulative_tracks_displacement_energy(self):
         # along a no-feedback path from the origin the ledger telescopes to
@@ -135,43 +55,31 @@ class TestStratonovichLedger:
 
 class TestItoLedger:
     def test_drift_exact_at_zero_means(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        state = qm.GaussianState(0.0, 0.0, 1.4, 0.0, 1.4)
-        rng = qm.NoiseSource(42).generator()
-        dt = 0.01
+        cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
+        noise = qm.NoiseSource(42).generator().standard_normal((20, 1, 2))
+        steps = _advance(cfg, constant_cov(1.4, 0.0, 1.4, 1), noise, (0.0, 0.0), [1])
         nu = 0.7
-        for _ in range(20):
-            ro = qm.sample_readout(state, ch, dt, rng)
-            inc = qm.work_increment_ito(state, ro, ch, dt)
-            assert inc == nu * nu / ch.tau1 * dt
+        assert np.all(steps.increment == nu * nu / cfg.tau1 * cfg.resolved_dt)
 
     def test_expectation_is_power_drift(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        state = qm.GaussianState(0.3, -0.2, 1.4, 0.0, 1.4)
-        rng = qm.NoiseSource(43).generator()
-        dt = 0.01
-        incs = []
-        for _ in range(20000):
-            ro = qm.sample_readout(state, ch, dt, rng)
-            incs.append(qm.work_increment_ito(state, ro, ch, dt))
-        incs = np.array(incs)
-        drift = 0.7**2 / ch.tau1 * dt
+        cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
+        noise = qm.NoiseSource(43).generator().standard_normal((20000, 1, 2))
+        steps = _advance(cfg, constant_cov(1.4, 0.0, 1.4, 1), noise, (0.3, -0.2), [1])
+        incs = steps.increment[0]
+        drift = 0.7**2 / cfg.tau1 * cfg.resolved_dt
         se = incs.std(ddof=1) / math.sqrt(len(incs))
         assert abs(incs.mean() - drift) <= 3.0 * se
 
     def test_asymmetric_channels_rejected(self):
-        ch = qm.MeasurementChannels(1.0, 0.9)
-        state = qm.thermal_state(0.0)
-        ro = qm.ReadoutSample(0.1, 0.2, 0.01)
+        cfg = qm.EngineConfig(tau1=1.0, tau2=0.9, dt=0.01, scheme="ito")
         with pytest.raises(UnsupportedConfigurationError):
-            qm.work_increment_ito(state, ro, ch, 0.01)
+            qm.run_trajectory(cfg, qm.NoiseSource(0))
 
     def test_non_normal_form_rejected(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        state = qm.GaussianState(0.0, 0.0, 1.5, 0.3, 1.5)
-        ro = qm.ReadoutSample(0.1, 0.2, 0.01)
+        cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
         with pytest.raises(UnsupportedConfigurationError):
-            qm.work_increment_ito(state, ro, ch, 0.01)
+            cov = constant_cov(1.5, 0.3, 1.5, 1)
+            _advance(cfg, cov, np.zeros((1, 1, 2)), (0.0, 0.0), [1])
 
     def test_per_step_run_increments_equal_power_drift(self):
         # per-step policy resets the means, so every Ito ledger increment is
@@ -216,16 +124,21 @@ class TestRunTrajectory:
             nbar=0.0, tau1=1e13, tau2=1e13, dt=0.001, t_final=1.571,
             n_traj=1, policy="none", seed=0,
         )
-        rec = run_ensemble_arrays(cfg, [1.571], initial_means=(1.0, 0.0))
-        assert rec.q1[0, 0] == pytest.approx(math.cos(1.571), abs=0.01)
-        assert rec.q2[0, 0] == pytest.approx(-math.sin(1.571), abs=0.01)
-        assert rec.ledger_cum[0, 0] == 0.0
+        n = cfg.n_steps
+        cov = qm.covariance_series(
+            qm.thermal_state(0.0), cfg.channels(), cfg.resolved_dt, n
+        )
+        noise = _noise_block(qm.NoiseSource(cfg.seed), 0, 1, n)
+        steps = _advance(cfg, cov, noise, (1.0, 0.0), [n])
+        assert steps.q1[0, 0] == pytest.approx(math.cos(1.571), abs=0.01)
+        assert steps.q2[0, 0] == pytest.approx(-math.sin(1.571), abs=0.01)
+        assert steps.ledger[0, 0] == 0.0
 
     def test_terminal_harvest_is_conserved_bit_exactly(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.005, t_final=1.0, policy="terminal", seed=6)
         rec = qm.run_trajectory(cfg, qm.NoiseSource(6))
         assert rec.extracted[-1] == 0.5 * (rec.q1[-1] ** 2 + rec.q2[-1] ** 2)
-        assert rec.work_extracted_total == rec.extracted[-1]
+        assert not rec.extracted[:-1].any()
 
     def test_per_step_harvests_every_step(self):
         cfg = qm.EngineConfig(nbar=0.0, dt=0.01, t_final=0.5, policy="per-step", seed=7)
@@ -245,14 +158,12 @@ class TestRunTrajectory:
             assert abs(rec.q1[i].mean()) <= 4.0 * se
             assert abs(rec.q2[i].mean()) <= 4.0 * se
 
-    def test_record_shapes_and_energy(self):
+    def test_record_shapes(self):
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=0.3, policy="terminal", seed=5)
         rec = qm.run_trajectory(cfg, qm.NoiseSource(5))
         n = cfg.n_steps
-        assert len(rec.t) == n + 1
-        assert len(rec.r1) == n == len(rec.ledger.increments)
-        energy = 0.5 * (rec.q1**2 + rec.q2**2) + 0.25 * (rec.q3 + rec.q5) - 0.5
-        assert np.allclose(rec.energy, energy, atol=1e-14)
+        assert len(rec.t) == len(rec.q1) == len(rec.q5) == n + 1
+        assert len(rec.r1) == n == len(rec.ledger.increments) == len(rec.extracted)
 
     def test_same_stream_reproduces_record(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.5, policy="terminal", seed=44)
@@ -279,3 +190,42 @@ class TestSchemeEquivalence:
         gap = np.abs(means["stratonovich"] - means["ito"])
         combined = np.hypot(errs["stratonovich"], errs["ito"])
         assert np.all(gap <= 3.0 * combined)
+
+
+ENSEMBLE_FIELDS = (
+    "times", "cov", "ledger_cum", "extracted_cum", "displacement_energy",
+    "step_work", "q1", "q2",
+)
+CHUNK_CONFIGS = {
+    policy: qm.EngineConfig(
+        nbar=0.5, dt=0.01, t_final=0.2, n_traj=11, policy=policy, seed=13
+    )
+    for policy in ("terminal", "per-step", "none")
+}
+
+
+@functools.cache
+def default_chunking(policy):
+    return run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
+
+
+class TestChunkInvariance:
+    @given(chunk=st.integers(1, 14), policy=st.sampled_from(sorted(CHUNK_CONFIGS)))
+    @settings(max_examples=30, deadline=None)
+    def test_records_bit_identical_under_any_chunking(self, chunk, policy):
+        with mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
+            rec = run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
+        ref = default_chunking(policy)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    def test_trajectory_is_the_single_member_case(self):
+        # trajectory j of an ensemble is run_trajectory on stream (seed, j)
+        cfg = CHUNK_CONFIGS["per-step"]
+        ref = default_chunking("per-step")
+        for j in (0, 10):
+            rec = qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, j))
+            assert np.array_equal(rec.q1[[0, 10, 20]], ref.q1[:, j])
+            assert np.array_equal(rec.ledger.cumulative[[9, 19]], ref.ledger_cum[1:, j])
+            harvested = np.cumsum(rec.extracted)[[9, 19]]
+            assert np.array_equal(harvested, ref.extracted_cum[1:, j])

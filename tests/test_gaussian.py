@@ -1,4 +1,8 @@
-"""Tests for the Gaussian state, covariance flow, readouts, and mean updates."""
+"""Tests for the Gaussian state, covariance flow, readouts, and mean updates.
+
+Readouts are checked through run_trajectory; the mean update is driven
+through the step kernel with injected noise.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine.errors import UncertaintyViolationError
-from qmengine.feedback import run_ensemble_arrays
+from qmengine.feedback import _advance, _noise_block
 
 
 def riccati_q3_closed_form(q3_0: float, tau: float, t: float) -> float:
@@ -129,72 +133,62 @@ class TestCovarianceFlow:
             assert state.is_physical()
 
 
+def trajectory(seed, stream=0, **overrides):
+    fields = dict(dt=0.01, t_final=0.5, policy="none", seed=seed) | overrides
+    return qm.run_trajectory(qm.EngineConfig(**fields), qm.NoiseSource(seed, stream))
+
+
+def advance(cfg, noise, start, record):
+    """Drive the step kernel on cfg's covariance flow with the given noise."""
+    n_steps = noise.shape[1]
+    cov = qm.covariance_series(
+        qm.thermal_state(cfg.nbar), cfg.channels(), cfg.resolved_dt, n_steps
+    )
+    return _advance(cfg, cov, noise, start, record)
+
+
 class TestReadout:
     def test_noise_variance_and_mean(self):
-        state = qm.GaussianState(0.7, -0.2, 1.0, 0.0, 1.0)
-        ch = qm.MeasurementChannels(2.0, 2.0)
-        dt = 0.01
-        rng = qm.NoiseSource(8).generator()
-        draws = np.array(
-            [qm.sample_readout(state, ch, dt, rng).r1 for _ in range(20000)]
-        )
-        excess = draws - state.q1
-        assert np.var(excess) == pytest.approx(ch.tau1 / dt, rel=0.05)
-        assert np.mean(draws) == pytest.approx(state.q1, abs=3.0 * math.sqrt(200.0 / 20000))
+        # 10^4 steps on two channels: 2 * 10^4 readout excesses r_i - q_i
+        rec = trajectory(8, tau1=2.0, tau2=2.0, t_final=100.0)
+        excess = np.concatenate([rec.r1 - rec.q1[:-1], rec.r2 - rec.q2[:-1]])
+        assert len(excess) == 20000
+        assert np.var(excess) == pytest.approx(2.0 / 0.01, rel=0.05)
+        assert np.mean(excess) == pytest.approx(0.0, abs=3.0 * math.sqrt(200.0 / 20000))
 
     def test_fixed_seed_reproduces_sequence(self):
-        state = qm.thermal_state(0.0)
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        out = []
-        for _ in range(2):
-            rng = qm.NoiseSource(99, 3).generator()
-            out.append([qm.sample_readout(state, ch, 0.01, rng) for _ in range(50)])
-        assert out[0] == out[1]
+        a, b = trajectory(99, 3), trajectory(99, 3)
+        assert np.array_equal(a.r1, b.r1)
+        assert np.array_equal(a.r2, b.r2)
 
     def test_distinct_streams_differ(self):
-        state = qm.thermal_state(0.0)
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        a = qm.sample_readout(state, ch, 0.01, qm.NoiseSource(99, 0).generator())
-        b = qm.sample_readout(state, ch, 0.01, qm.NoiseSource(99, 1).generator())
-        assert (a.r1, a.r2) != (b.r1, b.r2)
+        a, b = trajectory(99, 0), trajectory(99, 1)
+        assert a.r1[0] != b.r1[0] and a.r2[0] != b.r2[0]
 
     def test_unmonitored_channel_is_silent(self):
-        state = qm.GaussianState(0.4, 1.1, 1.0, 0.0, 1.0)
-        ch = qm.MeasurementChannels(1.0, math.inf)
-        ro = qm.sample_readout(state, ch, 0.01, qm.NoiseSource(1).generator())
-        assert ro.r2 == state.q2
-        assert ro.r1 != state.q1
+        rec = trajectory(1, tau2=math.inf)
+        assert np.all(rec.r2 == rec.q2[:-1])
+        assert np.all(rec.r1 != rec.q1[:-1])
 
 
 class TestMeanStep:
     def test_free_evolution_rotation(self):
         # zero-innovation readouts: pure harmonic rotation by t = pi/2
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        dt = 1e-3
+        cfg = qm.EngineConfig(dt=1e-3, policy="none")
         n = 1571
-        state = qm.GaussianState(1.0, 0.0, 1.0, 0.0, 1.0)
-        for _ in range(n):
-            ro = qm.ReadoutSample(state.q1, state.q2, dt)
-            state = qm.mean_step(state, ch, ro, dt)
-        t = n * dt
-        assert state.q1 == pytest.approx(math.cos(t), abs=10.0 * dt)
-        assert state.q2 == pytest.approx(-math.sin(t), abs=10.0 * dt)
+        steps = advance(cfg, np.zeros((1, n, 2)), (1.0, 0.0), [n])
+        t = n * cfg.resolved_dt
+        assert steps.q1[0, 0] == pytest.approx(math.cos(t), abs=10.0 * cfg.resolved_dt)
+        assert steps.q2[0, 0] == pytest.approx(-math.sin(t), abs=10.0 * cfg.resolved_dt)
 
     def test_single_step_substitution(self):
         # q1 = q2 = 0, one step with g1 = 1, g2 = 0, q3 = 1, q4 = 0
         tau, dt = 1.0, 0.01
-        ch = qm.MeasurementChannels(tau, tau)
-        state = qm.thermal_state(0.0)
-        ro = qm.ReadoutSample(math.sqrt(tau / dt), 0.0, dt)
-        new = qm.mean_step(state, ch, ro, dt)
-        assert new.q1 == pytest.approx(0.5 * math.sqrt(dt / tau), rel=1e-12)
-        assert new.q2 == 0.0
-
-    def test_readout_step_mismatch_rejected(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        ro = qm.ReadoutSample(0.0, 0.0, 0.02)
-        with pytest.raises(ValueError):
-            qm.mean_step(qm.thermal_state(0.0), ch, ro, 0.01)
+        cfg = qm.EngineConfig(nbar=0.0, tau1=tau, tau2=tau, dt=dt, policy="none")
+        steps = advance(cfg, np.array([[[1.0, 0.0]]]), (0.0, 0.0), [1])
+        assert steps.r1[0, 0] == math.sqrt(tau / dt)
+        assert steps.q1[0, 0] == pytest.approx(0.5 * math.sqrt(dt / tau), rel=1e-12)
+        assert steps.q2[0, 0] == 0.0
 
     def test_ensemble_mean_follows_free_rotation(self):
         # Monte Carlo average over 10^4 noisy realizations tracks the
@@ -203,12 +197,19 @@ class TestMeanStep:
             nbar=0.0, dt=1e-3, t_final=2.0, n_traj=10_000, policy="none", seed=21
         )
         t_obs = 1.571
-        rec = run_ensemble_arrays(cfg, [t_obs], initial_means=(1.0, 0.0))
-        se1 = rec.q1[0].std(ddof=1) / math.sqrt(cfg.n_traj)
-        se2 = rec.q2[0].std(ddof=1) / math.sqrt(cfg.n_traj)
+        n = cfg.step_index(t_obs)
+        q1, q2 = [], []
+        for start in range(0, cfg.n_traj, 1000):
+            noise = _noise_block(qm.NoiseSource(cfg.seed), start, start + 1000, n)
+            steps = advance(cfg, noise, (1.0, 0.0), [n])
+            q1.append(steps.q1[0])
+            q2.append(steps.q2[0])
+        q1, q2 = np.concatenate(q1), np.concatenate(q2)
+        se1 = q1.std(ddof=1) / math.sqrt(cfg.n_traj)
+        se2 = q2.std(ddof=1) / math.sqrt(cfg.n_traj)
         drift_allowance = 5.0 * cfg.resolved_dt
-        assert abs(rec.q1[0].mean() - math.cos(t_obs)) <= 3.0 * se1 + drift_allowance
-        assert abs(rec.q2[0].mean() + math.sin(t_obs)) <= 3.0 * se2 + drift_allowance
+        assert abs(q1.mean() - math.cos(t_obs)) <= 3.0 * se1 + drift_allowance
+        assert abs(q2.mean() + math.sin(t_obs)) <= 3.0 * se2 + drift_allowance
 
 
 class TestConvergenceOrder:
@@ -221,15 +222,10 @@ class TestConvergenceOrder:
         order-1/2 behaviour (ratio sqrt(2)).
         """
 
-        def advance(dt, steps, g, tau=1.0, nbar=1.0):
-            ch = qm.MeasurementChannels(tau, tau)
-            state = qm.thermal_state(nbar)
-            w = math.sqrt(tau / dt)
-            for k in range(steps):
-                ro = qm.ReadoutSample(state.q1 + w * g[k, 0], state.q2 + w * g[k, 1], dt)
-                state = qm.mean_step(state, ch, ro, dt)
-                state = qm.covariance_step(state, ch, dt)
-            return np.array([state.q1, state.q2])
+        def final_means(dt, steps, g, tau=1.0, nbar=1.0):
+            cfg = qm.EngineConfig(nbar=nbar, tau1=tau, tau2=tau, dt=dt, policy="none")
+            out = advance(cfg, g[np.newaxis], (0.0, 0.0), [steps])
+            return np.array([out.q1[0, 0], out.q2[0, 0]])
 
         rng = np.random.default_rng(77)
         dt0, T = 0.02, 1.0
@@ -240,9 +236,9 @@ class TestConvergenceOrder:
             def agg(m):
                 return fine.reshape(-1, m, 2).sum(axis=1) / math.sqrt(m)
 
-            qa = advance(dt0, int(T / dt0), agg(4))
-            qb = advance(dt0 / 2, int(T / dt0) * 2, agg(2))
-            qc = advance(dt0 / 4, int(T / dt0) * 4, fine)
+            qa = final_means(dt0, int(T / dt0), agg(4))
+            qb = final_means(dt0 / 2, int(T / dt0) * 2, agg(2))
+            qc = final_means(dt0 / 4, int(T / dt0) * 4, fine)
             ratios.append(np.linalg.norm(qa - qb) / np.linalg.norm(qb - qc))
         median = float(np.median(ratios))
         assert median >= 1.3  # at least order-1/2 convergence

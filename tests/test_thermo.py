@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
 
 import qmengine as qm
 from qmengine.thermo import shannon_entropy_bit
@@ -55,6 +54,11 @@ class TestClassicalCycle:
             qm.ClassicalConfig(spring_k=0.0, kbt=1.0, n_samples=10)
         with pytest.raises(ValueError):
             qm.ClassicalConfig(spring_k=1.0, kbt=-1.0, n_samples=10)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                qm.ClassicalConfig(spring_k=bad, kbt=1.0, n_samples=10)
+            with pytest.raises(ValueError):
+                qm.ClassicalConfig(spring_k=1.0, kbt=bad, n_samples=10)
 
 
 class TestBinaryMemory:
@@ -107,60 +111,3 @@ class TestBinaryThermoEfficiency:
     def test_can_turn_negative_and_is_reported_as_is(self):
         eta = qm.binary_thermo_efficiency(0.0, 1.0, 10.0)
         assert eta < 0.0
-
-
-class TestContinuousMemoryEntropy:
-    def test_resolution_term(self):
-        variances = (2.0, 3.0)
-        coarse = qm.continuous_memory_entropy(variances, 0.2)
-        fine = qm.continuous_memory_entropy(variances, 0.1)
-        assert fine - coarse == pytest.approx(math.log(4.0), rel=1e-12)
-
-    def test_independent_channels_add(self):
-        v1, v2, delta = 2.0, 3.0, 0.1
-        total = qm.continuous_memory_entropy((v1, v2), delta)
-        h1 = 0.5 * math.log(2.0 * math.pi * math.e * v1)
-        h2 = 0.5 * math.log(2.0 * math.pi * math.e * v2)
-        assert total == pytest.approx(h1 + h2 - 2.0 * math.log(delta), rel=1e-12)
-
-    def test_matches_binned_shannon_entropy(self):
-        # brute-force oracle: discrete entropy of a binned Gaussian per
-        # channel, summed over the two independent channels
-        variances = (1.0, 2.5)
-        delta = math.sqrt(min(variances)) / 20.0
-        brute = 0.0
-        for v in variances:
-            s = math.sqrt(v)
-            edges = np.arange(-12.0 * s, 12.0 * s + delta, delta)
-            p = np.diff(norm(scale=s).cdf(edges))
-            p = p[p > 0.0]
-            brute += float(-(p * np.log(p)).sum())
-        analytic = qm.continuous_memory_entropy(variances, delta)
-        assert analytic == pytest.approx(brute, rel=0.01)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            qm.continuous_memory_entropy((0.0, 1.0), 0.1)
-        with pytest.raises(ValueError):
-            qm.continuous_memory_entropy((1.0, 1.0), 0.0)
-
-
-class TestContinuousThermoEfficiency:
-    def test_composition(self):
-        eta = qm.continuous_thermo_efficiency(
-            mean_work=0.5, heat_input=1.0, memory_entropy=2.0, demon_kbtd=0.1
-        )
-        assert eta == pytest.approx((0.5 - 0.2) / 1.0, rel=1e-14)
-
-    def test_requires_positive_heat(self):
-        with pytest.raises(ValueError):
-            qm.continuous_thermo_efficiency(0.5, 0.0, 1.0, 0.1)
-
-
-class TestErasureLedger:
-    def test_validation(self):
-        qm.ErasureLedger(demon_kbtd=1.0, p0=0.3, resolution_delta=0.1)
-        with pytest.raises(ValueError):
-            qm.ErasureLedger(demon_kbtd=1.0, p0=1.2, resolution_delta=0.1)
-        with pytest.raises(ValueError):
-            qm.ErasureLedger(demon_kbtd=1.0, p0=0.5, resolution_delta=0.0)
