@@ -5,7 +5,10 @@ classical) plus figure-regeneration presets, and serializes results as CSV
 files, a machine-checkable JSON summary, and a run manifest with checksums.
 Exit status: 0 all checks passed, 2 at least one check failed, 1 usage or
 runtime error.  All files are dimensionless (energies in hbar*omega, times
-in 1/omega) and written with 17 significant digits.
+in 1/omega) and written with 17 significant digits.  CSV rows are formatted
+and written in blocks, with the same bytes as formatting cell by cell, and
+each file's SHA-256 for the manifest is computed from the bytes as they are
+written.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -148,14 +152,44 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_csv(path: Path, comments: list[str], columns: dict) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    n_rows = len(next(iter(columns.values())))
-    cols = list(columns.values())
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(col[i]) for col in cols))
-    path.write_text("\n".join(lines) + "\n")
+#: Rows formatted by one ``%`` call in _write_csv; bounds the memory a write
+#: holds beyond its columns.
+_CSV_BLOCK_ROWS = 4096
+
+#: Cell conversion by numpy dtype kind, matching _fmt; any other kind is a float.
+_CELL_FORMATS = {"b": "%s", "i": "%d", "u": "%d"}
+
+
+def _csv_block(row: str, arrays: list[np.ndarray], start: int) -> str:
+    values = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
+    n = len(values[0])
+    return (row * n) % tuple(itertools.chain.from_iterable(zip(*values)))
+
+
+def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
+    """Write columns as CSV and return the SHA-256 hex digest of the file.
+
+    Every cell reads as _fmt would write it, but each column's conversion is
+    chosen once from its dtype and rows are formatted and written
+    _CSV_BLOCK_ROWS at a time.
+    """
+    arrays = [np.asarray(col) for col in columns.values()]
+    if len({len(a) for a in arrays}) != 1:
+        lengths = ", ".join(f"{name}={len(a)}" for name, a in zip(columns, arrays))
+        raise ValueError(f"CSV columns differ in length: {lengths}")
+    row = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%.17g") for a in arrays) + "\n"
+    header = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+    blocks = (
+        _csv_block(row, arrays, start)
+        for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS)
+    )
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in itertools.chain([header], blocks):
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _config_echo(config: EngineConfig, with_path: bool = False) -> dict:
@@ -169,21 +203,30 @@ def _config_echo(config: EngineConfig, with_path: bool = False) -> dict:
 
 
 class _Run:
-    """Tracks written files so failures can clean up partial output."""
+    """Tracks output files and their digests so failures can clean up.
+
+    A path is registered before it is written, so cleanup also removes a
+    file whose write failed partway.
+    """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: list[Path] = []
+        self.digests: dict[str, str] = {}
+
+    def _register(self, name: str) -> Path:
+        path = self.out_dir / name
+        self.files.append(path)
+        return path
 
     def csv(self, name: str, comments: list[str], columns: dict) -> None:
-        path = self.out_dir / name
-        _write_csv(path, UNIT_COMMENTS + comments, columns)
-        self.files.append(path)
+        path = self._register(name)
+        self.digests[name] = _write_csv(path, UNIT_COMMENTS + comments, columns)
 
     def json(self, name: str, payload: dict) -> None:
-        path = self.out_dir / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        self.files.append(path)
+        data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        self._register(name).write_bytes(data)
+        self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def cleanup(self) -> None:
         for path in self.files:
@@ -499,17 +542,13 @@ def run_experiment(args: argparse.Namespace) -> int:
             "config": _config_echo(config, with_path=True),
             "argv": sys.argv[1:],
             "wall_clock_seconds": time.monotonic() - start,
-            "files": {
-                p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run.files
-            },
+            "files": dict(run.digests),
         }
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        run.json("manifest.json", manifest)
     except OSError:
         run.cleanup()
         raise
-    print(f"{label}: wrote {len(run.files) + 1} files to {out_dir}")
+    print(f"{label}: wrote {len(run.files)} files to {out_dir}")
     for name, ok in out["checks"].items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     return 0 if summary["all_checks_passed"] else 2

@@ -267,7 +267,7 @@ def _noise_block(base: NoiseSource, start: int, stop: int, n_steps: int) -> np.n
     """Noise of trajectories start..stop-1, each from its own stream (seed, j)."""
     noise = np.empty((stop - start, n_steps, 2))
     for j in range(start, stop):
-        noise[j - start] = base.substream(j).generator().standard_normal((n_steps, 2))
+        base.substream(j).generator().standard_normal(out=noise[j - start])
     return noise
 
 

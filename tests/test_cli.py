@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine import cli
@@ -156,6 +162,26 @@ class TestOutputs:
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single-shot", "--n-traj", "5000"],
+            ["binary", "--n-traj", "5000"],
+            ["classical", "--n-traj", "5000"],
+            ["presets", "figure-2b", "--n-traj", "500"],
+        ],
+        ids=lambda argv: argv[-3],
+    )
+    def test_manifest_digests_match_files_on_disk(self, tmp_path, argv):
+        assert run_cli(argv + ["--seed", "1", "--output-dir", str(tmp_path)]) in (0, 2)
+        listed = json.loads((tmp_path / "manifest.json").read_text())["files"]
+        on_disk = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()
+            if p.name != "manifest.json"
+        }
+        assert listed == on_disk
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["continuous", "--nbar", "0.5", "--t-final", "0.5", "--n-traj", "500",
                 "--seed", "3"]
@@ -173,6 +199,110 @@ class TestOutputs:
              "--output-dir", str(out)]
         ) == 0
         assert {p.name for p in tmp_path.iterdir()} == {"only-here"}
+
+
+def reference_csv(comments: list[str], columns: dict) -> bytes:
+    """The cell-by-cell writer that the block writer replaced."""
+
+    def fmt(x) -> str:
+        if isinstance(x, (bool, np.bool_)):
+            return str(bool(x))
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return "%.17g" % float(x)
+
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(columns))
+    n_rows = len(next(iter(columns.values())))
+    cols = list(columns.values())
+    for i in range(n_rows):
+        lines.append(",".join(fmt(col[i]) for col in cols))
+    return ("\n".join(lines) + "\n").encode()
+
+
+SMALL_BLOCK = 4
+EDGE_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+    1.7976931348623157e308, 3.0, -2.0, 1e16, 0.1,
+]
+EDGE_INTS = [0, -1, 2**53 + 1, -(2**53) - 3, 2**63 - 1, -(2**63)]
+
+
+@st.composite
+def csv_column(draw, n_rows: int):
+    kind = draw(st.sampled_from(["float", "int64", "uint64", "bool", "float64 list"]))
+    if kind in ("float", "float64 list"):
+        cells = st.sampled_from(EDGE_FLOATS) | st.floats()
+    elif kind == "int64":
+        cells = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
+    elif kind == "uint64":
+        cells = st.sampled_from([0, 2**53 + 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+    else:
+        cells = st.booleans()
+    values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+    if kind == "float64 list":
+        return [np.float64(v) for v in values]
+    dtype = {"float": np.float64, "int64": np.int64, "uint64": np.uint64, "bool": bool}[kind]
+    return np.array(values, dtype=dtype)
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize(
+        "n_rows", [0, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_match_the_cell_by_cell_writer(self, n_rows, data):
+        n_cols = data.draw(st.integers(1, 4), label="n_cols")
+        columns = {f"c{i}": data.draw(csv_column(n_rows)) for i in range(n_cols)}
+        comments = ["unit line", "second comment"]
+        expected = reference_csv(comments, columns)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK):
+            path = Path(tmp) / "out.csv"
+            digest = cli._write_csv(path, comments, columns)
+            written = path.read_bytes()
+        assert written == expected
+        assert digest == hashlib.sha256(expected).hexdigest()
+
+    def test_ragged_columns_raise_naming_each_length(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        columns = {"r": np.zeros(3), "theta": np.zeros(5), "work": [0.0]}
+        with pytest.raises(ValueError, match="r=3, theta=5, work=1"):
+            cli._write_csv(path, [], columns)
+        assert not path.exists()
+
+    def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch, capsys):
+        real_open = open
+        written: list[int] = []
+
+        class FullDisk:
+            """A binary file whose third write fails as on a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = real_open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(written) == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(len(data))
+                return self.fh.write(data)
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8)
+        monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        code = run_cli(
+            ["single-shot", "--n-traj", "100", "--seed", "1", "--output-dir", str(tmp_path)]
+        )
+        assert code == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(written) == 2  # header and first block reached the file
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFamilies:

@@ -1,9 +1,10 @@
 """Golden SHA-256 digests of every CSV each CLI family and preset writes.
 
-The digests were recorded with small fixed sizes and seed 5.  Any change to
-the physics, the noise-stream layout or the CSV format changes a digest, so
-a refactor that must keep data files byte-identical is checked here; a
-deliberate output change updates the table and says so.
+The digests were recorded at seed 5 with small fixed sizes, plus one run long
+enough to span many CSV row blocks.  Any change to the physics, the
+noise-stream layout or the CSV format changes a digest, so a refactor that
+must keep data files byte-identical is checked here; a deliberate output
+change updates the table and says so.
 """
 
 from __future__ import annotations
@@ -19,6 +20,13 @@ GOLDEN = [
         ("single-shot", "--nbar", "1", "--n-traj", "500"),
         {
             "cycles.csv": "cf94055994d4d934b07ec0b15c1899c57e3b5613f40e238b74df21ea7410a99c",
+        },
+    ),
+    (
+        # 20,000 rows: crosses many of the CSV writer's row blocks
+        ("single-shot", "--nbar", "1", "--n-traj", "20000"),
+        {
+            "cycles.csv": "cc7dcff7c5d9ce3f530387e8cf449cd845d75482900563bf94513d2f5207645c",
         },
     ),
     (
