@@ -28,20 +28,8 @@ from .errors import (
     UncertaintyViolationError,
     UnsupportedConfigurationError,
 )
-from .feedback import (
-    TrajectoryRecord,
-    WorkLedger,
-    apply_reset,
-    run_trajectory,
-)
-from .gaussian import (
-    GaussianState,
-    MeasurementChannels,
-    NoiseSource,
-    covariance_series,
-    covariance_step,
-    thermal_state,
-)
+from .feedback import TrajectoryRecord, WorkLedger, run_trajectory
+from .gaussian import MeasurementChannels, NoiseSource, covariance_series
 from .single_shot import (
     added_quantum_check,
     binary_average_work,

@@ -3,12 +3,12 @@
 Dispatches the four experiment families (single-shot, binary, continuous,
 classical) plus figure-regeneration presets, and serializes results as CSV
 files, a machine-checkable JSON summary, and a run manifest with checksums.
-Exit status: 0 all checks passed, 2 at least one check failed, 1 usage or
-runtime error.  All files are dimensionless (energies in hbar*omega, times
-in 1/omega) and written with 17 significant digits.  CSV rows are formatted
-and written in blocks, with the same bytes as formatting cell by cell, and
-each file's SHA-256 for the manifest is computed from the bytes as they are
-written.
+Exit status: 0 all checks passed, 2 a check failed or none applied, 1 usage
+or runtime error, after which no output file of the run is left behind.
+All files are dimensionless (energies in hbar*omega, times in 1/omega) and
+written with 17 significant digits.  CSV rows are formatted and written in
+blocks, with the same bytes as formatting cell by cell, and each file's
+SHA-256 for the manifest is computed from the bytes as they are written.
 """
 
 from __future__ import annotations
@@ -109,26 +109,13 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config} must hold a JSON object")
         values.update(loaded)
-    mapping = {
-        "nbar": "nbar",
-        "tau1": "tau1",
-        "tau2": "tau2",
-        "dt": "dt",
-        "t_final": "t_final",
-        "n_traj": "n_traj",
-        "policy": "policy",
-        "scheme": "scheme",
-        "r0": "r0",
-        "demon_kbtd": "demon_kbtd",
-        "seed": "seed",
-    }
+    fields = [f.name for f in dataclasses.fields(EngineConfig)]
     if getattr(args, "tau", None) is not None:
         values["tau1"] = args.tau
         values["tau2"] = args.tau
-    for attr, field in mapping.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            values[field] = flag
+    for name in fields:
+        if name != "output_path" and getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
     if getattr(args, "output_dir", None) is not None:
         values["output_path"] = Path(args.output_dir)
     elif "output_path" in values and values["output_path"] is not None:
@@ -136,7 +123,7 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
         if not isinstance(path, str):
             raise UsageError(f"output_path must be a string, got {path!r}")
         values["output_path"] = Path(path)
-    unknown = set(values) - {f.name for f in dataclasses.fields(EngineConfig)}
+    unknown = set(values) - set(fields)
     if unknown:
         raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
     config = EngineConfig(**values)
@@ -532,7 +519,8 @@ def run_experiment(args: argparse.Namespace) -> int:
             "config": _config_echo(config),
             "results": out["results"],
             "checks": out["checks"],
-            "all_checks_passed": all(out["checks"].values()),
+            # a run that no check applies to has not passed
+            "all_checks_passed": bool(out["checks"]) and all(out["checks"].values()),
         }
         run.json("summary.json", summary)
         manifest = {
@@ -545,12 +533,14 @@ def run_experiment(args: argparse.Namespace) -> int:
             "files": dict(run.digests),
         }
         run.json("manifest.json", manifest)
-    except OSError:
+    except BaseException:
         run.cleanup()
         raise
     print(f"{label}: wrote {len(run.files)} files to {out_dir}")
     for name, ok in out["checks"].items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+    if not out["checks"]:
+        print("  [UNCHECKED] no check applies to this configuration")
     return 0 if summary["all_checks_passed"] else 2
 
 

@@ -17,11 +17,14 @@ POLICIES = ("terminal", "per-step", "none")
 SCHEMES = ("stratonovich", "ito")
 
 DEFAULT_N_TRAJ = 10_000
-#: Default step: min(tau1, tau2)/100, capped so dt stays small against the
-#: oscillation period as well.
+#: Default step: about min(tau1, tau2)/100, capped so dt stays small against
+#: the oscillation period as well, and adjusted so it divides t_final.
 DT_DIVISOR = 100.0
 #: Largest acceptable dt relative to min(tau1, tau2, 1).
 MAX_DT_FRACTION = 0.1
+#: Most steps a run may take; the covariance series and a trajectory's noise
+#: grow linearly with it (24 and 16 bytes per step).
+MAX_N_STEPS = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +51,10 @@ class EngineConfig:
     def resolved_dt(self) -> float:
         if self.dt is not None:
             return self.dt
-        return min(self.tau1, self.tau2, 1.0) / DT_DIVISOR
+        base = min(self.tau1, self.tau2, 1.0) / DT_DIVISOR
+        steps = self.t_final / base
+        # an overflowed step count keeps base, for validate to reject
+        return self.t_final / max(round(steps), 1) if steps < math.inf else base
 
     @property
     def n_steps(self) -> int:
@@ -97,6 +103,13 @@ class EngineConfig:
         if not dt <= MAX_DT_FRACTION * min(self.tau1, self.tau2, 1.0):
             raise ValueError(
                 f"dt={dt} too large: must be <= {MAX_DT_FRACTION} * min(tau1, tau2, 1)"
+            )
+        # a float quotient, so a subnormal dt that overflows it still compares
+        steps = self.t_final / dt
+        if steps > MAX_N_STEPS + 0.5:
+            raise ValueError(
+                f"t_final={self.t_final} with dt={dt} needs {steps:.6g} steps; "
+                f"at most {MAX_N_STEPS} are allowed"
             )
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")

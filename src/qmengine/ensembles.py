@@ -22,7 +22,7 @@ from scipy.stats import kstest
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
 from .feedback import EnsembleRecord, run_ensemble_arrays
-from .gaussian import MeasurementChannels, covariance_series, thermal_state
+from .gaussian import MeasurementChannels, covariance_series
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +124,7 @@ def sigma_schedule(
     if policy not in ("terminal", "per-step"):
         raise ValueError(f"policy must be 'terminal' or 'per-step', got {policy!r}")
     n_steps = max(int(round(t_final / dt)), 1)
-    cov = covariance_series(thermal_state(nbar), channels, dt, n_steps)
+    cov = covariance_series(nbar, channels, dt, n_steps)
     nu = 0.5 * cov[:, 0]
     t = np.arange(n_steps + 1) * dt
     if policy == "terminal":

@@ -11,8 +11,10 @@ function, ``_advance``, performs this update for a block of trajectories;
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
-and banks (q1**2 + q2**2)/2 units of hbar*omega.  Two extraction policies
-are supported:
+and banks (q1**2 + q2**2)/2 units of hbar*omega.  The per-step branch of
+``_advance`` is the only reset code; the covariances stay untouched because
+the kernel only reads them, from ``gaussian.covariance_series``.  The
+policies are:
 
 * ``per-step``  -- the trap is re-centered after every measurement step,
   equivalent to a continuously applied linear feedback Hamiltonian in the
@@ -32,14 +34,14 @@ normal form).  Both ledgers agree with the harvested work in ensemble mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .config import EngineConfig
 from .errors import UnsupportedConfigurationError
-from .gaussian import GaussianState, NoiseSource, covariance_series, thermal_state
+from .gaussian import NoiseSource, covariance_series
 
 #: Absolute slack on |q4| and |q3 - q5| when the Ito ledger checks that the
 #: covariance matrix is in normal form.
@@ -84,18 +86,16 @@ class EnsembleRecord:
     """Checkpointed per-trajectory quantities of an ensemble run.
 
     All arrays have shape (n_checkpoints, n_traj) except ``cov`` which holds
-    the shared deterministic covariance triplet at each checkpoint.  Means
-    q1, q2 are recorded after the mean update and before any reset.
+    the shared deterministic covariance triplet at each checkpoint.  The
+    displacement energy is taken from the means after the mean update and
+    before any reset.
     """
 
-    times: np.ndarray
     cov: np.ndarray
     ledger_cum: np.ndarray
     extracted_cum: np.ndarray
     displacement_energy: np.ndarray
     step_work: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,16 +206,6 @@ def _advance(
     return out
 
 
-def apply_reset(state: GaussianState) -> tuple[GaussianState, float]:
-    """Shift the trap onto the conditional mean and bank the work.
-
-    Returns the reset state (means zeroed, covariances bit-identical) and
-    the extracted work (q1**2 + q2**2)/2.
-    """
-    extracted = state.displacement_energy()
-    return replace(state, q1=0.0, q2=0.0), extracted
-
-
 def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord:
     """Simulate one trajectory from a thermal state under the configured policy.
 
@@ -228,9 +218,7 @@ def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord
     """
     config.validate()
     n = config.n_steps
-    cov = covariance_series(
-        thermal_state(config.nbar), config.channels(), config.resolved_dt, n
-    )
+    cov = covariance_series(config.nbar, config.channels(), config.resolved_dt, n)
     g = noise.generator().standard_normal((1, n, 2))
     steps = _advance(config, cov, g, (0.0, 0.0), range(n + 1))
     q1 = steps.q1[:, 0]
@@ -284,8 +272,8 @@ def run_ensemble_arrays(
 
     Returns per-trajectory arrays at each checkpoint: the ledger cumulative,
     the cumulative harvested work, the displacement energy (q1**2+q2**2)/2
-    of the running state before any reset at that step, the single-step
-    harvest/increment of the step ending at the checkpoint, and the means.
+    of the running state before any reset at that step, and the single-step
+    harvest/increment of the step ending at the checkpoint.
     """
     config.validate()
     if base_noise is None:
@@ -295,12 +283,12 @@ def run_ensemble_arrays(
     if len(cp_idx) == 0:
         raise ValueError("need at least one checkpoint")
     cov = covariance_series(
-        thermal_state(config.nbar), config.channels(), config.resolved_dt, n_steps
+        config.nbar, config.channels(), config.resolved_dt, n_steps
     )
 
     n_traj = config.n_traj
-    ledger_cum, extracted_cum, displacement, step_work, mean_q1, mean_q2 = (
-        np.zeros((len(cp_idx), n_traj)) for _ in range(6)
+    ledger_cum, extracted_cum, displacement, step_work = (
+        np.zeros((len(cp_idx), n_traj)) for _ in range(4)
     )
     chunk = _chunk_size(n_traj, n_steps)
     for start in range(0, n_traj, chunk):
@@ -313,16 +301,11 @@ def run_ensemble_arrays(
         step_work[:, start:stop] = (
             steps.harvest if config.policy == "per-step" else steps.increment
         )
-        mean_q1[:, start:stop] = steps.q1
-        mean_q2[:, start:stop] = steps.q2
 
     return EnsembleRecord(
-        times=np.asarray(checkpoints, dtype=float),
         cov=cov[cp_idx],
         ledger_cum=ledger_cum,
         extracted_cum=extracted_cum,
         displacement_energy=displacement,
         step_work=step_work,
-        q1=mean_q1,
-        q2=mean_q2,
     )

@@ -14,13 +14,15 @@ The means obey an innovations stochastic differential equation driven by the
 readouts r_i = q_i + sqrt(tau_i) * zeta_i (unit-intensity white noise
 zeta_i); the step kernel in ``feedback`` integrates it.  The covariances
 obey a deterministic Riccati flow that is independent of the measurement
-record; this module advances them by an explicit midpoint (second-order)
-step.
+record; ``covariance_series`` integrates them from the thermal state by an
+explicit midpoint (second-order) step on three floats.  Nothing else holds
+the state: the means live in the kernel's arrays and the covariances in the
+series that the kernel reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,32 +34,6 @@ NO_MEASUREMENT_TAU = 1e12
 
 #: Relative slack allowed on the uncertainty product q3*q5 - q4**2 >= 1.
 UNCERTAINTY_TOL = 1e-6
-
-
-@dataclass(frozen=True, slots=True)
-class GaussianState:
-    """Means and covariance entries of the conditional Gaussian state."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float
-
-    def uncertainty_product(self) -> float:
-        """q3*q5 - q4**2; >= 1 for physical states, = 1 for pure ones."""
-        return self.q3 * self.q5 - self.q4 * self.q4
-
-    def displacement_energy(self) -> float:
-        """Energy stored in the mean displacement, (q1^2 + q2^2)/2."""
-        return 0.5 * (self.q1 * self.q1 + self.q2 * self.q2)
-
-    def is_physical(self, tol: float = UNCERTAINTY_TOL) -> bool:
-        return (
-            self.q3 > 0.0
-            and self.q5 > 0.0
-            and self.uncertainty_product() >= 1.0 - tol
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,14 +94,6 @@ class NoiseSource:
         return NoiseSource(self.seed, index)
 
 
-def thermal_state(nbar: float) -> GaussianState:
-    """Zero-mean thermal state with nbar mean quanta; q3 = q5 = 2*nbar + 1."""
-    if nbar < 0.0:
-        raise ValueError(f"mean thermal occupation must be >= 0, got {nbar}")
-    width = 2.0 * nbar + 1.0
-    return GaussianState(0.0, 0.0, width, 0.0, width)
-
-
 def _covariance_rates(
     c3: float, c4: float, c5: float, i1: float, i2: float
 ) -> tuple[float, float, float]:
@@ -136,49 +104,44 @@ def _covariance_rates(
     return d3, d4, d5
 
 
-def covariance_step(
-    state: GaussianState, channels: MeasurementChannels, dt: float
-) -> GaussianState:
-    """Advance (q3, q4, q5) by one explicit-midpoint step; means untouched.
-
-    The covariance flow is deterministic (independent of the readouts).
-    Raises UncertaintyViolationError if the step leaves the physical region,
-    which signals that dt is too large for the requested channels.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"step length must be positive, got {dt}")
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
-    c3, c4, c5 = state.q3, state.q4, state.q5
-
-    k3, k4, k5 = _covariance_rates(c3, c4, c5, i1, i2)
-    half = 0.5 * dt
-    f3, f4, f5 = _covariance_rates(
-        c3 + half * k3, c4 + half * k4, c5 + half * k5, i1, i2
-    )
-    n3 = c3 + dt * f3
-    n4 = c4 + dt * f4
-    n5 = c5 + dt * f5
-
-    if not (n3 > 0.0 and n5 > 0.0 and n3 * n5 - n4 * n4 >= 1.0 - UNCERTAINTY_TOL):
-        raise UncertaintyViolationError(
-            f"covariance step violated the uncertainty bound at dt={dt}: "
-            f"(q3, q4, q5) = ({n3}, {n4}, {n5})"
-        )
-    return replace(state, q3=n3, q4=n4, q5=n5)
-
-
 def covariance_series(
-    state: GaussianState,
+    nbar: float,
     channels: MeasurementChannels,
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Integrate the covariance flow; returns an (n_steps + 1, 3) array."""
+    """Integrate the covariance flow from the thermal state with nbar quanta.
+
+    The thermal state has q3 = q5 = 2*nbar + 1 and q4 = 0.  Each step is one
+    explicit-midpoint step of the Riccati flow, which is deterministic
+    (independent of the readouts).  Returns (q3, q4, q5) at grid points
+    0..n_steps as an (n_steps + 1, 3) array.  Raises
+    UncertaintyViolationError if a step leaves the physical region, which
+    signals that dt is too large for the requested channels.
+    """
+    if nbar < 0.0:
+        raise ValueError(f"mean thermal occupation must be >= 0, got {nbar}")
+    if dt <= 0.0:
+        raise ValueError(f"step length must be positive, got {dt}")
+    i1 = channels.inv_2tau1
+    i2 = channels.inv_2tau2
+    half = 0.5 * dt
+    c3 = c5 = 2.0 * nbar + 1.0
+    c4 = 0.0
     out = np.empty((n_steps + 1, 3))
-    out[0] = (state.q3, state.q4, state.q5)
-    current = state
-    for k in range(n_steps):
-        current = covariance_step(current, channels, dt)
-        out[k + 1] = (current.q3, current.q4, current.q5)
+    out[0] = c3, c4, c5
+    for k in range(1, n_steps + 1):
+        k3, k4, k5 = _covariance_rates(c3, c4, c5, i1, i2)
+        f3, f4, f5 = _covariance_rates(
+            c3 + half * k3, c4 + half * k4, c5 + half * k5, i1, i2
+        )
+        c3 = c3 + dt * f3
+        c4 = c4 + dt * f4
+        c5 = c5 + dt * f5
+        if not (c3 > 0.0 and c5 > 0.0 and c3 * c5 - c4 * c4 >= 1.0 - UNCERTAINTY_TOL):
+            raise UncertaintyViolationError(
+                f"covariance step violated the uncertainty bound at dt={dt}: "
+                f"(q3, q4, q5) = ({c3}, {c4}, {c5})"
+            )
+        out[k] = c3, c4, c5
     return out

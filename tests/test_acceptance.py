@@ -198,23 +198,29 @@ def test_c10_property_suites():
     # uncertainty-relation preservation (asymmetric channels, dt = min/50)
     ch = qm.MeasurementChannels(1.0, 0.7)
     dt = 0.7 / 50.0
-    cov = qm.covariance_series(qm.thermal_state(2.0), ch, dt, int(10.0 / dt))
+    cov = qm.covariance_series(2.0, ch, dt, int(10.0 / dt))
     det = cov[:, 0] * cov[:, 2] - cov[:, 1] ** 2
     uncertainty_ok = bool(det.min() >= 1.0 - 1e-6)
 
     # normal-form preservation for symmetric channels
-    sym = qm.covariance_series(
-        qm.thermal_state(1.5), qm.MeasurementChannels(0.7, 0.7), 0.005, 2000
-    )
+    sym = qm.covariance_series(1.5, qm.MeasurementChannels(0.7, 0.7), 0.005, 2000)
     normal_ok = (
         np.abs(sym[:, 1]).max() <= 10.0 * 0.005
         and np.abs(sym[:, 0] - sym[:, 2]).max() <= 10.0 * 0.005
     )
 
-    # reset leaves covariances bit-identical
-    state = qm.GaussianState(0.3, -1.7, 1.2345, -0.321, 1.9876)
-    after, _ = qm.apply_reset(state)
-    reset_ok = (after.q3, after.q4, after.q5) == (state.q3, state.q4, state.q5)
+    # reset leaves covariances bit-identical: a per-step trajectory and a
+    # policy="none" trajectory on the same noise and asymmetric channels
+    fields = dict(nbar=2.0, tau1=1.0, tau2=0.7, dt=0.007, t_final=2.1, seed=1011)
+    reset = qm.run_trajectory(
+        qm.EngineConfig(policy="per-step", **fields), qm.NoiseSource(1011, 0)
+    )
+    free = qm.run_trajectory(
+        qm.EngineConfig(policy="none", **fields), qm.NoiseSource(1011, 0)
+    )
+    reset_ok = all(
+        np.array_equal(getattr(reset, q), getattr(free, q)) for q in ("q3", "q4", "q5")
+    )
 
     # determinism: (config, seed) reproduces trajectories and ensembles,
     # and the vectorized ensemble reproduces the scalar runner bit-exactly

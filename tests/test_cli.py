@@ -47,6 +47,26 @@ class TestParsing:
         config = cli.parse_config(args)
         assert config.resolved_dt == 0.005
 
+    def test_default_step_divides_the_horizon(self, tmp_path):
+        # min(tau, 1)/100 = 0.007 does not divide t_final = 1; the step count
+        # stays round(1/0.007) = 143 and the horizon stays on the grid
+        config = qm.EngineConfig(tau1=0.7, tau2=0.7)
+        assert config.n_steps == 143 and config.resolved_dt == 1.0 / 143
+        assert config.step_index(1.0) == 143
+        code = run_cli(
+            ["continuous", "--tau", "0.7", "--n-traj", "200", "--output-dir", str(tmp_path)]
+        )
+        assert code in (0, 2)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary["checks"]) == {
+            "mean_work_within_3se", "work_distribution_ks_pass_1pct",
+        }
+
+    def test_step_count_is_capped(self):
+        with pytest.raises(ValueError, match=r"t_final=1.0 with dt=1e-09 needs 1e\+09 steps"):
+            qm.EngineConfig(dt=1e-9).validate()
+        qm.EngineConfig(dt=1e-6).validate()  # exactly the cap
+
     def test_flags_override_config_file(self, tmp_path):
         cfg_file = tmp_path / "base.json"
         cfg_file.write_text(json.dumps({"nbar": 2.0, "seed": 5, "n_traj": 123}))
@@ -90,11 +110,12 @@ class TestParsing:
                 None,
                 "uncertainty",
             ),
+            (["--dt", "1e-300"], None, "steps"),
         ],
         ids=[
             "nbar-nan", "dt-nan", "nbar-string-in-file", "t-final-inf",
             "n-traj-float-in-file", "output-path-number-in-file", "file-not-an-object",
-            "covariance-step-too-coarse",
+            "covariance-step-too-coarse", "dt-too-fine",
         ],
     )
     def test_bad_value_exits_one_with_one_line(
@@ -417,3 +438,27 @@ class TestExitCodes:
         assert code == 2
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["all_checks_passed"] is False
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--policy", "none"], ["--tau1", "1", "--tau2", "0.9", "--dt", "0.01"]],
+        ids=["policy-none", "asymmetric-channels"],
+    )
+    def test_run_without_checks_exits_two(self, tmp_path, capsys, flags):
+        code = run_cli(
+            ["continuous", *flags, "--n-traj", "200", "--output-dir", str(tmp_path)]
+        )
+        assert code == 2
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"] == {}
+        assert summary["all_checks_passed"] is False
+        out = capsys.readouterr().out
+        assert "  [UNCHECKED] no check applies to this configuration" in out.splitlines()
+
+    def test_runtime_error_removes_every_output(self, tmp_path, capsys):
+        # the KS check refuses 50 samples after both CSVs were written
+        code = run_cli(["continuous", "--n-traj", "50", "--output-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "need at least 100 samples" in err[0]
+        assert list(tmp_path.iterdir()) == []

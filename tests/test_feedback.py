@@ -93,20 +93,42 @@ class TestItoLedger:
 
 
 class TestReset:
+    """The per-step branch of the kernel: the only reset code."""
+
     def test_zero_state(self):
-        state, extracted = qm.apply_reset(qm.thermal_state(0.0))
-        assert extracted == 0.0
-        assert (state.q1, state.q2) == (0.0, 0.0)
+        # zero means and zero innovations: nothing to bank, means stay at 0
+        cfg = qm.EngineConfig(dt=0.01, policy="per-step")
+        steps = _advance(cfg, constant_cov(1.0, 0.0, 1.0, 2), np.zeros((1, 2, 2)),
+                         (0.0, 0.0), [1, 2])
+        assert np.all(steps.harvest == 0.0)
+        assert np.all(steps.q1 == 0.0) and np.all(steps.q2 == 0.0)
 
     def test_unit_displacement(self):
-        state, extracted = qm.apply_reset(qm.GaussianState(1.0, 1.0, 1.3, 0.1, 1.5))
-        assert extracted == 1.0
-        assert (state.q1, state.q2) == (0.0, 0.0)
+        # a displaced start banks (q1^2 + q2^2)/2 of the updated means, and
+        # the next step starts from the origin again
+        cfg = qm.EngineConfig(dt=0.01, policy="per-step")
+        steps = _advance(cfg, constant_cov(1.3, 0.1, 1.5, 2), np.zeros((1, 2, 2)),
+                         (1.0, 1.0), [1, 2])
+        q1, q2 = steps.q1[0, 0], steps.q2[0, 0]
+        assert (q1, q2) == (1.0 + 0.01, 1.0 - 0.01)
+        assert steps.harvest[0, 0] == 0.5 * (q1 * q1 + q2 * q2)
+        assert steps.harvest[0, 0] == pytest.approx(1.0, abs=1e-3)
+        assert (steps.q1[1, 0], steps.q2[1, 0], steps.harvest[1, 0]) == (0.0, 0.0, 0.0)
+        assert steps.harvested[1, 0] == steps.harvest[0, 0]
 
     def test_covariances_bit_identical(self):
-        before = qm.GaussianState(0.4, -2.2, 1.234567, -0.0456, 1.87654)
-        after, _ = qm.apply_reset(before)
-        assert (after.q3, after.q4, after.q5) == (before.q3, before.q4, before.q5)
+        # resetting after every step leaves the covariance flow untouched
+        fields = dict(nbar=1.5, tau1=1.0, tau2=0.7, dt=0.005, t_final=1.0, seed=4)
+        reset = qm.run_trajectory(
+            qm.EngineConfig(policy="per-step", **fields), qm.NoiseSource(4, 1)
+        )
+        free = qm.run_trajectory(
+            qm.EngineConfig(policy="none", **fields), qm.NoiseSource(4, 1)
+        )
+        assert not np.array_equal(reset.q1, free.q1)
+        for name in ("q3", "q4", "q5"):
+            assert np.array_equal(getattr(reset, name), getattr(free, name)), name
+        assert np.abs(free.q4).max() > 0.0
 
 
 class TestRunTrajectory:
@@ -125,9 +147,7 @@ class TestRunTrajectory:
             n_traj=1, policy="none", seed=0,
         )
         n = cfg.n_steps
-        cov = qm.covariance_series(
-            qm.thermal_state(0.0), cfg.channels(), cfg.resolved_dt, n
-        )
+        cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, n)
         noise = _noise_block(qm.NoiseSource(cfg.seed), 0, 1, n)
         steps = _advance(cfg, cov, noise, (1.0, 0.0), [n])
         assert steps.q1[0, 0] == pytest.approx(math.cos(1.571), abs=0.01)
@@ -152,11 +172,13 @@ class TestRunTrajectory:
         cfg = qm.EngineConfig(
             nbar=0.0, dt=0.01, t_final=1.0, n_traj=4000, policy="per-step", seed=8
         )
-        rec = run_ensemble_arrays(cfg, [0.5, 1.0])
-        for i in range(2):
-            se = rec.q1[i].std(ddof=1) / math.sqrt(cfg.n_traj)
-            assert abs(rec.q1[i].mean()) <= 4.0 * se
-            assert abs(rec.q2[i].mean()) <= 4.0 * se
+        n = cfg.n_steps
+        cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, n)
+        noise = _noise_block(qm.NoiseSource(cfg.seed), 0, cfg.n_traj, n)
+        steps = _advance(cfg, cov, noise, (0.0, 0.0), [n // 2, n])
+        for q in (steps.q1, steps.q2):
+            se = q.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
+            assert np.all(np.abs(q.mean(axis=1)) <= 4.0 * se)
 
     def test_record_shapes(self):
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=0.3, policy="terminal", seed=5)
@@ -193,8 +215,7 @@ class TestSchemeEquivalence:
 
 
 ENSEMBLE_FIELDS = (
-    "times", "cov", "ledger_cum", "extracted_cum", "displacement_energy",
-    "step_work", "q1", "q2",
+    "cov", "ledger_cum", "extracted_cum", "displacement_energy", "step_work",
 )
 CHUNK_CONFIGS = {
     policy: qm.EngineConfig(
@@ -225,7 +246,9 @@ class TestChunkInvariance:
         ref = default_chunking("per-step")
         for j in (0, 10):
             rec = qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, j))
-            assert np.array_equal(rec.q1[[0, 10, 20]], ref.q1[:, j])
+            q1, q2 = rec.q1[[0, 10, 20]], rec.q2[[0, 10, 20]]
+            assert np.array_equal(0.5 * (q1 * q1 + q2 * q2), ref.displacement_energy[:, j])
+            assert np.array_equal(rec.extracted[[9, 19]], ref.step_work[1:, j])
             assert np.array_equal(rec.ledger.cumulative[[9, 19]], ref.ledger_cum[1:, j])
             harvested = np.cumsum(rec.extracted)[[9, 19]]
             assert np.array_equal(harvested, ref.extracted_cum[1:, j])

@@ -1,4 +1,4 @@
-"""Tests for the Gaussian state, covariance flow, readouts, and mean updates.
+"""Tests for the thermal start, covariance flow, readouts, and mean updates.
 
 Readouts are checked through run_trajectory; the mean update is driven
 through the step kernel with injected noise.
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import qmengine as qm
 from qmengine.errors import UncertaintyViolationError
 from qmengine.feedback import _advance, _noise_block
+from qmengine.gaussian import UNCERTAINTY_TOL
 
 
 def riccati_q3_closed_form(q3_0: float, tau: float, t: float) -> float:
@@ -27,39 +28,43 @@ def riccati_q3_closed_form(q3_0: float, tau: float, t: float) -> float:
 
 
 class TestThermalState:
+    """The thermal start: row 0 of the covariance series, zero means."""
+
     def test_vacuum_saturates_uncertainty(self):
-        s = qm.thermal_state(0.0)
-        assert (s.q1, s.q2, s.q3, s.q4, s.q5) == (0.0, 0.0, 1.0, 0.0, 1.0)
-        assert s.uncertainty_product() == 1.0
+        rec = qm.run_trajectory(
+            qm.EngineConfig(dt=0.01, t_final=0.1, policy="none"), qm.NoiseSource(0)
+        )
+        assert (rec.q1[0], rec.q2[0], rec.q3[0], rec.q4[0], rec.q5[0]) == (
+            0.0, 0.0, 1.0, 0.0, 1.0
+        )
+        assert rec.q3[0] * rec.q5[0] - rec.q4[0] ** 2 == 1.0
 
     def test_half_quantum(self):
-        s = qm.thermal_state(0.5)
-        assert (s.q3, s.q5) == (2.0, 2.0)
-        assert (s.q1, s.q2, s.q4) == (0.0, 0.0, 0.0)
+        cov = qm.covariance_series(0.5, qm.MeasurementChannels(1.0, 1.0), 0.01, 0)
+        assert cov.shape == (1, 3)
+        assert tuple(cov[0]) == (2.0, 0.0, 2.0)
 
     def test_two_quanta_matches_quadrature_variance(self):
-        s = qm.thermal_state(2.0)
+        q3, _, q5 = qm.covariance_series(2.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 0)[0]
         # 2*var(x) of a thermal Gaussian with var = (2*nbar + 1)/2 per quadrature
-        assert s.q3 == 2.0 * (2.0 * 2.0 + 1.0) / 2.0 == 5.0
-        assert s.q5 == 5.0
+        assert q3 == 2.0 * (2.0 * 2.0 + 1.0) / 2.0 == 5.0
+        assert q5 == 5.0
 
     def test_negative_occupation_rejected(self):
-        with pytest.raises(ValueError):
-            qm.thermal_state(-0.1)
+        with pytest.raises(ValueError, match="occupation"):
+            qm.covariance_series(-0.1, qm.MeasurementChannels(1.0, 1.0), 0.01, 10)
 
 
 class TestCovarianceFlow:
     def test_vacuum_is_fixed_point_bitwise(self):
         ch = qm.MeasurementChannels(1.3, 1.3)
-        s = qm.thermal_state(0.0)
-        for _ in range(50):
-            s = qm.covariance_step(s, ch, 0.01)
-        assert (s.q3, s.q4, s.q5) == (1.0, 0.0, 1.0)
+        cov = qm.covariance_series(0.0, ch, 0.01, 50)
+        assert np.all(cov == [1.0, 0.0, 1.0])
 
     def test_matches_closed_form(self):
         # nbar=1 start (q3=3), symmetric tau=1, integrate to t=2
         ch = qm.MeasurementChannels(1.0, 1.0)
-        cov = qm.covariance_series(qm.thermal_state(1.0), ch, 5e-4, 4000)
+        cov = qm.covariance_series(1.0, ch, 5e-4, 4000)
         expected = riccati_q3_closed_form(3.0, 1.0, 2.0)
         assert cov[-1, 0] == pytest.approx(expected, rel=1e-6)
         assert cov[-1, 2] == pytest.approx(expected, rel=1e-6)
@@ -73,7 +78,7 @@ class TestCovarianceFlow:
 
     def test_monotone_decay_to_steady_state(self):
         ch = qm.MeasurementChannels(1.0, 1.0)
-        cov = qm.covariance_series(qm.thermal_state(2.0), ch, 0.01, 2000)
+        cov = qm.covariance_series(2.0, ch, 0.01, 2000)
         q3 = cov[:, 0]
         assert np.all(np.diff(q3) < 0.0)
         assert q3[-1] > 1.0
@@ -82,20 +87,26 @@ class TestCovarianceFlow:
     def test_fixed_point_reached_from_any_start(self, q3_0):
         tau = 1.0
         ch = qm.MeasurementChannels(tau, tau)
-        start = qm.GaussianState(0.0, 0.0, q3_0, 0.0, q3_0)
-        cov = qm.covariance_series(start, ch, 0.01, int(20.0 * tau / 0.01))
+        nbar = 0.5 * (q3_0 - 1.0)  # q3(0) = 2*nbar + 1
+        cov = qm.covariance_series(nbar, ch, 0.01, int(20.0 * tau / 0.01))
+        assert cov[0, 0] == q3_0
         assert abs(cov[-1, 0] - 1.0) < 1e-3
 
     def test_oversized_step_raises(self):
         ch = qm.MeasurementChannels(1.0, 1.0)
         with pytest.raises(UncertaintyViolationError):
-            qm.covariance_step(qm.thermal_state(3.0), ch, 10.0)
+            qm.covariance_series(3.0, ch, 10.0, 1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_nonpositive_step_rejected(self, dt):
+        with pytest.raises(ValueError, match="step length"):
+            qm.covariance_series(1.0, qm.MeasurementChannels(1.0, 1.0), dt, 10)
 
     def test_normal_form_preserved_exactly(self):
         # tau1 == tau2 with q4(0) = 0 and q3(0) = q5(0)
         ch = qm.MeasurementChannels(0.7, 0.7)
         dt = 0.005
-        cov = qm.covariance_series(qm.thermal_state(1.5), ch, dt, 2000)
+        cov = qm.covariance_series(1.5, ch, dt, 2000)
         assert np.abs(cov[:, 1]).max() <= 10.0 * dt
         assert np.abs(cov[:, 0] - cov[:, 2]).max() <= 10.0 * dt
         # the scheme actually preserves the normal form bitwise
@@ -106,7 +117,7 @@ class TestCovarianceFlow:
         tau1, tau2 = 1.0, 0.7
         ch = qm.MeasurementChannels(tau1, tau2)
         dt = min(tau1, tau2) / 50.0
-        cov = qm.covariance_series(qm.thermal_state(2.0), ch, dt, int(10.0 / dt))
+        cov = qm.covariance_series(2.0, ch, dt, int(10.0 / dt))
         det = cov[:, 0] * cov[:, 2] - cov[:, 1] ** 2
         assert det.min() >= 1.0 - 1e-6
 
@@ -127,10 +138,10 @@ class TestCovarianceFlow:
     def test_physicality_preserved_property(self, nbar, tau, ratio):
         ch = qm.MeasurementChannels(tau, tau * ratio)
         dt = min(ch.tau1, ch.tau2) / 100.0
-        state = qm.thermal_state(nbar)
-        for _ in range(25):
-            state = qm.covariance_step(state, ch, dt)
-            assert state.is_physical()
+        cov = qm.covariance_series(nbar, ch, dt, 25)
+        q3, q4, q5 = cov.T
+        assert np.all(q3 > 0.0) and np.all(q5 > 0.0)
+        assert np.all(q3 * q5 - q4 * q4 >= 1.0 - UNCERTAINTY_TOL)
 
 
 def trajectory(seed, stream=0, **overrides):
@@ -141,9 +152,7 @@ def trajectory(seed, stream=0, **overrides):
 def advance(cfg, noise, start, record):
     """Drive the step kernel on cfg's covariance flow with the given noise."""
     n_steps = noise.shape[1]
-    cov = qm.covariance_series(
-        qm.thermal_state(cfg.nbar), cfg.channels(), cfg.resolved_dt, n_steps
-    )
+    cov = qm.covariance_series(cfg.nbar, cfg.channels(), cfg.resolved_dt, n_steps)
     return _advance(cfg, cov, noise, start, record)
 
 
