@@ -46,4 +46,4 @@ from .thermo import (
     classical_cycle,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

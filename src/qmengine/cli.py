@@ -19,11 +19,13 @@ import hashlib
 import itertools
 import json
 import math
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import EngineConfig, POLICIES, SCHEMES
@@ -40,7 +42,7 @@ from .ensembles import (
     sigma_schedule,
 )
 from .errors import UncertaintyViolationError, UnsupportedConfigurationError
-from .feedback import run_trajectory
+from .feedback import STREAM_LAYOUT, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
     binary_average_work,
@@ -393,6 +395,8 @@ def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
 
 def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
     config = config.with_updates(policy="terminal", t_final=5.0)
+    if config.dt is None:
+        config = config.with_updates(dt=config.default_dt(0.5))
     grid = [0.5, 1.0, 2.5, 5.0]
     series = mean_work_curve(config, grid)
     schedule = sigma_schedule(config.nbar, config.channels(), config.resolved_dt, 5.0)
@@ -413,6 +417,8 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
 def _preset_figure_2f(config: EngineConfig, run: _Run) -> dict:
     if config.nbar == 0.0:
         config = config.with_updates(nbar=1.0)
+    if config.dt is None:
+        config = config.with_updates(dt=config.default_dt(0.25))
     t_grid = np.round(np.arange(0.0, 10.0 + 1e-9, 0.25), 10)
     series = power_series(config.with_updates(t_final=10.0), t_grid)
     j_tau = series.power * config.tau1
@@ -530,6 +536,12 @@ def run_experiment(args: argparse.Namespace) -> int:
             "config": _config_echo(config, with_path=True),
             "argv": sys.argv[1:],
             "wall_clock_seconds": time.monotonic() - start,
+            "noise_streams": STREAM_LAYOUT,
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
             "files": dict(run.digests),
         }
         run.json("manifest.json", manifest)

@@ -18,7 +18,8 @@ SCHEMES = ("stratonovich", "ito")
 
 DEFAULT_N_TRAJ = 10_000
 #: Default step: about min(tau1, tau2)/100, capped so dt stays small against
-#: the oscillation period as well, and adjusted so it divides t_final.
+#: the oscillation period as well, and adjusted so it divides t_final (or a
+#: preset's checkpoint spacing).
 DT_DIVISOR = 100.0
 #: Largest acceptable dt relative to min(tau1, tau2, 1).
 MAX_DT_FRACTION = 0.1
@@ -49,12 +50,17 @@ class EngineConfig:
 
     @property
     def resolved_dt(self) -> float:
-        if self.dt is not None:
-            return self.dt
+        return self.dt if self.dt is not None else self.default_dt(self.t_final)
+
+    def default_dt(self, spacing: float) -> float:
+        """About min(tau1, tau2, 1)/DT_DIVISOR, adjusted so it divides spacing.
+
+        Every multiple of ``spacing`` then lies on the step grid.
+        """
         base = min(self.tau1, self.tau2, 1.0) / DT_DIVISOR
-        steps = self.t_final / base
+        steps = spacing / base
         # an overflowed step count keeps base, for validate to reject
-        return self.t_final / max(round(steps), 1) if steps < math.inf else base
+        return spacing / max(round(steps), 1) if steps < math.inf else base
 
     @property
     def n_steps(self) -> int:

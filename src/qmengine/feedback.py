@@ -8,6 +8,8 @@ covariances, a work-ledger increment, and an optional reset.  One array
 function, ``_advance``, performs this update for a block of trajectories;
 ``run_ensemble_arrays`` calls it once per chunk of trajectories and
 ``run_trajectory`` calls it for a single trajectory, recording every step.
+Noise comes from one stream per block of STREAM_BLOCK trajectories, so a
+trajectory's noise does not depend on how the ensemble is chunked.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
@@ -46,6 +48,19 @@ from .gaussian import NoiseSource, covariance_series
 #: Absolute slack on |q4| and |q3 - q5| when the Ito ledger checks that the
 #: covariance matrix is in normal form.
 NORMAL_FORM_TOL = 1e-9
+
+#: Trajectories per noise stream.  Trajectory j draws its (n_steps, 2)
+#: standard normals from stream (seed, j // STREAM_BLOCK), right after the
+#: draws of the trajectories before it in the same block.
+STREAM_BLOCK = 256
+
+#: The noise layout of ensembles, as recorded in each run's manifest.
+STREAM_LAYOUT = {
+    "bit_generator": "PCG64",
+    "seeding": "SeedSequence(seed, spawn_key=(block,))",
+    "stream_block": STREAM_BLOCK,
+    "order": "trajectory-major within a block",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,16 +225,18 @@ def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord
     """Simulate one trajectory from a thermal state under the configured policy.
 
     Pure function of (config, noise): identical inputs reproduce identical
-    records, and trajectory j of ``run_ensemble_arrays`` equals this record
-    for NoiseSource(config.seed, j).  The work ledger accrues increments in
-    config.scheme; harvested work is recorded separately in ``extracted``
-    (every step for the per-step policy, once at the horizon for the
-    terminal policy).
+    records.  NoiseSource(config.seed, j) selects trajectory j of the
+    ensemble: its noise is drawn from block stream j // STREAM_BLOCK after
+    skipping the j mod STREAM_BLOCK trajectories before it, so the record
+    equals trajectory j of ``run_ensemble_arrays``.  The work ledger accrues
+    increments in config.scheme; harvested work is recorded separately in
+    ``extracted`` (every step for the per-step policy, once at the horizon
+    for the terminal policy).
     """
     config.validate()
     n = config.n_steps
     cov = covariance_series(config.nbar, config.channels(), config.resolved_dt, n)
-    g = noise.generator().standard_normal((1, n, 2))
+    g = _noise_block(noise, noise.stream, noise.stream + 1, n)
     steps = _advance(config, cov, g, (0.0, 0.0), range(n + 1))
     q1 = steps.q1[:, 0]
     q2 = steps.q2[:, 0]
@@ -248,14 +265,45 @@ def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord
 def _chunk_size(n_traj: int, n_steps: int) -> int:
     budget = 48_000_000  # bytes of noise per chunk
     per_traj = 16 * max(n_steps, 1)
-    return max(128, min(n_traj, budget // per_traj))
+    fits = budget // per_traj
+    if fits >= STREAM_BLOCK:
+        fits -= fits % STREAM_BLOCK  # whole blocks: each chunk opens its own streams
+    return max(128, min(n_traj, fits))
+
+
+class _BlockStreams:
+    """Draws the noise of consecutive trajectories from their block streams.
+
+    The first fill starts at trajectory ``first`` and, if that is inside a
+    block, skips the draws of the trajectories before it.  A block's
+    generator is created once and carried across fills, so a run of fills
+    draws every normal exactly once.
+    """
+
+    def __init__(self, seed: int, first: int) -> None:
+        self.seed = seed
+        self.next = first
+        self.gen: np.random.Generator | None = None
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill out, shape (m, n_steps, 2), with the next m trajectories."""
+        pos = 0
+        while pos < len(out):
+            block, offset = divmod(self.next, STREAM_BLOCK)
+            if self.gen is None or offset == 0:
+                self.gen = NoiseSource(self.seed, block).generator()
+                for _ in range(offset):  # skipped trajectories, overwritten below
+                    self.gen.standard_normal(out=out[pos])
+            take = min(len(out) - pos, STREAM_BLOCK - offset)
+            self.gen.standard_normal(out=out[pos:pos + take])
+            pos += take
+            self.next += take
 
 
 def _noise_block(base: NoiseSource, start: int, stop: int, n_steps: int) -> np.ndarray:
-    """Noise of trajectories start..stop-1, each from its own stream (seed, j)."""
+    """Noise of trajectories start..stop-1 of the ensemble with base.seed."""
     noise = np.empty((stop - start, n_steps, 2))
-    for j in range(start, stop):
-        base.substream(j).generator().standard_normal(out=noise[j - start])
+    _BlockStreams(base.seed, start).fill(noise)
     return noise
 
 
@@ -266,9 +314,11 @@ def run_ensemble_arrays(
 ) -> EnsembleRecord:
     """Advance n_traj independent trajectories, checkpointing work quantities.
 
-    Trajectory j consumes noise stream (config.seed, j), so results are
-    independent of chunking and equal to run_trajectory with the matching
-    substream.  Checkpoint times must lie on the step grid.
+    Trajectory j consumes its slice of block stream (config.seed,
+    j // STREAM_BLOCK); one noise buffer is refilled for each chunk and every
+    normal is drawn once, so results are independent of chunking and equal
+    to run_trajectory with NoiseSource(config.seed, j).  Checkpoint times
+    must lie on the step grid.
 
     Returns per-trajectory arrays at each checkpoint: the ledger cumulative,
     the cumulative harvested work, the displacement energy (q1**2+q2**2)/2
@@ -291,9 +341,12 @@ def run_ensemble_arrays(
         np.zeros((len(cp_idx), n_traj)) for _ in range(4)
     )
     chunk = _chunk_size(n_traj, n_steps)
+    buffer = np.empty((min(chunk, n_traj), n_steps, 2))
+    streams = _BlockStreams(base_noise.seed, 0)
     for start in range(0, n_traj, chunk):
         stop = min(start + chunk, n_traj)
-        noise = _noise_block(base_noise, start, stop, n_steps)
+        noise = buffer[: stop - start]
+        streams.fill(noise)
         steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx)
         ledger_cum[:, start:stop] = steps.ledger
         extracted_cum[:, start:stop] = steps.harvested

@@ -79,8 +79,12 @@ class NoiseSource:
     """Deterministic, splittable randomness handle.
 
     Identical (seed, stream) pairs reproduce identical deviate sequences;
-    distinct streams are statistically independent, so ensembles assign
-    stream j to trajectory j.
+    distinct streams are statistically independent.  ``generator`` is a
+    PCG64 generator seeded by SeedSequence(seed, spawn_key=(stream,)).
+    Ensembles give stream b to the block of trajectories
+    b*STREAM_BLOCK..(b+1)*STREAM_BLOCK-1 (see ``feedback``), and
+    ``run_trajectory`` reads ``stream`` as a trajectory index; the
+    single-shot, binary and classical samplers draw from stream 0.
     """
 
     seed: int
@@ -89,9 +93,6 @@ class NoiseSource:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(ss)
-
-    def substream(self, index: int) -> "NoiseSource":
-        return NoiseSource(self.seed, index)
 
 
 def _covariance_rates(

@@ -183,6 +183,21 @@ class TestOutputs:
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    def test_manifest_records_stream_layout_and_versions(self, continuous_run):
+        _, out = continuous_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == qm.__version__ == "0.2.0"
+        assert manifest["noise_streams"] == {
+            "bit_generator": "PCG64",
+            "seeding": "SeedSequence(seed, spawn_key=(block,))",
+            "stream_block": 256,
+            "order": "trajectory-major within a block",
+        }
+        versions = manifest["versions"]
+        assert set(versions) == {"python", "numpy", "scipy"}
+        assert versions["numpy"] == np.__version__
+        assert all(isinstance(v, str) and v for v in versions.values())
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -408,6 +423,20 @@ class TestPresets:
         table = load_csv(tmp_path / "power.csv")
         assert table["J_tau"][0] > table["J_tau"][-1]
         assert table["J_tau"][-1] == pytest.approx(0.25, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure-2c", "--n-traj", "200"], ["figure-2f"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_default_step_divides_the_checkpoint_spacing(self, tmp_path, argv):
+        # min(tau, 1)/100 = 0.007 divides neither 0.5 (figure-2c) nor 0.25
+        # (figure-2f); the default step is derived from the spacing instead
+        code = run_cli(
+            ["presets", *argv, "--tau", "0.7", "--seed", "3", "--output-dir", str(tmp_path)]
+        )
+        assert code in (0, 2)
+        assert (tmp_path / "summary.json").exists()
 
     def test_figure_s2_grid(self, tmp_path):
         assert run_cli(

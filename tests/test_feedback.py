@@ -252,3 +252,86 @@ class TestChunkInvariance:
             assert np.array_equal(rec.ledger.cumulative[[9, 19]], ref.ledger_cum[1:, j])
             harvested = np.cumsum(rec.extracted)[[9, 19]]
             assert np.array_equal(harvested, ref.extracted_cum[1:, j])
+
+
+@functools.cache
+def small_block_default_chunking(policy):
+    with mock.patch.object(feedback, "STREAM_BLOCK", 4):
+        return run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
+
+
+class _CountingGenerator:
+    """Forwards standard_normal to a generator and counts the normals drawn."""
+
+    def __init__(self, gen, counts):
+        self.gen = gen
+        self.counts = counts
+
+    def standard_normal(self, size=None, out=None):
+        self.counts.append(out.size if out is not None else int(np.prod(size)))
+        return self.gen.standard_normal(size, out=out)
+
+
+class TestStreamLayout:
+    def test_trajectory_j_is_its_slice_of_block_stream(self):
+        # n_traj = 600 spans three blocks of 256 trajectories
+        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=19)
+        n = cfg.n_steps
+        seen = []
+
+        def recording_advance(config, cov, noise, start, record):
+            seen.append(noise.copy())
+            return _advance(config, cov, noise, start, record)
+
+        with mock.patch.object(feedback, "_advance", recording_advance):
+            run_ensemble_arrays(cfg, [cfg.t_final])
+            ensemble_noise = np.concatenate(seen)
+            single = {}
+            for j in (0, 255, 256, 599):
+                seen.clear()
+                qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, j))
+                single[j] = seen[0][0]
+        assert ensemble_noise.shape == (600, n, 2)
+        for j in (0, 255, 256, 599):
+            block = qm.NoiseSource(cfg.seed, j // 256).generator()
+            expected = block.standard_normal((256, n, 2))[j % 256]
+            assert np.array_equal(ensemble_noise[j], expected), j
+            assert np.array_equal(single[j], expected), j
+
+    @given(chunk=st.integers(1, 14), policy=st.sampled_from(sorted(CHUNK_CONFIGS)))
+    @settings(max_examples=30, deadline=None)
+    def test_chunking_across_block_boundaries(self, chunk, policy):
+        # blocks of 4 trajectories: 11 trajectories span three blocks, and
+        # chunks of 1..14 start and end inside and across them
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), mock.patch.object(
+            feedback, "_chunk_size", lambda n_traj, n_steps: chunk
+        ):
+            rec = run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
+        ref = small_block_default_chunking(policy)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    def test_every_normal_drawn_once_with_chunks_inside_a_block(self):
+        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
+        ref = run_ensemble_arrays(cfg, [cfg.t_final])
+        counts = []
+        streams = []
+        generator = qm.NoiseSource.generator
+
+        def counting_generator(source):
+            streams.append(source.stream)
+            return _CountingGenerator(generator(source), counts)
+
+        with mock.patch.object(qm.NoiseSource, "generator", counting_generator), \
+                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 100):
+            rec = run_ensemble_arrays(cfg, [cfg.t_final])
+        assert sum(counts) == cfg.n_traj * cfg.n_steps * 2
+        assert streams == [0, 1, 2]
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    def test_chunks_are_whole_blocks_within_the_budget(self):
+        assert feedback._chunk_size(50_000, 100) % feedback.STREAM_BLOCK == 0
+        assert feedback._chunk_size(10_000, 2500) == 1024
+        assert feedback._chunk_size(10_000, 20_000) == 150  # under one block
+        assert feedback._chunk_size(50, 100) == 128

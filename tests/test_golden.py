@@ -45,21 +45,21 @@ GOLDEN = [
         ("continuous", "--n-traj", "200"),
         {
             "trajectory.csv": "72fcc8c15ef98e45e8a254809215690209d9be4e54479158a65f4c88f62b863e",
-            "work_samples.csv": "73b3589cc9640cf86bacda6672423aac8769ad2237cea0be2e39bc41b5a5c9dc",
+            "work_samples.csv": "3dde6d632eaf161a0a300167675ac7b4077113a704c79c5594bc4d25991a64cf",
         },
     ),
     (
         ("continuous", "--n-traj", "200", "--nbar", "1", "--policy", "per-step", "--scheme", "ito"),
         {
             "trajectory.csv": "1473dc8a09b72957c4d0ed99623310f3b1424091d85a9a80c00f999eaeca1b8b",
-            "work_samples.csv": "993d42b14fb681f1ca56bea54b4b4607bfcfa5de2b6ae4e51126e5c5e75cfef0",
+            "work_samples.csv": "d45add3add2d3e2e2cd9735bf85c70641c2b23bb37340cf3863036fb756938ac",
         },
     ),
     (
         ("continuous", "--n-traj", "200", "--nbar", "0.5", "--tau1", "1", "--tau2", "0.7", "--dt", "0.005", "--policy", "none"),
         {
             "trajectory.csv": "0440a85d6d2579ffae2b27531ab9ff96850bbab6264b04e88f5769c3975764f2",
-            "work_samples.csv": "5754ff9446807a8dc4386d9c5dd29d5d55400a058df89e88f5d466f6a192e681",
+            "work_samples.csv": "61a343e894f3ca97e27ed7b8262d6a416e17b8c05a1eb84860d1966660766177",
         },
     ),
     (
@@ -73,21 +73,21 @@ GOLDEN = [
         ("continuous", "--n-traj", "200", "--tau1", "1", "--tau2", "inf", "--policy", "per-step"),
         {
             "trajectory.csv": "92288d479cbcba8a9c9de9159b57106eb27ae9e73628939ab548a629e97e2665",
-            "work_samples.csv": "40c9f614b4b277389b0f659db922b7bc7e914c4fda531c68d0dd56182386396a",
+            "work_samples.csv": "e415d326d01803682c5d2bdab98d4c209c1f7e5690f31dcb327c86df838a3009",
         },
     ),
     (
         ("presets", "figure-2b", "--n-traj", "200"),
         {
-            "histogram.csv": "48f7c88e703314be053a798e55d3af9ec82aebe143a2a96896e9f58cce9c7c69",
+            "histogram.csv": "56b34b621b0a694793c18ac16b1340f6fd1ab3b064c3e4534ff06d69c2c54a3e",
             "trajectory.csv": "72fcc8c15ef98e45e8a254809215690209d9be4e54479158a65f4c88f62b863e",
-            "work_samples.csv": "73b3589cc9640cf86bacda6672423aac8769ad2237cea0be2e39bc41b5a5c9dc",
+            "work_samples.csv": "3dde6d632eaf161a0a300167675ac7b4077113a704c79c5594bc4d25991a64cf",
         },
     ),
     (
         ("presets", "figure-2c", "--n-traj", "200"),
         {
-            "mean_work.csv": "7ab942b2b851aa40263e7b8e53b6f77204dc02b1ea3aa6979bda1e3d5d9e5407",
+            "mean_work.csv": "68fe3fa055441294d51c78e6f377f957f4baaf19c860dfaba2e4741612a1f6b3",
         },
     ),
     (
@@ -105,7 +105,7 @@ GOLDEN = [
     (
         ("presets", "figure-S3", "--n-traj", "200"),
         {
-            "efficiency_series.csv": "ad100d3ad67dcc7b6fe65dd2d5fd063ad7c8e956c4ae63011a6c83ab0c1a505e",
+            "efficiency_series.csv": "0f800fcae2c6c3799658590abb8ea0ea7bf777ac13bff92a6dc51d7f09bc250c",
         },
     ),
 ]
