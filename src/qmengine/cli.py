@@ -30,6 +30,7 @@ import scipy
 from . import __version__
 from .config import EngineConfig, POLICIES, SCHEMES
 from .ensembles import (
+    KS_MIN_SAMPLES,
     WorkStatistics,
     _moments,
     efficiency_series,
@@ -335,18 +336,18 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
             policy=config.policy,
         )
         expected = schedule.mean_work_at(config.t_final)
-        ks = ks_compare(
-            stats.samples, lambda w: exact_work_cdf(w, config.t_final, schedule)
-        )
-        results.update(
-            {
-                "expected_mean_work": expected,
-                "ks_statistic": ks.statistic,
-                "ks_pvalue": ks.pvalue,
-            }
-        )
+        results["expected_mean_work"] = expected
         checks["mean_work_within_3se"] = abs(stats.mean - expected) <= 3.0 * stats.stderr
-        checks["work_distribution_ks_pass_1pct"] = ks.passed
+        if stats.samples.size >= KS_MIN_SAMPLES:
+            ks = ks_compare(
+                stats.samples, lambda w: exact_work_cdf(w, config.t_final, schedule)
+            )
+            results.update({"ks_statistic": ks.statistic, "ks_pvalue": ks.pvalue})
+            checks["work_distribution_ks_pass_1pct"] = ks.passed
+        else:
+            results["ks_not_applicable"] = (
+                f"need at least {KS_MIN_SAMPLES} samples, got {stats.samples.size}"
+            )
     return {"results": results, "checks": checks}, stats
 
 

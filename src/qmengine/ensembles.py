@@ -24,6 +24,9 @@ from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationErr
 from .feedback import EnsembleRecord, run_ensemble_arrays
 from .gaussian import MeasurementChannels, covariance_series
 
+#: Smallest sample the KS comparison accepts.
+KS_MIN_SAMPLES = 100
+
 
 @dataclass(frozen=True, slots=True)
 class WorkStatistics:
@@ -312,8 +315,8 @@ def ks_compare(
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot run a KS comparison on an empty sample")
-    if samples.size < 100:
-        raise ValueError(f"need at least 100 samples, got {samples.size}")
+    if samples.size < KS_MIN_SAMPLES:
+        raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {samples.size}")
     result = kstest(samples, cdf)
     return KsResult(
         statistic=float(result.statistic),

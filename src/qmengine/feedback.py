@@ -13,10 +13,12 @@ trajectory's noise does not depend on how the ensemble is chunked.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
-and banks (q1**2 + q2**2)/2 units of hbar*omega.  The per-step branch of
-``_advance`` is the only reset code; the covariances stay untouched because
-the kernel only reads them, from ``gaussian.covariance_series``.  The
-policies are:
+and banks (q1**2 + q2**2)/2 units of hbar*omega.  ``_per_step``, which
+``_advance`` calls for the per-step policy, is the only reset code: every
+step after the first starts at the origin, so it takes the steps in tiles of
+trajectories by steps rather than one at a time.  The covariances stay
+untouched because the kernel only reads them, from
+``gaussian.covariance_series``.  The policies are:
 
 * ``per-step``  -- the trap is re-centered after every measurement step,
   equivalent to a continuously applied linear feedback Hamiltonian in the
@@ -53,6 +55,11 @@ NORMAL_FORM_TOL = 1e-9
 #: standard normals from stream (seed, j // STREAM_BLOCK), right after the
 #: draws of the trajectories before it in the same block.
 STREAM_BLOCK = 256
+
+#: Tile shape of the per-step policy, trajectories by steps.  Bounded in both
+#: axes, so its seven buffers take at most 7 * 256 * 64 * 8 bytes (0.9 MB).
+TILE_TRAJ = 256
+TILE_STEPS = 64
 
 #: The noise layout of ensembles, as recorded in each run's manifest.
 STREAM_LAYOUT = {
@@ -131,6 +138,69 @@ class _Steps:
     harvested: np.ndarray  # running sum of the harvests
 
 
+@dataclass(frozen=True, slots=True)
+class _Rates:
+    """Constants of every step: the step, readout weights and backaction factors."""
+
+    dt: float
+    w1: float  # readout noise weight sqrt(tau_i/dt), 0 for an unmonitored channel
+    w2: float
+    i1: float  # 1/(2 tau_i), 0 for an unmonitored channel
+    i2: float
+    tau1: float
+    ito: bool
+
+
+def _rates(config: EngineConfig, cov: np.ndarray) -> _Rates:
+    """The step constants of config; an Ito ledger needs cov in normal form."""
+    dt = config.resolved_dt
+    channels = config.channels()
+    ito = config.scheme == "ito"
+    if ito and (
+        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
+        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
+    ):
+        raise UnsupportedConfigurationError(
+            "Ito work ledger requires the covariance normal form along the run"
+        )
+    return _Rates(
+        dt=dt,
+        w1=math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0,
+        w2=math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0,
+        i1=channels.inv_2tau1,
+        i2=channels.inv_2tau2,
+        tau1=channels.tau1,
+        ito=ito,
+    )
+
+
+def _step(s: _Rates, q1, q2, g1, g2, c3, c4, c5):
+    """One conditional-state step from the means (q1, q2) with normals (g1, g2).
+
+    Returns the readouts, the updated means and the work-ledger increment.
+    """
+    dt, i1, i2 = s.dt, s.i1, s.i2
+    rr1 = q1 + s.w1 * g1
+    rr2 = q2 + s.w2 * g2
+    innov1 = rr1 - q1
+    innov2 = rr2 - q2
+    new1 = q1 + dt * (q2 + c3 * i1 * innov1 + c4 * i2 * innov2)
+    new2 = q2 + dt * (-q1 + c4 * i1 * innov1 + c5 * i2 * innov2)
+
+    inc1 = innov1 * i1 * dt
+    inc2 = innov2 * i2 * dt
+    if s.ito:
+        # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
+        nu = 0.5 * c3
+        dW = nu * nu / s.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
+    else:
+        # midpoint rule on the pre- and post-step means
+        m1 = 0.5 * (q1 + new1)
+        m2 = 0.5 * (q2 + new2)
+        dW = (m1 * c3 + m2 * c4) * inc1 + (m1 * c4 + m2 * c5) * inc2
+    return rr1, rr2, new1, new2, dW
+
+
 def _advance(
     config: EngineConfig,
     cov: np.ndarray,
@@ -144,81 +214,159 @@ def _advance(
     and step, consumed also for unmonitored channels so the stream layout
     does not depend on the channel setup.  ``cov`` holds the covariance
     triplet (q3, q4, q5) at grid points 0..n_steps, ``start`` the means at
-    grid point 0, and ``record`` the grid points to record.  The policy
-    decides whether the means are reset after each step; the scheme picks
-    the ledger rule.
+    grid point 0, and ``record`` the grid points to record.  The scheme
+    picks the ledger rule.  Under ``per-step`` the means are reset after
+    every step and ``_per_step`` takes the steps in tiles; otherwise the
+    means evolve freely, one ``_step`` at a time.
     """
     m, n_steps, _ = noise.shape
-    dt = config.resolved_dt
-    channels = config.channels()
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
-    w1 = math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0
-    w2 = math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0
-
-    use_ito = config.scheme == "ito"
-    if use_ito and (
-        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
-        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
-    ):
-        raise UnsupportedConfigurationError(
-            "Ito work ledger requires the covariance normal form along the run"
-        )
-    per_step = config.policy == "per-step"
-
+    rates = _rates(config, cov)
     out = _Steps(*(np.zeros((len(record), m)) for _ in range(8)))
     rows = {int(k): i for i, k in enumerate(record)}
     row = rows.get(0)
     if row is not None:
         out.q1[row] = start[0]
         out.q2[row] = start[1]
+    if config.policy == "per-step":
+        _per_step(rates, cov, noise, start, rows, out)
+        return out
 
     q1 = np.full(m, float(start[0]))
     q2 = np.full(m, float(start[1]))
     led = np.zeros(m)
-    ext = np.zeros(m)
     for k in range(n_steps):
-        c3, c4, c5 = cov[k]
-        rr1 = q1 + w1 * noise[:, k, 0]
-        rr2 = q2 + w2 * noise[:, k, 1]
-        innov1 = rr1 - q1
-        innov2 = rr2 - q2
-        new1 = q1 + dt * (q2 + c3 * i1 * innov1 + c4 * i2 * innov2)
-        new2 = q2 + dt * (-q1 + c4 * i1 * innov1 + c5 * i2 * innov2)
-
-        inc1 = innov1 * i1 * dt
-        inc2 = innov2 * i2 * dt
-        if use_ito:
-            # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
-            nu = 0.5 * c3
-            dW = nu * nu / channels.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
-        else:
-            # midpoint rule on the pre- and post-step means
-            m1 = 0.5 * (q1 + new1)
-            m2 = 0.5 * (q2 + new2)
-            dW = (m1 * c3 + m2 * c4) * inc1 + (m1 * c4 + m2 * c5) * inc2
+        g = noise[:, k]
+        rr1, rr2, q1, q2, dW = _step(rates, q1, q2, g[:, 0], g[:, 1], *cov[k])
         led = led + dW
-
-        if per_step:
-            harvest = 0.5 * (new1 * new1 + new2 * new2)
-            ext = ext + harvest
-            q1 = np.zeros(m)
-            q2 = np.zeros(m)
-        else:
-            q1, q2 = new1, new2
-
         row = rows.get(k + 1)
         if row is not None:
-            out.q1[row] = new1
-            out.q2[row] = new2
+            out.q1[row] = q1
+            out.q2[row] = q2
             out.r1[row] = rr1
             out.r2[row] = rr2
             out.increment[row] = dW
             out.ledger[row] = led
-            out.harvested[row] = ext
-            if per_step:
-                out.harvest[row] = harvest
     return out
+
+
+def _per_step(
+    s: _Rates,
+    cov: np.ndarray,
+    noise: np.ndarray,
+    start: tuple[float, float],
+    rows: dict[int, int],
+    out: _Steps,
+) -> None:
+    """The per-step policy: fill ``out`` as a step loop with resets would.
+
+    After each step the trap is re-centred, so every step from the second on
+    starts at the origin: its readouts, updated means, harvest and ledger
+    increment depend only on its own normals and covariance row.  Steps are
+    taken for tiles of TILE_TRAJ trajectories by TILE_STEPS steps, with the
+    expressions of ``_step`` at q1 = q2 = 0, in the same order.  A term of
+    those expressions is dropped only where it cannot change a bit of the
+    result, such as a ``0.0 +`` that cannot change the sign of a zero.  The
+    first step starts from ``start`` and is taken by ``_step`` itself.  Running
+    sums are cumulative sums along the steps, with the previous tile's total
+    added to the first column, so they add in the loop's order.
+    """
+    m, n_steps, _ = noise.shape
+    dt = s.dt
+    c3, c4, c5 = np.ascontiguousarray(cov[:n_steps].T)
+    a1, b1, a2, b2 = c3 * s.i1, c4 * s.i2, c4 * s.i1, c5 * s.i2
+    if s.ito:
+        nu = 0.5 * c3
+        drift = nu * nu / s.tau1 * dt
+
+    # recorded grid points 1..n_steps, and where each tile's run of them starts
+    grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
+    grid_rows = np.array([rows[k] for k in grid], dtype=int)
+    edges = np.searchsorted(grid, np.arange(0, n_steps + TILE_STEPS, TILE_STEPS), "right")
+
+    buffers = [np.empty((min(m, TILE_TRAJ), min(n_steps, TILE_STEPS))) for _ in range(7)]
+    for j0 in range(0, m, TILE_TRAJ):
+        j1 = min(j0 + TILE_TRAJ, m)
+        led = np.zeros(j1 - j0)
+        ext = np.zeros(j1 - j0)
+        for t, k0 in enumerate(range(0, n_steps, TILE_STEPS)):
+            k1 = min(k0 + TILE_STEPS, n_steps)
+            cols = slice(k0, k1)
+            r1, r2, n1, n2, x, dw, h = (b[: j1 - j0, : k1 - k0] for b in buffers)
+            g = noise[j0:j1, k0:k1]
+
+            # readouts 0 + w*g, which are also the innovations r - 0
+            np.multiply(g[:, :, 0], s.w1, out=r1)
+            r1 += 0.0
+            np.multiply(g[:, :, 1], s.w2, out=r2)
+            r2 += 0.0
+            # new1 = 0 + dt*((0 + a1*innov1) + b1*innov2); the inner 0 + can
+            # only change the sign of a zero sum, which the outer one clears
+            np.multiply(r1, a1[cols], out=n1)
+            np.multiply(r2, b1[cols], out=x)
+            n1 += x
+            n1 *= dt
+            n1 += 0.0
+            # new2 = 0 + dt*((-0 + a2*innov1) + b2*innov2); -0 + y is y
+            np.multiply(r1, a2[cols], out=n2)
+            np.multiply(r2, b2[cols], out=x)
+            n2 += x
+            n2 *= dt
+            n2 += 0.0
+            if k0 == 0:
+                q1 = np.full(j1 - j0, float(start[0]))
+                q2 = np.full(j1 - j0, float(start[1]))
+                r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(
+                    s, q1, q2, g[:, 0, 0], g[:, 0, 1], *cov[0]
+                )
+            # harvest 0.5*(new1*new1 + new2*new2)
+            np.multiply(n1, n1, out=h)
+            np.multiply(n2, n2, out=x)
+            h += x
+            h *= 0.5
+            at = grid[edges[t]:edges[t + 1]] - 1 - k0
+            into = grid_rows[edges[t]:edges[t + 1]]
+            if len(at):
+                for field, tile in ((out.q1, n1), (out.q2, n2), (out.r1, r1),
+                                    (out.r2, r2)):
+                    field[into, j0:j1] = tile[:, at].T
+
+            if s.ito:
+                # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
+                # for finite normals the products are signed zeros, and the
+                # drift (>= +0) plus a signed zero is the drift
+                dw[...] = drift[cols]
+            else:
+                # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)
+                # and inc_i = innov_i*i_i*dt
+                r1 *= s.i1
+                r1 *= dt
+                r2 *= s.i2
+                r2 *= dt
+                n1 *= 0.5
+                n2 *= 0.5
+                np.multiply(n1, c3[cols], out=dw)
+                np.multiply(n2, c4[cols], out=x)
+                dw += x
+                dw *= r1
+                np.multiply(n1, c4[cols], out=x)
+                n2 *= c5[cols]
+                x += n2
+                x *= r2
+                dw += x
+            if k0 == 0:
+                dw[:, 0] = dw0
+
+            for tile, total, field, running in (
+                (dw, led, out.increment, out.ledger),
+                (h, ext, out.harvest, out.harvested),
+            ):
+                if len(at):
+                    field[into, j0:j1] = tile[:, at].T
+                tile[:, 0] += total
+                np.add.accumulate(tile, axis=1, out=tile)
+                total[:] = tile[:, -1]
+                if len(at):
+                    running[into, j0:j1] = tile[:, at].T
 
 
 def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord:
@@ -308,9 +456,7 @@ def _noise_block(base: NoiseSource, start: int, stop: int, n_steps: int) -> np.n
 
 
 def run_ensemble_arrays(
-    config: EngineConfig,
-    checkpoints: Sequence[float],
-    base_noise: NoiseSource | None = None,
+    config: EngineConfig, checkpoints: Sequence[float]
 ) -> EnsembleRecord:
     """Advance n_traj independent trajectories, checkpointing work quantities.
 
@@ -326,8 +472,6 @@ def run_ensemble_arrays(
     harvest/increment of the step ending at the checkpoint.
     """
     config.validate()
-    if base_noise is None:
-        base_noise = NoiseSource(config.seed)
     n_steps = config.n_steps
     cp_idx = np.array([config.step_index(tc) for tc in checkpoints], dtype=int)
     if len(cp_idx) == 0:
@@ -342,7 +486,7 @@ def run_ensemble_arrays(
     )
     chunk = _chunk_size(n_traj, n_steps)
     buffer = np.empty((min(chunk, n_traj), n_steps, 2))
-    streams = _BlockStreams(base_noise.seed, 0)
+    streams = _BlockStreams(config.seed, 0)
     for start in range(0, n_traj, chunk):
         stop = min(start + chunk, n_traj)
         noise = buffer[: stop - start]

@@ -485,9 +485,29 @@ class TestExitCodes:
         assert "  [UNCHECKED] no check applies to this configuration" in out.splitlines()
 
     def test_runtime_error_removes_every_output(self, tmp_path, capsys):
-        # the KS check refuses 50 samples after both CSVs were written
-        code = run_cli(["continuous", "--n-traj", "50", "--output-dir", str(tmp_path)])
+        # the KS comparison fails after both CSVs were written
+        failure = ValueError("KS comparison failed")
+        with mock.patch.object(cli, "ks_compare", side_effect=failure):
+            code = run_cli(
+                ["continuous", "--n-traj", "200", "--output-dir", str(tmp_path)]
+            )
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "need at least 100 samples" in err[0]
+        assert len(err) == 1 and "KS comparison failed" in err[0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_traj", [1, 50, 99])
+    def test_small_sample_skips_only_the_ks_check(self, tmp_path, n_traj):
+        code = run_cli(
+            ["continuous", "--n-traj", str(n_traj), "--output-dir", str(tmp_path)]
+        )
+        assert code in (0, 2)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary["checks"]) == ["mean_work_within_3se"]
+        assert summary["results"]["ks_not_applicable"] == (
+            f"need at least 100 samples, got {n_traj}"
+        )
+        assert "ks_pvalue" not in summary["results"]
+        samples = load_csv(tmp_path / "work_samples.csv")["work"]
+        assert len(samples) == n_traj
+        assert (tmp_path / "trajectory.csv").exists()

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 import qmengine as qm
 from qmengine import feedback
 from qmengine.errors import UnsupportedConfigurationError
-from qmengine.feedback import _advance, _noise_block, run_ensemble_arrays
+from qmengine.feedback import (
+    NORMAL_FORM_TOL, _advance, _noise_block, _Steps, run_ensemble_arrays,
+)
 
 
 def constant_cov(q3, q4, q5, n_steps):
@@ -240,6 +242,22 @@ class TestChunkInvariance:
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 
+    def test_long_horizon_trajectory_is_the_single_member_case(self):
+        # 10^5 per-step steps: trajectory 0 of an ensemble, bit for bit
+        cfg = qm.EngineConfig(
+            nbar=1.0, dt=0.01, t_final=1000.0, n_traj=3, policy="per-step", seed=17
+        )
+        times = [0.0, 0.64, 0.65, 1.0, 500.0, 999.99, 1000.0]
+        ens = run_ensemble_arrays(cfg, times)
+        rec = qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, 0))
+        at = [cfg.step_index(t) for t in times]
+        q1, q2 = rec.q1[at], rec.q2[at]
+        steps = [k - 1 for k in at[1:]]
+        assert np.array_equal(0.5 * (q1 * q1 + q2 * q2), ens.displacement_energy[:, 0])
+        assert np.array_equal(rec.extracted[steps], ens.step_work[1:, 0])
+        assert np.array_equal(rec.ledger.cumulative[steps], ens.ledger_cum[1:, 0])
+        assert np.array_equal(np.cumsum(rec.extracted)[steps], ens.extracted_cum[1:, 0])
+
     def test_trajectory_is_the_single_member_case(self):
         # trajectory j of an ensemble is run_trajectory on stream (seed, j)
         cfg = CHUNK_CONFIGS["per-step"]
@@ -335,3 +353,149 @@ class TestStreamLayout:
         assert feedback._chunk_size(10_000, 2500) == 1024
         assert feedback._chunk_size(10_000, 20_000) == 150  # under one block
         assert feedback._chunk_size(50, 100) == 128
+
+
+def reference_advance(config, cov, noise, start, record):
+    """The one-step-at-a-time loop that the per-step tiles replaced."""
+    m, n_steps, _ = noise.shape
+    dt = config.resolved_dt
+    channels = config.channels()
+    i1 = channels.inv_2tau1
+    i2 = channels.inv_2tau2
+    w1 = math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0
+    w2 = math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0
+
+    use_ito = config.scheme == "ito"
+    if use_ito and (
+        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
+        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
+    ):
+        raise UnsupportedConfigurationError(
+            "Ito work ledger requires the covariance normal form along the run"
+        )
+    per_step = config.policy == "per-step"
+
+    out = _Steps(*(np.zeros((len(record), m)) for _ in range(8)))
+    rows = {int(k): i for i, k in enumerate(record)}
+    row = rows.get(0)
+    if row is not None:
+        out.q1[row] = start[0]
+        out.q2[row] = start[1]
+
+    q1 = np.full(m, float(start[0]))
+    q2 = np.full(m, float(start[1]))
+    led = np.zeros(m)
+    ext = np.zeros(m)
+    for k in range(n_steps):
+        c3, c4, c5 = cov[k]
+        rr1 = q1 + w1 * noise[:, k, 0]
+        rr2 = q2 + w2 * noise[:, k, 1]
+        innov1 = rr1 - q1
+        innov2 = rr2 - q2
+        new1 = q1 + dt * (q2 + c3 * i1 * innov1 + c4 * i2 * innov2)
+        new2 = q2 + dt * (-q1 + c4 * i1 * innov1 + c5 * i2 * innov2)
+
+        inc1 = innov1 * i1 * dt
+        inc2 = innov2 * i2 * dt
+        if use_ito:
+            # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
+            nu = 0.5 * c3
+            dW = nu * nu / channels.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
+        else:
+            # midpoint rule on the pre- and post-step means
+            m1 = 0.5 * (q1 + new1)
+            m2 = 0.5 * (q2 + new2)
+            dW = (m1 * c3 + m2 * c4) * inc1 + (m1 * c4 + m2 * c5) * inc2
+        led = led + dW
+
+        if per_step:
+            harvest = 0.5 * (new1 * new1 + new2 * new2)
+            ext = ext + harvest
+            q1 = np.zeros(m)
+            q2 = np.zeros(m)
+        else:
+            q1, q2 = new1, new2
+
+        row = rows.get(k + 1)
+        if row is not None:
+            out.q1[row] = new1
+            out.q2[row] = new2
+            out.r1[row] = rr1
+            out.r2[row] = rr2
+            out.increment[row] = dW
+            out.ledger[row] = led
+            out.harvested[row] = ext
+            if per_step:
+                out.harvest[row] = harvest
+    return out
+
+
+STEP_FIELDS = ("q1", "q2", "r1", "r2", "increment", "ledger", "harvest", "harvested")
+#: (tau1, tau2, scheme): symmetric, asymmetric and unmonitored channels
+KERNEL_CHANNELS = [
+    (1.0, 1.0, "stratonovich"),
+    (1.0, 1.0, "ito"),
+    (1.0, 0.9, "stratonovich"),
+    (1.0, 1.2, "stratonovich"),
+    (1.0, math.inf, "stratonovich"),
+    (math.inf, math.inf, "stratonovich"),
+    (math.inf, math.inf, "ito"),
+]
+
+
+@st.composite
+def kernel_case(draw, policy):
+    """A config, covariance series, noise, start and record set for _advance."""
+    tau1, tau2, scheme = draw(st.sampled_from(KERNEL_CHANNELS))
+    n_steps = draw(st.sampled_from([1, 63, 64, 65, 131]))
+    m = draw(st.integers(1, 5))
+    cfg = qm.EngineConfig(
+        nbar=draw(st.sampled_from([0.0, 0.5, 2.0])), tau1=tau1, tau2=tau2, dt=0.01,
+        t_final=0.01 * n_steps, policy=policy, scheme=scheme,
+    )
+    cov = qm.covariance_series(cfg.nbar, cfg.channels(), 0.01, n_steps)
+    noise = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(
+        (m, n_steps, 2)
+    )
+    kind = draw(st.sampled_from(["normal", "negative zeros", "zeros", "subnormal"]))
+    if kind == "negative zeros":
+        noise[noise < 0.0] = -0.0
+    elif kind == "zeros":
+        noise = np.where(noise < 0.0, -0.0, 0.0)
+    elif kind == "subnormal":
+        # products underflow to signed zeros, which only the 0.0 + terms clear
+        noise *= 5e-324
+    start = draw(st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (-0.0, 0.0)]))
+    edges = [k for k in (0, 1, 63, 64, 65, 127, 128, 129, n_steps) if k <= n_steps]
+    record = draw(
+        st.just(list(range(n_steps + 1)))
+        | st.lists(st.sampled_from(edges) | st.integers(0, n_steps), min_size=1, max_size=8)
+    )
+    return cfg, cov, noise, start, record
+
+
+def assert_same_bits(got, want):
+    for name in STEP_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+class TestPerStepTiles:
+    @pytest.mark.parametrize("tile", [(256, 64), (2, 4)])
+    @given(case=kernel_case("per-step"))
+    @settings(max_examples=40, deadline=None)
+    def test_tiles_match_the_step_loop(self, tile, case):
+        # (2, 4) tiles: up to three trajectory tiles and 33 step tiles
+        cfg, cov, noise, start, record = case
+        with mock.patch.object(feedback, "TILE_TRAJ", tile[0]), \
+                mock.patch.object(feedback, "TILE_STEPS", tile[1]):
+            got = _advance(cfg, cov, noise, start, record)
+        assert_same_bits(got, reference_advance(cfg, cov, noise, start, record))
+
+    @given(case=kernel_case("terminal") | kernel_case("none"))
+    @settings(max_examples=20, deadline=None)
+    def test_free_policies_match_the_step_loop(self, case):
+        cfg, cov, noise, start, record = case
+        got = _advance(cfg, cov, noise, start, record)
+        assert_same_bits(got, reference_advance(cfg, cov, noise, start, record))
