@@ -43,7 +43,7 @@ from .ensembles import (
     sigma_schedule,
 )
 from .errors import UncertaintyViolationError, UnsupportedConfigurationError
-from .feedback import STREAM_LAYOUT, run_trajectory
+from .feedback import STREAM_LAYOUT, ensemble_workers, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
     binary_average_work,
@@ -348,7 +348,8 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
             results["ks_not_applicable"] = (
                 f"need at least {KS_MIN_SAMPLES} samples, got {stats.samples.size}"
             )
-    return {"results": results, "checks": checks}, stats
+    out = {"results": results, "checks": checks, "workers": ensemble_workers(config)}
+    return out, stats
 
 
 def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float) -> dict:
@@ -412,6 +413,7 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
     return {
         "results": {"t": list(series.t), "mc_mean": list(series.mean)},
         "checks": {"mean_curve_within_3se": ok},
+        "workers": ensemble_workers(config),
     }
 
 
@@ -489,6 +491,7 @@ def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
             "unit_efficiency_when_symmetric": abs(1.0 - eta_sym) <= 3.0 * se_sym + 1e-12,
             "efficiency_ordering": bool(ordered),
         },
+        "workers": ensemble_workers(config),
     }
 
 
@@ -538,6 +541,7 @@ def run_experiment(args: argparse.Namespace) -> int:
             "argv": sys.argv[1:],
             "wall_clock_seconds": time.monotonic() - start,
             "noise_streams": STREAM_LAYOUT,
+            "workers": out.get("workers", 0),
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,

@@ -9,7 +9,14 @@ function, ``_advance``, performs this update for a block of trajectories;
 ``run_ensemble_arrays`` calls it once per chunk of trajectories and
 ``run_trajectory`` calls it for a single trajectory, recording every step.
 Noise comes from one stream per block of STREAM_BLOCK trajectories, so a
-trajectory's noise does not depend on how the ensemble is chunked.
+trajectory's noise does not depend on how the ensemble is chunked.  The
+blocks of an ensemble are shared out in contiguous ranges among up to one
+thread per available CPU (``worker_threads``), and no more threads than
+whole blocks fit the bound on the noise in flight (``_layout``).  Each
+thread draws and advances its own trajectories into its own columns of the
+outputs; numpy releases the GIL in the draws and in the kernel's array
+operations, so the threads run at the same time.  Results do not depend on
+the number of threads, and so not on the CPU count.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
@@ -38,7 +45,11 @@ normal form).  Both ledgers agree with the harvested work in ensemble mean.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from itertools import pairwise
+from threading import Event
 from typing import Sequence
 
 import numpy as np
@@ -374,9 +385,10 @@ def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord
 
     Pure function of (config, noise): identical inputs reproduce identical
     records.  NoiseSource(config.seed, j) selects trajectory j of the
-    ensemble: its noise is drawn from block stream j // STREAM_BLOCK after
-    skipping the j mod STREAM_BLOCK trajectories before it, so the record
-    equals trajectory j of ``run_ensemble_arrays``.  The work ledger accrues
+    ensemble (``NoiseSource`` defines both readings of ``stream``): its noise
+    is drawn from block stream j // STREAM_BLOCK after skipping the
+    j mod STREAM_BLOCK trajectories before it, so the record equals
+    trajectory j of ``run_ensemble_arrays``.  The work ledger accrues
     increments in config.scheme; harvested work is recorded separately in
     ``extracted`` (every step for the per-step policy, once at the horizon
     for the terminal policy).
@@ -411,39 +423,87 @@ def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord
 
 
 def _chunk_size(n_traj: int, n_steps: int) -> int:
-    budget = 48_000_000  # bytes of noise per chunk
+    """Trajectories whose noise may be in flight at once, across all workers."""
+    budget = 48_000_000  # bytes of noise
     per_traj = 16 * max(n_steps, 1)
     fits = budget // per_traj
     if fits >= STREAM_BLOCK:
         fits -= fits % STREAM_BLOCK  # whole blocks: each chunk opens its own streams
-    return max(128, min(n_traj, fits))
+    return max(min(128, fits), min(n_traj, fits), 1)
+
+
+def worker_threads() -> int:
+    """CPUs this process may run on: the most threads one ensemble uses."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _split(start: int, stop: int, parts: int, unit: int) -> list[int]:
+    """Edges of parts near-equal pieces of start..stop-1, cut every unit from start."""
+    units = -(-(stop - start) // unit)
+    return [min(stop, start + unit * (units * i // parts)) for i in range(parts + 1)]
+
+
+def _layout(n_traj: int, n_steps: int) -> list[list[int]]:
+    """Chunk edges of each worker thread of an ensemble.
+
+    Each worker takes one contiguous range of whole blocks and advances it in
+    near-equal chunks, so no narrow tail chunk is left.  The workers share
+    the ``_chunk_size`` bound, so the noise in flight does not grow with
+    their number: if the whole ensemble fits it, each worker takes its range
+    at once; otherwise each worker's chunks hold at most the bound divided
+    by the workers.  A worker's chunk is at least one whole block, which
+    caps the workers where the bound is small.
+    """
+    bound = _chunk_size(n_traj, n_steps)
+    n_blocks = -(-n_traj // STREAM_BLOCK)
+    workers = min(worker_threads(), n_blocks, max(1, bound // STREAM_BLOCK))
+    ranges = _split(0, n_traj, workers, STREAM_BLOCK)
+    if bound >= n_traj:
+        return [[a, b] for a, b in pairwise(ranges)]
+    per_worker = bound // workers
+    unit = STREAM_BLOCK if per_worker >= STREAM_BLOCK else 1
+    return [
+        _split(a, b, -(-(b - a) // (per_worker - per_worker % unit)), unit)
+        for a, b in pairwise(ranges)
+    ]
+
+
+def ensemble_workers(config: EngineConfig) -> int:
+    """Worker threads that ``run_ensemble_arrays`` uses for config's ensemble."""
+    return len(_layout(config.n_traj, config.n_steps))
 
 
 class _BlockStreams:
-    """Draws the noise of consecutive trajectories from their block streams.
+    """Draws the noise of trajectories first..stop-1 from their block streams.
 
-    The first fill starts at trajectory ``first`` and, if that is inside a
-    block, skips the draws of the trajectories before it.  A block's
-    generator is created once and carried across fills, so a run of fills
-    draws every normal exactly once.
+    The generators of their blocks are created here, once each and in block
+    order, so the fills may run on another thread.  The first fill skips the
+    draws of the trajectories before ``first`` in its block; each generator
+    is carried across fills, so a run of fills draws every normal exactly
+    once.
     """
 
-    def __init__(self, seed: int, first: int) -> None:
-        self.seed = seed
+    def __init__(self, seed: int, first: int, stop: int) -> None:
         self.next = first
-        self.gen: np.random.Generator | None = None
+        self.skip = first % STREAM_BLOCK
+        self.gens = {
+            block: NoiseSource(seed, block).generator()
+            for block in range(first // STREAM_BLOCK, -(-stop // STREAM_BLOCK))
+        }
 
     def fill(self, out: np.ndarray) -> None:
         """Fill out, shape (m, n_steps, 2), with the next m trajectories."""
         pos = 0
         while pos < len(out):
             block, offset = divmod(self.next, STREAM_BLOCK)
-            if self.gen is None or offset == 0:
-                self.gen = NoiseSource(self.seed, block).generator()
-                for _ in range(offset):  # skipped trajectories, overwritten below
-                    self.gen.standard_normal(out=out[pos])
+            gen = self.gens[block]
+            for _ in range(self.skip):  # skipped trajectories, overwritten below
+                gen.standard_normal(out=out[pos])
+            self.skip = 0
             take = min(len(out) - pos, STREAM_BLOCK - offset)
-            self.gen.standard_normal(out=out[pos:pos + take])
+            gen.standard_normal(out=out[pos:pos + take])
             pos += take
             self.next += take
 
@@ -451,8 +511,37 @@ class _BlockStreams:
 def _noise_block(base: NoiseSource, start: int, stop: int, n_steps: int) -> np.ndarray:
     """Noise of trajectories start..stop-1 of the ensemble with base.seed."""
     noise = np.empty((stop - start, n_steps, 2))
-    _BlockStreams(base.seed, start).fill(noise)
+    _BlockStreams(base.seed, start, stop).fill(noise)
     return noise
+
+
+def _run_blocks(
+    config: EngineConfig,
+    cov: np.ndarray,
+    cp_idx: np.ndarray,
+    streams: _BlockStreams,
+    edges: list[int],
+    out: tuple[np.ndarray, ...],
+    cancel: Event,
+) -> None:
+    """Advance the chunks between consecutive edges into their columns of out.
+
+    Stops before its next chunk once cancel is set.
+    """
+    ledger_cum, extracted_cum, displacement, step_work = out
+    buffer = np.empty((max(np.diff(edges)), config.n_steps, 2))
+    for a, b in pairwise(edges):
+        if cancel.is_set():
+            return
+        noise = buffer[: b - a]
+        streams.fill(noise)
+        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx)
+        ledger_cum[:, a:b] = steps.ledger
+        extracted_cum[:, a:b] = steps.harvested
+        displacement[:, a:b] = 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
+        step_work[:, a:b] = (
+            steps.harvest if config.policy == "per-step" else steps.increment
+        )
 
 
 def run_ensemble_arrays(
@@ -461,10 +550,15 @@ def run_ensemble_arrays(
     """Advance n_traj independent trajectories, checkpointing work quantities.
 
     Trajectory j consumes its slice of block stream (config.seed,
-    j // STREAM_BLOCK); one noise buffer is refilled for each chunk and every
-    normal is drawn once, so results are independent of chunking and equal
-    to run_trajectory with NoiseSource(config.seed, j).  Checkpoint times
-    must lie on the step grid.
+    j // STREAM_BLOCK).  The blocks are split into one contiguous range per
+    worker thread (``_layout``); every block generator is created here, on
+    the calling thread, and each worker refills its own noise buffer for
+    each of its chunks and writes its own columns.  Every normal is drawn
+    once, so results are independent of chunking and of the worker count,
+    and equal to run_trajectory with NoiseSource(config.seed, j).  When a
+    worker raises, or the caller is interrupted, the other workers stop at
+    their next chunk and the exception is raised here.
+    Checkpoint times must lie on the step grid, each at most once.
 
     Returns per-trajectory arrays at each checkpoint: the ledger cumulative,
     the cumulative harvested work, the displacement energy (q1**2+q2**2)/2
@@ -476,33 +570,32 @@ def run_ensemble_arrays(
     cp_idx = np.array([config.step_index(tc) for tc in checkpoints], dtype=int)
     if len(cp_idx) == 0:
         raise ValueError("need at least one checkpoint")
+    seen = {}
+    for i, k in enumerate(cp_idx):
+        if seen.setdefault(k, i) != i:
+            raise ValueError(f"checkpoint time {checkpoints[i]} is repeated (step {k})")
     cov = covariance_series(
         config.nbar, config.channels(), config.resolved_dt, n_steps
     )
 
     n_traj = config.n_traj
-    ledger_cum, extracted_cum, displacement, step_work = (
-        np.zeros((len(cp_idx), n_traj)) for _ in range(4)
-    )
-    chunk = _chunk_size(n_traj, n_steps)
-    buffer = np.empty((min(chunk, n_traj), n_steps, 2))
-    streams = _BlockStreams(config.seed, 0)
-    for start in range(0, n_traj, chunk):
-        stop = min(start + chunk, n_traj)
-        noise = buffer[: stop - start]
-        streams.fill(noise)
-        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx)
-        ledger_cum[:, start:stop] = steps.ledger
-        extracted_cum[:, start:stop] = steps.harvested
-        displacement[:, start:stop] = 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
-        step_work[:, start:stop] = (
-            steps.harvest if config.policy == "per-step" else steps.increment
-        )
+    out = tuple(np.zeros((len(cp_idx), n_traj)) for _ in range(4))
+    plan = _layout(n_traj, n_steps)
+    streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
+    cancel = Event()
+    with ThreadPoolExecutor(len(plan)) as pool:
+        try:
+            jobs = [
+                pool.submit(_run_blocks, config, cov, cp_idx, s, edges, out, cancel)
+                for s, edges in zip(streams, plan)
+            ]
+            done, _ = wait(jobs, return_when=FIRST_EXCEPTION)
+            for job in jobs:
+                if job in done:
+                    job.result()
+        finally:
+            # after an error or an interrupt the other workers stop at their
+            # next chunk, and the pool's exit waits for them
+            cancel.set()
 
-    return EnsembleRecord(
-        cov=cov[cp_idx],
-        ledger_cum=ledger_cum,
-        extracted_cum=extracted_cum,
-        displacement_energy=displacement,
-        step_work=step_work,
-    )
+    return EnsembleRecord(cov[cp_idx], *out)

@@ -76,15 +76,21 @@ class MeasurementChannels:
 
 @dataclass(frozen=True, slots=True)
 class NoiseSource:
-    """Deterministic, splittable randomness handle.
+    """Deterministic, splittable randomness handle: a seed and a stream.
+
+    This is the one place that says what ``stream`` means; it has two
+    readings:
+
+    * ``generator()`` reads it as a block stream: a PCG64 generator seeded by
+      SeedSequence(seed, spawn_key=(stream,)).  Ensembles give stream b to
+      trajectories b*STREAM_BLOCK..(b+1)*STREAM_BLOCK-1 (see ``feedback``);
+      the single-shot, binary and classical samplers draw from stream 0.
+    * ``feedback.run_trajectory`` reads it as a trajectory index j: the noise
+      of trajectory j of the ensemble, drawn from block stream
+      j // STREAM_BLOCK.
 
     Identical (seed, stream) pairs reproduce identical deviate sequences;
-    distinct streams are statistically independent.  ``generator`` is a
-    PCG64 generator seeded by SeedSequence(seed, spawn_key=(stream,)).
-    Ensembles give stream b to the block of trajectories
-    b*STREAM_BLOCK..(b+1)*STREAM_BLOCK-1 (see ``feedback``), and
-    ``run_trajectory`` reads ``stream`` as a trajectory index; the
-    single-shot, binary and classical samplers draw from stream 0.
+    distinct block streams are statistically independent.
     """
 
     seed: int

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmengine as qm
-from qmengine import cli
+from qmengine import cli, feedback
 
 
 def run_cli(args: list[str]) -> int:
@@ -182,6 +182,30 @@ class TestOutputs:
         assert manifest["artifact"] == "qmengine"
         for name, digest in manifest["files"].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    def test_manifest_records_workers(self, continuous_run):
+        _, out = continuous_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        cfg = qm.EngineConfig(nbar=0.0, t_final=1.0, n_traj=2000, seed=7)
+        assert manifest["workers"] == feedback.ensemble_workers(cfg) >= 1
+
+    @pytest.mark.parametrize(
+        "argv, workers",
+        [
+            (["continuous", "--n-traj", "200"], 1),  # one block
+            (["continuous", "--n-traj", "600"], 2),
+            (["presets", "figure-2c", "--n-traj", "600"], 2),
+            (["presets", "figure-S3", "--n-traj", "600"], 2),
+            (["single-shot", "--n-traj", "500"], 0),  # no ensemble
+            (["presets", "figure-2f"], 0),
+        ],
+    )
+    def test_manifest_records_the_workers_used(self, tmp_path, argv, workers):
+        # two CPUs: as many workers as the ensemble's blocks allow, up to two
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            run_cli(argv + ["--output-dir", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["workers"] == workers
 
     def test_manifest_records_stream_layout_and_versions(self, continuous_run):
         _, out = continuous_run
@@ -494,6 +518,25 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "KS comparison failed" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_worker_error_exits_one_with_one_line(self, tmp_path, capsys):
+        # the second of two workers fails partway through the ensemble
+        run_blocks = feedback._run_blocks
+
+        def failing(config, cov, cp_idx, streams, edges, *rest):
+            if edges[0] > 0:
+                raise ValueError("second worker failed")
+            return run_blocks(config, cov, cp_idx, streams, edges, *rest)
+
+        with mock.patch.object(feedback, "worker_threads", lambda: 2), \
+                mock.patch.object(feedback, "_run_blocks", failing):
+            code = run_cli(
+                ["continuous", "--n-traj", "600", "--output-dir", str(tmp_path)]
+            )
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "second worker failed" in err[0]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n_traj", [1, 50, 99])

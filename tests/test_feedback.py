@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine import feedback
+from qmengine.config import MAX_N_STEPS
 from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import (
     NORMAL_FORM_TOL, _advance, _noise_block, _Steps, run_ensemble_arrays,
@@ -353,6 +357,198 @@ class TestStreamLayout:
         assert feedback._chunk_size(10_000, 2500) == 1024
         assert feedback._chunk_size(10_000, 20_000) == 150  # under one block
         assert feedback._chunk_size(50, 100) == 128
+
+
+WORKER_CONFIGS = {
+    (policy, scheme): CHUNK_CONFIGS[policy].with_updates(scheme=scheme)
+    for policy in CHUNK_CONFIGS
+    for scheme in ("stratonovich", "ito")
+}
+
+
+@functools.cache
+def single_worker(key):
+    with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+            mock.patch.object(feedback, "worker_threads", lambda: 1):
+        return run_ensemble_arrays(WORKER_CONFIGS[key], [0.0, 0.1, 0.2])
+
+
+@contextlib.contextmanager
+def blocked_workers(first_chunk, barrier):
+    """Two workers of five one-block chunks each on a 40-trajectory ensemble.
+
+    At its first chunk each worker waits at barrier and then calls
+    first_chunk(barrier index, the ensemble's cancel event).  Yields the
+    list of the threads of the chunks run.
+    """
+    events, chunks = [], []
+    advance = feedback._advance
+
+    def recording_event():
+        events.append(threading.Event())
+        return events[-1]
+
+    def blocked_advance(config, cov, noise, start, record):
+        chunks.append(threading.current_thread())
+        if chunks.count(chunks[-1]) == 1:
+            first_chunk(barrier.wait(), events[0])
+        return advance(config, cov, noise, start, record)
+
+    with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+            mock.patch.object(feedback, "worker_threads", lambda: 2), \
+            mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8), \
+            mock.patch.object(feedback, "Event", recording_event), \
+            mock.patch.object(feedback, "_advance", blocked_advance):
+        assert [len(edges) - 1 for edges in feedback._layout(40, 20)] == [5, 5]
+        yield chunks
+
+
+BLOCKED_CONFIG = CHUNK_CONFIGS["terminal"].with_updates(n_traj=40)
+
+
+class TestWorkers:
+    @given(
+        threads=st.integers(1, 4),
+        chunk=st.integers(1, 14),
+        key=st.sampled_from(sorted(WORKER_CONFIGS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_records_bit_identical_under_any_worker_count(self, threads, chunk, key):
+        # blocks of 4: 11 trajectories are 3 blocks, shared by up to 3
+        # workers, each with chunks of at least one block
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "worker_threads", lambda: threads), \
+                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
+            assert len(feedback._layout(11, 20)) == min(threads, 3, max(1, chunk // 4))
+            rec = run_ensemble_arrays(WORKER_CONFIGS[key], [0.0, 0.1, 0.2])
+        ref = single_worker(key)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("policy", sorted(CHUNK_CONFIGS))
+    def test_more_workers_than_cores_with_fast_switching(self, policy):
+        # blocks of one trajectory: 8 workers of one-trajectory chunks, with a
+        # thread switch about every microsecond
+        cfg = CHUNK_CONFIGS[policy]
+        with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
+                mock.patch.object(feedback, "worker_threads", lambda: 1):
+            ref = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
+                    mock.patch.object(feedback, "worker_threads", lambda: 8), \
+                    mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8):
+                plan = feedback._layout(cfg.n_traj, cfg.n_steps)
+                assert len(plan) == 8
+                assert all(np.all(np.diff(edges) == 1) for edges in plan)
+                rec = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    def test_two_workers_draw_every_normal_once(self):
+        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
+        with mock.patch.object(feedback, "worker_threads", lambda: 1):
+            ref = run_ensemble_arrays(cfg, [cfg.t_final])
+        counts = []
+        streams = []
+        generator = qm.NoiseSource.generator
+
+        def counting_generator(source):
+            streams.append((source.stream, threading.current_thread()))
+            return _CountingGenerator(generator(source), counts)
+
+        # one block per chunk: the first worker takes block 0, the second
+        # takes block 1 and the 88 trajectories of block 2 in two chunks
+        with mock.patch.object(qm.NoiseSource, "generator", counting_generator), \
+                mock.patch.object(feedback, "worker_threads", lambda: 2), \
+                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 512):
+            assert feedback._layout(cfg.n_traj, cfg.n_steps) == [[0, 256], [256, 512, 600]]
+            rec = run_ensemble_arrays(cfg, [cfg.t_final])
+        assert sum(counts) == cfg.n_traj * cfg.n_steps * 2
+        # each block's generator is created once, on the calling thread
+        assert streams == [(b, threading.current_thread()) for b in (0, 1, 2)]
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    def test_worker_exception_reaches_the_caller(self):
+        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
+        run_blocks = feedback._run_blocks
+
+        def failing(config, cov, cp_idx, streams, edges, *rest):
+            if edges[0] > 0:
+                raise ValueError("second worker failed")
+            return run_blocks(config, cov, cp_idx, streams, edges, *rest)
+
+        with mock.patch.object(feedback, "worker_threads", lambda: 2), \
+                mock.patch.object(feedback, "_run_blocks", failing):
+            with pytest.raises(ValueError, match="second worker failed"):
+                run_ensemble_arrays(cfg, [cfg.t_final])
+
+    def test_a_failing_worker_stops_the_other(self):
+        def first_chunk(index, cancel):
+            if index == 0:
+                raise RuntimeError("worker failed")
+            cancel.wait(10)  # released when the caller cancels
+
+        with blocked_workers(first_chunk, threading.Barrier(2, timeout=10)) as chunks:
+            with pytest.raises(RuntimeError, match="worker failed"):
+                run_ensemble_arrays(BLOCKED_CONFIG, [BLOCKED_CONFIG.t_final])
+        # each worker ran the first of its five chunks, and no other
+        assert len(chunks) == len(set(chunks)) == 2
+
+    def test_an_interrupt_stops_the_workers(self):
+        barrier = threading.Barrier(3, timeout=10)
+
+        def interrupted_wait(*args, **kwargs):
+            barrier.wait()  # both workers are in their first chunk
+            raise KeyboardInterrupt
+
+        with blocked_workers(lambda index, cancel: cancel.wait(10), barrier) as chunks, \
+                mock.patch.object(feedback, "wait", interrupted_wait):
+            with pytest.raises(KeyboardInterrupt):
+                run_ensemble_arrays(BLOCKED_CONFIG, [BLOCKED_CONFIG.t_final])
+        assert len(chunks) == len(set(chunks)) == 2
+
+    def test_chunks_are_whole_blocks_without_a_narrow_tail(self):
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            # default continuous fits the bound: one chunk per worker
+            assert feedback._layout(10_000, 100) == [[0, 5120], [5120, 10_000]]
+            # figure-S3: ten chunks of two blocks per worker
+            assert [len(e) - 1 for e in feedback._layout(10_000, 2500)] == [10, 10]
+        with mock.patch.object(feedback, "worker_threads", lambda: 64):
+            # a 1024-trajectory bound holds one block for each of 4 workers
+            plan = feedback._layout(10_000, 2500)
+            widths = np.concatenate([np.diff(edges) for edges in plan])
+            assert len(plan) == 4
+            assert np.all(widths[:-1] == 256) and widths[-1] == 10_000 % 256
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_noise_in_flight_stays_within_the_budget(self, threads):
+        # computed from the layout, nothing is allocated
+        with mock.patch.object(feedback, "worker_threads", lambda: threads):
+            for n_steps in (1, 100, 2500, 20_000, 10**5, 3 * 10**5 + 1, MAX_N_STEPS):
+                for n_traj in (1, 50, 1000, 11_000, 10**6):
+                    plan = feedback._layout(n_traj, n_steps)
+                    assert 1 <= len(plan) <= threads
+                    # contiguous ranges that cover the ensemble
+                    assert [e[0] for e in plan] == [0] + [e[-1] for e in plan[:-1]]
+                    assert plan[-1][-1] == n_traj
+                    widest = [int(np.diff(edges).max()) for edges in plan]
+                    assert all(np.diff(edges).min() >= 1 for edges in plan)
+                    assert sum(widest) * 16 * n_steps <= 48_000_000
+        assert feedback._chunk_size(10_000, MAX_N_STEPS) == 3
+
+
+class TestCheckpoints:
+    def test_repeated_checkpoint_rejected(self):
+        cfg = qm.EngineConfig(
+            nbar=0.5, dt=0.01, t_final=1.0, n_traj=4, policy="terminal", seed=1
+        )
+        with pytest.raises(ValueError, match=r"checkpoint time 0\.5 is repeated"):
+            run_ensemble_arrays(cfg, [0.5, 0.5, 1.0])
 
 
 def reference_advance(config, cov, noise, start, record):

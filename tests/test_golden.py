@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of every CSV each CLI family and preset writes.
 
 The digests were recorded at seed 5 with small fixed sizes, plus one run long
-enough to span many CSV row blocks.  Any change to the physics, the
+enough to span many CSV row blocks and two ensembles of several noise-stream
+blocks, which several worker threads share.  Any change to the physics, the
 noise-stream layout or the CSV format changes a digest, so a refactor that
 must keep data files byte-identical is checked here; a deliberate output
 change updates the table and says so.
@@ -46,6 +47,14 @@ GOLDEN = [
         {
             "trajectory.csv": "72fcc8c15ef98e45e8a254809215690209d9be4e54479158a65f4c88f62b863e",
             "work_samples.csv": "3dde6d632eaf161a0a300167675ac7b4077113a704c79c5594bc4d25991a64cf",
+        },
+    ),
+    (
+        # 600 trajectories: three stream blocks, advanced by up to three threads
+        ("continuous", "--n-traj", "600"),
+        {
+            "trajectory.csv": "72fcc8c15ef98e45e8a254809215690209d9be4e54479158a65f4c88f62b863e",
+            "work_samples.csv": "6ccaf6160a47e4b3e6e05c2465357e41c67f91fe285ec5c1adf091fce939b8f6",
         },
     ),
     (
@@ -106,6 +115,12 @@ GOLDEN = [
         ("presets", "figure-S3", "--n-traj", "200"),
         {
             "efficiency_series.csv": "0f800fcae2c6c3799658590abb8ea0ea7bf777ac13bff92a6dc51d7f09bc250c",
+        },
+    ),
+    (
+        ("presets", "figure-S3", "--n-traj", "600"),
+        {
+            "efficiency_series.csv": "9710cd774349875f645bb75f25b8c5dd7f8d8445769bec4ec8b791d267dfdd70",
         },
     ),
 ]
