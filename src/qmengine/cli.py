@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import EngineConfig, POLICIES, SCHEMES
+from .config import BINARY_N_TRAJ, EngineConfig, POLICIES, SCHEMES
 from .ensembles import (
     KS_MIN_SAMPLES,
     WorkStatistics,
@@ -42,7 +42,7 @@ from .ensembles import (
     run_ensemble,
     sigma_schedule,
 )
-from .errors import UncertaintyViolationError, UnsupportedConfigurationError
+from .errors import UncertaintyViolationError
 from .feedback import STREAM_LAYOUT, ensemble_workers, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
@@ -104,7 +104,10 @@ def build_parser() -> _Parser:
 
 
 def parse_config(args: argparse.Namespace) -> EngineConfig:
-    """Build the run configuration: flags override file values override defaults."""
+    """Build the run configuration: flags override file values override defaults.
+
+    The binary family defaults to BINARY_N_TRAJ samples, not DEFAULT_N_TRAJ.
+    """
     values: dict = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -119,6 +122,8 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
     for name in fields:
         if name != "output_path" and getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
+    if getattr(args, "family", None) == "binary":
+        values.setdefault("n_traj", BINARY_N_TRAJ)
     if getattr(args, "output_dir", None) is not None:
         values["output_path"] = Path(args.output_dir)
     elif "output_path" in values and values["output_path"] is not None:
@@ -328,26 +333,23 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
     }
     checks: dict = {}
     if config.channels().symmetric and config.policy in ("terminal", "per-step"):
-        schedule = sigma_schedule(
-            config.nbar,
-            config.channels(),
-            config.resolved_dt,
-            config.t_final,
-            policy=config.policy,
-        )
+        schedule = sigma_schedule(config, policy=config.policy)
         expected = schedule.mean_work_at(config.t_final)
         results["expected_mean_work"] = expected
         checks["mean_work_within_3se"] = abs(stats.mean - expected) <= 3.0 * stats.stderr
-        if stats.samples.size >= KS_MIN_SAMPLES:
+        if stats.samples.size < KS_MIN_SAMPLES:
+            results["ks_not_applicable"] = (
+                f"need at least {KS_MIN_SAMPLES} samples, got {stats.samples.size}"
+            )
+        elif expected == 0.0:
+            # KS assumes a continuous law; this one is a point mass at W = 0
+            results["ks_not_applicable"] = "the exact work law is a point mass at W = 0"
+        else:
             ks = ks_compare(
                 stats.samples, lambda w: exact_work_cdf(w, config.t_final, schedule)
             )
             results.update({"ks_statistic": ks.statistic, "ks_pvalue": ks.pvalue})
             checks["work_distribution_ks_pass_1pct"] = ks.passed
-        else:
-            results["ks_not_applicable"] = (
-                f"need at least {KS_MIN_SAMPLES} samples, got {stats.samples.size}"
-            )
     out = {"results": results, "checks": checks, "workers": ensemble_workers(config)}
     return out, stats
 
@@ -376,9 +378,7 @@ def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float)
 def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
     config = config.with_updates(policy="terminal")
     out, stats = _run_continuous(config, run)
-    schedule = sigma_schedule(
-        config.nbar, config.channels(), config.resolved_dt, config.t_final
-    )
+    schedule = sigma_schedule(config)
     centers = 0.5 * (stats.bin_edges[:-1] + stats.bin_edges[1:])
     widths = np.diff(stats.bin_edges)
     density = stats.counts / (config.n_traj * widths)
@@ -401,7 +401,7 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
         config = config.with_updates(dt=config.default_dt(0.5))
     grid = [0.5, 1.0, 2.5, 5.0]
     series = mean_work_curve(config, grid)
-    schedule = sigma_schedule(config.nbar, config.channels(), config.resolved_dt, 5.0)
+    schedule = sigma_schedule(config)
     oracle = np.array([schedule.mean_work_at(t) for t in grid])
     run.csv(
         "mean_work.csv",
@@ -459,9 +459,9 @@ def _preset_figure_s2(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
-    config = config.with_updates(
-        policy="per-step", t_final=25.0, dt=config.dt or 0.01
-    )
+    config = config.with_updates(policy="per-step", t_final=25.0)
+    if config.dt is None:
+        config = config.with_updates(dt=config.default_dt(1.0))
     grid = np.round(np.arange(1.0, 25.0 + 1e-9, 1.0), 10)
     columns: dict = {"t": grid}
     finals: dict = {}
@@ -569,9 +569,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ValueError, UnsupportedConfigurationError, UncertaintyViolationError, OSError
-    ) as exc:
+    # the package's configuration errors are ValueErrors; an extreme input
+    # that overflows a Python float raises an OverflowError
+    except (ValueError, OverflowError, UncertaintyViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,16 +16,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.stats import kstest
 
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
 from .feedback import EnsembleRecord, run_ensemble_arrays
-from .gaussian import MeasurementChannels, covariance_series
+from .gaussian import covariance_series
 
 #: Smallest sample the KS comparison accepts.
 KS_MIN_SAMPLES = 100
+#: Batches whose means give the efficiency series' standard errors.
+EFFICIENCY_BATCHES = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,12 +41,12 @@ class WorkStatistics:
     stderr: float
     n_traj: int
     t: float
-    policy: str
 
 
 @dataclass(frozen=True, slots=True)
 class SigmaSchedule:
-    """Time series of nu(t) and of the work-scale parameter sigma(t).
+    """Time series of nu(t) and of the work-scale parameter sigma(t) on the
+    step grid of the run's config.
 
     For the terminal policy sigma(t) is the running integral of nu**2; for
     the per-step policy it is nu(t)**2 * dt.
@@ -54,21 +55,17 @@ class SigmaSchedule:
     t: np.ndarray
     nu: np.ndarray
     sigma: np.ndarray
-    tau: float
-    dt: float
-    policy: str
+    config: EngineConfig
 
-    def _index(self, t: float) -> int:
-        k = round(t / self.dt)
-        if abs(k * self.dt - t) > 1e-9 or not 0 <= k < len(self.t):
-            raise ValueError(f"time {t} not on the schedule grid (dt={self.dt})")
-        return int(k)
+    @property
+    def tau(self) -> float:
+        return self.config.tau1
 
     def sigma_at(self, t: float) -> float:
-        return float(self.sigma[self._index(t)])
+        return float(self.sigma[self.config.step_index(t)])
 
     def nu_at(self, t: float) -> float:
-        return float(self.nu[self._index(t)])
+        return float(self.nu[self.config.step_index(t)])
 
     def mean_work_at(self, t: float) -> float:
         return self.sigma_at(t) / self.tau
@@ -96,7 +93,6 @@ class EfficiencySeries:
     t: np.ndarray
     eta: np.ndarray
     stderr: np.ndarray
-    tau_ratio: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,21 +100,16 @@ class KsResult:
     statistic: float
     pvalue: float
     passed: bool
-    level: float
 
 
-def sigma_schedule(
-    nbar: float,
-    channels: MeasurementChannels,
-    dt: float,
-    t_final: float,
-    policy: str = "terminal",
-) -> SigmaSchedule:
-    """Integrate the covariance flow and accumulate the work scale sigma(t).
+def sigma_schedule(config: EngineConfig, policy: str = "terminal") -> SigmaSchedule:
+    """Integrate the covariance flow on the config's step grid up to t_final
+    and accumulate the work scale sigma(t).
 
     Defined only for symmetric channels, where the covariance matrix stays in
     normal form and nu(t) = q3(t)/2 = q5(t)/2.
     """
+    channels = config.channels()
     if not channels.symmetric:
         raise UnsupportedConfigurationError(
             "sigma schedule requires symmetric channels (nu is defined only "
@@ -126,31 +117,37 @@ def sigma_schedule(
         )
     if policy not in ("terminal", "per-step"):
         raise ValueError(f"policy must be 'terminal' or 'per-step', got {policy!r}")
-    n_steps = max(int(round(t_final / dt)), 1)
-    cov = covariance_series(nbar, channels, dt, n_steps)
+    dt = config.resolved_dt
+    cov = covariance_series(config.nbar, channels, dt, config.n_steps)
     nu = 0.5 * cov[:, 0]
-    t = np.arange(n_steps + 1) * dt
+    y = nu * nu
     if policy == "terminal":
-        sigma = cumulative_trapezoid(nu * nu, dx=dt, initial=0.0)
+        # the cumulative trapezoid rule, summed in scipy's order
+        sigma = np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
     else:
-        sigma = nu * nu * dt
-    return SigmaSchedule(
-        t=t, nu=nu, sigma=sigma, tau=channels.tau1, dt=dt, policy=policy
-    )
+        sigma = y * dt
+    t = np.arange(len(nu)) * dt
+    return SigmaSchedule(t=t, nu=nu, sigma=sigma, config=config)
+
+
+def _work_rate(t: float, schedule: SigmaSchedule) -> float:
+    """tau/sigma(t), the inverse mean work; inf when all probability mass
+    sits at W = 0 (sigma = 0, or tau = inf: no measurement)."""
+    sigma = schedule.sigma_at(t)
+    return schedule.tau / sigma if sigma > 0.0 else math.inf
 
 
 def exact_work_pdf(w, t: float, schedule: SigmaSchedule):
     """Exact density of the harvested work at time t (units hbar*omega).
 
-    Exponential with mean sigma(t)/tau; zero for w < 0.  A vanishing sigma
+    Exponential with mean sigma(t)/tau; zero for w < 0.  A vanishing mean
     means all mass sits at W = 0 and is reported as a distinct error.
     """
-    sigma = schedule.sigma_at(t)
-    if sigma <= 0.0:
+    rate = _work_rate(t, schedule)
+    if rate == math.inf:
         raise DegenerateWorkDistributionError(
-            f"sigma({t}) = {sigma}: all probability mass at W = 0"
+            f"sigma({t})/tau = {schedule.mean_work_at(t)}: all probability mass at W = 0"
         )
-    rate = schedule.tau / sigma
     w = np.asarray(w, dtype=float)
     out = np.where(w >= 0.0, rate * np.exp(-rate * np.clip(w, 0.0, None)), 0.0)
     return out if out.ndim else float(out)
@@ -159,14 +156,13 @@ def exact_work_pdf(w, t: float, schedule: SigmaSchedule):
 def exact_work_cdf(w, t: float, schedule: SigmaSchedule):
     """Exact distribution function of the harvested work at time t.
 
-    Handles the degenerate sigma = 0 case as a unit step at W = 0.
+    Handles the degenerate zero-mean case as a unit step at W = 0.
     """
-    sigma = schedule.sigma_at(t)
+    rate = _work_rate(t, schedule)
     w = np.asarray(w, dtype=float)
-    if sigma <= 0.0:
+    if rate == math.inf:
         out = np.where(w >= 0.0, 1.0, 0.0)
     else:
-        rate = schedule.tau / sigma
         out = np.where(w >= 0.0, 1.0 - np.exp(-rate * np.clip(w, 0.0, None)), 0.0)
     return out if out.ndim else float(out)
 
@@ -208,7 +204,6 @@ def run_ensemble(config: EngineConfig, bins="fd") -> WorkStatistics:
         stderr=stderr,
         n_traj=config.n_traj,
         t=config.t_final,
-        policy=config.policy,
     )
 
 
@@ -229,9 +224,7 @@ def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSe
 
 def power_series(config: EngineConfig, t_grid: Sequence[float]) -> PowerSeries:
     """Analytic engine power J(t) = nu(t)**2 / tau on the grid."""
-    schedule = sigma_schedule(
-        config.nbar, config.channels(), config.resolved_dt, max(t_grid)
-    )
+    schedule = sigma_schedule(config.with_updates(t_final=max(t_grid)))
     power = np.array(
         [schedule.nu_at(t) ** 2 / schedule.tau for t in t_grid], dtype=float
     )
@@ -264,15 +257,13 @@ def monte_carlo_power(
     return mids, est, err
 
 
-def efficiency_series(
-    config: EngineConfig, t_grid: Sequence[float], n_batches: int = 100
-) -> EfficiencySeries:
+def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> EfficiencySeries:
     """Ensemble efficiency eta(t) = <W>/<Q> under per-step extraction.
 
     Q adds to the harvested work the energy still stored in the covariances,
     (q3 + q5)/4 - 1/2 (the general form, valid also for asymmetric
     channels).  Standard errors come from batch means over trajectory
-    sub-ensembles.
+    sub-ensembles (EFFICIENCY_BATCHES of them, at most n_traj // 2).
     """
     if config.policy != "per-step":
         raise UnsupportedConfigurationError(
@@ -281,7 +272,7 @@ def efficiency_series(
     horizon = max(t_grid)
     record = run_ensemble_arrays(config.with_updates(t_final=horizon), t_grid)
     excess = 0.25 * (record.cov[:, 0] + record.cov[:, 2]) - 0.5
-    n_batches = max(2, min(n_batches, config.n_traj // 2))
+    n_batches = max(2, min(EFFICIENCY_BATCHES, config.n_traj // 2))
 
     eta = np.empty(len(t_grid))
     err = np.empty(len(t_grid))
@@ -294,12 +285,7 @@ def efficiency_series(
             for b in np.array_split(w, n_batches)
         ]
         err[i] = float(np.std(batch_eta, ddof=1)) / math.sqrt(n_batches)
-    return EfficiencySeries(
-        t=np.asarray(t_grid, dtype=float),
-        eta=eta,
-        stderr=err,
-        tau_ratio=config.tau2 / config.tau1,
-    )
+    return EfficiencySeries(t=np.asarray(t_grid, dtype=float), eta=eta, stderr=err)
 
 
 def ks_compare(
@@ -322,5 +308,4 @@ def ks_compare(
         statistic=float(result.statistic),
         pvalue=float(result.pvalue),
         passed=bool(result.pvalue >= level),
-        level=level,
     )

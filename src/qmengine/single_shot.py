@@ -18,6 +18,9 @@ import numpy as np
 from scipy.special import erfc
 
 TWO_PI = 2.0 * math.pi
+#: Range and spacing of the u grid that max_binary_efficiency searches.
+EFFICIENCY_U_MAX = 5.0
+EFFICIENCY_U_STEP = 1e-3
 
 
 def sample_outcomes(
@@ -75,15 +78,13 @@ def binary_efficiency(nbar: float, r0: float) -> float:
     return binary_average_work(nbar, r0) / (1.0 + nbar)
 
 
-def max_binary_efficiency(
-    u_max: float = 5.0, u_step: float = 1e-3
-) -> tuple[float, float]:
+def max_binary_efficiency() -> tuple[float, float]:
     """Maximize sqrt(pi) * u * erfc(u/2) on a dense grid; returns (u*, eta*).
 
     A one-dimensional grid suffices because the efficiency collapses onto the
     single variable u = r0 / sqrt(1 + nbar).
     """
-    u = np.arange(0.0, u_max + 0.5 * u_step, u_step)
+    u = np.arange(0.0, EFFICIENCY_U_MAX + 0.5 * EFFICIENCY_U_STEP, EFFICIENCY_U_STEP)
     eta = math.sqrt(math.pi) * u * erfc(0.5 * u)
     best = int(np.argmax(eta))
     return float(u[best]), float(eta[best])

@@ -72,7 +72,7 @@ def test_c04_work_distribution():
         n_traj=10_000, policy="terminal", seed=404,
     )
     stats = qm.run_ensemble(cfg)
-    schedule = qm.sigma_schedule(0.0, cfg.channels(), cfg.resolved_dt, 1.0)
+    schedule = qm.sigma_schedule(cfg)
     assert schedule.mean_work_at(1.0) == pytest.approx(0.25, abs=1e-12)
     ks = qm.ks_compare(
         stats.samples, lambda w: qm.exact_work_cdf(w, 1.0, schedule), level=0.01
@@ -91,7 +91,7 @@ def test_c05_mean_work_curve():
     )
     grid = [0.5, 1.0, 2.5, 5.0]
     series = qm.mean_work_curve(cfg, grid)
-    schedule = qm.sigma_schedule(0.0, cfg.channels(), cfg.resolved_dt, 5.0)
+    schedule = qm.sigma_schedule(cfg)
     zs = [
         abs(series.mean[i] - schedule.mean_work_at(t)) / series.stderr[i]
         for i, t in enumerate(grid)
@@ -107,7 +107,7 @@ def test_c05_mean_work_curve():
 
 def test_c06_power_and_steady_state():
     # analytic: thermal start relaxes to nu = 1/2, J_ss * tau = 1/4
-    schedule = qm.sigma_schedule(1.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 20.0)
+    schedule = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=0.01, t_final=20.0))
     nu_final = schedule.nu_at(20.0)
     analytic_ok = abs(nu_final - 0.5) < 1e-3 and abs(nu_final**2 - 0.25) < 1e-3
 

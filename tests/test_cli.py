@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine import cli, feedback
+from qmengine.config import MAX_N_STEPS
 
 
 def run_cli(args: list[str]) -> int:
@@ -130,6 +133,17 @@ class TestParsing:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and key in err[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["binary", "--r0", "1e300"], ["single-shot", "--nbar", "1e308"]],
+        ids=["r0-squared-overflows", "work-sum-overflows"],
+    )
+    def test_overflow_exits_one_with_one_line(self, tmp_path, capsys, argv):
+        code = run_cli([*argv, "--n-traj", "10", "--output-dir", str(tmp_path)])
+        assert code == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_asymmetric_ito_rejected(self, tmp_path):
         code = run_cli(
@@ -386,6 +400,26 @@ class TestFamilies:
             0.8498918380799311, rel=1e-12
         )
 
+    def test_binary_defaults_to_a_sample_that_powers_the_1pct_gate(self, tmp_path):
+        # 10^5 samples put the 1% bound at about 3.2 standard errors; at 10^4
+        # (1.0 se) the default run failed at seed 0
+        assert run_cli(["binary", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "cycles.csv").read_text().splitlines()
+        assert len([l for l in lines if not l.startswith("#")]) == 1 + 100_000
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["n_traj"] == 100_000
+
+    @pytest.mark.parametrize("source", ["flag", "config-file"])
+    def test_explicit_binary_sample_size_wins(self, tmp_path, source):
+        argv = ["binary"]
+        if source == "flag":
+            argv += ["--n-traj", "500"]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"n_traj": 500}))
+            argv += ["--config", str(path)]
+        assert cli.parse_config(cli.build_parser().parse_args(argv)).n_traj == 500
+
     def test_classical(self, tmp_path):
         assert run_cli(
             ["classical", "--kbt", "2", "--n-traj", "50000", "--seed", "2",
@@ -458,6 +492,16 @@ class TestPresets:
         # (figure-2f); the default step is derived from the spacing instead
         code = run_cli(
             ["presets", *argv, "--tau", "0.7", "--seed", "3", "--output-dir", str(tmp_path)]
+        )
+        assert code in (0, 2)
+        assert (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_every_preset_runs_at_a_short_measurement_time(self, tmp_path, preset):
+        # each preset's default step follows tau, so none is too coarse for it
+        code = run_cli(
+            ["presets", preset, "--tau", "0.07", "--n-traj", "20", "--seed", "3",
+             "--output-dir", str(tmp_path)]
         )
         assert code in (0, 2)
         assert (tmp_path / "summary.json").exists()
@@ -539,6 +583,21 @@ class TestExitCodes:
         assert len(err) == 1 and "second worker failed" in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("policy", ["terminal", "per-step"])
+    def test_no_measurement_skips_only_the_ks_check(self, tmp_path, policy):
+        # with both channels off every work sample is exactly 0, the mean the
+        # schedule predicts; KS does not apply to that point mass
+        code = run_cli(
+            ["continuous", "--tau", "inf", "--policy", policy, "--n-traj", "150",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert list(summary["checks"]) == ["mean_work_within_3se"]
+        assert summary["results"]["expected_mean_work"] == 0.0
+        assert "point mass" in summary["results"]["ks_not_applicable"]
+
     @pytest.mark.parametrize("n_traj", [1, 50, 99])
     def test_small_sample_skips_only_the_ks_check(self, tmp_path, n_traj):
         code = run_cli(
@@ -554,3 +613,137 @@ class TestExitCodes:
         samples = load_csv(tmp_path / "work_samples.csv")["work"]
         assert len(samples) == n_traj
         assert (tmp_path / "trajectory.csv").exists()
+
+
+#: Families whose configuration the fuzz test draws; each run stays small.
+FUZZ_FAMILIES = ("single-shot", "binary", "classical", "continuous")
+_NAN, _INF = float("nan"), float("inf")
+#: Values of the wrong type for a numeric field; only a config file carries them.
+_WRONG_TYPES = st.one_of(st.booleans(), st.text(max_size=3), st.just([1]), st.just({}))
+
+
+def _below(bound: float) -> st.SearchStrategy:
+    return st.floats(max_value=bound, allow_nan=False, allow_infinity=False)
+
+
+#: Per engine key: (valid values, invalid values).  A valid value keeps a run
+#: small (t_final <= 1, n_traj <= 200) and inside every domain constraint.
+_FUZZ_KEYS = {
+    "nbar": (st.floats(0.0, 10.0), st.one_of(st.sampled_from([_NAN, _INF]), _below(-1e-9))),
+    "tau1": (
+        st.one_of(st.floats(0.1, 10.0), st.just(_INF)),
+        st.one_of(st.sampled_from([_NAN, -_INF]), _below(0.0)),
+    ),
+    "tau2": (
+        st.one_of(st.floats(0.1, 10.0), st.just(_INF)),
+        st.one_of(st.sampled_from([_NAN, -_INF]), _below(0.0)),
+    ),
+    "t_final": (
+        st.floats(0.01, 1.0),
+        # a horizon of more than MAX_N_STEPS default steps is too long
+        st.one_of(st.sampled_from([_NAN, _INF, -_INF]), _below(0.0), st.floats(2e4, 1e300)),
+    ),
+    "n_traj": (st.integers(1, 200), st.integers(max_value=0)),
+    "seed": (st.integers(0, 2**64), st.integers(max_value=-1)),
+    "r0": (st.floats(0.05, 5.0), st.one_of(st.sampled_from([_NAN, _INF]), _below(0.0))),
+    "demon_kbtd": (
+        st.floats(0.0, 5.0), st.one_of(st.sampled_from([_NAN, _INF]), _below(-1e-9))
+    ),
+    "policy": (st.sampled_from(cli.POLICIES), st.sampled_from(["", "bogus", "Terminal"])),
+    "scheme": (st.sampled_from(cli.SCHEMES), st.sampled_from(["", "bogus", "ITO"])),
+}
+
+
+#: How a drawn input is made invalid; None (drawn 4 times in 10) leaves it valid.
+_FAULTS = (None,) * 4 + ("value", "dt", "type", "unknown-key", "non-object", "ito")
+
+
+@st.composite
+def fuzz_invocation(draw):
+    """A family, its flags, the text of an optional JSON config file, and
+    whether the input is invalid by construction."""
+    family = draw(st.sampled_from(FUZZ_FAMILIES), label="family")
+    fault = draw(
+        st.sampled_from(_FAULTS + (("flag",) if family == "classical" else ())),
+        label="fault",
+    )
+    keys = draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS))), label="keys") | {"n_traj"}
+    broken = None
+    if fault == "value":
+        broken = draw(st.sampled_from(sorted(keys)), label="broken")
+    values = {key: draw(_FUZZ_KEYS[key][key == broken], label=key) for key in sorted(keys)}
+    horizon = values.get("t_final", 1.0)
+    if fault == "dt":
+        values["dt"] = draw(
+            st.one_of(
+                st.just(_NAN),
+                st.floats(0.11, 1e3),  # coarser than 0.1 * min(tau1, tau2, 1)
+                st.floats(2.0 * MAX_N_STEPS, 1e300).map(lambda n: horizon / n),
+            ),
+            label="dt",
+        )
+    elif broken != "t_final" and draw(st.booleans(), label="explicit dt"):
+        values["dt"] = horizon / draw(st.integers(100, 400), label="steps")
+    # the Ito ledger needs symmetric channels
+    if fault == "ito":
+        values["scheme"] = "ito"
+        values["tau1"] = draw(_FUZZ_KEYS["tau1"][0], label="tau1")
+        values["tau2"] = draw(
+            _FUZZ_KEYS["tau2"][0].filter(lambda tau: tau != values["tau1"]), label="tau2"
+        )
+    elif values.get("scheme") == "ito" and values.get("tau1") != values.get("tau2"):
+        values["scheme"] = "stratonovich"
+
+    in_file = {}
+    flags = []
+    for key, value in values.items():
+        if draw(st.booleans(), label=f"{key} in file"):
+            in_file[key] = value
+        else:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    if fault == "type":
+        key = draw(st.sampled_from(sorted(_FUZZ_KEYS)), label="mistyped key")
+        in_file[key] = draw(st.just(3) if key in ("policy", "scheme") else _WRONG_TYPES)
+        flags = [f for f in flags if not f.startswith(f"--{key.replace('_', '-')}=")]
+    elif fault == "unknown-key":
+        in_file[draw(st.sampled_from(["nbarr", "tau", "spring_k", "delta"]))] = 1.0
+    text = json.dumps(in_file) if in_file else None
+    if fault == "non-object":
+        text = json.dumps(draw(st.sampled_from([[1, 2], 3.5, "nbar", None])))
+    if family == "classical":
+        spring_k = draw(st.floats(0.1, 10.0), label="spring_k")
+        kbt = draw(st.floats(0.0, 5.0), label="kbt")
+        if fault == "flag":
+            bad = draw(st.sampled_from([-1.0, _NAN, _INF]), label="bad flag value")
+            spring_k, kbt = draw(st.sampled_from([(bad, kbt), (spring_k, bad), (0.0, kbt)]))
+        flags += [f"--spring-k={spring_k}", f"--kbt={kbt}"]
+    return family, flags, text, fault is not None
+
+
+class TestConfigFuzz:
+    @given(invocation=fuzz_invocation())
+    @settings(max_examples=80, deadline=None)
+    def test_exit_status_matches_the_outputs(self, invocation):
+        family, flags, config_text, invalid = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            argv = [family, *flags, "--output-dir", str(out)]
+            if config_text is not None:
+                path = Path(tmp) / "config.json"
+                path.write_text(config_text)
+                argv += ["--config", str(path)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+            assert code in ((1,) if invalid else (0, 2))
+            if code == 1:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and "Traceback" not in lines[0]
+                assert not out.exists() or not any(out.iterdir())
+                return
+            manifest = json.loads((out / "manifest.json").read_text())
+            on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
+            assert set(manifest["files"]) == on_disk
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["all_checks_passed"] is (code == 0)

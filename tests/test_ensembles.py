@@ -34,9 +34,7 @@ def sigma_closed_form(q3_0: float, tau: float, t) -> np.ndarray:
 
 class TestExactWorkDistribution:
     def setup_method(self):
-        self.schedule = qm.sigma_schedule(
-            0.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 1.0
-        )
+        self.schedule = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01))
 
     def test_normalized(self):
         total, _ = quad(lambda w: qm.exact_work_pdf(w, 1.0, self.schedule), 0.0, np.inf)
@@ -61,35 +59,42 @@ class TestExactWorkDistribution:
         assert qm.exact_work_cdf(-1e-9, 0.0, self.schedule) == 0.0
 
 
+    def test_no_measurement_is_a_point_mass_at_zero(self):
+        schedule = qm.sigma_schedule(qm.EngineConfig(tau1=math.inf, tau2=math.inf, dt=0.01))
+        assert schedule.mean_work_at(1.0) == 0.0
+        assert qm.exact_work_cdf(0.0, 1.0, schedule) == 1.0
+        assert qm.exact_work_cdf(-1e-9, 1.0, schedule) == 0.0
+        with pytest.raises(DegenerateWorkDistributionError):
+            qm.exact_work_pdf(0.1, 1.0, schedule)
+
+
 class TestSigmaSchedule:
     def test_vacuum_gives_quarter_t(self):
-        sched = qm.sigma_schedule(0.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 5.0)
+        sched = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01, t_final=5.0))
         assert np.allclose(sched.sigma, 0.25 * sched.t, atol=1e-12)
 
     def test_matches_closed_form_integral(self):
         dt = 2e-4
-        sched = qm.sigma_schedule(1.0, qm.MeasurementChannels(1.0, 1.0), dt, 2.0)
+        sched = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=dt, t_final=2.0))
         exact = sigma_closed_form(3.0, 1.0, sched.t)
         assert np.abs(sched.sigma - exact).max() < 1e-6
 
     def test_monotone_with_steady_slope(self):
-        sched = qm.sigma_schedule(1.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 20.0)
+        sched = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=0.01, t_final=20.0))
         assert np.all(np.diff(sched.sigma) >= 0.0)
         late_slope = (sched.sigma_at(20.0) - sched.sigma_at(19.0)) / 1.0
         assert late_slope == pytest.approx(0.25, abs=1e-4)
 
     def test_asymmetric_channels_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
-            qm.sigma_schedule(0.0, qm.MeasurementChannels(1.0, 0.9), 0.01, 1.0)
+            qm.sigma_schedule(qm.EngineConfig(tau2=0.9, dt=0.01))
 
     def test_per_step_scale(self):
-        sched = qm.sigma_schedule(
-            0.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 1.0, policy="per-step"
-        )
+        sched = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01), policy="per-step")
         assert sched.sigma_at(1.0) == pytest.approx(0.25 * 0.01, rel=1e-12)
 
     def test_off_grid_time_rejected(self):
-        sched = qm.sigma_schedule(0.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 1.0)
+        sched = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01))
         with pytest.raises(ValueError):
             sched.sigma_at(0.0147)
 
@@ -142,7 +147,7 @@ class TestMeanWorkCurve:
         )
         grid = [0.5, 1.0]
         series = qm.mean_work_curve(cfg, grid)
-        sched = qm.sigma_schedule(0.0, cfg.channels(), cfg.resolved_dt, 1.0)
+        sched = qm.sigma_schedule(cfg)
         for i, t in enumerate(grid):
             assert abs(series.mean[i] - sched.mean_work_at(t)) <= 3.0 * series.stderr[i]
         assert series.mean[1] > series.mean[0]

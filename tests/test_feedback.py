@@ -55,7 +55,7 @@ class TestStratonovichLedger:
         rec = run_ensemble_arrays(cfg, [1.0])
         w = rec.ledger_cum[0]
         se = w.std(ddof=1) / math.sqrt(len(w))
-        schedule = qm.sigma_schedule(1.0, cfg.channels(), cfg.resolved_dt, 1.0)
+        schedule = qm.sigma_schedule(cfg)
         assert abs(w.mean() - schedule.mean_work_at(1.0)) <= 3.0 * se
 
 
@@ -305,7 +305,9 @@ class TestStreamLayout:
             seen.append(noise.copy())
             return _advance(config, cov, noise, start, record)
 
-        with mock.patch.object(feedback, "_advance", recording_advance):
+        # one worker, so the chunks reach recording_advance in trajectory order
+        with mock.patch.object(feedback, "_advance", recording_advance), \
+                mock.patch.object(feedback, "worker_threads", lambda: 1):
             run_ensemble_arrays(cfg, [cfg.t_final])
             ensemble_noise = np.concatenate(seen)
             single = {}
