@@ -198,14 +198,18 @@ def _config_echo(config: EngineConfig, with_path: bool = False) -> dict:
 
 
 class _Run:
-    """Tracks output files and their digests so failures can clean up.
+    """Creates the output directory and tracks the files written to it and
+    their digests, so failures can clean up.
 
     A path is registered before it is written, so cleanup also removes a
-    file whose write failed partway.
+    file whose write failed partway.  A directory the run created is removed
+    by cleanup when it is left empty.
     """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
+        self.created = not out_dir.exists()
+        out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
         self.digests: dict[str, str] = {}
 
@@ -226,6 +230,8 @@ class _Run:
     def cleanup(self) -> None:
         for path in self.files:
             path.unlink(missing_ok=True)
+        if self.created and not any(self.out_dir.iterdir()):
+            self.out_dir.rmdir()
 
 
 def _emit_trajectory(run: _Run, config: EngineConfig) -> None:
@@ -510,7 +516,6 @@ def run_experiment(args: argparse.Namespace) -> int:
     family = args.family
     label = family if family != "presets" else args.preset
     out_dir = config.output_path or Path(f"qmengine-out-{label}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     run = _Run(out_dir)
     try:
         if family == "single-shot":

@@ -120,6 +120,8 @@ class EngineConfig:
                 f"t_final={self.t_final} with dt={dt} needs {steps:.6g} steps; "
                 f"at most {MAX_N_STEPS} are allowed"
             )
+        # the horizon must lie on the step grid, as every checkpoint must
+        self.step_index(self.t_final)
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
         if self.policy not in POLICIES:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import kstest
 
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
 from .feedback import EnsembleRecord, run_ensemble_arrays
 from .gaussian import covariance_series
+from .kolmogorov import two_sided_test
 
 #: Smallest sample the KS comparison accepts.
 KS_MIN_SAMPLES = 100
@@ -296,16 +296,20 @@ def ks_compare(
     """Two-sided Kolmogorov-Smirnov test of samples against an analytic CDF.
 
     Passes when the p-value is at or above the significance level, i.e. the
-    statistic is below the corresponding critical value.
+    statistic is below the corresponding critical value.  The p-value is the
+    exact one, Pr(D_n >= D) (``kolmogorov.kstwo_sf``).  A sample containing
+    NaN gives statistic and p-value NaN and does not pass.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot run a KS comparison on an empty sample")
     if samples.size < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {samples.size}")
-    result = kstest(samples, cdf)
+    if np.isnan(samples).any():
+        return KsResult(statistic=math.nan, pvalue=math.nan, passed=False)
+    statistic, pvalue = two_sided_test(samples, cdf)
     return KsResult(
-        statistic=float(result.statistic),
-        pvalue=float(result.pvalue),
-        passed=bool(result.pvalue >= level),
+        statistic=float(statistic),
+        pvalue=float(pvalue),
+        passed=bool(pvalue >= level),
     )

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -69,6 +73,17 @@ class TestParsing:
         with pytest.raises(ValueError, match=r"t_final=1.0 with dt=1e-09 needs 1e\+09 steps"):
             qm.EngineConfig(dt=1e-9).validate()
         qm.EngineConfig(dt=1e-6).validate()  # exactly the cap
+
+    def test_off_grid_step_exits_one_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["continuous", "--dt", "0.003", "--n-traj", "50", "--output-dir", str(out)]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "step grid" in err[0]
+        assert not out.exists()
+        # the same step is valid on a horizon it divides
+        assert run_cli(argv + ["--t-final", "0.999"]) == 0
+        assert (out / "summary.json").exists()
 
     def test_flags_override_config_file(self, tmp_path):
         cfg_file = tmp_path / "base.json"
@@ -161,6 +176,24 @@ def continuous_run(tmp_path_factory):
          "--n-traj", "2000", "--seed", "7", "--output-dir", str(out)]
     )
     return code, out
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_stats_and_integrate(self):
+        # each costs most of a second on every call; only scipy.special is needed
+        code = (
+            "import qmengine.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True, timeout=60,
+        )
+        loaded = ast.literal_eval(proc.stdout.strip())
+        assert "scipy.special" in loaded
+        for heavy in ("scipy.stats", "scipy.integrate"):
+            assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]
 
 
 class TestOutputs:
@@ -562,6 +595,12 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "KS comparison failed" in err[0]
+        assert list(tmp_path.iterdir()) == []
+        # an output directory the run created goes with the files
+        fresh = tmp_path / "out"
+        with mock.patch.object(cli, "ks_compare", side_effect=failure):
+            code = run_cli(["continuous", "--n-traj", "200", "--output-dir", str(fresh)])
+        assert code == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_worker_error_exits_one_with_one_line(self, tmp_path, capsys):

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import kstest, kstwo, norm
 
 import qmengine as qm
+from qmengine import kolmogorov
 from qmengine.errors import (
     DegenerateWorkDistributionError,
     UnsupportedConfigurationError,
 )
 from qmengine.feedback import run_ensemble_arrays
+
+
+def exp_cdf(w):
+    return 1.0 - np.exp(-np.clip(w, 0, None))
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 def riccati_q3_closed_form(q3_0: float, tau: float, t) -> np.ndarray:
@@ -245,3 +256,81 @@ class TestKsCompare:
             qm.ks_compare(np.array([]), lambda w: w)
         with pytest.raises(ValueError):
             qm.ks_compare(np.ones(50), lambda w: w)
+
+    @pytest.mark.parametrize("edge", ["nan", "+inf"])
+    def test_non_finite_sample_matches_the_reference(self, edge):
+        samples = qm.NoiseSource(25).generator().exponential(1.0, size=500)
+        samples[17] = np.nan if edge == "nan" else np.inf
+        # like exact_work_cdf, this CDF maps NaN to 0 instead of propagating it
+        cdf = lambda w: np.where(w >= 0.0, exp_cdf(w), 0.0)
+        res = qm.ks_compare(samples, cdf)
+        if edge == "nan":
+            # as scipy's nan_policy="propagate": NaN out, and the check fails
+            assert math.isnan(res.statistic) and math.isnan(res.pvalue)
+            assert res.passed is False
+        else:
+            ref = kstest(samples, cdf, method="exact")
+            assert bits(res.statistic) == bits(ref.statistic)
+            assert bits(res.pvalue) == bits(ref.pvalue)
+
+
+#: (n, d) pairs that reach each branch of the survival function; the name
+#: is the branch, and the helper it must call (None: a closed form).
+SF_BRANCHES = {
+    "d-at-most-half-over-n": (100, 0.005, None),
+    "d-at-least-one": (100, 1.0, None),
+    "nd-at-most-1-n<=140": (5, 0.19, None),
+    "nd-at-most-1-n>140": (200, 0.004, None),
+    "nd-at-least-n-1": (5, 0.85, None),
+    "nd-at-least-n-1-large-n": (100, 0.995, None),
+    "d-at-least-half": (100, 0.6, "smirnov"),
+    "n<=140-dmtw": (100, 0.08, "_kolmogn_DMTW"),
+    "n<=140-dmtw-edge": (100, 0.086, "_kolmogn_DMTW"),
+    "n<=140-pomeranz": (100, 0.15, "_kolmogn_Pomeranz"),
+    "n<=140-smirnov": (140, 0.25, "smirnov"),
+    "n>140-ndd>=370": (10_000, 0.2, None),
+    "n>140-ndd>=2.2-smirnov": (10_000, 0.02, "smirnov"),
+    "n>140-dmtw": (141, 0.02, "_kolmogn_DMTW"),
+    "n>140-dmtw-rescaled": (10_000, 0.0025, "_kolmogn_DMTW"),
+    "n>140-dmtw-n=1e5": (100_000, 0.00025, "_kolmogn_DMTW"),
+    "n>140-pelz-good": (141, 0.05, "_kolmogn_PelzGood"),
+    "n>140-pelz-good-wide": (10_000, 0.01, "_kolmogn_PelzGood"),
+    "n>1e5-pelz-good": (200_000, 0.002, "_kolmogn_PelzGood"),
+    "n>1e5-pelz-good-edge": (100_001, 0.00025, "_kolmogn_PelzGood"),
+    "n>1e5-pelz-good-underflow": (200_000, 7.5e-6, "_kolmogn_PelzGood"),
+}
+HELPERS = ("smirnov", "_kolmogn_DMTW", "_kolmogn_Pomeranz", "_kolmogn_PelzGood")
+
+
+class TestKolmogorovPort:
+    @pytest.mark.parametrize(
+        "n,d,helper", list(SF_BRANCHES.values()), ids=list(SF_BRANCHES)
+    )
+    def test_survival_function_matches_scipy_bit_for_bit(self, n, d, helper):
+        spies = {
+            name: mock.patch.object(
+                kolmogorov, name, wraps=getattr(kolmogorov, name)
+            )
+            for name in HELPERS
+        }
+        with contextlib.ExitStack() as stack:
+            called = {name: stack.enter_context(spy) for name, spy in spies.items()}
+            sf = kolmogorov.kstwo_sf(d, n)
+        assert bits(sf) == bits(kstwo.sf(d, n))
+        assert {name for name, spy in called.items() if spy.called} == (
+            {helper} if helper else set()
+        )
+
+    def test_nan_statistic_has_nan_survival(self):
+        assert math.isnan(kolmogorov.kstwo_sf(math.nan, 100))
+
+    @pytest.mark.parametrize("n", [100, 120, 141, 10_000, 50_000])
+    def test_ks_compare_matches_scipy_bit_for_bit(self, n):
+        rng = qm.NoiseSource(26, n).generator()
+        for scale in (1.0, 1.02, 1.3):
+            samples = rng.exponential(scale, size=n)
+            res = qm.ks_compare(samples, exp_cdf)
+            ref = kstest(samples, exp_cdf, method="exact")
+            assert bits(res.statistic) == bits(ref.statistic)
+            assert bits(res.pvalue) == bits(ref.pvalue)
+            assert res.passed is bool(ref.pvalue >= 0.01)
