@@ -42,7 +42,7 @@ from .ensembles import (
     run_ensemble,
     sigma_schedule,
 )
-from .errors import UncertaintyViolationError
+from .errors import DegenerateWorkDistributionError, UncertaintyViolationError
 from .feedback import STREAM_LAYOUT, ensemble_workers, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
@@ -202,13 +202,17 @@ class _Run:
     their digests, so failures can clean up.
 
     A path is registered before it is written, so cleanup also removes a
-    file whose write failed partway.  A directory the run created is removed
-    by cleanup when it is left empty.
+    file whose write failed partway.  The directories the run created, the
+    output directory and any missing parents, are removed by cleanup when
+    they are left empty.
     """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
-        self.created = not out_dir.exists()
+        # innermost first, as cleanup removes them
+        self.created = list(
+            itertools.takewhile(lambda d: not d.exists(), [out_dir, *out_dir.parents])
+        )
         out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
         self.digests: dict[str, str] = {}
@@ -230,8 +234,10 @@ class _Run:
     def cleanup(self) -> None:
         for path in self.files:
             path.unlink(missing_ok=True)
-        if self.created and not any(self.out_dir.iterdir()):
-            self.out_dir.rmdir()
+        for directory in self.created:
+            if any(directory.iterdir()):
+                break
+            directory.rmdir()
 
 
 def _emit_trajectory(run: _Run, config: EngineConfig) -> None:
@@ -388,16 +394,15 @@ def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
     centers = 0.5 * (stats.bin_edges[:-1] + stats.bin_edges[1:])
     widths = np.diff(stats.bin_edges)
     density = stats.counts / (config.n_traj * widths)
-    run.csv(
-        "histogram.csv",
-        ["work histogram with the exact exponential overlay"],
-        {
-            "bin_center": centers,
-            "count": stats.counts,
-            "density": density,
-            "exact_pdf": exact_work_pdf(centers, config.t_final, schedule),
-        },
-    )
+    columns = {"bin_center": centers, "count": stats.counts, "density": density}
+    try:
+        columns["exact_pdf"] = exact_work_pdf(centers, config.t_final, schedule)
+        comment = "work histogram with the exact exponential overlay"
+    except DegenerateWorkDistributionError as exc:
+        # a point mass at W = 0 has no density to overlay
+        out["results"]["exact_pdf_not_applicable"] = str(exc)
+        comment = "work histogram; no exact overlay: all probability mass at W = 0"
+    run.csv("histogram.csv", [comment], columns)
     return out
 
 

@@ -29,6 +29,12 @@ MAX_DT_FRACTION = 0.1
 #: Most steps a run may take; the covariance series and a trajectory's noise
 #: grow linearly with it (24 and 16 bytes per step).
 MAX_N_STEPS = 10**6
+#: Largest nbar, and largest r0**2, a run accepts (energies in hbar*omega).
+#: Work samples then stay below 50 * MAX_ENERGY unless an exponential
+#: deviate passes 50 (probability e**-50 each), so the sample variance, a
+#: sum of their squares, stays finite up to 1.8e308 / (50 * MAX_ENERGY)**2,
+#: about 7e24 samples.
+MAX_ENERGY = 1e140
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,8 +104,8 @@ class EngineConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 0.0 <= self.nbar < math.inf:
-            raise ValueError(f"nbar must be finite and >= 0, got {self.nbar}")
+        if not 0.0 <= self.nbar <= MAX_ENERGY:
+            raise ValueError(f"nbar must lie in [0, {MAX_ENERGY:g}], got {self.nbar}")
         if not self.tau1 > 0.0 or not self.tau2 > 0.0:
             raise ValueError(
                 f"measurement times must be positive, got ({self.tau1}, {self.tau2})"
@@ -133,8 +139,10 @@ class EngineConfig:
                 "the Ito work ledger is defined only for symmetric channels "
                 f"(tau1 == tau2); got ({self.tau1}, {self.tau2})"
             )
-        if not 0.0 < self.r0 < math.inf:
-            raise ValueError(f"r0 must be finite and > 0, got {self.r0}")
+        if not 0.0 < self.r0 <= math.sqrt(MAX_ENERGY):
+            raise ValueError(
+                f"r0 must lie in (0, {math.sqrt(MAX_ENERGY):g}], got {self.r0}"
+            )
         if not 0.0 <= self.demon_kbtd < math.inf:
             raise ValueError(
                 f"demon_kbtd must be finite and >= 0, got {self.demon_kbtd}"

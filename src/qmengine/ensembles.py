@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+# np.histogram(bins="fd") reaches numpy.ma through np.quantile; loaded here,
+# its cost stays in the import instead of inside the first run
+import numpy.ma
 
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError

@@ -25,6 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its submodules on first use; loading this one here keeps its
+# cost in the import instead of inside the first run
+import numpy.random
 
 from .errors import UncertaintyViolationError
 

@@ -16,6 +16,9 @@ are Ruben-Gambino at both ends, Durbin's matrix algorithm as computed by
 Marsaglia, Tsang & Wang (J. Stat. Softw. 8(18), 2003), the Pomeranz
 recursion (Comm. ACM 17(12), 1974), the Pelz-Good asymptotic series
 (J. R. Stat. Soc. B 38(2), 1976) and ``2*scipy.special.smirnov``.
+``scipy.special`` is imported only when a p-value needs ``smirnov`` (d >= 1/2,
+or n*d**2 above 4 for n <= 140 and above 2.2 for larger n, i.e. p below about
+0.024), so the import stays out of every other run.
 
 The ported code carries SciPy's licence:
 
@@ -56,7 +59,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import smirnov
 
 # Scale factors for the intermediate results of DMTW and Pomeranz.  They are
 # long doubles, as in scipy: scaling a float64 promotes it, and the
@@ -105,6 +107,14 @@ def kstwo_sf(d: float, n: int) -> np.float64:
     if x >= 1.0:
         return np.float64(0.0)
     return np.float64(_kolmogn_sf(n, x))
+
+
+def smirnov(n, d):
+    """``scipy.special.smirnov``, the one-sided Pr(D_n+ >= d), imported on
+    first use: ``scipy.special`` takes about a third of a second to load."""
+    from scipy.special import smirnov as scipy_smirnov
+
+    return scipy_smirnov(n, d)
 
 
 def _clip_prob(p):

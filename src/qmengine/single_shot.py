@@ -8,6 +8,11 @@ exponential with mean 1 + nbar, i.e. the measurement adds one quantum on
 average.  Full feedback shifts the trap onto the outcome and harvests
 W = r**2 (units of hbar*omega); the binary variant shifts the trap by a fixed
 amount r0 only when r >= r0/2.
+
+``erfc`` is a port of Cephes ``erfc`` (``ndtr.c``, as ``scipy.special.erfc``
+evaluates it), so the closed forms match scipy's bit for bit without
+importing ``scipy.special``.  Cephes Math Library, Release 2.8, June 2000;
+Copyright 1984, 1987, 1988, 1992, 2000 by Stephen L. Moshier.
 """
 
 from __future__ import annotations
@@ -15,12 +20,96 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
 
 TWO_PI = 2.0 * math.pi
 #: Range and spacing of the u grid that max_binary_efficiency searches.
 EFFICIENCY_U_MAX = 5.0
 EFFICIENCY_U_STEP = 1e-3
+
+# Cephes ndtr.c: erfc(x) = exp(-x**2) P(x)/Q(x) for 1 <= x < 8 and
+# exp(-x**2) R(x)/S(x) for x >= 8; erf(x) = x T(x**2)/U(x**2) for |x| <= 1.
+# Cephes leaves the leading 1 of Q, S and U implied (p1evl); 1.0*x == x, so
+# writing it out gives the same bits.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+#: log(DBL_MAX): exp(-x*x) underflows to zero for x*x beyond it (|x| > 26.64).
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x, coef):
+    """coef[0]*x**n + ... + coef[n] in Cephes' Horner order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc_scalar(a: float) -> float:
+    x = abs(a)
+    if not x >= 1.0:  # also NaN
+        z = a * a
+        return 1.0 - a * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    if a * a > _MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    y = math.exp(-a * a) * _polevl(x, p) / _polevl(x, q)
+    return 2.0 - y if a < 0.0 else y
+
+
+def erfc(x):
+    """Complementary error function of a float or an array, bit for bit as
+    Cephes ``erfc`` (``scipy.special.erfc``) computes it.
+
+    1 - erf(x) for |x| < 1; exp(-x**2) times a rational function of |x|
+    beyond, reflected as 2 - erfc(|x|) for x < 0; 0 or 2 where exp(-x**2)
+    underflows.  exp(-x**2) is libm's, taken element by element through
+    math.exp: numpy's vectorised exp differs from it in the last bit at
+    some points.  An array's Horner steps and divisions run in numpy; a
+    scalar is computed in Python floats, which is faster for one value.
+    """
+    if np.ndim(x) == 0:
+        return _erfc_scalar(float(x))
+    a = np.asarray(x, dtype=float)
+    ax = np.abs(a)
+    out = np.where(a < 0.0, 2.0, 0.0)  # where exp(-a*a) underflows
+    out[np.isnan(a)] = math.nan
+    near = ax < 1.0
+    s = a[near]
+    z = s * s
+    out[near] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    # clipped so that squaring cannot overflow; 30**2 is past _MAXLOG too
+    tail = (ax >= 1.0) & (np.minimum(ax, 30.0) ** 2 <= _MAXLOG)
+    v, xv = a[tail], ax[tail]
+    y = np.array([math.exp(-t * t) for t in v.tolist()])
+    low = xv < 8.0
+    y[low] = y[low] * _polevl(xv[low], _ERFC_P) / _polevl(xv[low], _ERFC_Q)
+    y[~low] = y[~low] * _polevl(xv[~low], _ERFC_R) / _polevl(xv[~low], _ERFC_S)
+    out[tail] = np.where(v < 0.0, 2.0 - y, y)
+    return out
 
 
 def sample_outcomes(
@@ -66,7 +155,7 @@ def binary_average_work(nbar: float, r0: float) -> float:
     if r0 <= 0.0:
         raise ValueError(f"shift threshold must be > 0, got {r0}")
     scale = 1.0 + nbar
-    return r0 * math.sqrt(math.pi * scale) * float(erfc(r0 / (2.0 * math.sqrt(scale))))
+    return r0 * math.sqrt(math.pi * scale) * erfc(r0 / (2.0 * math.sqrt(scale)))
 
 
 def binary_efficiency(nbar: float, r0: float) -> float:

@@ -8,6 +8,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine import cli, feedback
-from qmengine.config import MAX_N_STEPS
+from qmengine.config import MAX_ENERGY, MAX_N_STEPS
 
 
 def run_cli(args: list[str]) -> int:
@@ -149,10 +150,12 @@ class TestParsing:
         assert code == 1
         assert len(err) == 1 and key in err[0]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "argv",
-        [["binary", "--r0", "1e300"], ["single-shot", "--nbar", "1e308"]],
-        ids=["r0-squared-overflows", "work-sum-overflows"],
+        [["binary", "--r0", "1e300"], ["single-shot", "--nbar", "1e308"],
+         ["binary", "--nbar", "1e308"]],
+        ids=["r0-squared-overflows", "work-sum-overflows", "binary-variance-overflows"],
     )
     def test_overflow_exits_one_with_one_line(self, tmp_path, capsys, argv):
         code = run_cli([*argv, "--n-traj", "10", "--output-dir", str(tmp_path)])
@@ -180,10 +183,11 @@ def continuous_run(tmp_path_factory):
 
 class TestStartup:
     def test_cli_import_leaves_out_scipy_stats_and_integrate(self):
-        # each costs most of a second on every call; only scipy.special is needed
+        # each costs a third of a second or more on every call; scipy.special
+        # is loaded only by a KS p-value in the smirnov branch
         code = (
             "import qmengine.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.', 'numpy.'))))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
         proc = subprocess.run(
@@ -191,9 +195,10 @@ class TestStartup:
             check=True, timeout=60,
         )
         loaded = ast.literal_eval(proc.stdout.strip())
-        assert "scipy.special" in loaded
-        for heavy in ("scipy.stats", "scipy.integrate"):
+        for heavy in ("scipy.special", "scipy.stats", "scipy.integrate"):
             assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]
+        # numpy submodules the runs use are loaded with the package, not in a run
+        assert {"numpy.random", "numpy.ma"} <= set(loaded)
 
 
 class TestOutputs:
@@ -478,6 +483,30 @@ class TestFamilies:
 
         json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single-shot"],
+            ["binary"],
+            ["binary", "--nbar", "0"],  # no outcome reaches r0/2
+            ["continuous", "--t-final", "1e-150", "--dt", "1e-152"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_largest_energies_keep_the_summary_finite(self, tmp_path, argv):
+        family, *flags = argv
+        code = run_cli(
+            [family, "--nbar", str(MAX_ENERGY), "--r0", str(math.sqrt(MAX_ENERGY)),
+             *flags, "--n-traj", "20000", "--seed", "5", "--output-dir", str(tmp_path)]
+        )
+        assert code in (0, 2)
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+
     def test_per_step_continuous(self, tmp_path):
         assert run_cli(
             ["continuous", "--policy", "per-step", "--t-final", "1", "--n-traj", "2000",
@@ -497,6 +526,19 @@ class TestPresets:
         assert np.all(table["exact_pdf"] >= 0.0)
         # histogram densities integrate to one
         assert float((table["density"] * widths).sum()) == pytest.approx(1.0, rel=0.02)
+
+    @pytest.mark.filterwarnings("error")
+    def test_figure_2b_without_measurement_has_no_overlay(self, tmp_path):
+        # every work sample is 0: the exact law is a point mass with no density
+        assert run_cli(
+            ["presets", "figure-2b", "--tau", "inf", "--n-traj", "200",
+             "--output-dir", str(tmp_path)]
+        ) == 0
+        table = load_csv(tmp_path / "histogram.csv")
+        assert list(table) == ["bin_center", "count", "density"]
+        assert table["count"].sum() == 200
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert "W = 0" in summary["results"]["exact_pdf_not_applicable"]
 
     def test_figure_2c_columns(self, tmp_path):
         assert run_cli(
@@ -602,6 +644,12 @@ class TestExitCodes:
             code = run_cli(["continuous", "--n-traj", "200", "--output-dir", str(fresh)])
         assert code == 1
         assert list(tmp_path.iterdir()) == []
+        # and so do the parents that were made for it
+        nested = tmp_path / "a" / "b" / "out"
+        with mock.patch.object(cli, "ks_compare", side_effect=failure):
+            code = run_cli(["continuous", "--n-traj", "200", "--output-dir", str(nested)])
+        assert code == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_worker_error_exits_one_with_one_line(self, tmp_path, capsys):
         # the second of two workers fails partway through the ensemble
@@ -665,10 +713,17 @@ def _below(bound: float) -> st.SearchStrategy:
     return st.floats(max_value=bound, allow_nan=False, allow_infinity=False)
 
 
+def _above(bound: float) -> st.SearchStrategy:
+    return st.floats(min_value=bound, exclude_min=True, allow_infinity=False)
+
+
 #: Per engine key: (valid values, invalid values).  A valid value keeps a run
 #: small (t_final <= 1, n_traj <= 200) and inside every domain constraint.
 _FUZZ_KEYS = {
-    "nbar": (st.floats(0.0, 10.0), st.one_of(st.sampled_from([_NAN, _INF]), _below(-1e-9))),
+    "nbar": (
+        st.floats(0.0, MAX_ENERGY),
+        st.one_of(st.sampled_from([_NAN, _INF]), _below(-1e-9), _above(MAX_ENERGY)),
+    ),
     "tau1": (
         st.one_of(st.floats(0.1, 10.0), st.just(_INF)),
         st.one_of(st.sampled_from([_NAN, -_INF]), _below(0.0)),
@@ -684,7 +739,10 @@ _FUZZ_KEYS = {
     ),
     "n_traj": (st.integers(1, 200), st.integers(max_value=0)),
     "seed": (st.integers(0, 2**64), st.integers(max_value=-1)),
-    "r0": (st.floats(0.05, 5.0), st.one_of(st.sampled_from([_NAN, _INF]), _below(0.0))),
+    "r0": (
+        st.floats(0.0, math.sqrt(MAX_ENERGY), exclude_min=True),
+        st.one_of(st.sampled_from([_NAN, _INF]), _below(0.0), _above(math.sqrt(MAX_ENERGY))),
+    ),
     "demon_kbtd": (
         st.floats(0.0, 5.0), st.one_of(st.sampled_from([_NAN, _INF]), _below(-1e-9))
     ),
@@ -711,6 +769,10 @@ def fuzz_invocation(draw):
     if fault == "value":
         broken = draw(st.sampled_from(sorted(keys)), label="broken")
     values = {key: draw(_FUZZ_KEYS[key][key == broken], label=key) for key in sorted(keys)}
+    if family == "continuous" and "nbar" in values and broken != "nbar":
+        # a larger nbar needs a finer step than drawn here, or the covariance
+        # step leaves the physical region and the run exits 1 by design
+        values["nbar"] = draw(st.floats(0.0, 10.0), label="continuous nbar")
     horizon = values.get("t_final", 1.0)
     if fault == "dt":
         values["dt"] = draw(

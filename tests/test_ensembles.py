@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -320,6 +325,35 @@ class TestKolmogorovPort:
         assert {name for name, spy in called.items() if spy.called} == (
             {helper} if helper else set()
         )
+
+    def test_smirnov_branch_loads_scipy_special_on_first_use(self):
+        # a fresh interpreter, so no other test has loaded scipy.special yet
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import qmengine as qm\n"
+            "loaded = ['scipy.special' in sys.modules]\n"
+            "samples = qm.NoiseSource(27).generator().exponential(1.03, size=10_000)\n"
+            "cdf = lambda w: 1.0 - np.exp(-np.clip(w, 0, None))\n"
+            "res = qm.ks_compare(samples, cdf)\n"
+            "loaded.append('scipy.special' in sys.modules)\n"
+            "from scipy.stats import kstest\n"
+            "ref = kstest(samples, cdf, method='exact')\n"
+            "print(json.dumps({'loaded': loaded,\n"
+            "    'ours': [res.statistic.hex(), res.pvalue.hex()],\n"
+            "    'scipy': [float(ref.statistic).hex(), float(ref.pvalue).hex()]}))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=60,
+        )
+        out = json.loads(proc.stdout)
+        assert out["loaded"] == [False, True]
+        assert out["ours"] == out["scipy"]
+        # n > 140 and 2.2 <= n*d**2 < 370: the branch that calls smirnov
+        d = float.fromhex(out["ours"][0])
+        assert 2.2 <= 10_000 * d * d < 370.0
 
     def test_nan_statistic_has_nan_survival(self):
         assert math.isnan(kolmogorov.kstwo_sf(math.nan, 100))

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import chi2, expon, kstest
 
 import qmengine as qm
+from qmengine import single_shot
 
 # sqrt(pi) * erfc(1/2), evaluated with mpmath at 30 digits
 SQRT_PI_ERFC_HALF = 0.8498918380799311
@@ -134,6 +136,37 @@ class TestBinaryEfficiency:
         for nbar in (0.0, 1.0, 3.0):
             for r0 in (0.5, 1.0, 2.0):
                 assert qm.binary_average_work(nbar, r0) < 1.0 + nbar
+
+
+#: Branch edges of Cephes erfc: |x| = 1 (erf form), 8 (P/Q to R/S), about
+#: 26.64 (exp(-x*x) underflows: x*x > MAXLOG) and the non-finite inputs.
+_MAXLOG_CUT = math.sqrt(single_shot._MAXLOG)
+ERFC_EDGES = np.array(
+    [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
+    + [np.nextafter(e, 0.0) for e in (1.0, -1.0, 8.0, -8.0)]
+    + [sign * (_MAXLOG_CUT + k * 4e-15) for sign in (1, -1) for k in range(-5, 6)]
+)
+
+
+class TestErfc:
+    @pytest.mark.filterwarnings("error")
+    def test_erfc_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        points = np.concatenate([
+            ERFC_EDGES,
+            rng.uniform(-30.0, 30.0, 100_000),
+            rng.normal(0.0, 2.0, 50_000),
+            np.arange(0.0, 5.0 + 5e-4, 1e-3) / 2,  # the max_binary_efficiency grid
+        ])
+        ref = special.erfc(points)
+        # the array path, also on a 2-d array
+        assert single_shot.erfc(points).tobytes() == ref.tobytes()
+        assert single_shot.erfc(points[:600].reshape(20, 30)).tobytes() == ref[:600].tobytes()
+        # the scalar path: every edge and a subsample of the rest
+        for x, want in zip(points[:5_000], ref[:5_000]):
+            got = single_shot.erfc(float(x))
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == want.tobytes(), x
 
 
 class TestAddedQuantum:
