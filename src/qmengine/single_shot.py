@@ -86,30 +86,14 @@ def erfc(x):
 
     1 - erf(x) for |x| < 1; exp(-x**2) times a rational function of |x|
     beyond, reflected as 2 - erfc(|x|) for x < 0; 0 or 2 where exp(-x**2)
-    underflows.  exp(-x**2) is libm's, taken element by element through
-    math.exp: numpy's vectorised exp differs from it in the last bit at
-    some points.  An array's Horner steps and divisions run in numpy; a
-    scalar is computed in Python floats, which is faster for one value.
+    underflows.  exp(-x**2) is libm's, through math.exp: numpy's vectorised
+    exp differs from it in the last bit at some points.  An array is
+    evaluated element by element in Python floats.
     """
     if np.ndim(x) == 0:
         return _erfc_scalar(float(x))
     a = np.asarray(x, dtype=float)
-    ax = np.abs(a)
-    out = np.where(a < 0.0, 2.0, 0.0)  # where exp(-a*a) underflows
-    out[np.isnan(a)] = math.nan
-    near = ax < 1.0
-    s = a[near]
-    z = s * s
-    out[near] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    # clipped so that squaring cannot overflow; 30**2 is past _MAXLOG too
-    tail = (ax >= 1.0) & (np.minimum(ax, 30.0) ** 2 <= _MAXLOG)
-    v, xv = a[tail], ax[tail]
-    y = np.array([math.exp(-t * t) for t in v.tolist()])
-    low = xv < 8.0
-    y[low] = y[low] * _polevl(xv[low], _ERFC_P) / _polevl(xv[low], _ERFC_Q)
-    y[~low] = y[~low] * _polevl(xv[~low], _ERFC_R) / _polevl(xv[~low], _ERFC_S)
-    out[tail] = np.where(v < 0.0, 2.0 - y, y)
-    return out
+    return np.array([_erfc_scalar(t) for t in a.ravel().tolist()], dtype=float).reshape(a.shape)
 
 
 def sample_outcomes(

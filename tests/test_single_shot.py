@@ -159,10 +159,10 @@ class TestErfc:
             np.arange(0.0, 5.0 + 5e-4, 1e-3) / 2,  # the max_binary_efficiency grid
         ])
         ref = special.erfc(points)
-        # the array path, also on a 2-d array
+        # arrays, also a 2-d one
         assert single_shot.erfc(points).tobytes() == ref.tobytes()
         assert single_shot.erfc(points[:600].reshape(20, 30)).tobytes() == ref[:600].tobytes()
-        # the scalar path: every edge and a subsample of the rest
+        # Python floats in, Python floats out: every edge and a subsample of the rest
         for x, want in zip(points[:5_000], ref[:5_000]):
             got = single_shot.erfc(float(x))
             assert isinstance(got, float)
