@@ -30,6 +30,12 @@ from .kolmogorov import two_sided_test
 KS_MIN_SAMPLES = 100
 #: Batches whose means give the efficiency series' standard errors.
 EFFICIENCY_BATCHES = 100
+#: The EnsembleRecord field that holds each policy's work sample.
+WORK_FIELDS = {
+    "terminal": "displacement_energy",
+    "per-step": "step_work",
+    "none": "ledger_cum",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,16 +191,12 @@ def work_samples(record: EnsembleRecord, policy: str, row: int = -1) -> np.ndarr
     per-step -> the single-step harvest ending at that time;
     none     -> the accrued ledger value (diagnostics).
     """
-    if policy == "terminal":
-        return record.displacement_energy[row]
-    if policy == "per-step":
-        return record.step_work[row]
-    return record.ledger_cum[row]
+    return getattr(record, WORK_FIELDS[policy])[row]
 
 
 def run_ensemble(config: EngineConfig, bins="fd") -> WorkStatistics:
     """Run config.n_traj independent trajectories and bin the work at t_final."""
-    record = run_ensemble_arrays(config, [config.t_final])
+    record = run_ensemble_arrays(config, [config.t_final], [WORK_FIELDS[config.policy]])
     samples = work_samples(record, config.policy)
     counts, bin_edges = np.histogram(samples, bins=bins)
     mean, variance, stderr = _moments(samples)
@@ -217,7 +219,9 @@ def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSe
             f"mean work curve is defined for the terminal policy, got {config.policy!r}"
         )
     horizon = max(t_grid)
-    record = run_ensemble_arrays(config.with_updates(t_final=horizon), t_grid)
+    record = run_ensemble_arrays(
+        config.with_updates(t_final=horizon), t_grid, ["displacement_energy"]
+    )
     means = np.empty(len(t_grid))
     errs = np.empty(len(t_grid))
     for i in range(len(t_grid)):
@@ -247,7 +251,9 @@ def monte_carlo_power(
             f"power estimate is defined for the terminal policy, got {config.policy!r}"
         )
     horizon = max(t_grid)
-    record = run_ensemble_arrays(config.with_updates(t_final=horizon), t_grid)
+    record = run_ensemble_arrays(
+        config.with_updates(t_final=horizon), t_grid, ["displacement_energy"]
+    )
     w = record.displacement_energy
     mids = np.empty(len(t_grid) - 1)
     est = np.empty(len(t_grid) - 1)
@@ -273,7 +279,9 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
             f"efficiency series is defined for the per-step policy, got {config.policy!r}"
         )
     horizon = max(t_grid)
-    record = run_ensemble_arrays(config.with_updates(t_final=horizon), t_grid)
+    record = run_ensemble_arrays(
+        config.with_updates(t_final=horizon), t_grid, ["extracted_cum"]
+    )
     excess = 0.25 * (record.cov[:, 0] + record.cov[:, 2]) - 0.5
     n_batches = max(2, min(EFFICIENCY_BATCHES, config.n_traj // 2))
 

@@ -23,8 +23,11 @@ conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
 and banks (q1**2 + q2**2)/2 units of hbar*omega.  ``_per_step``, which
 ``_advance`` calls for the per-step policy, is the only reset code: every
 step after the first starts at the origin, so it takes the steps in tiles of
-trajectories by steps rather than one at a time.  The covariances stay
-untouched because the kernel only reads them, from
+trajectories by steps rather than one at a time.  ``_free`` takes the steps
+of the other policies in order, into buffers allocated once.  Both
+compute only what their caller records: an ensemble caller names the
+``EnsembleRecord`` fields it reads, and a field not asked for is None.  The
+covariances stay untouched because the kernel only reads them, from
 ``gaussian.covariance_series``.  The policies are:
 
 * ``per-step``  -- the trap is re-centered after every measurement step,
@@ -45,12 +48,13 @@ normal form).  Both ledgers agree with the harvested work in ensemble mean.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import pairwise
 from threading import Event
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -71,6 +75,11 @@ STREAM_BLOCK = 256
 #: axes, so its seven buffers take at most 7 * 256 * 64 * 8 bytes (0.9 MB).
 TILE_TRAJ = 256
 TILE_STEPS = 64
+
+#: Bytes of the free policies' time-major noise copy, per worker: the copy
+#: takes at most FREE_SCRATCH // 16 trajectories by as many steps (at most
+#: TILE_STEPS) as fit.
+FREE_SCRATCH = 2**20
 
 #: The noise layout of ensembles, as recorded in each run's manifest.
 STREAM_LAYOUT = {
@@ -121,32 +130,38 @@ class EnsembleRecord:
     All arrays have shape (n_checkpoints, n_traj) except ``cov`` which holds
     the shared deterministic covariance triplet at each checkpoint.  The
     displacement energy is taken from the means after the mean update and
-    before any reset.
+    before any reset.  A field the caller of ``run_ensemble_arrays`` did not
+    ask for is None.
     """
 
     cov: np.ndarray
-    ledger_cum: np.ndarray
-    extracted_cum: np.ndarray
-    displacement_energy: np.ndarray
-    step_work: np.ndarray
+    ledger_cum: np.ndarray | None
+    extracted_cum: np.ndarray | None
+    displacement_energy: np.ndarray | None
+    step_work: np.ndarray | None
+
+
+#: The per-trajectory fields of EnsembleRecord, which a caller may ask for.
+RECORD_FIELDS = ("ledger_cum", "extracted_cum", "displacement_energy", "step_work")
 
 
 @dataclass(frozen=True, slots=True)
 class _Steps:
-    """What ``_advance`` records: arrays of shape (len(record), m).
+    """What ``_advance`` records: arrays of shape (len(record), m), or None.
 
     Row i belongs to the step ending at grid point record[i].  A row for
-    grid point 0 holds the starting means and zeros elsewhere.
+    grid point 0 holds the starting means and zeros elsewhere.  A field that
+    the caller did not ask for is None.
     """
 
-    q1: np.ndarray  # means after the mean update, before any reset
-    q2: np.ndarray
-    r1: np.ndarray  # readouts of the step
-    r2: np.ndarray
-    increment: np.ndarray  # work-ledger increment of the step
-    ledger: np.ndarray  # running sum of the increments
-    harvest: np.ndarray  # work banked by a per-step reset at this step
-    harvested: np.ndarray  # running sum of the harvests
+    q1: np.ndarray | None  # means after the mean update, before any reset
+    q2: np.ndarray | None
+    r1: np.ndarray | None  # readouts of the step
+    r2: np.ndarray | None
+    increment: np.ndarray | None  # work-ledger increment of the step
+    ledger: np.ndarray | None  # running sum of the increments
+    harvest: np.ndarray | None  # work banked by a per-step reset at this step
+    harvested: np.ndarray | None  # running sum of the harvests
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,12 +227,17 @@ def _step(s: _Rates, q1, q2, g1, g2, c3, c4, c5):
     return rr1, rr2, new1, new2, dW
 
 
+#: The fields of ``_Steps``, all of which ``_advance`` records by default.
+STEP_FIELDS = _Steps.__slots__
+
+
 def _advance(
     config: EngineConfig,
     cov: np.ndarray,
     noise: np.ndarray,
     start: tuple[float, float],
     record: Sequence[int],
+    fields: Collection[str] = STEP_FIELDS,
 ) -> _Steps:
     """Advance m trajectories by noise.shape[1] conditional-state steps.
 
@@ -225,39 +245,141 @@ def _advance(
     and step, consumed also for unmonitored channels so the stream layout
     does not depend on the channel setup.  ``cov`` holds the covariance
     triplet (q3, q4, q5) at grid points 0..n_steps, ``start`` the means at
-    grid point 0, and ``record`` the grid points to record.  The scheme
-    picks the ledger rule.  Under ``per-step`` the means are reset after
-    every step and ``_per_step`` takes the steps in tiles; otherwise the
-    means evolve freely, one ``_step`` at a time.
+    grid point 0, ``record`` the grid points to record and ``fields`` the
+    ``_Steps`` fields to record; the others are None, and only what the
+    recorded ones need is computed.  The scheme picks the ledger rule.
+    Under ``per-step`` the means are reset after every step and
+    ``_per_step`` takes the steps in tiles; otherwise the means evolve
+    freely and ``_free`` takes the steps in order.
     """
-    m, n_steps, _ = noise.shape
+    m = len(noise)
     rates = _rates(config, cov)
-    out = _Steps(*(np.zeros((len(record), m)) for _ in range(8)))
+    out = _Steps(
+        *(np.zeros((len(record), m)) if name in fields else None for name in STEP_FIELDS)
+    )
     rows = {int(k): i for i, k in enumerate(record)}
     row = rows.get(0)
-    if row is not None:
-        out.q1[row] = start[0]
-        out.q2[row] = start[1]
+    for field, value in ((out.q1, start[0]), (out.q2, start[1])):
+        if row is not None and field is not None:
+            field[row] = value
     if config.policy == "per-step":
         _per_step(rates, cov, noise, start, rows, out)
-        return out
-
-    q1 = np.full(m, float(start[0]))
-    q2 = np.full(m, float(start[1]))
-    led = np.zeros(m)
-    for k in range(n_steps):
-        g = noise[:, k]
-        rr1, rr2, q1, q2, dW = _step(rates, q1, q2, g[:, 0], g[:, 1], *cov[k])
-        led = led + dW
-        row = rows.get(k + 1)
-        if row is not None:
-            out.q1[row] = q1
-            out.q2[row] = q2
-            out.r1[row] = rr1
-            out.r2[row] = rr2
-            out.increment[row] = dW
-            out.ledger[row] = led
+    else:
+        _free(rates, cov, noise, start, rows, out)
     return out
+
+
+def _free(
+    s: _Rates,
+    cov: np.ndarray,
+    noise: np.ndarray,
+    start: tuple[float, float],
+    rows: dict[int, int],
+    out: _Steps,
+) -> None:
+    """The free policies: fill ``out`` as a loop of ``_step`` calls would.
+
+    The means evolve without resets, so the steps run in order.  Each step
+    applies ``_step``'s operations, in the same order, into buffers
+    allocated once; ``-q1 + y`` is taken as ``y - q1``, which rounds alike.
+    Within a step no operation writes into one of its own inputs: numpy
+    checks such an overlap on every call, which costs more than the
+    arithmetic when m is small.  The ledger increment is taken only if
+    ``out`` records it or its running sum.  The noise is read from a
+    time-major copy, scaled by the readout weights, made for at most
+    FREE_SCRATCH // 16 trajectories by as many steps (at most TILE_STEPS) as
+    fit FREE_SCRATCH bytes at a time, so each step reads its normals
+    contiguously.
+    """
+    m, n_steps, _ = noise.shape
+    dt, w1, w2, i1, i2 = s.dt, s.w1, s.w2, s.i1, s.i2
+    ledger = out.increment is not None or out.ledger is not None
+    c3, c4, c5 = cov[:n_steps].T
+    # per step: the products c3*i1 etc. of _step and the Ito drift
+    nu = 0.5 * c3
+    a1, b1, a2, b2, drift = (
+        v.tolist() for v in (c3 * i1, c4 * i2, c4 * i1, c5 * i2, nu * nu / s.tau1 * dt)
+    )
+    c3, c4, c5 = c3.tolist(), c4.tolist(), c5.tolist()
+
+    width = min(m, FREE_SCRATCH // 16)
+    span = max(1, min(TILE_STEPS, FREE_SCRATCH // (16 * width)))
+    noise_t = np.empty((span, 2, width))
+    weights = np.array([[w1], [w2]])
+    buffers = np.empty((13, width))
+    for j0 in range(0, m, width):
+        j1 = min(j0 + width, m)
+        q1, q2, n1, n2, r1, r2, u1, u2, t1, t2, t3, dw, led = buffers[:, : j1 - j0]
+        q1.fill(start[0])
+        q2.fill(start[1])
+        led.fill(0.0)
+        for k0 in range(0, n_steps, span):
+            k1 = min(k0 + span, n_steps)
+            tile = noise_t[: k1 - k0, :, : j1 - j0]
+            np.copyto(tile, noise[j0:j1, k0:k1].transpose(1, 2, 0))
+            tile *= weights  # w*g
+            for k, (wg1, wg2) in enumerate(tile, k0):
+                # readouts q + w*g and innovations r - q
+                np.add(wg1, q1, r1)
+                np.add(wg2, q2, r2)
+                np.subtract(r1, q1, u1)
+                np.subtract(r2, q2, u2)
+                # new1 = q1 + dt*((q2 + c3*i1*innov1) + c4*i2*innov2)
+                np.multiply(u1, a1[k], t1)
+                np.add(t1, q2, t2)
+                np.multiply(u2, b1[k], t1)
+                np.add(t2, t1, t3)
+                np.multiply(t3, dt, t1)
+                np.add(t1, q1, n1)
+                # new2 = q2 + dt*((-q1 + c4*i1*innov1) + c5*i2*innov2)
+                np.multiply(u1, a2[k], t1)
+                np.subtract(t1, q1, t2)
+                np.multiply(u2, b2[k], t1)
+                np.add(t2, t1, t3)
+                np.multiply(t3, dt, t1)
+                np.add(t1, q2, n2)
+                if ledger:
+                    # inc_i = innov_i*i_i*dt
+                    np.multiply(u1, i1, t1)
+                    np.multiply(t1, dt, u1)
+                    np.multiply(u2, i2, t1)
+                    np.multiply(t1, dt, u2)
+                    if s.ito:
+                        # (nu**2/tau*dt + q1*c3*inc1) + q2*c5*inc2
+                        np.multiply(q1, c3[k], t1)
+                        np.multiply(t1, u1, t2)
+                        np.add(t2, drift[k], t3)
+                        np.multiply(q2, c5[k], t1)
+                        np.multiply(t1, u2, t2)
+                        np.add(t3, t2, dw)
+                    else:
+                        # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2 with the
+                        # midpoints m_i = 0.5*(q_i + new_i) written over q_i
+                        np.add(q1, n1, t1)
+                        np.multiply(t1, 0.5, q1)
+                        np.add(q2, n2, t1)
+                        np.multiply(t1, 0.5, q2)
+                        np.multiply(q1, c3[k], t1)
+                        np.multiply(q2, c4[k], t2)
+                        np.add(t1, t2, t3)
+                        np.multiply(t3, u1, dw)
+                        np.multiply(q1, c4[k], t1)
+                        np.multiply(q2, c5[k], t2)
+                        np.add(t1, t2, t3)
+                        np.multiply(t3, u2, t1)
+                        np.add(dw, t1, t2)
+                        dw, t2 = t2, dw
+                    np.add(led, dw, t1)
+                    led, t1 = t1, led
+                row = rows.get(k + 1)
+                if row is not None:
+                    for field, value in ((out.q1, n1), (out.q2, n2), (out.r1, r1),
+                                         (out.r2, r2), (out.increment, dw),
+                                         (out.ledger, led)):
+                        if field is not None:
+                            field[row, j0:j1] = value
+                q1, n1 = n1, q1
+                q2, n2 = n2, q2
 
 
 def _per_step(
@@ -279,7 +401,10 @@ def _per_step(
     result, such as a ``0.0 +`` that cannot change the sign of a zero.  The
     first step starts from ``start`` and is taken by ``_step`` itself.  Running
     sums are cumulative sums along the steps, with the previous tile's total
-    added to the first column, so they add in the loop's order.
+    added to the first column, so they add in the loop's order.  When ``out``
+    records no running sum, only the recorded steps are taken, their noise
+    and covariance rows gathered into the tiles; the harvest and the ledger
+    increment are taken only if ``out`` records them or their sums.
     """
     m, n_steps, _ = noise.shape
     dt = s.dt
@@ -288,22 +413,29 @@ def _per_step(
     if s.ito:
         nu = 0.5 * c3
         drift = nu * nu / s.tau1 * dt
+    ledger = out.increment is not None or out.ledger is not None
+    harvest = out.harvest is not None or out.harvested is not None
+    running = out.ledger is not None or out.harvested is not None
 
-    # recorded grid points 1..n_steps, and where each tile's run of them starts
+    # recorded grid points 1..n_steps, the steps to take (all of them for a
+    # running sum, else the recorded ones), each recorded step's position
+    # among them and where each tile's run of those positions starts
     grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
     grid_rows = np.array([rows[k] for k in grid], dtype=int)
-    edges = np.searchsorted(grid, np.arange(0, n_steps + TILE_STEPS, TILE_STEPS), "right")
+    steps = np.arange(n_steps) if running else grid - 1
+    pos = grid - 1 if running else np.arange(len(grid))
+    edges = np.searchsorted(pos, np.arange(0, len(steps) + TILE_STEPS, TILE_STEPS))
 
-    buffers = [np.empty((min(m, TILE_TRAJ), min(n_steps, TILE_STEPS))) for _ in range(7)]
+    buffers = [np.empty((min(m, TILE_TRAJ), min(len(steps), TILE_STEPS))) for _ in range(7)]
     for j0 in range(0, m, TILE_TRAJ):
         j1 = min(j0 + TILE_TRAJ, m)
         led = np.zeros(j1 - j0)
         ext = np.zeros(j1 - j0)
-        for t, k0 in enumerate(range(0, n_steps, TILE_STEPS)):
-            k1 = min(k0 + TILE_STEPS, n_steps)
-            cols = slice(k0, k1)
-            r1, r2, n1, n2, x, dw, h = (b[: j1 - j0, : k1 - k0] for b in buffers)
-            g = noise[j0:j1, k0:k1]
+        for t, i0 in enumerate(range(0, len(steps), TILE_STEPS)):
+            i1 = min(i0 + TILE_STEPS, len(steps))
+            cols = slice(i0, i1) if running else steps[i0:i1]
+            r1, r2, n1, n2, x, dw, h = (b[: j1 - j0, : i1 - i0] for b in buffers)
+            g = noise[j0:j1, cols]
 
             # readouts 0 + w*g, which are also the innovations r - 0
             np.multiply(g[:, :, 0], s.w1, out=r1)
@@ -323,30 +455,33 @@ def _per_step(
             n2 += x
             n2 *= dt
             n2 += 0.0
-            if k0 == 0:
+            first = steps[i0] == 0
+            if first:
                 q1 = np.full(j1 - j0, float(start[0]))
                 q2 = np.full(j1 - j0, float(start[1]))
                 r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(
                     s, q1, q2, g[:, 0, 0], g[:, 0, 1], *cov[0]
                 )
-            # harvest 0.5*(new1*new1 + new2*new2)
-            np.multiply(n1, n1, out=h)
-            np.multiply(n2, n2, out=x)
-            h += x
-            h *= 0.5
-            at = grid[edges[t]:edges[t + 1]] - 1 - k0
+            if harvest:
+                # harvest 0.5*(new1*new1 + new2*new2)
+                np.multiply(n1, n1, out=h)
+                np.multiply(n2, n2, out=x)
+                h += x
+                h *= 0.5
+            at = pos[edges[t]:edges[t + 1]] - i0
             into = grid_rows[edges[t]:edges[t + 1]]
             if len(at):
                 for field, tile in ((out.q1, n1), (out.q2, n2), (out.r1, r1),
                                     (out.r2, r2)):
-                    field[into, j0:j1] = tile[:, at].T
+                    if field is not None:
+                        field[into, j0:j1] = tile[:, at].T
 
-            if s.ito:
+            if ledger and s.ito:
                 # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
                 # for finite normals the products are signed zeros, and the
                 # drift (>= +0) plus a signed zero is the drift
                 dw[...] = drift[cols]
-            else:
+            elif ledger:
                 # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)
                 # and inc_i = innov_i*i_i*dt
                 r1 *= s.i1
@@ -364,20 +499,23 @@ def _per_step(
                 x += n2
                 x *= r2
                 dw += x
-            if k0 == 0:
+            if ledger and first:
                 dw[:, 0] = dw0
 
-            for tile, total, field, running in (
-                (dw, led, out.increment, out.ledger),
-                (h, ext, out.harvest, out.harvested),
+            for taken, tile, total, field, running_sum in (
+                (ledger, dw, led, out.increment, out.ledger),
+                (harvest, h, ext, out.harvest, out.harvested),
             ):
-                if len(at):
+                if not taken:
+                    continue
+                if field is not None and len(at):
                     field[into, j0:j1] = tile[:, at].T
-                tile[:, 0] += total
-                np.add.accumulate(tile, axis=1, out=tile)
-                total[:] = tile[:, -1]
-                if len(at):
-                    running[into, j0:j1] = tile[:, at].T
+                if running_sum is not None:
+                    tile[:, 0] += total
+                    np.add.accumulate(tile, axis=1, out=tile)
+                    total[:] = tile[:, -1]
+                    if len(at):
+                        running_sum[into, j0:j1] = tile[:, at].T
 
 
 def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord:
@@ -521,31 +659,46 @@ def _run_blocks(
     cp_idx: np.ndarray,
     streams: _BlockStreams,
     edges: list[int],
-    out: tuple[np.ndarray, ...],
+    out: dict[str, np.ndarray],
     cancel: Event,
 ) -> None:
     """Advance the chunks between consecutive edges into their columns of out.
 
-    Stops before its next chunk once cancel is set.
+    ``out`` maps the EnsembleRecord fields asked for to their arrays, and
+    each chunk records only the ``_Steps`` fields they are made of.  Stops
+    before its next chunk once cancel is set.
     """
-    ledger_cum, extracted_cum, displacement, step_work = out
-    buffer = np.empty((max(np.diff(edges)), config.n_steps, 2))
+    sources = {
+        "ledger_cum": ["ledger"],
+        "extracted_cum": ["harvested"],
+        "displacement_energy": ["q1", "q2"],
+        "step_work": ["harvest" if config.policy == "per-step" else "increment"],
+    }
+    fields = {field for name in out for field in sources[name]}
+    # an anonymous mapping rather than the heap: its pages go back to the
+    # system when the ensemble ends, so the next ensemble's buffers are not
+    # stranded beside freed heap memory that malloc keeps once its mmap
+    # threshold has risen to the size of a noise buffer
+    shape = (max(np.diff(edges)), config.n_steps, 2)
+    buffer = np.frombuffer(mmap.mmap(-1, 16 * shape[0] * shape[1])).reshape(shape)
     for a, b in pairwise(edges):
         if cancel.is_set():
             return
         noise = buffer[: b - a]
         streams.fill(noise)
-        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx)
-        ledger_cum[:, a:b] = steps.ledger
-        extracted_cum[:, a:b] = steps.harvested
-        displacement[:, a:b] = 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
-        step_work[:, a:b] = (
-            steps.harvest if config.policy == "per-step" else steps.increment
-        )
+        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx, fields)
+        for name, target in out.items():
+            if name == "displacement_energy":
+                target[:, a:b] = 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
+            else:
+                (field,) = sources[name]
+                target[:, a:b] = getattr(steps, field)
 
 
 def run_ensemble_arrays(
-    config: EngineConfig, checkpoints: Sequence[float]
+    config: EngineConfig,
+    checkpoints: Sequence[float],
+    fields: Collection[str] = RECORD_FIELDS,
 ) -> EnsembleRecord:
     """Advance n_traj independent trajectories, checkpointing work quantities.
 
@@ -563,8 +716,12 @@ def run_ensemble_arrays(
     Returns per-trajectory arrays at each checkpoint: the ledger cumulative,
     the cumulative harvested work, the displacement energy (q1**2+q2**2)/2
     of the running state before any reset at that step, and the single-step
-    harvest/increment of the step ending at the checkpoint.
+    harvest/increment of the step ending at the checkpoint.  ``fields``
+    names the ones to compute (by default all); the others are None.
     """
+    unknown = set(fields) - set(RECORD_FIELDS)
+    if unknown:
+        raise ValueError(f"not an EnsembleRecord field: {', '.join(sorted(unknown))}")
     config.validate()
     n_steps = config.n_steps
     cp_idx = np.array([config.step_index(tc) for tc in checkpoints], dtype=int)
@@ -579,7 +736,9 @@ def run_ensemble_arrays(
     )
 
     n_traj = config.n_traj
-    out = tuple(np.zeros((len(cp_idx), n_traj)) for _ in range(4))
+    out = {
+        name: np.zeros((len(cp_idx), n_traj)) for name in RECORD_FIELDS if name in fields
+    }
     plan = _layout(n_traj, n_steps)
     streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
     cancel = Event()
@@ -598,4 +757,4 @@ def run_ensemble_arrays(
             # next chunk, and the pool's exit waits for them
             cancel.set()
 
-    return EnsembleRecord(cov[cp_idx], *out)
+    return EnsembleRecord(cov[cp_idx], *(out.get(name) for name in RECORD_FIELDS))

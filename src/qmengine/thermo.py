@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_ENERGY
 from .single_shot import binary_average_work
 
 
@@ -33,8 +34,16 @@ class ClassicalConfig:
             raise ValueError(
                 f"spring constant must be finite and > 0, got {self.spring_k}"
             )
-        if not 0.0 <= self.kbt < math.inf:
-            raise ValueError(f"kB*T must be finite and >= 0, got {self.kbt}")
+        # W = kbt*g**2/2 for a standard normal g, so a bounded kbt keeps the
+        # samples and their variance finite, as MAX_ENERGY does for nbar; a
+        # bounded kbt/k keeps x ~ N(0, kbt/k) finite
+        if not 0.0 <= self.kbt <= MAX_ENERGY:
+            raise ValueError(f"kB*T must lie in [0, {MAX_ENERGY:g}], got {self.kbt}")
+        if not self.kbt / self.spring_k <= MAX_ENERGY**2:
+            raise ValueError(
+                f"kB*T / spring constant must be <= {MAX_ENERGY**2:g}, "
+                f"got {self.kbt / self.spring_k}"
+            )
         if self.n_samples < 1:
             raise ValueError(f"need at least one sample, got {self.n_samples}")
 

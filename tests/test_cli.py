@@ -154,8 +154,9 @@ class TestParsing:
     @pytest.mark.parametrize(
         "argv",
         [["binary", "--r0", "1e300"], ["single-shot", "--nbar", "1e308"],
-         ["binary", "--nbar", "1e308"]],
-        ids=["r0-squared-overflows", "work-sum-overflows", "binary-variance-overflows"],
+         ["binary", "--nbar", "1e308"], ["classical", "--kbt", "1e300"]],
+        ids=["r0-squared-overflows", "work-sum-overflows", "binary-variance-overflows",
+             "classical-variance-overflows"],
     )
     def test_overflow_exits_one_with_one_line(self, tmp_path, capsys, argv):
         code = run_cli([*argv, "--n-traj", "10", "--output-dir", str(tmp_path)])

@@ -231,6 +231,13 @@ CHUNK_CONFIGS = {
 }
 
 
+WORKER_CONFIGS = {
+    (policy, scheme): CHUNK_CONFIGS[policy].with_updates(scheme=scheme)
+    for policy in CHUNK_CONFIGS
+    for scheme in ("stratonovich", "ito")
+}
+
+
 @functools.cache
 def default_chunking(policy):
     return run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
@@ -276,6 +283,50 @@ class TestChunkInvariance:
             assert np.array_equal(harvested, ref.extracted_cum[1:, j])
 
 
+#: Grid point 0, step 1 and two later steps of the CHUNK_CONFIGS grid.
+FIELD_CHECKPOINTS = [0.0, 0.01, 0.1, 0.2]
+
+
+@functools.cache
+def all_fields(key):
+    with mock.patch.object(feedback, "STREAM_BLOCK", 4):
+        return run_ensemble_arrays(WORKER_CONFIGS[key], FIELD_CHECKPOINTS)
+
+
+def assert_same_fields(got, want, names, asked):
+    """Each asked field of got has the bits of want's; the others are None."""
+    for name in names:
+        a = getattr(got, name)
+        if name not in asked:
+            assert a is None, name
+            continue
+        b = getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+
+
+class TestFieldSubsets:
+    @given(
+        key=st.sampled_from(sorted(WORKER_CONFIGS)),
+        chunk=st.integers(1, 14),
+        fields=st.sets(st.sampled_from(feedback.RECORD_FIELDS), min_size=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_asked_fields_are_bit_identical_to_all_fields(self, key, chunk, fields):
+        # blocks of 4: 11 trajectories are 3 blocks, so with two CPUs and
+        # chunks of two blocks or more the ensemble runs on several workers
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
+            rec = run_ensemble_arrays(WORKER_CONFIGS[key], FIELD_CHECKPOINTS, fields)
+        ref = all_fields(key)
+        assert np.array_equal(rec.cov, ref.cov)
+        assert_same_fields(rec, ref, feedback.RECORD_FIELDS, fields)
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match="not an EnsembleRecord field: cov"):
+            run_ensemble_arrays(CHUNK_CONFIGS["terminal"], [0.2], ["cov"])
+
+
 @functools.cache
 def small_block_default_chunking(policy):
     with mock.patch.object(feedback, "STREAM_BLOCK", 4):
@@ -301,9 +352,9 @@ class TestStreamLayout:
         n = cfg.n_steps
         seen = []
 
-        def recording_advance(config, cov, noise, start, record):
+        def recording_advance(config, cov, noise, start, record, *fields):
             seen.append(noise.copy())
-            return _advance(config, cov, noise, start, record)
+            return _advance(config, cov, noise, start, record, *fields)
 
         # one worker, so the chunks reach recording_advance in trajectory order
         with mock.patch.object(feedback, "_advance", recording_advance), \
@@ -361,13 +412,6 @@ class TestStreamLayout:
         assert feedback._chunk_size(50, 100) == 128
 
 
-WORKER_CONFIGS = {
-    (policy, scheme): CHUNK_CONFIGS[policy].with_updates(scheme=scheme)
-    for policy in CHUNK_CONFIGS
-    for scheme in ("stratonovich", "ito")
-}
-
-
 @functools.cache
 def single_worker(key):
     with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
@@ -390,11 +434,11 @@ def blocked_workers(first_chunk, barrier):
         events.append(threading.Event())
         return events[-1]
 
-    def blocked_advance(config, cov, noise, start, record):
+    def blocked_advance(config, cov, noise, start, record, *fields):
         chunks.append(threading.current_thread())
         if chunks.count(chunks[-1]) == 1:
             first_chunk(barrier.wait(), events[0])
-        return advance(config, cov, noise, start, record)
+        return advance(config, cov, noise, start, record, *fields)
 
     with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
             mock.patch.object(feedback, "worker_threads", lambda: 2), \
@@ -697,3 +741,95 @@ class TestPerStepTiles:
         cfg, cov, noise, start, record = case
         got = _advance(cfg, cov, noise, start, record)
         assert_same_bits(got, reference_advance(cfg, cov, noise, start, record))
+
+
+
+class TestKernelFieldSubsets:
+    @given(
+        case=kernel_case("per-step") | kernel_case("terminal") | kernel_case("none"),
+        fields=st.sets(st.sampled_from(STEP_FIELDS), min_size=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_records_only_the_asked_fields(self, case, fields):
+        cfg, cov, noise, start, record = case
+        got = _advance(cfg, cov, noise, start, record, fields)
+        want = _advance(cfg, cov, noise, start, record)
+        assert_same_fields(got, want, STEP_FIELDS, fields)
+
+    @pytest.mark.parametrize("tile", [(256, 64), (2, 4)])
+    @given(
+        case=kernel_case("per-step"),
+        fields=st.sets(
+            st.sampled_from(["q1", "q2", "r1", "r2", "increment", "harvest"]), min_size=1
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recorded_steps_only_match_the_step_loop(self, tile, case, fields):
+        # no running sum asked for: only the recorded steps are taken, here
+        # always with grid point 0 and step 1 among them
+        cfg, cov, noise, start, record = case
+        record = [0, 1, *record]
+        with mock.patch.object(feedback, "TILE_TRAJ", tile[0]), \
+                mock.patch.object(feedback, "TILE_STEPS", tile[1]):
+            got = _advance(cfg, cov, noise, start, record, fields)
+        want = reference_advance(cfg, cov, noise, start, record)
+        assert_same_fields(got, want, STEP_FIELDS, fields)
+
+
+def step_call_advance(config, cov, noise, start, record):
+    """The free policies as one ``_step`` call per step, recording every field."""
+    rates = feedback._rates(config, cov)
+    m, n_steps, _ = noise.shape
+    out = _Steps(*(np.zeros((len(record), m)) for _ in STEP_FIELDS))
+    rows = {int(k): i for i, k in enumerate(record)}
+    if 0 in rows:
+        out.q1[rows[0]], out.q2[rows[0]] = start
+    q1 = np.full(m, float(start[0]))
+    q2 = np.full(m, float(start[1]))
+    led = np.zeros(m)
+    for k in range(n_steps):
+        rr1, rr2, q1, q2, dw = feedback._step(
+            rates, q1, q2, noise[:, k, 0], noise[:, k, 1], *cov[k]
+        )
+        led = led + dw
+        row = rows.get(k + 1)
+        if row is not None:
+            for name, value in (("q1", q1), ("q2", q2), ("r1", rr1), ("r2", rr2),
+                                ("increment", dw), ("ledger", led)):
+                getattr(out, name)[row] = value
+    return out
+
+
+class TestFreeLoop:
+    @pytest.mark.parametrize("scratch", [2**20, 96, 32])
+    @pytest.mark.parametrize("scheme", ["stratonovich", "ito"])
+    @pytest.mark.parametrize("policy", ["terminal", "none"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_one_step_call_per_step(self, m, policy, scheme, scratch):
+        # scratch 96 takes 3 trajectories by 2 steps, 32 takes 2 by 1
+        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=1.31, policy=policy, scheme=scheme)
+        n = cfg.n_steps
+        cov = qm.covariance_series(cfg.nbar, cfg.channels(), cfg.resolved_dt, n)
+        noise = np.random.default_rng(m).standard_normal((m, n, 2))
+        record = range(n + 1)
+        with mock.patch.object(feedback, "FREE_SCRATCH", scratch):
+            got = _advance(cfg, cov, noise, (0.3, -0.2), record)
+        assert_same_bits(got, step_call_advance(cfg, cov, noise, (0.3, -0.2), record))
+
+    @pytest.mark.parametrize("m", [1, 255, 4096, 65536, 65539])
+    def test_noise_copy_stays_within_the_scratch_bound(self, m):
+        # every time-major copy is made into one buffer of at most 2**20 bytes
+        cfg = qm.EngineConfig(dt=0.01, t_final=0.03, policy="terminal")
+        cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, 3)
+        noise = np.zeros((m, 3, 2))
+        buffers = []
+        copyto = np.copyto
+
+        def recording_copyto(dst, src, *args, **kwargs):
+            buffers.append(dst if dst.base is None else dst.base)
+            return copyto(dst, src, *args, **kwargs)
+
+        with mock.patch.object(np, "copyto", recording_copyto):
+            _advance(cfg, cov, noise, (0.0, 0.0), [3], ["q1"])
+        assert buffers and max(b.nbytes for b in buffers) <= 2**20
+        assert feedback.FREE_SCRATCH == 2**20

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmengine as qm
+from qmengine.config import MAX_ENERGY
 from qmengine.thermo import shannon_entropy_bit
 
 
@@ -59,6 +60,19 @@ class TestClassicalCycle:
                 qm.ClassicalConfig(spring_k=bad, kbt=1.0, n_samples=10)
             with pytest.raises(ValueError):
                 qm.ClassicalConfig(spring_k=1.0, kbt=bad, n_samples=10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_temperature_keeps_the_samples_finite(self):
+        # W = kbt*g**2/2: at the largest kbt and kbt/k the samples, the
+        # sampled positions and the variance of the work stay finite
+        for k in (1e-140, 1.0, 1e308):
+            cfg = qm.ClassicalConfig(spring_k=k, kbt=MAX_ENERGY, n_samples=10_000)
+            w = qm.classical_cycle(cfg, qm.NoiseSource(37).generator())
+            assert np.isfinite(np.var(w, ddof=1)) and w.mean() > 0.0
+        for k, kbt in ((1.0, 1e300), (1.0, 2 * MAX_ENERGY), (1e-141, MAX_ENERGY),
+                       (5e-324, 1.0)):
+            with pytest.raises(ValueError, match="kB\\*T"):
+                qm.ClassicalConfig(spring_k=k, kbt=kbt, n_samples=10)
 
 
 class TestBinaryMemory:
