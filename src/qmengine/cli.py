@@ -28,7 +28,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import BINARY_N_TRAJ, EngineConfig, POLICIES, SCHEMES
+from .config import EngineConfig, POLICIES, SCHEMES
 from .ensembles import (
     KS_MIN_SAMPLES,
     WorkStatistics,
@@ -93,20 +93,36 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="family", required=True)
     for name in ("single-shot", "binary", "continuous", "classical"):
         p = sub.add_parser(name)
+        p.set_defaults(label=name)
         _add_engine_flags(p)
         if name == "classical":
             p.add_argument("--spring-k", type=float, default=1.0)
             p.add_argument("--kbt", type=float, default=1.0)
     p = sub.add_parser("presets")
-    p.add_argument("preset", choices=PRESETS)
+    p.add_argument("label", metavar="preset", choices=PRESETS)
     _add_engine_flags(p)
     return parser
 
 
-def parse_config(args: argparse.Namespace) -> EngineConfig:
-    """Build the run configuration: flags override file values override defaults.
+#: The config values each preset fixes, applied by parse_config before
+#: validate: a flag or file value that differs is a usage error.  "spacing"
+#: is that of the preset's checkpoint grid, not a config value: the default
+#: dt divides it, and a given dt must.  figure-S3 sweeps tau2/tau1 itself,
+#: so parse_config also fixes its tau2 to tau1.
+_PRESET_VALUES = {
+    "figure-2b": {"policy": "terminal"},
+    "figure-2c": {"policy": "terminal", "t_final": 5.0, "spacing": 0.5},
+    "figure-2f": {"t_final": 10.0, "spacing": 0.25},
+    "figure-S3": {"policy": "per-step", "t_final": 25.0, "spacing": 1.0},
+}
+#: Defaults that flags and file values override; 10^5 binary samples put its
+#: 1% mean gate at about 3.2 standard errors.
+_DEFAULTS = {"binary": {"n_traj": 100_000}, "figure-2f": {"nbar": 1.0}}
 
-    The binary family defaults to BINARY_N_TRAJ samples, not DEFAULT_N_TRAJ.
+
+def parse_config(args: argparse.Namespace) -> EngineConfig:
+    """Build the validated config that runs: flags override file values,
+    which override _DEFAULTS; a value that _PRESET_VALUES fixes stays fixed.
     """
     values: dict = {}
     if args.config is not None:
@@ -122,8 +138,6 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
     for name in fields:
         if name != "output_path" and getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
-    if getattr(args, "family", None) == "binary":
-        values.setdefault("n_traj", BINARY_N_TRAJ)
     if getattr(args, "output_dir", None) is not None:
         values["output_path"] = Path(args.output_dir)
     elif "output_path" in values and values["output_path"] is not None:
@@ -134,8 +148,19 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
     unknown = set(values) - set(fields)
     if unknown:
         raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
-    config = EngineConfig(**values)
-    config.validate()
+    fixed = dict(_PRESET_VALUES.get(args.label, {}))
+    spacing = fixed.pop("spacing", None)
+    if args.label == "figure-S3":
+        fixed["tau2"] = values.get("tau1", EngineConfig().tau1)
+    for name, value in fixed.items():
+        if name in values and values[name] != value:
+            raise UsageError(f"{args.label} fixes {name} = {value}, got {values[name]}")
+    config = EngineConfig(**(_DEFAULTS.get(args.label, {}) | values | fixed)).validate()
+    if spacing is not None:
+        # validated first: default_dt needs numbers
+        if config.dt is None:
+            config = config.with_updates(dt=config.default_dt(spacing)).validate()
+        config.step_index(spacing)
     return config
 
 
@@ -376,7 +401,9 @@ def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float)
     )
     expect = 0.5 * kbt
     if kbt > 0.0:
-        mean, _, se = _moments(samples)
+        # in units of kbt, or the variance of samples near 1e-300 underflows
+        mean, _, se = _moments(samples / kbt)
+        mean, se = mean * kbt, se * kbt
         checks = {"classical_mean_within_3se": abs(mean - expect) <= 3.0 * se}
     else:
         mean, se = float(np.max(samples)), 0.0
@@ -388,7 +415,6 @@ def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float)
 
 
 def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
-    config = config.with_updates(policy="terminal")
     out, stats = _run_continuous(config, run)
     schedule = sigma_schedule(config)
     centers = 0.5 * (stats.bin_edges[:-1] + stats.bin_edges[1:])
@@ -407,9 +433,6 @@ def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
-    config = config.with_updates(policy="terminal", t_final=5.0)
-    if config.dt is None:
-        config = config.with_updates(dt=config.default_dt(0.5))
     grid = [0.5, 1.0, 2.5, 5.0]
     series = mean_work_curve(config, grid)
     schedule = sigma_schedule(config)
@@ -429,12 +452,8 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_2f(config: EngineConfig, run: _Run) -> dict:
-    if config.nbar == 0.0:
-        config = config.with_updates(nbar=1.0)
-    if config.dt is None:
-        config = config.with_updates(dt=config.default_dt(0.25))
-    t_grid = np.round(np.arange(0.0, 10.0 + 1e-9, 0.25), 10)
-    series = power_series(config.with_updates(t_final=10.0), t_grid)
+    t_grid = np.round(np.arange(0.0, config.t_final + 1e-9, 0.25), 10)
+    series = power_series(config, t_grid)
     j_tau = series.power * config.tau1
     run.csv(
         "power.csv",
@@ -470,10 +489,7 @@ def _preset_figure_s2(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
-    config = config.with_updates(policy="per-step", t_final=25.0)
-    if config.dt is None:
-        config = config.with_updates(dt=config.default_dt(1.0))
-    grid = np.round(np.arange(1.0, 25.0 + 1e-9, 1.0), 10)
+    grid = np.round(np.arange(1.0, config.t_final + 1e-9, 1.0), 10)
     columns: dict = {"t": grid}
     finals: dict = {}
     for ratio in (1.0, 0.9, 1.2):
@@ -506,7 +522,11 @@ def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
     }
 
 
-_PRESET_RUNNERS = {
+_RUNNERS = {
+    "single-shot": _run_single_shot,
+    "binary": _run_binary,
+    "continuous": lambda config, run: _run_continuous(config, run)[0],
+    "classical": _run_classical,
     "figure-2b": _preset_figure_2b,
     "figure-2c": _preset_figure_2c,
     "figure-2f": _preset_figure_2f,
@@ -518,24 +538,15 @@ _PRESET_RUNNERS = {
 def run_experiment(args: argparse.Namespace) -> int:
     start = time.monotonic()
     config = parse_config(args)
-    family = args.family
-    label = family if family != "presets" else args.preset
-    out_dir = config.output_path or Path(f"qmengine-out-{label}")
+    out_dir = config.output_path or Path(f"qmengine-out-{args.label}")
     run = _Run(out_dir)
     try:
-        if family == "single-shot":
-            out = _run_single_shot(config, run)
-        elif family == "binary":
-            out = _run_binary(config, run)
-        elif family == "continuous":
-            out, _ = _run_continuous(config, run)
-        elif family == "classical":
-            out = _run_classical(config, run, args.spring_k, args.kbt)
-        else:
-            out = _PRESET_RUNNERS[args.preset](config, run)
+        # the classical family's own flags go to its runner
+        flags = {key: getattr(args, key) for key in ("spring_k", "kbt") if key in args}
+        out = _RUNNERS[args.label](config, run, **flags)
 
         summary = {
-            "experiment": label,
+            "experiment": args.label,
             "config": _config_echo(config),
             "results": out["results"],
             "checks": out["checks"],
@@ -546,7 +557,7 @@ def run_experiment(args: argparse.Namespace) -> int:
         manifest = {
             "artifact": "qmengine",
             "version": __version__,
-            "experiment": label,
+            "experiment": args.label,
             "config": _config_echo(config, with_path=True),
             "argv": sys.argv[1:],
             "wall_clock_seconds": time.monotonic() - start,
@@ -563,7 +574,7 @@ def run_experiment(args: argparse.Namespace) -> int:
     except BaseException:
         run.cleanup()
         raise
-    print(f"{label}: wrote {len(run.files)} files to {out_dir}")
+    print(f"{args.label}: wrote {len(run.files)} files to {out_dir}")
     for name, ok in out["checks"].items():
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     if not out["checks"]:

@@ -17,9 +17,6 @@ POLICIES = ("terminal", "per-step", "none")
 SCHEMES = ("stratonovich", "ito")
 
 DEFAULT_N_TRAJ = 10_000
-#: Default sample count of the binary family: its 1% mean gate then sits at
-#: about 3.2 standard errors.
-BINARY_N_TRAJ = 100_000
 #: Default step: about min(tau1, tau2)/100, capped so dt stays small against
 #: the oscillation period as well, and adjusted so it divides t_final (or a
 #: preset's checkpoint spacing).

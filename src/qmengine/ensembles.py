@@ -213,15 +213,12 @@ def run_ensemble(config: EngineConfig, bins="fd") -> WorkStatistics:
 
 
 def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSeries:
-    """Ensemble mean of the terminal-feedback work at each grid time."""
+    """Ensemble mean of the terminal-feedback work at each grid time <= t_final."""
     if config.policy != "terminal":
         raise UnsupportedConfigurationError(
             f"mean work curve is defined for the terminal policy, got {config.policy!r}"
         )
-    horizon = max(t_grid)
-    record = run_ensemble_arrays(
-        config.with_updates(t_final=horizon), t_grid, ["displacement_energy"]
-    )
+    record = run_ensemble_arrays(config, t_grid, ["displacement_energy"])
     means = np.empty(len(t_grid))
     errs = np.empty(len(t_grid))
     for i in range(len(t_grid)):
@@ -230,8 +227,8 @@ def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSe
 
 
 def power_series(config: EngineConfig, t_grid: Sequence[float]) -> PowerSeries:
-    """Analytic engine power J(t) = nu(t)**2 / tau on the grid."""
-    schedule = sigma_schedule(config.with_updates(t_final=max(t_grid)))
+    """Analytic engine power J(t) = nu(t)**2 / tau on the grid, up to t_final."""
+    schedule = sigma_schedule(config)
     power = np.array(
         [schedule.nu_at(t) ** 2 / schedule.tau for t in t_grid], dtype=float
     )
@@ -250,10 +247,7 @@ def monte_carlo_power(
         raise UnsupportedConfigurationError(
             f"power estimate is defined for the terminal policy, got {config.policy!r}"
         )
-    horizon = max(t_grid)
-    record = run_ensemble_arrays(
-        config.with_updates(t_final=horizon), t_grid, ["displacement_energy"]
-    )
+    record = run_ensemble_arrays(config, t_grid, ["displacement_energy"])
     w = record.displacement_energy
     mids = np.empty(len(t_grid) - 1)
     est = np.empty(len(t_grid) - 1)
@@ -278,10 +272,7 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
         raise UnsupportedConfigurationError(
             f"efficiency series is defined for the per-step policy, got {config.policy!r}"
         )
-    horizon = max(t_grid)
-    record = run_ensemble_arrays(
-        config.with_updates(t_final=horizon), t_grid, ["extracted_cum"]
-    )
+    record = run_ensemble_arrays(config, t_grid, ["extracted_cum"])
     excess = 0.25 * (record.cov[:, 0] + record.cov[:, 2]) - 0.5
     n_batches = max(2, min(EFFICIENCY_BATCHES, config.n_traj // 2))
 

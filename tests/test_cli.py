@@ -472,6 +472,16 @@ class TestFamilies:
         assert summary["checks"]["zero_work_at_zero_temperature"]
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kbt", ["1e-300", "1e-320"])
+    def test_classical_gate_holds_at_tiny_temperatures(self, tmp_path, kbt):
+        # the variance of work samples near 1e-300 underflows to 0 unless the
+        # moments are taken in units of kbt
+        code = run_cli(
+            ["classical", "--kbt", kbt, "--n-traj", "1000", "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", ["single-shot", "binary", "classical"])
     def test_single_sample_summary_is_strict_json(self, tmp_path, family):
         code = run_cli(
@@ -601,12 +611,99 @@ class TestPresets:
         assert summary["checks"]["efficiency_ordering"]
 
 
+class TestPresetSettings:
+    @pytest.mark.parametrize(
+        "preset,expected",
+        [
+            ("figure-2c", {"policy": "terminal", "t_final": 5.0, "dt": 0.01}),
+            ("figure-2f", {"policy": "terminal", "t_final": 10.0, "dt": 0.01, "nbar": 1.0}),
+            ("figure-S3", {"policy": "per-step", "t_final": 25.0, "dt": 0.01, "tau2": 1.0}),
+        ],
+    )
+    def test_summary_echoes_the_config_that_ran(self, tmp_path, preset, expected):
+        first, again = tmp_path / "first", tmp_path / "again"
+        code = run_cli(
+            ["presets", preset, "--n-traj", "200", "--seed", "6", "--output-dir", str(first)]
+        )
+        assert code in (0, 2)
+        echo = json.loads((first / "summary.json").read_text())["config"]
+        assert {key: echo[key] for key in expected} == expected
+        # fed back as a config file, the echo reproduces the run byte for byte
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(echo))
+        argv = ["presets", preset, "--config", str(path), "--output-dir", str(again)]
+        assert run_cli(argv) == code
+        names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "argv,config_file,key",
+        [
+            (["figure-2c", "--policy", "per-step"], None, "policy"),
+            (["figure-2c", "--t-final", "3"], None, "t_final"),
+            (["figure-2c"], {"t_final": 3.0}, "t_final"),
+            (["figure-S3", "--dt", "0.003", "--t-final", "0.999"], None, "t_final"),
+            (["figure-S3", "--tau2", "0.5"], None, "tau2"),
+            (["figure-S3", "--tau1", "0.5", "--tau2", "1"], None, "tau2"),
+            (["figure-2c", "--dt", "0.04"], None, "step grid"),
+            (["figure-2f", "--dt", "0.1"], None, "step grid"),
+            (["figure-2c"], {"spacing": 0.5}, "unknown"),
+        ],
+        ids=[
+            "2c-policy", "2c-t-final", "2c-t-final-in-file", "S3-t-final", "S3-tau2",
+            "S3-tau2-not-tau1", "2c-dt-off-grid", "2f-dt-off-grid", "spacing-in-file",
+        ],
+    )
+    def test_rejected_before_any_output(self, tmp_path, capsys, argv, config_file, key):
+        if config_file is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config_file))
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "out"
+        with mock.patch.object(cli, "_Run", side_effect=AssertionError("_Run was made")):
+            code = run_cli(["presets", *argv, "--output-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure-2c", "--policy", "terminal", "--t-final", "5"],
+            ["figure-S3", "--tau2", "1", "--policy", "per-step"],
+            ["figure-S3", "--tau", "0.5"],
+            ["figure-S3", "--tau1", "0.5"],
+        ],
+        ids=["2c-same-values", "S3-same-values", "S3-tau", "S3-tau1"],
+    )
+    def test_a_value_equal_to_the_fixed_one_is_accepted(self, argv):
+        config = cli.parse_config(cli.build_parser().parse_args(["presets", *argv]))
+        assert config.tau2 == config.tau1
+        assert config.t_final == {"figure-2c": 5.0, "figure-S3": 25.0}[argv[0]]
+
+    def test_figure_2f_nbar_is_a_default(self, tmp_path):
+        for name, flags in (("vacuum", ["--nbar", "0"]), ("default", [])):
+            assert run_cli(
+                ["presets", "figure-2f", *flags, "--output-dir", str(tmp_path / name)]
+            ) == 0
+        summary = json.loads((tmp_path / "vacuum" / "summary.json").read_text())
+        assert summary["config"]["nbar"] == 0.0
+        power = load_csv(tmp_path / "vacuum" / "power.csv")["J_tau"]
+        # a vacuum start sits at the steady state from t = 0
+        assert power[0] == pytest.approx(0.25, abs=1e-12)
+        default = tmp_path / "default" / "power.csv"
+        assert default.read_bytes() != (tmp_path / "vacuum" / "power.csv").read_bytes()
+
+
 class TestExitCodes:
     def test_failing_check_exits_two(self, tmp_path, monkeypatch):
         def failing_runner(config, run):
             return {"results": {}, "checks": {"always_fails": False}}
 
-        monkeypatch.setitem(cli._PRESET_RUNNERS, "figure-2f", failing_runner)
+        monkeypatch.setitem(cli._RUNNERS, "figure-2f", failing_runner)
         code = run_cli(["presets", "figure-2f", "--output-dir", str(tmp_path)])
         assert code == 2
         summary = json.loads((tmp_path / "summary.json").read_text())

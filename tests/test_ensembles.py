@@ -173,6 +173,14 @@ class TestMeanWorkCurve:
         with pytest.raises(UnsupportedConfigurationError):
             qm.mean_work_curve(cfg, [0.5])
 
+    @pytest.mark.parametrize("series", ["mean_work_curve", "power_series"])
+    def test_grid_ends_at_the_configured_horizon(self, series):
+        # each series runs to config.t_final; it no longer stretches the run
+        # to reach its last grid time
+        cfg = qm.EngineConfig(dt=0.01, t_final=1.0, n_traj=10)
+        with pytest.raises(ValueError, match="outside the horizon"):
+            getattr(qm, series)(cfg, [0.5, 2.0])
+
 
 class TestPowerSeries:
     def test_steady_state_value(self):
@@ -181,7 +189,7 @@ class TestPowerSeries:
         assert np.allclose(series.power, 0.25, atol=1e-12)
 
     def test_thermal_start_decreases_to_steady_state(self):
-        cfg = qm.EngineConfig(nbar=1.0, dt=0.01)
+        cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=10.0)
         grid = np.round(np.arange(0.0, 10.0 + 1e-9, 0.5), 10)
         series = qm.power_series(cfg, grid)
         assert np.all(np.diff(series.power) < 0.0)
