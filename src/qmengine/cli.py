@@ -6,9 +6,13 @@ files, a machine-checkable JSON summary, and a run manifest with checksums.
 Exit status: 0 all checks passed, 2 a check failed or none applied, 1 usage
 or runtime error, after which no output file of the run is left behind.
 All files are dimensionless (energies in hbar*omega, times in 1/omega) and
-written with 17 significant digits.  CSV rows are formatted and written in
-blocks, with the same bytes as formatting cell by cell, and each file's
-SHA-256 for the manifest is computed from the bytes as they are written.
+written with 17 significant digits.  A CSV cell reads as '%.17g' % v, or
+'%d' and '%s' for integer and bool columns, byte for byte, but cells are
+formatted as arrays, a block of rows at a time.  Zeros and floats whose
+17-digit rounding has decimal exponent in [-6, 16] are laid out from an
+exactly rounded significand; the rest (|v| < 1e-6, |v| >= 1e17, inf, nan)
+go through '%' one by one.  Each file's SHA-256 for the manifest is
+computed from the bytes as they are written.
 """
 
 from __future__ import annotations
@@ -107,8 +111,9 @@ def build_parser() -> _Parser:
 #: The config values each preset fixes, applied by parse_config before
 #: validate: a flag or file value that differs is a usage error.  "spacing"
 #: is that of the preset's checkpoint grid, not a config value: the default
-#: dt divides it, and a given dt must.  figure-S3 sweeps tau2/tau1 itself,
-#: so parse_config also fixes its tau2 to tau1.
+#: dt divides it, and a given dt must.  parse_config also fixes tau2 to
+#: tau1 for figure-S3, which sweeps tau2/tau1 itself, and for figure-2b,
+#: whose exact overlay exists only for symmetric channels.
 _PRESET_VALUES = {
     "figure-2b": {"policy": "terminal"},
     "figure-2c": {"policy": "terminal", "t_final": 5.0, "spacing": 0.5},
@@ -150,7 +155,7 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
         raise UsageError(f"unknown configuration keys: {sorted(unknown)}")
     fixed = dict(_PRESET_VALUES.get(args.label, {}))
     spacing = fixed.pop("spacing", None)
-    if args.label == "figure-S3":
+    if args.label in ("figure-2b", "figure-S3"):
         fixed["tau2"] = values.get("tau1", EngineConfig().tau1)
     for name, value in fixed.items():
         if name in values and values[name] != value:
@@ -165,6 +170,8 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
 
 
 def _fmt(x) -> str:
+    """A scalar as a comment or CSV cell shows it; also the per-cell
+    fallback of _float_cells."""
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
@@ -172,41 +179,217 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-#: Rows formatted by one ``%`` call in _write_csv; bounds the memory a write
-#: holds beyond its columns.
+#: Rows formatted and written together by _write_csv; a block's byte matrix
+#: stays under about 1 MB.
 _CSV_BLOCK_ROWS = 4096
 
-#: Cell conversion by numpy dtype kind, matching _fmt; any other kind is a float.
-_CELL_FORMATS = {"b": "%s", "i": "%d", "u": "%d"}
+#: 10**p for p = 0..22, every one an exact double, and its Dekker split.
+_POW10 = np.array([float(10**p) for p in range(23)])
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+# _float_cells lays out a float cell in a 32-byte row whose zero bytes are
+# dropped when its block is written: the prefix (sign, "0." and leading
+# zeros) ends at byte 6, significant digit j (of 17) sits at byte 7 + j
+# before the point and at 8 + j after it, and the suffix ("e-05", "e-06")
+# starts at byte 25.  Three keys pick the table rows that lay it out:
+# - layout: 2*(X + 6) + sign for a float whose 17-digit rounding has decimal
+#   exponent X in [-6, 16]; 46 and 47 for 0 and -0; 48 for an empty cell;
+# - point: the point follows digit q = 0..16, or there is none (17);
+# - shown: how many of the 17 digits the cell shows.
+_DIGITS_AT = 7
+_SUFFIX_AT = 25
 
 
-def _csv_block(row: str, arrays: list[np.ndarray], start: int) -> str:
-    values = [a[start:start + _CSV_BLOCK_ROWS].tolist() for a in arrays]
-    n = len(values[0])
-    return (row * n) % tuple(itertools.chain.from_iterable(zip(*values)))
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as one uint32, and how many
+    trailing zero digits each has (4 for 0)."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    pairs = np.empty((10, 10, 2), np.uint8)
+    pairs[..., 0], pairs[..., 1] = digits[:, None], digits
+    pairs = pairs.view(np.uint16).ravel()
+    quads = np.empty((100, 100, 2), np.uint16)
+    quads[..., 0], quads[..., 1] = pairs[:, None], pairs
+    pair = np.arange(100, dtype=np.uint8)
+    ends = np.where(pair == 0, 2, pair % 10 == 0).astype(np.uint8)
+    # 100*high + low ends in the zeros of low, then, if low is 0, of high
+    trailing = ends + (ends == 2) * ends[:, None]
+    return quads.view(np.uint32).ravel(), trailing.ravel()
+
+
+def _digit_masks() -> tuple[np.ndarray, np.ndarray]:
+    """Row 18*point + shown: the bytes of the cell that hold a digit before
+    the point, and those that hold one after it."""
+    point, shown, byte = np.ogrid[:18, :18, :32]
+    j = byte - _DIGITS_AT
+    before = (j >= 0) & (j <= point) & (j < shown)
+    after = (j >= point + 2) & (j <= shown)
+    return tuple((m * np.uint8(255)).reshape(-1, 32) for m in (before, after))
+
+
+def _affixes() -> tuple[np.ndarray, np.ndarray]:
+    """Row 2*layout + (point < 17): the cell's bytes other than its digits;
+    and the lengths of each layout's prefix and suffix."""
+    affixes = []
+    for x in range(-6, 17):
+        prefix = "0." + "0" * (-x - 1) if -4 <= x < 0 else ""
+        suffix = "e-0%d" % -x if x < -4 else ""
+        affixes += [(prefix, suffix, max(x, 0)), ("-" + prefix, suffix, max(x, 0))]
+    affixes += [("0", "", None), ("-0", "", None), ("", "", None)]
+    rows = []
+    for prefix, suffix, point in affixes:
+        row = (prefix.rjust(_DIGITS_AT, "\0").ljust(_SUFFIX_AT, "\0") + suffix).ljust(32, "\0")
+        dotted = row if point is None else row[:8 + point] + "." + row[9 + point:]
+        rows += [row, dotted]
+    lengths = np.array([(len(prefix), len(suffix)) for prefix, suffix, _ in affixes])
+    return np.frombuffer("".join(rows).encode(), np.uint8).reshape(-1, 32), lengths
+
+
+_DIGIT_GROUPS, _TRAILING_ZEROS = _digit_tables()
+_BEFORE_POINT, _AFTER_POINT = _digit_masks()
+_AFFIXES, _AFFIX_LENGTHS = _affixes()
+
+
+def _times_pow10(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi = fl(a * 10**p) and hi + lo = a * 10**p exactly, by
+    Dekker's two-product (Numer. Math. 18, 224, 1971); a * 10**p must
+    neither overflow nor underflow."""
+    b, b_hi, b_lo = _POW10[p], _POW10_HI[p], _POW10_LO[p]
+    hi = a * b
+    t = _SPLIT * a
+    a_hi = t - (t - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _decade_shift(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """-1, 0 or 1 as hi + lo lies below, in or above [1e16, 1e17)."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    return above.astype(np.intp) - below
+
+
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each a >= 0: the significand of its 17-digit rounding, half to
+    even, that rounding's decimal exponent X, and whether both are exact,
+    which they are wherever X lies in [-6, 16].
+
+    For such X, 10**(16 - X) is an exact double and hi + lo is
+    a * 10**(16 - X) exactly.  hi >= 1e16 > 2**53 is an even integer, so
+    hi + rint(lo) rounds that product half to even, as '%.17g' does.
+    """
+    near = (a >= 1e-7) & (a < 1e18)
+    # log10 sees no 0, inf or nan; 2.0 is no power of ten
+    safe = np.where(near, a, 2.0)
+    exp10 = np.clip(np.floor(np.log10(safe)), -6, 16).astype(np.intp)
+    hi, lo = _times_pow10(safe, 16 - exp10)
+    # floor(log10) can be one off next to a power of ten: correct it once
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    exp10[edge] += _decade_shift(hi[edge], lo[edge])
+    fast = near & (exp10 >= -6) & (exp10 <= 16)
+    edge = edge[fast[edge]]
+    hi[edge], lo[edge] = _times_pow10(safe[edge], 16 - exp10[edge])
+    fast[edge] = _decade_shift(hi[edge], lo[edge]) == 0
+    sig = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # no double in [1e-6, 1e17) rounds up to a power of ten at 17 digits;
+    # one that did would go to _fmt
+    return sig, exp10, fast & (sig < 10**17)
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for each float64 v in x, as a (rows, width) uint8 matrix
+    whose zero bytes are to be dropped.
+
+    Zeros and the cells _significands makes exact are laid out from the
+    tables above; _fmt formats the rest (|v| < 1e-6, |v| >= 1e17, inf, nan).
+    """
+    a = np.abs(x)
+    sig, exp10, fast = _significands(a)
+    lead, rest = np.divmod(sig, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    quads = [lead, *np.divmod(upper, 10**4), *np.divmod(lower, 10**4)]
+    # the digits at bytes 7..23 of rows 1..n; row 0 stays zero
+    digits = np.zeros((len(x) + 1, 32), np.uint8)
+    for i, quad in enumerate(quads, start=1):
+        digits.view(np.uint32)[1:, i] = _DIGIT_GROUPS[quad]
+    trailing = _TRAILING_ZEROS[quads[4]]
+    zeros = quads[4] == 0
+    for quad in quads[3:0:-1]:
+        trailing += zeros * _TRAILING_ZEROS[quad]
+        zeros &= quad == 0
+    kept = 17 - trailing.astype(np.intp)
+    whole = np.where(exp10 >= 0, exp10 + 1, 0)
+    # an integer shows the zeros of its own digits and has no point
+    shown = np.where(fast, np.maximum(kept, whole), 0)
+    point = np.where(exp10 >= 0, exp10, np.where(exp10 < -4, 0, 17))
+    point[kept <= np.maximum(whole, 1)] = 17
+
+    sign = np.signbit(x)
+    layout = np.where(fast, 2 * (exp10 + 6) + sign, np.where(a == 0, 46 + sign, 48))
+    mask_row = 18 * point + shown
+    flat = digits.reshape(-1)
+    cells = (
+        (flat[32:].reshape(-1, 32) & _BEFORE_POINT.take(mask_row, axis=0))
+        | (flat[31:-1].reshape(-1, 32) & _AFTER_POINT.take(mask_row, axis=0))
+        | _AFFIXES.take(2 * layout + (point < 17), axis=0)
+    )
+    prefix, suffix = _AFFIX_LENGTHS[np.bincount(layout, minlength=49) > 0].max(axis=0)
+    start, stop = _DIGITS_AT - prefix, _SUFFIX_AT + suffix
+    others = np.flatnonzero(~fast & (a != 0))
+    texts = [_fmt(v).encode() for v in x[others].tolist()]
+    if texts:
+        width = max(map(len, texts))
+        stop = max(stop, start + width)
+        text = np.array(texts, f"S{width}").view(np.uint8).reshape(-1, width)
+        cells[others, start:start + width] = text
+    return cells[:, start:stop]
+
+
+def _column_cells(a: np.ndarray) -> np.ndarray:
+    """The cells of one column as a (rows, width) uint8 matrix whose zero
+    bytes are to be dropped."""
+    if a.dtype.kind in "biu":
+        # numpy's bytes of bools and integers are those of '%s' and '%d'
+        text = a.astype("S")
+        return text.view(np.uint8).reshape(len(text), text.itemsize)
+    return _float_cells(a.astype(np.float64, copy=False))
+
+
+def _csv_block(arrays: list[np.ndarray], start: int) -> bytes:
+    cells = [_column_cells(a[start:start + _CSV_BLOCK_ROWS]) for a in arrays]
+    block = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+    end = 0
+    for c in cells:
+        block[:, end:end + c.shape[1]] = c
+        end += c.shape[1] + 1
+        block[:, end - 1] = ord(",")
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
     """Write columns as CSV and return the SHA-256 hex digest of the file.
 
-    Every cell reads as _fmt would write it, but each column's conversion is
-    chosen once from its dtype and rows are formatted and written
-    _CSV_BLOCK_ROWS at a time.
+    Every cell reads as _fmt would write it.  Bool and integer columns take
+    numpy's own bytes.  Float columns go through _float_cells: 0, -0 and
+    every value whose 17-digit rounding has decimal exponent in [-6, 16] are
+    laid out by array arithmetic from the significand _significands rounds
+    exactly (hi + lo = |v| * 10**p exactly, and hi is an even integer above
+    2**53, so hi + rint(lo) rounds half to even like '%.17g'); _fmt formats
+    the rest, |v| < 1e-6, |v| >= 1e17, inf and nan, one cell at a time.
+    Rows are formatted, written and hashed _CSV_BLOCK_ROWS at a time.
     """
     arrays = [np.asarray(col) for col in columns.values()]
     if len({len(a) for a in arrays}) != 1:
         lengths = ", ".join(f"{name}={len(a)}" for name, a in zip(columns, arrays))
         raise ValueError(f"CSV columns differ in length: {lengths}")
-    row = ",".join(_CELL_FORMATS.get(a.dtype.kind, "%.17g") for a in arrays) + "\n"
     header = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
-    blocks = (
-        _csv_block(row, arrays, start)
-        for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS)
-    )
+    blocks = (_csv_block(arrays, start) for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for text in itertools.chain([header], blocks):
-            data = text.encode()
+        for data in itertools.chain([header.encode()], blocks):
             fh.write(data)
             digest.update(data)
     return digest.hexdigest()

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -418,6 +419,96 @@ class TestCsvWriter:
         assert list(tmp_path.iterdir()) == []
 
 
+def significant_digits(text: str) -> int:
+    """How many digits '%.17g' shows, without leading and trailing zeros."""
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+class TestFloatFormatter:
+    """The array formatter against '%.17g', cell by cell."""
+
+    def assert_matches_percent(self, values):
+        column = np.asarray(values, dtype=np.float64)
+        values = column.tolist()
+        blocks = range(0, len(values), cli._CSV_BLOCK_ROWS)
+        got = b"".join(cli._csv_block([column], start) for start in blocks)
+        expected = ("%.17g\n" * len(values)) % tuple(values)
+        if got != expected.encode():
+            cells = zip(values, got.decode().split("\n"), expected.split("\n"))
+            bad = [cell for cell in cells if cell[1] != cell[2]]
+            pytest.fail(f"{len(bad)} of {len(values)} cells differ, e.g. {bad[:3]}")
+
+    def test_a_million_log_uniform_doubles_of_both_signs(self):
+        rng = np.random.default_rng(14)
+        values = 10.0 ** rng.uniform(-320.0, 308.0, 1_000_000)
+        values[rng.random(values.size) < 0.5] *= -1.0
+        self.assert_matches_percent(values)
+
+    def test_every_exponent_with_every_digit_count(self):
+        rng = np.random.default_rng(15)
+        values, unreachable = [], []
+        for exp10 in range(-6, 17):
+            for digits in range(1, 18):
+                # a double that '%.17g' prints with this exponent and digit count
+                low, high = 10 ** (digits - 1), 10**digits
+                leads = range(low, high) if digits <= 4 else rng.integers(low, high, 5000)
+                for lead in leads:
+                    v = float(f"{lead}e{exp10 - digits + 1}")
+                    text = "%.17g" % v
+                    if (significant_digits(text), Decimal(text).adjusted()) == (digits, exp10):
+                        values += [v, -v]
+                        break
+                else:
+                    unreachable.append((exp10, digits))
+        # the doubles nearest to 1e-6..9e-6 and to 1e-5..9e-5 print 17 digits
+        assert unreachable == [(-6, 1), (-5, 1)]
+        self.assert_matches_percent(values)
+
+    def test_exact_ties_round_half_to_even(self):
+        rng = np.random.default_rng(16)
+        values = [1e15 + 0.25, 1e15 + 0.75]
+        # odd n / 2**j whose decimal expansion has 18 digits, the last a 5
+        for j in range(2, 26):
+            low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+            for n in rng.integers(low, high, 40, endpoint=True) | 1:
+                if len(str(int(n) * 5**j)) == 18:
+                    values.append(int(n) / 2**j)
+        assert len(values) > 500
+        self.assert_matches_percent(values + [-v for v in values])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{e}") for e in range(-8, 19)]
+        values = powers + [np.nextafter(p, d) for p in powers for d in (0.0, np.inf)]
+        self.assert_matches_percent(values + [-v for v in values])
+
+    def test_edge_values(self):
+        largest = np.finfo(np.float64).max
+        values = [
+            np.nextafter(1.0, 0.0), 1e-14,  # the second rounds up to 1e-14 at 17 digits
+            0.0, -0.0, 5e-324, -5e-324, largest, -largest, np.inf, -np.inf, np.nan,
+        ]
+        self.assert_matches_percent(values)
+
+    def fallback_calls(self, tmp_path, columns) -> int:
+        with mock.patch.object(cli, "_fmt", wraps=cli._fmt) as fmt:
+            cli._write_csv(tmp_path / "out.csv", [], columns)
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv([], columns)
+        return fmt.call_count
+
+    def test_plain_columns_never_reach_the_per_cell_fallback(self, tmp_path):
+        rng = np.random.default_rng(17)
+        x = rng.uniform(0.0, 10.0, 3 * cli._CSV_BLOCK_ROWS)
+        x[rng.random(x.size) < 0.2] = 0.0
+        x[rng.random(x.size) < 0.1] = -0.0
+        columns = {"x": x, "i": rng.integers(-(2**63), 2**63 - 1, x.size, endpoint=True)}
+        assert self.fallback_calls(tmp_path, columns) == 0
+
+    def test_only_cells_outside_the_array_path_reach_it(self, tmp_path):
+        columns = {"edge": np.array([1e-7, 1e17, np.inf, np.nan])}
+        assert self.fallback_calls(tmp_path, columns) == 4
+
+
 class TestFamilies:
     def test_single_shot(self, tmp_path):
         assert run_cli(
@@ -647,13 +738,15 @@ class TestPresetSettings:
             (["figure-S3", "--dt", "0.003", "--t-final", "0.999"], None, "t_final"),
             (["figure-S3", "--tau2", "0.5"], None, "tau2"),
             (["figure-S3", "--tau1", "0.5", "--tau2", "1"], None, "tau2"),
+            (["figure-2b", "--tau1", "1", "--tau2", "0.9"], None, "tau2"),
             (["figure-2c", "--dt", "0.04"], None, "step grid"),
             (["figure-2f", "--dt", "0.1"], None, "step grid"),
             (["figure-2c"], {"spacing": 0.5}, "unknown"),
         ],
         ids=[
             "2c-policy", "2c-t-final", "2c-t-final-in-file", "S3-t-final", "S3-tau2",
-            "S3-tau2-not-tau1", "2c-dt-off-grid", "2f-dt-off-grid", "spacing-in-file",
+            "S3-tau2-not-tau1", "2b-asymmetric", "2c-dt-off-grid", "2f-dt-off-grid",
+            "spacing-in-file",
         ],
     )
     def test_rejected_before_any_output(self, tmp_path, capsys, argv, config_file, key):
@@ -676,13 +769,14 @@ class TestPresetSettings:
             ["figure-S3", "--tau2", "1", "--policy", "per-step"],
             ["figure-S3", "--tau", "0.5"],
             ["figure-S3", "--tau1", "0.5"],
+            ["figure-2b", "--tau1", "0.5"],
         ],
-        ids=["2c-same-values", "S3-same-values", "S3-tau", "S3-tau1"],
+        ids=["2c-same-values", "S3-same-values", "S3-tau", "S3-tau1", "2b-tau1"],
     )
     def test_a_value_equal_to_the_fixed_one_is_accepted(self, argv):
         config = cli.parse_config(cli.build_parser().parse_args(["presets", *argv]))
         assert config.tau2 == config.tau1
-        assert config.t_final == {"figure-2c": 5.0, "figure-S3": 25.0}[argv[0]]
+        assert config.t_final == {"figure-2b": 1.0, "figure-2c": 5.0, "figure-S3": 25.0}[argv[0]]
 
     def test_figure_2f_nbar_is_a_default(self, tmp_path):
         for name, flags in (("vacuum", ["--nbar", "0"]), ("default", [])):
