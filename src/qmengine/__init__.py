@@ -28,7 +28,7 @@ from .errors import (
     UncertaintyViolationError,
     UnsupportedConfigurationError,
 )
-from .feedback import TrajectoryRecord, WorkLedger, run_trajectory
+from .feedback import Steps, run_trajectory
 from .gaussian import MeasurementChannels, NoiseSource, covariance_series
 from .single_shot import (
     added_quantum_check,

@@ -449,8 +449,8 @@ class _Run:
 
 
 def _emit_trajectory(run: _Run, config: EngineConfig) -> None:
-    rec = run_trajectory(config, NoiseSource(config.seed, 0))
-    pad = lambda a: np.concatenate([[0.0], a])
+    # row 0 holds the start: zero means, readouts and ledger
+    rec = run_trajectory(config)
     run.csv(
         "trajectory.csv",
         [
@@ -459,16 +459,16 @@ def _emit_trajectory(run: _Run, config: EngineConfig) -> None:
             f"policy={config.policy} scheme={config.scheme}",
         ],
         {
-            "t": rec.t,
-            "q1": rec.q1,
-            "q2": rec.q2,
-            "q3": rec.q3,
-            "q4": rec.q4,
-            "q5": rec.q5,
-            "r1": pad(rec.r1),
-            "r2": pad(rec.r2),
-            "dW": pad(rec.ledger.increments),
-            "W_cum": pad(rec.ledger.cumulative),
+            "t": np.arange(config.n_steps + 1) * config.resolved_dt,
+            "q1": rec.q1[:, 0],
+            "q2": rec.q2[:, 0],
+            "q3": rec.cov[:, 0],
+            "q4": rec.cov[:, 1],
+            "q5": rec.cov[:, 2],
+            "r1": rec.r1[:, 0],
+            "r2": rec.r2[:, 0],
+            "dW": rec.increment[:, 0],
+            "W_cum": rec.ledger[:, 0],
         },
     )
 
@@ -651,19 +651,13 @@ def _preset_figure_2f(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_s2(config: EngineConfig, run: _Run) -> dict:
-    nbars = np.linspace(0.0, 4.0, 41)
-    r0s = np.linspace(0.05, 5.0, 100)
-    rows = {"nbar": [], "r0": [], "efficiency": []}
-    for nb in nbars:
-        for r0 in r0s:
-            rows["nbar"].append(nb)
-            rows["r0"].append(r0)
-            rows["efficiency"].append(binary_efficiency(nb, r0))
+    nbar, r0 = np.meshgrid(np.linspace(0.0, 4.0, 41), np.linspace(0.05, 5.0, 100), indexing="ij")
+    nbar, r0 = nbar.ravel(), r0.ravel()  # one row per (nbar, r0), nbar-major
     u_best, eta_best = max_binary_efficiency()
     run.csv(
         "efficiency_grid.csv",
         ["binary-feedback efficiency over (nbar, r0)"],
-        rows,
+        {"nbar": nbar, "r0": r0, "efficiency": binary_efficiency(nbar, r0)},
     )
     return {
         "results": {"grid_max_efficiency": eta_best, "grid_argmax_u": u_best},

@@ -22,20 +22,16 @@ import numpy.ma
 
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
-from .feedback import EnsembleRecord, run_ensemble_arrays
+from .feedback import run_ensemble_arrays
 from .gaussian import covariance_series
 from .kolmogorov import two_sided_test
 
 #: Smallest sample the KS comparison accepts.
 KS_MIN_SAMPLES = 100
+#: Significance level of the KS comparison.
+KS_LEVEL = 0.01
 #: Batches whose means give the efficiency series' standard errors.
 EFFICIENCY_BATCHES = 100
-#: The EnsembleRecord field that holds each policy's work sample.
-WORK_FIELDS = {
-    "terminal": "displacement_energy",
-    "per-step": "step_work",
-    "none": "ledger_cum",
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,21 +180,26 @@ def _moments(samples: np.ndarray) -> tuple[float, float, float]:
     return mean, variance, stderr
 
 
-def work_samples(record: EnsembleRecord, policy: str, row: int = -1) -> np.ndarray:
-    """Work sample per trajectory at one checkpoint row, per policy.
+def work_samples(config: EngineConfig, t_grid: Sequence[float]) -> np.ndarray:
+    """Work of each trajectory of config's ensemble at each grid time, shape
+    (len(t_grid), n_traj), under config's policy:
 
-    terminal -> the harvest of a reset at that time (displacement energy);
-    per-step -> the single-step harvest ending at that time;
+    terminal -> the harvest of a reset at that time, 0.5*(q1**2 + q2**2);
+    per-step -> the harvest of the step ending at that time;
     none     -> the accrued ledger value (diagnostics).
     """
-    return getattr(record, WORK_FIELDS[policy])[row]
+    if config.policy == "terminal":
+        steps = run_ensemble_arrays(config, t_grid, ["q1", "q2"])
+        return 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
+    field = "harvest" if config.policy == "per-step" else "ledger"
+    return getattr(run_ensemble_arrays(config, t_grid, [field]), field)
 
 
-def run_ensemble(config: EngineConfig, bins="fd") -> WorkStatistics:
-    """Run config.n_traj independent trajectories and bin the work at t_final."""
-    record = run_ensemble_arrays(config, [config.t_final], [WORK_FIELDS[config.policy]])
-    samples = work_samples(record, config.policy)
-    counts, bin_edges = np.histogram(samples, bins=bins)
+def run_ensemble(config: EngineConfig) -> WorkStatistics:
+    """Run config.n_traj independent trajectories and bin the work at t_final
+    (Freedman-Diaconis bins)."""
+    (samples,) = work_samples(config, [config.t_final])
+    counts, bin_edges = np.histogram(samples, bins="fd")
     mean, variance, stderr = _moments(samples)
     return WorkStatistics(
         samples=samples,
@@ -218,11 +219,11 @@ def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSe
         raise UnsupportedConfigurationError(
             f"mean work curve is defined for the terminal policy, got {config.policy!r}"
         )
-    record = run_ensemble_arrays(config, t_grid, ["displacement_energy"])
+    work = work_samples(config, t_grid)
     means = np.empty(len(t_grid))
     errs = np.empty(len(t_grid))
     for i in range(len(t_grid)):
-        means[i], _, errs[i] = _moments(record.displacement_energy[i])
+        means[i], _, errs[i] = _moments(work[i])
     return MeanWorkSeries(t=np.asarray(t_grid, dtype=float), mean=means, stderr=errs)
 
 
@@ -247,8 +248,7 @@ def monte_carlo_power(
         raise UnsupportedConfigurationError(
             f"power estimate is defined for the terminal policy, got {config.policy!r}"
         )
-    record = run_ensemble_arrays(config, t_grid, ["displacement_energy"])
-    w = record.displacement_energy
+    w = work_samples(config, t_grid)
     mids = np.empty(len(t_grid) - 1)
     est = np.empty(len(t_grid) - 1)
     err = np.empty(len(t_grid) - 1)
@@ -272,14 +272,14 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
         raise UnsupportedConfigurationError(
             f"efficiency series is defined for the per-step policy, got {config.policy!r}"
         )
-    record = run_ensemble_arrays(config, t_grid, ["extracted_cum"])
-    excess = 0.25 * (record.cov[:, 0] + record.cov[:, 2]) - 0.5
+    steps = run_ensemble_arrays(config, t_grid, ["harvested"])
+    excess = 0.25 * (steps.cov[:, 0] + steps.cov[:, 2]) - 0.5
     n_batches = max(2, min(EFFICIENCY_BATCHES, config.n_traj // 2))
 
     eta = np.empty(len(t_grid))
     err = np.empty(len(t_grid))
     for i in range(len(t_grid)):
-        w = record.extracted_cum[i]
+        w = steps.harvested[i]
         mean_w = math.fsum(w) / len(w)
         eta[i] = mean_w / (mean_w + excess[i])
         batch_eta = [
@@ -290,14 +290,10 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
     return EfficiencySeries(t=np.asarray(t_grid, dtype=float), eta=eta, stderr=err)
 
 
-def ks_compare(
-    samples: np.ndarray,
-    cdf: Callable[[np.ndarray], np.ndarray],
-    level: float = 0.01,
-) -> KsResult:
+def ks_compare(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
     """Two-sided Kolmogorov-Smirnov test of samples against an analytic CDF.
 
-    Passes when the p-value is at or above the significance level, i.e. the
+    Passes when the p-value is at or above KS_LEVEL, i.e. the
     statistic is below the corresponding critical value.  The p-value is the
     exact one, Pr(D_n >= D) (``kolmogorov.kstwo_sf``).  A sample containing
     NaN gives statistic and p-value NaN and does not pass.
@@ -313,5 +309,5 @@ def ks_compare(
     return KsResult(
         statistic=float(statistic),
         pvalue=float(pvalue),
-        passed=bool(pvalue >= level),
+        passed=bool(pvalue >= KS_LEVEL),
     )

@@ -5,18 +5,21 @@ update: the two readouts r_i = q_i + sqrt(tau_i/dt) * g_i (g_i standard
 normal; an unmonitored channel reports r_i = q_i), an Euler-Maruyama mean
 step driven by the innovations r_i - q_i weighted by the current
 covariances, a work-ledger increment, and an optional reset.  One array
-function, ``_advance``, performs this update for a block of trajectories;
-``run_ensemble_arrays`` calls it once per chunk of trajectories and
-``run_trajectory`` calls it for a single trajectory, recording every step.
-Noise comes from one stream per block of STREAM_BLOCK trajectories, so a
-trajectory's noise does not depend on how the ensemble is chunked.  The
-blocks of an ensemble are shared out in contiguous ranges among up to one
-thread per available CPU (``worker_threads``), and no more threads than
-whole blocks fit the bound on the noise in flight (``_layout``).  Each
-thread draws and advances its own trajectories into its own columns of the
-outputs; numpy releases the GIL in the draws and in the kernel's array
-operations, so the threads run at the same time.  Results do not depend on
-the number of threads, and so not on the CPU count.
+function, ``_advance``, performs this update for a block of m trajectories
+and returns one record, ``Steps``: the means, readouts, ledger and harvest
+of each trajectory at the recorded grid points, and the covariances shared
+by all of them.  ``run_trajectory`` is its m = 1 case at every grid point;
+``run_ensemble_arrays`` calls it once per chunk of trajectories and returns
+the same record at the checkpoints.  Noise comes from one stream per block
+of STREAM_BLOCK trajectories, so a trajectory's noise does not depend on
+how the ensemble is chunked.  The blocks of an ensemble are shared out in
+contiguous ranges among up to one thread per available CPU
+(``worker_threads``), and no more threads than whole blocks fit the bound
+on the noise in flight (``_layout``).  Each thread draws and advances its
+own trajectories into its own columns of the outputs; numpy releases the
+GIL in the draws and in the kernel's array operations, so the threads run
+at the same time.  Results do not depend on the number of threads, and so
+not on the CPU count.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
@@ -25,16 +28,15 @@ and banks (q1**2 + q2**2)/2 units of hbar*omega.  ``_per_step``, which
 step after the first starts at the origin, so it takes the steps in tiles of
 trajectories by steps rather than one at a time.  ``_free`` takes the steps
 of the other policies in order, into buffers allocated once.  Both
-compute only what their caller records: an ensemble caller names the
-``EnsembleRecord`` fields it reads, and a field not asked for is None.  The
-covariances stay untouched because the kernel only reads them, from
-``gaussian.covariance_series``.  The policies are:
+compute only the ``Steps`` fields their caller asks for; the others are
+None.  The covariances stay untouched because the kernel only reads them,
+from ``gaussian.covariance_series``.  The policies are:
 
 * ``per-step``  -- the trap is re-centered after every measurement step,
   equivalent to a continuously applied linear feedback Hamiltonian in the
   small-dt limit;
 * ``terminal``  -- the oscillator diffuses freely and a single feedback is
-  applied at the end of the run;
+  applied at the end of the run, which banks the final displacement energy;
 * ``none``      -- no extraction, diagnostics only.
 
 Alongside the harvested work, each trajectory carries a work ledger that
@@ -91,67 +93,16 @@ STREAM_LAYOUT = {
 
 
 @dataclass(frozen=True, slots=True)
-class WorkLedger:
-    """Per-step work increments of one trajectory and their running sum."""
+class Steps:
+    """The record of a run, one trajectory or an ensemble: what ``_advance``
+    records and what ``run_trajectory`` and ``run_ensemble_arrays`` return.
 
-    scheme: str
-    increments: np.ndarray
-    cumulative: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """Full time series of one monitored trajectory.
-
-    States are recorded after the mean update of each step and before any
-    reset, so for the per-step policy (q1, q2) show the single-step
-    displacements that are harvested.  Arrays r1, r2 and the ledger hold one
-    entry per step; ``extracted`` holds the work banked at each step (zero
-    except at harvest events).
-    """
-
-    t: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
-    q4: np.ndarray
-    q5: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    ledger: WorkLedger
-    extracted: np.ndarray
-    policy: str
-
-
-@dataclass(frozen=True, slots=True)
-class EnsembleRecord:
-    """Checkpointed per-trajectory quantities of an ensemble run.
-
-    All arrays have shape (n_checkpoints, n_traj) except ``cov`` which holds
-    the shared deterministic covariance triplet at each checkpoint.  The
-    displacement energy is taken from the means after the mean update and
-    before any reset.  A field the caller of ``run_ensemble_arrays`` did not
-    ask for is None.
-    """
-
-    cov: np.ndarray
-    ledger_cum: np.ndarray | None
-    extracted_cum: np.ndarray | None
-    displacement_energy: np.ndarray | None
-    step_work: np.ndarray | None
-
-
-#: The per-trajectory fields of EnsembleRecord, which a caller may ask for.
-RECORD_FIELDS = ("ledger_cum", "extracted_cum", "displacement_energy", "step_work")
-
-
-@dataclass(frozen=True, slots=True)
-class _Steps:
-    """What ``_advance`` records: arrays of shape (len(record), m), or None.
-
-    Row i belongs to the step ending at grid point record[i].  A row for
-    grid point 0 holds the starting means and zeros elsewhere.  A field that
-    the caller did not ask for is None.
+    The per-trajectory fields have shape (len(record), m), one column per
+    trajectory.  Row i belongs to the step ending at grid point record[i]; a
+    row for grid point 0 holds the starting means and zeros elsewhere.  A
+    field that the caller did not ask for is None.  ``cov`` holds the
+    covariance triplet (q3, q4, q5) at the recorded grid points, shape
+    (len(record), 3), shared by all trajectories.
     """
 
     q1: np.ndarray | None  # means after the mean update, before any reset
@@ -162,6 +113,11 @@ class _Steps:
     ledger: np.ndarray | None  # running sum of the increments
     harvest: np.ndarray | None  # work banked by a per-step reset at this step
     harvested: np.ndarray | None  # running sum of the harvests
+    cov: np.ndarray
+
+
+#: The per-trajectory fields of ``Steps``, all but ``cov``: those a caller may ask for.
+STEP_FIELDS = Steps.__slots__[:-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,10 +183,6 @@ def _step(s: _Rates, q1, q2, g1, g2, c3, c4, c5):
     return rr1, rr2, new1, new2, dW
 
 
-#: The fields of ``_Steps``, all of which ``_advance`` records by default.
-STEP_FIELDS = _Steps.__slots__
-
-
 def _advance(
     config: EngineConfig,
     cov: np.ndarray,
@@ -238,7 +190,7 @@ def _advance(
     start: tuple[float, float],
     record: Sequence[int],
     fields: Collection[str] = STEP_FIELDS,
-) -> _Steps:
+) -> Steps:
     """Advance m trajectories by noise.shape[1] conditional-state steps.
 
     ``noise`` has shape (m, n_steps, 2): two standard normals per trajectory
@@ -246,7 +198,7 @@ def _advance(
     does not depend on the channel setup.  ``cov`` holds the covariance
     triplet (q3, q4, q5) at grid points 0..n_steps, ``start`` the means at
     grid point 0, ``record`` the grid points to record and ``fields`` the
-    ``_Steps`` fields to record; the others are None, and only what the
+    ``Steps`` fields to record; the others are None, and only what the
     recorded ones need is computed.  The scheme picks the ledger rule.
     Under ``per-step`` the means are reset after every step and
     ``_per_step`` takes the steps in tiles; otherwise the means evolve
@@ -254,8 +206,9 @@ def _advance(
     """
     m = len(noise)
     rates = _rates(config, cov)
-    out = _Steps(
-        *(np.zeros((len(record), m)) if name in fields else None for name in STEP_FIELDS)
+    out = Steps(
+        *(np.zeros((len(record), m)) if name in fields else None for name in STEP_FIELDS),
+        cov=cov[np.asarray(record, dtype=int)],
     )
     rows = {int(k): i for i, k in enumerate(record)}
     row = rows.get(0)
@@ -275,7 +228,7 @@ def _free(
     noise: np.ndarray,
     start: tuple[float, float],
     rows: dict[int, int],
-    out: _Steps,
+    out: Steps,
 ) -> None:
     """The free policies: fill ``out`` as a loop of ``_step`` calls would.
 
@@ -388,7 +341,7 @@ def _per_step(
     noise: np.ndarray,
     start: tuple[float, float],
     rows: dict[int, int],
-    out: _Steps,
+    out: Steps,
 ) -> None:
     """The per-step policy: fill ``out`` as a step loop with resets would.
 
@@ -518,46 +471,19 @@ def _per_step(
                         running_sum[into, j0:j1] = tile[:, at].T
 
 
-def run_trajectory(config: EngineConfig, noise: NoiseSource) -> TrajectoryRecord:
-    """Simulate one trajectory from a thermal state under the configured policy.
+def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
+    """Trajectory j of config's ensemble at every grid point 0..n_steps.
 
-    Pure function of (config, noise): identical inputs reproduce identical
-    records.  NoiseSource(config.seed, j) selects trajectory j of the
-    ensemble (``NoiseSource`` defines both readings of ``stream``): its noise
-    is drawn from block stream j // STREAM_BLOCK after skipping the
-    j mod STREAM_BLOCK trajectories before it, so the record equals
-    trajectory j of ``run_ensemble_arrays``.  The work ledger accrues
-    increments in config.scheme; harvested work is recorded separately in
-    ``extracted`` (every step for the per-step policy, once at the horizon
-    for the terminal policy).
+    The m = 1 case of ``_advance``, with every field recorded.  Its noise is
+    drawn from block stream (config.seed, j // STREAM_BLOCK) after the
+    j mod STREAM_BLOCK trajectories before it, so its one column equals
+    column j of ``run_ensemble_arrays`` at the same grid points.
     """
     config.validate()
     n = config.n_steps
     cov = covariance_series(config.nbar, config.channels(), config.resolved_dt, n)
-    g = _noise_block(noise, noise.stream, noise.stream + 1, n)
-    steps = _advance(config, cov, g, (0.0, 0.0), range(n + 1))
-    q1 = steps.q1[:, 0]
-    q2 = steps.q2[:, 0]
-    extracted = steps.harvest[1:, 0]
-    if config.policy == "terminal":
-        extracted[-1] = 0.5 * (q1[n] * q1[n] + q2[n] * q2[n])
-    return TrajectoryRecord(
-        t=np.arange(n + 1) * config.resolved_dt,
-        q1=q1,
-        q2=q2,
-        q3=cov[:, 0],
-        q4=cov[:, 1],
-        q5=cov[:, 2],
-        r1=steps.r1[1:, 0],
-        r2=steps.r2[1:, 0],
-        ledger=WorkLedger(
-            scheme=config.scheme,
-            increments=steps.increment[1:, 0],
-            cumulative=steps.ledger[1:, 0],
-        ),
-        extracted=extracted,
-        policy=config.policy,
-    )
+    noise = _noise_block(config.seed, j, j + 1, n)
+    return _advance(config, cov, noise, (0.0, 0.0), range(n + 1))
 
 
 def _chunk_size(n_traj: int, n_steps: int) -> int:
@@ -646,10 +572,10 @@ class _BlockStreams:
             self.next += take
 
 
-def _noise_block(base: NoiseSource, start: int, stop: int, n_steps: int) -> np.ndarray:
-    """Noise of trajectories start..stop-1 of the ensemble with base.seed."""
+def _noise_block(seed: int, start: int, stop: int, n_steps: int) -> np.ndarray:
+    """Noise of trajectories start..stop-1 of the ensemble with seed."""
     noise = np.empty((stop - start, n_steps, 2))
-    _BlockStreams(base.seed, start, stop).fill(noise)
+    _BlockStreams(seed, start, stop).fill(noise)
     return noise
 
 
@@ -662,19 +588,10 @@ def _run_blocks(
     out: dict[str, np.ndarray],
     cancel: Event,
 ) -> None:
-    """Advance the chunks between consecutive edges into their columns of out.
-
-    ``out`` maps the EnsembleRecord fields asked for to their arrays, and
-    each chunk records only the ``_Steps`` fields they are made of.  Stops
-    before its next chunk once cancel is set.
+    """Advance the chunks between consecutive edges into their columns of out,
+    which maps the ``Steps`` fields asked for to their arrays.  Stops before
+    its next chunk once cancel is set.
     """
-    sources = {
-        "ledger_cum": ["ledger"],
-        "extracted_cum": ["harvested"],
-        "displacement_energy": ["q1", "q2"],
-        "step_work": ["harvest" if config.policy == "per-step" else "increment"],
-    }
-    fields = {field for name in out for field in sources[name]}
     # an anonymous mapping rather than the heap: its pages go back to the
     # system when the ensemble ends, so the next ensemble's buffers are not
     # stranded beside freed heap memory that malloc keeps once its mmap
@@ -686,21 +603,17 @@ def _run_blocks(
             return
         noise = buffer[: b - a]
         streams.fill(noise)
-        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx, fields)
+        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx, out.keys())
         for name, target in out.items():
-            if name == "displacement_energy":
-                target[:, a:b] = 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
-            else:
-                (field,) = sources[name]
-                target[:, a:b] = getattr(steps, field)
+            target[:, a:b] = getattr(steps, name)
 
 
 def run_ensemble_arrays(
     config: EngineConfig,
     checkpoints: Sequence[float],
-    fields: Collection[str] = RECORD_FIELDS,
-) -> EnsembleRecord:
-    """Advance n_traj independent trajectories, checkpointing work quantities.
+    fields: Collection[str] = STEP_FIELDS,
+) -> Steps:
+    """Advance n_traj independent trajectories, recording them at the checkpoints.
 
     Trajectory j consumes its slice of block stream (config.seed,
     j // STREAM_BLOCK).  The blocks are split into one contiguous range per
@@ -708,20 +621,18 @@ def run_ensemble_arrays(
     the calling thread, and each worker refills its own noise buffer for
     each of its chunks and writes its own columns.  Every normal is drawn
     once, so results are independent of chunking and of the worker count,
-    and equal to run_trajectory with NoiseSource(config.seed, j).  When a
-    worker raises, or the caller is interrupted, the other workers stop at
-    their next chunk and the exception is raised here.
+    and column j equals ``run_trajectory(config, j)`` at the checkpoints.
+    When a worker raises, or the caller is interrupted, the other workers
+    stop at their next chunk and the exception is raised here.
     Checkpoint times must lie on the step grid, each at most once.
 
-    Returns per-trajectory arrays at each checkpoint: the ledger cumulative,
-    the cumulative harvested work, the displacement energy (q1**2+q2**2)/2
-    of the running state before any reset at that step, and the single-step
-    harvest/increment of the step ending at the checkpoint.  ``fields``
-    names the ones to compute (by default all); the others are None.
+    Returns the ``Steps`` of the ensemble at the checkpoints, one column per
+    trajectory.  ``fields`` names the per-trajectory fields to compute (by
+    default all of STEP_FIELDS); the others are None.
     """
-    unknown = set(fields) - set(RECORD_FIELDS)
+    unknown = set(fields) - set(STEP_FIELDS)
     if unknown:
-        raise ValueError(f"not an EnsembleRecord field: {', '.join(sorted(unknown))}")
+        raise ValueError(f"not a per-trajectory Steps field: {', '.join(sorted(unknown))}")
     config.validate()
     n_steps = config.n_steps
     cp_idx = np.array([config.step_index(tc) for tc in checkpoints], dtype=int)
@@ -736,9 +647,7 @@ def run_ensemble_arrays(
     )
 
     n_traj = config.n_traj
-    out = {
-        name: np.zeros((len(cp_idx), n_traj)) for name in RECORD_FIELDS if name in fields
-    }
+    out = {name: np.zeros((len(cp_idx), n_traj)) for name in STEP_FIELDS if name in fields}
     plan = _layout(n_traj, n_steps)
     streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
     cancel = Event()
@@ -757,4 +666,4 @@ def run_ensemble_arrays(
             # next chunk, and the pool's exit waits for them
             cancel.set()
 
-    return EnsembleRecord(cov[cp_idx], *(out.get(name) for name in RECORD_FIELDS))
+    return Steps(*(out.get(name) for name in STEP_FIELDS), cov=cov[cp_idx])

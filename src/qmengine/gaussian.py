@@ -79,21 +79,14 @@ class MeasurementChannels:
 
 @dataclass(frozen=True, slots=True)
 class NoiseSource:
-    """Deterministic, splittable randomness handle: a seed and a stream.
+    """Deterministic, splittable randomness handle: a seed and a block stream.
 
-    This is the one place that says what ``stream`` means; it has two
-    readings:
-
-    * ``generator()`` reads it as a block stream: a PCG64 generator seeded by
-      SeedSequence(seed, spawn_key=(stream,)).  Ensembles give stream b to
-      trajectories b*STREAM_BLOCK..(b+1)*STREAM_BLOCK-1 (see ``feedback``);
-      the single-shot, binary and classical samplers draw from stream 0.
-    * ``feedback.run_trajectory`` reads it as a trajectory index j: the noise
-      of trajectory j of the ensemble, drawn from block stream
-      j // STREAM_BLOCK.
-
+    ``generator()`` is a PCG64 generator seeded by
+    SeedSequence(seed, spawn_key=(stream,)).  Ensembles give stream b to
+    trajectories b*STREAM_BLOCK..(b+1)*STREAM_BLOCK-1 (see ``feedback``); the
+    single-shot, binary and classical samplers draw from stream 0.
     Identical (seed, stream) pairs reproduce identical deviate sequences;
-    distinct block streams are statistically independent.
+    distinct streams are statistically independent.
     """
 
     seed: int

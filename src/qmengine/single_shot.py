@@ -128,21 +128,22 @@ def extract_work_binary(r: np.ndarray, r0: float) -> np.ndarray:
     return np.where(r >= 0.5 * r0, 2.0 * r * r0 - r0**2, 0.0)
 
 
-def binary_average_work(nbar: float, r0: float) -> float:
-    """Closed-form mean work of the binary protocol.
+def binary_average_work(nbar, r0):
+    """Closed-form mean work of the binary protocol, of floats or arrays.
 
     <W'> = r0 * sqrt(pi * (1 + nbar)) * erfc(r0 / (2 * sqrt(1 + nbar))),
     in units of hbar*omega.
     """
-    if nbar < 0.0:
+    if np.any(np.less(nbar, 0.0)):
         raise ValueError(f"mean thermal occupation must be >= 0, got {nbar}")
-    if r0 <= 0.0:
+    if np.any(np.less_equal(r0, 0.0)):
         raise ValueError(f"shift threshold must be > 0, got {r0}")
     scale = 1.0 + nbar
-    return r0 * math.sqrt(math.pi * scale) * erfc(r0 / (2.0 * math.sqrt(scale)))
+    work = r0 * np.sqrt(math.pi * scale) * erfc(r0 / (2.0 * np.sqrt(scale)))
+    return work if np.ndim(work) else float(work)
 
 
-def binary_efficiency(nbar: float, r0: float) -> float:
+def binary_efficiency(nbar, r0):
     """Work-conversion efficiency of the binary protocol, <W'> / (1 + nbar).
 
     Depends on (nbar, r0) only through u = r0 / sqrt(1 + nbar): it equals

@@ -74,9 +74,8 @@ def test_c04_work_distribution():
     stats = qm.run_ensemble(cfg)
     schedule = qm.sigma_schedule(cfg)
     assert schedule.mean_work_at(1.0) == pytest.approx(0.25, abs=1e-12)
-    ks = qm.ks_compare(
-        stats.samples, lambda w: qm.exact_work_cdf(w, 1.0, schedule), level=0.01
-    )
+    assert qm.ensembles.KS_LEVEL == 0.01
+    ks = qm.ks_compare(stats.samples, lambda w: qm.exact_work_cdf(w, 1.0, schedule))
     report(
         "C4",
         f"10^4 terminal trajectories at t=1 pass KS vs exponential mean 1/4 "
@@ -158,8 +157,8 @@ def test_c08_scheme_equivalence():
             policy="none", scheme=scheme, seed=seed,
         )
         rec = run_ensemble_arrays(cfg, times)
-        means[scheme] = rec.ledger_cum.mean(axis=1)
-        errs[scheme] = rec.ledger_cum.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
+        means[scheme] = rec.ledger.mean(axis=1)
+        errs[scheme] = rec.ledger.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
     gap = np.abs(means["stratonovich"] - means["ito"])
     combined = np.hypot(errs["stratonovich"], errs["ito"])
     zs = gap / combined
@@ -212,29 +211,24 @@ def test_c10_property_suites():
     # reset leaves covariances bit-identical: a per-step trajectory and a
     # policy="none" trajectory on the same noise and asymmetric channels
     fields = dict(nbar=2.0, tau1=1.0, tau2=0.7, dt=0.007, t_final=2.1, seed=1011)
-    reset = qm.run_trajectory(
-        qm.EngineConfig(policy="per-step", **fields), qm.NoiseSource(1011, 0)
-    )
-    free = qm.run_trajectory(
-        qm.EngineConfig(policy="none", **fields), qm.NoiseSource(1011, 0)
-    )
-    reset_ok = all(
-        np.array_equal(getattr(reset, q), getattr(free, q)) for q in ("q3", "q4", "q5")
-    )
+    reset = qm.run_trajectory(qm.EngineConfig(policy="per-step", **fields))
+    free = qm.run_trajectory(qm.EngineConfig(policy="none", **fields))
+    reset_ok = np.array_equal(reset.cov, free.cov)
 
     # determinism: (config, seed) reproduces trajectories and ensembles,
-    # and the vectorized ensemble reproduces the scalar runner bit-exactly
+    # and the ensemble's terminal work is 0.5*(q1**2 + q2**2) of each single
+    # trajectory's last row, bit-exactly
     cfg = qm.EngineConfig(nbar=0.5, dt=0.005, t_final=1.0, n_traj=4, seed=1010)
-    a = qm.run_trajectory(cfg, qm.NoiseSource(1010, 2))
-    b = qm.run_trajectory(cfg, qm.NoiseSource(1010, 2))
-    rec = run_ensemble_arrays(cfg, [1.0])
+    a = qm.run_trajectory(cfg, 2)
+    b = qm.run_trajectory(cfg, 2)
+    last = [qm.run_trajectory(cfg, j) for j in range(4)]
     scalar_w = np.array([
-        qm.run_trajectory(cfg, qm.NoiseSource(1010, j)).extracted[-1] for j in range(4)
+        0.5 * (r.q1[-1, 0] * r.q1[-1, 0] + r.q2[-1, 0] * r.q2[-1, 0]) for r in last
     ])
     determinism_ok = (
         np.array_equal(a.q1, b.q1)
-        and np.array_equal(a.ledger.cumulative, b.ledger.cumulative)
-        and np.array_equal(scalar_w, rec.displacement_energy[0])
+        and np.array_equal(a.ledger, b.ledger)
+        and np.array_equal(scalar_w, qm.run_ensemble(cfg).samples)
     )
 
     report(

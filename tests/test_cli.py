@@ -214,11 +214,18 @@ class TestOutputs:
         _, out = continuous_run
         table = load_csv(out / "trajectory.csv")
         cfg = qm.EngineConfig(nbar=0.0, t_final=1.0, n_traj=2000, seed=7)
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(7, 0))
-        assert table["q1"].shape == rec.q1.shape
-        assert np.array_equal(table["q1"], rec.q1)  # 17 digits round-trip exactly
-        assert np.array_equal(table["r1"][1:], rec.r1)
-        assert np.array_equal(table["W_cum"][1:], rec.ledger.cumulative)
+        rec = qm.run_trajectory(cfg)
+        # every column, row 0 (the start) included; 17 digits round-trip exactly
+        columns = {
+            "t": np.arange(cfg.n_steps + 1) * cfg.resolved_dt,
+            "q1": rec.q1, "q2": rec.q2,
+            "q3": rec.cov[:, :1], "q4": rec.cov[:, 1:2], "q5": rec.cov[:, 2:],
+            "r1": rec.r1, "r2": rec.r2, "dW": rec.increment, "W_cum": rec.ledger,
+        }
+        assert list(table) == list(columns)
+        for name, want in columns.items():
+            assert table[name].shape == (cfg.n_steps + 1,), name
+            assert np.array_equal(table[name], np.ravel(want)), name
 
     def test_summary_is_machine_checkable(self, continuous_run):
         _, out = continuous_run

@@ -122,11 +122,12 @@ class TestRunEnsemble:
                 nbar=0.5, dt=0.01, t_final=1.0, n_traj=1, policy=policy, seed=77
             )
             stats = qm.run_ensemble(cfg)
-            rec = qm.run_trajectory(cfg, qm.NoiseSource(77, 0))
+            rec = qm.run_trajectory(cfg)
+            q1, q2 = rec.q1[-1, 0], rec.q2[-1, 0]
             if policy == "terminal":
-                assert stats.samples[0] == rec.extracted[-1]
+                assert stats.samples[0] == 0.5 * (q1 * q1 + q2 * q2)
             else:
-                assert stats.samples[0] == rec.extracted[-1]
+                assert stats.samples[0] == rec.harvest[-1, 0]
 
     def test_histogram_mass_equals_ensemble_size(self):
         cfg = qm.EngineConfig(nbar=0.0, dt=0.01, t_final=1.0, n_traj=2000, seed=1)

@@ -19,8 +19,22 @@ from qmengine import feedback
 from qmengine.config import MAX_N_STEPS
 from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import (
-    NORMAL_FORM_TOL, _advance, _noise_block, _Steps, run_ensemble_arrays,
+    NORMAL_FORM_TOL, Steps, _advance, _noise_block, run_ensemble_arrays,
 )
+
+#: The per-trajectory fields of Steps; with cov, all of its fields.
+STEP_FIELDS = ("q1", "q2", "r1", "r2", "increment", "ledger", "harvest", "harvested")
+ENSEMBLE_FIELDS = (*STEP_FIELDS, "cov")
+
+
+def displacement_energy(steps):
+    """(q1**2 + q2**2)/2 of each trajectory at each recorded grid point."""
+    return 0.5 * (steps.q1 * steps.q1 + steps.q2 * steps.q2)
+
+
+def column(steps, name, j):
+    """Field name of trajectory j as an (n, 1) array; cov is every trajectory's."""
+    return steps.cov if name == "cov" else getattr(steps, name)[:, j:j + 1]
 
 
 def constant_cov(q3, q4, q5, n_steps):
@@ -45,7 +59,7 @@ class TestStratonovichLedger:
                 nbar=0.0, dt=dt, t_final=2.0, n_traj=30, policy="none", seed=3
             )
             rec = run_ensemble_arrays(cfg, [2.0])
-            gap = np.abs(rec.ledger_cum[0] - rec.displacement_energy[0])
+            gap = np.abs(rec.ledger[0] - displacement_energy(rec)[0])
             assert gap.max() <= 10.0 * dt
 
     def test_ensemble_mean_matches_accumulated_power(self):
@@ -53,7 +67,7 @@ class TestStratonovichLedger:
             nbar=1.0, dt=0.0025, t_final=1.0, n_traj=4000, policy="none", seed=31
         )
         rec = run_ensemble_arrays(cfg, [1.0])
-        w = rec.ledger_cum[0]
+        w = rec.ledger[0]
         se = w.std(ddof=1) / math.sqrt(len(w))
         schedule = qm.sigma_schedule(cfg)
         assert abs(w.mean() - schedule.mean_work_at(1.0)) <= 3.0 * se
@@ -79,7 +93,7 @@ class TestItoLedger:
     def test_asymmetric_channels_rejected(self):
         cfg = qm.EngineConfig(tau1=1.0, tau2=0.9, dt=0.01, scheme="ito")
         with pytest.raises(UnsupportedConfigurationError):
-            qm.run_trajectory(cfg, qm.NoiseSource(0))
+            qm.run_trajectory(cfg)
 
     def test_non_normal_form_rejected(self):
         cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
@@ -93,9 +107,9 @@ class TestItoLedger:
         cfg = qm.EngineConfig(
             nbar=1.0, dt=0.01, t_final=0.5, policy="per-step", scheme="ito", seed=2
         )
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(2))
-        nu = 0.5 * rec.q3[:-1]
-        assert np.array_equal(rec.ledger.increments, nu * nu / cfg.tau1 * cfg.resolved_dt)
+        rec = qm.run_trajectory(cfg)
+        nu = 0.5 * rec.cov[:-1, 0]
+        assert np.array_equal(rec.increment[1:, 0], nu * nu / cfg.tau1 * cfg.resolved_dt)
 
 
 class TestReset:
@@ -125,16 +139,11 @@ class TestReset:
     def test_covariances_bit_identical(self):
         # resetting after every step leaves the covariance flow untouched
         fields = dict(nbar=1.5, tau1=1.0, tau2=0.7, dt=0.005, t_final=1.0, seed=4)
-        reset = qm.run_trajectory(
-            qm.EngineConfig(policy="per-step", **fields), qm.NoiseSource(4, 1)
-        )
-        free = qm.run_trajectory(
-            qm.EngineConfig(policy="none", **fields), qm.NoiseSource(4, 1)
-        )
+        reset = qm.run_trajectory(qm.EngineConfig(policy="per-step", **fields), 1)
+        free = qm.run_trajectory(qm.EngineConfig(policy="none", **fields), 1)
         assert not np.array_equal(reset.q1, free.q1)
-        for name in ("q3", "q4", "q5"):
-            assert np.array_equal(getattr(reset, name), getattr(free, name)), name
-        assert np.abs(free.q4).max() > 0.0
+        assert np.array_equal(reset.cov, free.cov)
+        assert np.abs(free.cov[:, 1]).max() > 0.0
 
 
 class TestRunTrajectory:
@@ -142,9 +151,9 @@ class TestRunTrajectory:
         cfg = qm.EngineConfig(
             nbar=1.0, tau1=1e13, tau2=1e13, dt=0.01, t_final=1.0, policy="none", seed=9
         )
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(9))
-        assert np.all(rec.ledger.increments == 0.0)
-        assert np.all(rec.r1 == rec.q1[:-1])
+        rec = qm.run_trajectory(cfg)
+        assert np.all(rec.increment == 0.0)
+        assert np.all(rec.r1[1:] == rec.q1[:-1])
         assert np.all(rec.q1 == 0.0)  # rotation of zero means
 
     def test_unmonitored_rotation_of_displaced_start(self):
@@ -154,24 +163,27 @@ class TestRunTrajectory:
         )
         n = cfg.n_steps
         cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, n)
-        noise = _noise_block(qm.NoiseSource(cfg.seed), 0, 1, n)
+        noise = _noise_block(cfg.seed, 0, 1, n)
         steps = _advance(cfg, cov, noise, (1.0, 0.0), [n])
         assert steps.q1[0, 0] == pytest.approx(math.cos(1.571), abs=0.01)
         assert steps.q2[0, 0] == pytest.approx(-math.sin(1.571), abs=0.01)
         assert steps.ledger[0, 0] == 0.0
 
-    def test_terminal_harvest_is_conserved_bit_exactly(self):
+    def test_terminal_run_banks_nothing_along_the_way(self):
+        # its one harvest, at the end, is the final displacement energy,
+        # which ensembles.work_samples takes from q1 and q2
         cfg = qm.EngineConfig(nbar=0.5, dt=0.005, t_final=1.0, policy="terminal", seed=6)
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(6))
-        assert rec.extracted[-1] == 0.5 * (rec.q1[-1] ** 2 + rec.q2[-1] ** 2)
-        assert not rec.extracted[:-1].any()
+        rec = qm.run_trajectory(cfg)
+        assert not rec.harvest.any() and not rec.harvested.any()
+        assert displacement_energy(rec)[-1, 0] > 0.0
 
     def test_per_step_harvests_every_step(self):
         cfg = qm.EngineConfig(nbar=0.0, dt=0.01, t_final=0.5, policy="per-step", seed=7)
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(7))
-        assert np.all(rec.extracted > 0.0)
+        rec = qm.run_trajectory(cfg)
+        assert rec.harvest[0, 0] == 0.0
+        assert np.all(rec.harvest[1:] > 0.0)
         expected = 0.5 * (rec.q1[1:] ** 2 + rec.q2[1:] ** 2)
-        assert np.array_equal(rec.extracted, expected)
+        assert np.array_equal(rec.harvest[1:], expected)
 
     def test_per_step_means_recenter_on_origin(self):
         # ensemble average of the pre-reset displacement stays at the origin
@@ -180,26 +192,30 @@ class TestRunTrajectory:
         )
         n = cfg.n_steps
         cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, n)
-        noise = _noise_block(qm.NoiseSource(cfg.seed), 0, cfg.n_traj, n)
+        noise = _noise_block(cfg.seed, 0, cfg.n_traj, n)
         steps = _advance(cfg, cov, noise, (0.0, 0.0), [n // 2, n])
         for q in (steps.q1, steps.q2):
             se = q.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
             assert np.all(np.abs(q.mean(axis=1)) <= 4.0 * se)
 
     def test_record_shapes(self):
+        # every grid point 0..n_steps, one column; row 0 is the start
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=0.3, policy="terminal", seed=5)
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(5))
+        rec = qm.run_trajectory(cfg)
         n = cfg.n_steps
-        assert len(rec.t) == len(rec.q1) == len(rec.q5) == n + 1
-        assert len(rec.r1) == n == len(rec.ledger.increments) == len(rec.extracted)
+        for name in STEP_FIELDS:
+            assert getattr(rec, name).shape == (n + 1, 1), name
+            assert not getattr(rec, name)[0].any(), name
+        cov = qm.covariance_series(cfg.nbar, cfg.channels(), cfg.resolved_dt, n)
+        assert np.array_equal(rec.cov, cov)
 
     def test_same_stream_reproduces_record(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.5, policy="terminal", seed=44)
-        a = qm.run_trajectory(cfg, qm.NoiseSource(44, 2))
-        b = qm.run_trajectory(cfg, qm.NoiseSource(44, 2))
+        a = qm.run_trajectory(cfg, 2)
+        b = qm.run_trajectory(cfg, 2)
         assert np.array_equal(a.q1, b.q1)
         assert np.array_equal(a.r2, b.r2)
-        assert np.array_equal(a.ledger.cumulative, b.ledger.cumulative)
+        assert np.array_equal(a.ledger, b.ledger)
 
 
 class TestSchemeEquivalence:
@@ -213,16 +229,13 @@ class TestSchemeEquivalence:
                 policy="none", scheme=scheme, seed=seed,
             )
             rec = run_ensemble_arrays(cfg, times)
-            means[scheme] = rec.ledger_cum.mean(axis=1)
-            errs[scheme] = rec.ledger_cum.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
+            means[scheme] = rec.ledger.mean(axis=1)
+            errs[scheme] = rec.ledger.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
         gap = np.abs(means["stratonovich"] - means["ito"])
         combined = np.hypot(errs["stratonovich"], errs["ito"])
         assert np.all(gap <= 3.0 * combined)
 
 
-ENSEMBLE_FIELDS = (
-    "cov", "ledger_cum", "extracted_cum", "displacement_energy", "step_work",
-)
 CHUNK_CONFIGS = {
     policy: qm.EngineConfig(
         nbar=0.5, dt=0.01, t_final=0.2, n_traj=11, policy=policy, seed=13
@@ -260,27 +273,22 @@ class TestChunkInvariance:
         )
         times = [0.0, 0.64, 0.65, 1.0, 500.0, 999.99, 1000.0]
         ens = run_ensemble_arrays(cfg, times)
-        rec = qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, 0))
+        rec = qm.run_trajectory(cfg)
         at = [cfg.step_index(t) for t in times]
-        q1, q2 = rec.q1[at], rec.q2[at]
-        steps = [k - 1 for k in at[1:]]
-        assert np.array_equal(0.5 * (q1 * q1 + q2 * q2), ens.displacement_energy[:, 0])
-        assert np.array_equal(rec.extracted[steps], ens.step_work[1:, 0])
-        assert np.array_equal(rec.ledger.cumulative[steps], ens.ledger_cum[1:, 0])
-        assert np.array_equal(np.cumsum(rec.extracted)[steps], ens.extracted_cum[1:, 0])
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name)[at], column(ens, name, 0)), name
+        assert np.array_equal(np.cumsum(rec.harvest)[at], ens.harvested[:, 0])
 
     def test_trajectory_is_the_single_member_case(self):
-        # trajectory j of an ensemble is run_trajectory on stream (seed, j)
+        # column j of an ensemble is run_trajectory(config, j)
         cfg = CHUNK_CONFIGS["per-step"]
         ref = default_chunking("per-step")
         for j in (0, 10):
-            rec = qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, j))
-            q1, q2 = rec.q1[[0, 10, 20]], rec.q2[[0, 10, 20]]
-            assert np.array_equal(0.5 * (q1 * q1 + q2 * q2), ref.displacement_energy[:, j])
-            assert np.array_equal(rec.extracted[[9, 19]], ref.step_work[1:, j])
-            assert np.array_equal(rec.ledger.cumulative[[9, 19]], ref.ledger_cum[1:, j])
-            harvested = np.cumsum(rec.extracted)[[9, 19]]
-            assert np.array_equal(harvested, ref.extracted_cum[1:, j])
+            rec = qm.run_trajectory(cfg, j)
+            for name in ENSEMBLE_FIELDS:
+                assert np.array_equal(getattr(rec, name)[[0, 10, 20]], column(ref, name, j)), name
+            harvested = np.cumsum(rec.harvest)[[0, 10, 20]]
+            assert np.array_equal(harvested, ref.harvested[:, j])
 
 
 #: Grid point 0, step 1 and two later steps of the CHUNK_CONFIGS grid.
@@ -309,7 +317,7 @@ class TestFieldSubsets:
     @given(
         key=st.sampled_from(sorted(WORKER_CONFIGS)),
         chunk=st.integers(1, 14),
-        fields=st.sets(st.sampled_from(feedback.RECORD_FIELDS), min_size=1),
+        fields=st.sets(st.sampled_from(STEP_FIELDS), min_size=1),
     )
     @settings(max_examples=60, deadline=None)
     def test_asked_fields_are_bit_identical_to_all_fields(self, key, chunk, fields):
@@ -320,10 +328,10 @@ class TestFieldSubsets:
             rec = run_ensemble_arrays(WORKER_CONFIGS[key], FIELD_CHECKPOINTS, fields)
         ref = all_fields(key)
         assert np.array_equal(rec.cov, ref.cov)
-        assert_same_fields(rec, ref, feedback.RECORD_FIELDS, fields)
+        assert_same_fields(rec, ref, STEP_FIELDS, fields)
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="not an EnsembleRecord field: cov"):
+        with pytest.raises(ValueError, match="not a per-trajectory Steps field: cov"):
             run_ensemble_arrays(CHUNK_CONFIGS["terminal"], [0.2], ["cov"])
 
 
@@ -364,7 +372,7 @@ class TestStreamLayout:
             single = {}
             for j in (0, 255, 256, 599):
                 seen.clear()
-                qm.run_trajectory(cfg, qm.NoiseSource(cfg.seed, j))
+                qm.run_trajectory(cfg, j)
                 single[j] = seen[0][0]
         assert ensemble_noise.shape == (600, n, 2)
         for j in (0, 255, 256, 599):
@@ -617,7 +625,9 @@ def reference_advance(config, cov, noise, start, record):
         )
     per_step = config.policy == "per-step"
 
-    out = _Steps(*(np.zeros((len(record), m)) for _ in range(8)))
+    out = Steps(
+        *(np.zeros((len(record), m)) for _ in STEP_FIELDS), cov=cov[np.asarray(record, int)]
+    )
     rows = {int(k): i for i, k in enumerate(record)}
     row = rows.get(0)
     if row is not None:
@@ -672,7 +682,6 @@ def reference_advance(config, cov, noise, start, record):
     return out
 
 
-STEP_FIELDS = ("q1", "q2", "r1", "r2", "increment", "ledger", "harvest", "harvested")
 #: (tau1, tau2, scheme): symmetric, asymmetric and unmonitored channels
 KERNEL_CHANNELS = [
     (1.0, 1.0, "stratonovich"),
@@ -717,7 +726,7 @@ def kernel_case(draw, policy):
 
 
 def assert_same_bits(got, want):
-    for name in STEP_FIELDS:
+    for name in ENSEMBLE_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
@@ -780,7 +789,9 @@ def step_call_advance(config, cov, noise, start, record):
     """The free policies as one ``_step`` call per step, recording every field."""
     rates = feedback._rates(config, cov)
     m, n_steps, _ = noise.shape
-    out = _Steps(*(np.zeros((len(record), m)) for _ in STEP_FIELDS))
+    out = Steps(
+        *(np.zeros((len(record), m)) for _ in STEP_FIELDS), cov=cov[np.asarray(record, int)]
+    )
     rows = {int(k): i for i, k in enumerate(record)}
     if 0 in rows:
         out.q1[rows[0]], out.q2[rows[0]] = start

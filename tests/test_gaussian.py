@@ -31,13 +31,10 @@ class TestThermalState:
     """The thermal start: row 0 of the covariance series, zero means."""
 
     def test_vacuum_saturates_uncertainty(self):
-        rec = qm.run_trajectory(
-            qm.EngineConfig(dt=0.01, t_final=0.1, policy="none"), qm.NoiseSource(0)
-        )
-        assert (rec.q1[0], rec.q2[0], rec.q3[0], rec.q4[0], rec.q5[0]) == (
-            0.0, 0.0, 1.0, 0.0, 1.0
-        )
-        assert rec.q3[0] * rec.q5[0] - rec.q4[0] ** 2 == 1.0
+        rec = qm.run_trajectory(qm.EngineConfig(dt=0.01, t_final=0.1, policy="none", seed=0))
+        q3, q4, q5 = rec.cov[0]
+        assert (rec.q1[0, 0], rec.q2[0, 0], q3, q4, q5) == (0.0, 0.0, 1.0, 0.0, 1.0)
+        assert q3 * q5 - q4**2 == 1.0
 
     def test_half_quantum(self):
         cov = qm.covariance_series(0.5, qm.MeasurementChannels(1.0, 1.0), 0.01, 0)
@@ -123,11 +120,10 @@ class TestCovarianceFlow:
 
     def test_flow_is_noise_independent(self):
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=1.0, policy="none", seed=0)
-        a = qm.run_trajectory(cfg, qm.NoiseSource(0, 0))
-        b = qm.run_trajectory(cfg, qm.NoiseSource(12345, 6))
-        assert np.array_equal(a.q3, b.q3)
-        assert np.array_equal(a.q4, b.q4)
-        assert np.array_equal(a.q5, b.q5)
+        a = qm.run_trajectory(cfg)
+        b = qm.run_trajectory(cfg.with_updates(seed=12345), 6)
+        assert not np.array_equal(a.r1, b.r1)
+        assert np.array_equal(a.cov, b.cov)
 
     @given(
         nbar=st.floats(0.0, 10.0),
@@ -144,9 +140,10 @@ class TestCovarianceFlow:
         assert np.all(q3 * q5 - q4 * q4 >= 1.0 - UNCERTAINTY_TOL)
 
 
-def trajectory(seed, stream=0, **overrides):
+def trajectory(seed, j=0, **overrides):
+    """Trajectory j's record, one column; row 0 is the start."""
     fields = dict(dt=0.01, t_final=0.5, policy="none", seed=seed) | overrides
-    return qm.run_trajectory(qm.EngineConfig(**fields), qm.NoiseSource(seed, stream))
+    return qm.run_trajectory(qm.EngineConfig(**fields), j)
 
 
 def advance(cfg, noise, start, record):
@@ -160,7 +157,7 @@ class TestReadout:
     def test_noise_variance_and_mean(self):
         # 10^4 steps on two channels: 2 * 10^4 readout excesses r_i - q_i
         rec = trajectory(8, tau1=2.0, tau2=2.0, t_final=100.0)
-        excess = np.concatenate([rec.r1 - rec.q1[:-1], rec.r2 - rec.q2[:-1]])
+        excess = np.concatenate([rec.r1[1:, 0] - rec.q1[:-1, 0], rec.r2[1:, 0] - rec.q2[:-1, 0]])
         assert len(excess) == 20000
         assert np.var(excess) == pytest.approx(2.0 / 0.01, rel=0.05)
         assert np.mean(excess) == pytest.approx(0.0, abs=3.0 * math.sqrt(200.0 / 20000))
@@ -172,12 +169,12 @@ class TestReadout:
 
     def test_distinct_streams_differ(self):
         a, b = trajectory(99, 0), trajectory(99, 1)
-        assert a.r1[0] != b.r1[0] and a.r2[0] != b.r2[0]
+        assert a.r1[1, 0] != b.r1[1, 0] and a.r2[1, 0] != b.r2[1, 0]
 
     def test_unmonitored_channel_is_silent(self):
         rec = trajectory(1, tau2=math.inf)
-        assert np.all(rec.r2 == rec.q2[:-1])
-        assert np.all(rec.r1 != rec.q1[:-1])
+        assert np.all(rec.r2[1:] == rec.q2[:-1])
+        assert np.all(rec.r1[1:] != rec.q1[:-1])
 
 
 class TestMeanStep:
@@ -209,7 +206,7 @@ class TestMeanStep:
         n = cfg.step_index(t_obs)
         q1, q2 = [], []
         for start in range(0, cfg.n_traj, 1000):
-            noise = _noise_block(qm.NoiseSource(cfg.seed), start, start + 1000, n)
+            noise = _noise_block(cfg.seed, start, start + 1000, n)
             steps = advance(cfg, noise, (1.0, 0.0), [n])
             q1.append(steps.q1[0])
             q2.append(steps.q2[0])

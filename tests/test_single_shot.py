@@ -81,6 +81,11 @@ class TestBinaryFeedbackWork:
             qm.extract_work_binary(np.array([1.0, -1.0]), 1.0)
         with pytest.raises(ValueError):
             qm.binary_average_work(1.0, -2.0)
+        # an array is rejected if any element is out of its domain
+        with pytest.raises(ValueError):
+            qm.binary_average_work(np.array([1.0, -1.0]), 1.0)
+        with pytest.raises(ValueError):
+            qm.binary_average_work(1.0, np.array([1.0, 0.0]))
 
     def test_closed_form_vanishes_with_threshold(self):
         assert qm.binary_average_work(0.0, 1e-12) == pytest.approx(0.0, abs=1e-10)
@@ -124,6 +129,21 @@ class TestBinaryEfficiency:
     @settings(max_examples=200, deadline=None)
     def test_below_unity_for_positive_shift(self, u):
         assert qm.binary_efficiency(0.0, u) < 1.0
+
+    def test_arrays_match_the_float_form_bit_for_bit(self):
+        # the figure-S2 grid in one call, against the closed form per cell
+        # in Python floats
+        nbar, r0 = np.meshgrid(
+            np.linspace(0.0, 4.0, 41), np.linspace(0.05, 5.0, 100), indexing="ij"
+        )
+        grid = qm.binary_efficiency(nbar, r0)
+        cells = [
+            r * math.sqrt(math.pi * (1.0 + n)) * single_shot.erfc(r / (2.0 * math.sqrt(1.0 + n)))
+            / (1.0 + n)
+            for n, r in zip(nbar.ravel().tolist(), r0.ravel().tolist())
+        ]
+        assert grid.shape == (41, 100)
+        assert np.array_equal(grid.ravel().view(np.int64), np.array(cells).view(np.int64))
 
     def test_grid_maximum(self):
         u_best, eta_best = qm.max_binary_efficiency()
