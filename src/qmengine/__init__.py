@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .feedback import Steps, run_trajectory
-from .gaussian import MeasurementChannels, NoiseSource, covariance_series
+from .gaussian import NoiseSource, covariance_series
 from .single_shot import (
     added_quantum_check,
     binary_average_work,
@@ -39,7 +39,6 @@ from .single_shot import (
     sample_outcomes,
 )
 from .thermo import (
-    ClassicalConfig,
     binary_erasure_cost,
     binary_p0,
     binary_thermo_efficiency,

@@ -56,7 +56,7 @@ from .single_shot import (
     max_binary_efficiency,
     sample_outcomes,
 )
-from .thermo import ClassicalConfig, binary_p0, binary_thermo_efficiency, classical_cycle
+from .thermo import binary_p0, binary_thermo_efficiency, classical_cycle
 
 PRESETS = ("figure-2b", "figure-2c", "figure-2f", "figure-S2", "figure-S3")
 
@@ -100,8 +100,8 @@ def build_parser() -> _Parser:
         p.set_defaults(label=name)
         _add_engine_flags(p)
         if name == "classical":
-            p.add_argument("--spring-k", type=float, default=1.0)
-            p.add_argument("--kbt", type=float, default=1.0)
+            p.add_argument("--spring-k", type=float)
+            p.add_argument("--kbt", type=float)
     p = sub.add_parser("presets")
     p.add_argument("label", metavar="preset", choices=PRESETS)
     _add_engine_flags(p)
@@ -164,7 +164,7 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
     if spacing is not None:
         # validated first: default_dt needs numbers
         if config.dt is None:
-            config = config.with_updates(dt=config.default_dt(spacing)).validate()
+            config = dataclasses.replace(config, dt=config.default_dt(spacing)).validate()
         config.step_index(spacing)
     return config
 
@@ -552,7 +552,7 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
         "t": stats.t,
     }
     checks: dict = {}
-    if config.channels().symmetric and config.policy in ("terminal", "per-step"):
+    if config.tau1 == config.tau2 and config.policy in ("terminal", "per-step"):
         schedule = sigma_schedule(config, policy=config.policy)
         expected = schedule.mean_work_at(config.t_final)
         results["expected_mean_work"] = expected
@@ -574,12 +574,12 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
     return out, stats
 
 
-def _run_classical(config: EngineConfig, run: _Run, spring_k: float, kbt: float) -> dict:
-    cc = ClassicalConfig(spring_k=spring_k, kbt=kbt, n_samples=config.n_traj)
-    samples = classical_cycle(cc, NoiseSource(config.seed).generator())
+def _run_classical(config: EngineConfig, run: _Run) -> dict:
+    samples = classical_cycle(config, NoiseSource(config.seed).generator())
+    kbt = config.kbt
     run.csv(
         "work_samples.csv",
-        [f"classical Brownian cycles: k={_fmt(spring_k)}, kBT={_fmt(kbt)}"],
+        [f"classical Brownian cycles: k={_fmt(config.spring_k)}, kBT={_fmt(kbt)}"],
         {"work": samples},
     )
     expect = 0.5 * kbt
@@ -670,7 +670,7 @@ def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
     columns: dict = {"t": grid}
     finals: dict = {}
     for ratio in (1.0, 0.9, 1.2):
-        cfg = config.with_updates(tau2=config.tau1 * ratio)
+        cfg = dataclasses.replace(config, tau2=config.tau1 * ratio)
         series = efficiency_series(cfg, grid)
         tag = ("%g" % ratio).replace(".", "p")
         columns[f"eta_ratio_{tag}"] = series.eta
@@ -718,9 +718,7 @@ def run_experiment(args: argparse.Namespace) -> int:
     out_dir = config.output_path or Path(f"qmengine-out-{args.label}")
     run = _Run(out_dir)
     try:
-        # the classical family's own flags go to its runner
-        flags = {key: getattr(args, key) for key in ("spring_k", "kbt") if key in args}
-        out = _RUNNERS[args.label](config, run, **flags)
+        out = _RUNNERS[args.label](config, run)
 
         summary = {
             "experiment": args.label,

@@ -1,17 +1,20 @@
-"""Run configuration shared by the trajectory engine, ensembles, and the CLI.
+"""The one description of a run, shared by every family, preset and library call.
 
-All quantities are dimensionless: energies in hbar*omega, times in 1/omega.
+``EngineConfig`` holds the thermal occupation, the two measurement times,
+the step grid, the policy and ledger scheme, the binary threshold and demon
+temperature, the classical baseline's trap stiffness and bath energy, the
+sample count and the seed.  All quantities are dimensionless: energies in
+hbar*omega, times in 1/omega.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import UnsupportedConfigurationError
-from .gaussian import MeasurementChannels
 
 POLICIES = ("terminal", "per-step", "none")
 SCHEMES = ("stratonovich", "ito")
@@ -48,11 +51,10 @@ class EngineConfig:
     scheme: str = "stratonovich"
     r0: float = 1.0
     demon_kbtd: float = 0.0
+    spring_k: float = 1.0
+    kbt: float = 1.0
     seed: int = 0
     output_path: Path | None = None
-
-    def channels(self) -> MeasurementChannels:
-        return MeasurementChannels(self.tau1, self.tau2)
 
     @property
     def resolved_dt(self) -> float:
@@ -91,7 +93,8 @@ class EngineConfig:
         every comparison is written so that NaN fails it.  tau = inf is valid
         and switches a channel off.
         """
-        for name in ("nbar", "tau1", "tau2", "dt", "t_final", "r0", "demon_kbtd"):
+        for name in ("nbar", "tau1", "tau2", "dt", "t_final", "r0", "demon_kbtd",
+                     "spring_k", "kbt"):
             value = getattr(self, name)
             if name == "dt" and value is None:
                 continue
@@ -144,7 +147,18 @@ class EngineConfig:
             raise ValueError(
                 f"demon_kbtd must be finite and >= 0, got {self.demon_kbtd}"
             )
+        if not 0.0 < self.spring_k < math.inf:
+            raise ValueError(
+                f"spring constant must be finite and > 0, got {self.spring_k}"
+            )
+        # W = kbt*g**2/2 for a standard normal g, so a bounded kbt keeps the
+        # samples and their variance finite, as MAX_ENERGY does for nbar; a
+        # bounded kbt/k keeps x ~ N(0, kbt/k) finite
+        if not 0.0 <= self.kbt <= MAX_ENERGY:
+            raise ValueError(f"kB*T must lie in [0, {MAX_ENERGY:g}], got {self.kbt}")
+        if not self.kbt / self.spring_k <= MAX_ENERGY**2:
+            raise ValueError(
+                f"kB*T / spring constant must be <= {MAX_ENERGY**2:g}, "
+                f"got {self.kbt / self.spring_k}"
+            )
         return self
-
-    def with_updates(self, **kwargs) -> "EngineConfig":
-        return replace(self, **kwargs)

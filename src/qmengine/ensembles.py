@@ -114,16 +114,15 @@ def sigma_schedule(config: EngineConfig, policy: str = "terminal") -> SigmaSched
     Defined only for symmetric channels, where the covariance matrix stays in
     normal form and nu(t) = q3(t)/2 = q5(t)/2.
     """
-    channels = config.channels()
-    if not channels.symmetric:
+    if config.tau1 != config.tau2:
         raise UnsupportedConfigurationError(
             "sigma schedule requires symmetric channels (nu is defined only "
-            f"in normal form); got ({channels.tau1}, {channels.tau2})"
+            f"in normal form); got ({config.tau1}, {config.tau2})"
         )
     if policy not in ("terminal", "per-step"):
         raise ValueError(f"policy must be 'terminal' or 'per-step', got {policy!r}")
     dt = config.resolved_dt
-    cov = covariance_series(config.nbar, channels, dt, config.n_steps)
+    cov = covariance_series(config.nbar, config.tau1, config.tau2, dt, config.n_steps)
     nu = 0.5 * cov[:, 0]
     y = nu * nu
     if policy == "terminal":

@@ -62,7 +62,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import UnsupportedConfigurationError
-from .gaussian import NoiseSource, covariance_series
+from .gaussian import NoiseSource, covariance_series, inv_2tau
 
 #: Absolute slack on |q4| and |q3 - q5| when the Ito ledger checks that the
 #: covariance matrix is in normal form.
@@ -136,7 +136,7 @@ class _Rates:
 def _rates(config: EngineConfig, cov: np.ndarray) -> _Rates:
     """The step constants of config; an Ito ledger needs cov in normal form."""
     dt = config.resolved_dt
-    channels = config.channels()
+    i1, i2 = inv_2tau(config.tau1), inv_2tau(config.tau2)
     ito = config.scheme == "ito"
     if ito and (
         np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
@@ -147,11 +147,11 @@ def _rates(config: EngineConfig, cov: np.ndarray) -> _Rates:
         )
     return _Rates(
         dt=dt,
-        w1=math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0,
-        w2=math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0,
-        i1=channels.inv_2tau1,
-        i2=channels.inv_2tau2,
-        tau1=channels.tau1,
+        w1=math.sqrt(config.tau1 / dt) if i1 else 0.0,
+        w2=math.sqrt(config.tau2 / dt) if i2 else 0.0,
+        i1=i1,
+        i2=i2,
+        tau1=config.tau1,
         ito=ito,
     )
 
@@ -481,7 +481,7 @@ def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
     """
     config.validate()
     n = config.n_steps
-    cov = covariance_series(config.nbar, config.channels(), config.resolved_dt, n)
+    cov = covariance_series(config.nbar, config.tau1, config.tau2, config.resolved_dt, n)
     noise = _noise_block(config.seed, j, j + 1, n)
     return _advance(config, cov, noise, (0.0, 0.0), range(n + 1))
 
@@ -643,7 +643,7 @@ def run_ensemble_arrays(
         if seen.setdefault(k, i) != i:
             raise ValueError(f"checkpoint time {checkpoints[i]} is repeated (step {k})")
     cov = covariance_series(
-        config.nbar, config.channels(), config.resolved_dt, n_steps
+        config.nbar, config.tau1, config.tau2, config.resolved_dt, n_steps
     )
 
     n_traj = config.n_traj

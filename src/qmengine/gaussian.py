@@ -4,7 +4,10 @@ The oscillator is described in dimensionless units (x in units of
 sqrt(hbar/m*omega), p in units of sqrt(hbar*m*omega), time in units of
 1/omega, energy in units of hbar*omega).  Both quadratures are monitored
 simultaneously by independent weak-measurement channels with characteristic
-times tau1 (position) and tau2 (momentum).  The conditional state stays
+times tau1 (position) and tau2 (momentum), the config's own two fields.
+``inv_2tau`` holds the one rule that switches a channel off: at or beyond
+NO_MEASUREMENT_TAU (math.inf included) its backaction factor 1/(2*tau) is
+0, and the kernel also drops its readout noise.  The conditional state stays
 Gaussian, so five numbers carry it:
 
     q1 = <x>,  q2 = <p>,
@@ -39,42 +42,10 @@ NO_MEASUREMENT_TAU = 1e12
 UNCERTAINTY_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class MeasurementChannels:
-    """Characteristic measurement times of the two quadrature channels.
-
-    tau1 monitors position, tau2 momentum.  math.inf (or any value at or
-    beyond NO_MEASUREMENT_TAU) switches a channel off.
-    """
-
-    tau1: float
-    tau2: float
-
-    def __post_init__(self) -> None:
-        if not self.tau1 > 0.0 or not self.tau2 > 0.0:
-            raise ValueError(
-                f"measurement times must be positive, got ({self.tau1}, {self.tau2})"
-            )
-
-    @property
-    def monitors_position(self) -> bool:
-        return self.tau1 < NO_MEASUREMENT_TAU
-
-    @property
-    def monitors_momentum(self) -> bool:
-        return self.tau2 < NO_MEASUREMENT_TAU
-
-    @property
-    def inv_2tau1(self) -> float:
-        return 0.5 / self.tau1 if self.monitors_position else 0.0
-
-    @property
-    def inv_2tau2(self) -> float:
-        return 0.5 / self.tau2 if self.monitors_momentum else 0.0
-
-    @property
-    def symmetric(self) -> bool:
-        return self.tau1 == self.tau2
+def inv_2tau(tau: float) -> float:
+    """The backaction factor 1/(2*tau) of a channel with measurement time tau;
+    0 for an unmonitored channel, tau at or beyond NO_MEASUREMENT_TAU."""
+    return 0.5 / tau if tau < NO_MEASUREMENT_TAU else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +80,14 @@ def _covariance_rates(
 
 def covariance_series(
     nbar: float,
-    channels: MeasurementChannels,
+    tau1: float,
+    tau2: float,
     dt: float,
     n_steps: int,
 ) -> np.ndarray:
-    """Integrate the covariance flow from the thermal state with nbar quanta.
+    """Integrate the covariance flow from the thermal state with nbar quanta
+    under channels with measurement times tau1 (position) and tau2
+    (momentum); math.inf switches a channel off.
 
     The thermal state has q3 = q5 = 2*nbar + 1 and q4 = 0.  Each step is one
     explicit-midpoint step of the Riccati flow, which is deterministic
@@ -122,12 +96,14 @@ def covariance_series(
     UncertaintyViolationError if a step leaves the physical region, which
     signals that dt is too large for the requested channels.
     """
+    if not tau1 > 0.0 or not tau2 > 0.0:
+        raise ValueError(f"measurement times must be positive, got ({tau1}, {tau2})")
     if nbar < 0.0:
         raise ValueError(f"mean thermal occupation must be >= 0, got {nbar}")
     if dt <= 0.0:
         raise ValueError(f"step length must be positive, got {dt}")
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
+    i1 = inv_2tau(tau1)
+    i2 = inv_2tau(tau2)
     half = 0.5 * dt
     c3 = c5 = 2.0 * nbar + 1.0
     c4 = 0.0

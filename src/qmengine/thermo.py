@@ -4,7 +4,9 @@ The classical limit of the engine is a Brownian particle in a harmonic trap:
 an error-free position measurement plus an ideal trap shift converts all
 available information into work, W = k*x**2/2, averaging kB*T/2 per cycle.
 The quantum engine beats this bound at T = 0 thanks to the quantum of noise
-added by the dual-quadrature measurement.
+added by the dual-quadrature measurement.  The stiffness k and the bath
+energy kB*T are the run config's ``spring_k`` and ``kbt``, bounded by
+``EngineConfig.validate`` like every other field.
 
 Erasing the demon's memory costs at least kB*T_D times the Shannon entropy
 of the record (Landauer); for the binary protocol the record is one bit.
@@ -13,44 +15,19 @@ of the record (Landauer); for the binary protocol the record is one bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_ENERGY
+from .config import EngineConfig
 from .single_shot import binary_average_work
 
 
-@dataclass(frozen=True, slots=True)
-class ClassicalConfig:
-    """Brownian-engine parameters: spring constant, bath energy, sample count."""
-
-    spring_k: float
-    kbt: float
-    n_samples: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.spring_k < math.inf:
-            raise ValueError(
-                f"spring constant must be finite and > 0, got {self.spring_k}"
-            )
-        # W = kbt*g**2/2 for a standard normal g, so a bounded kbt keeps the
-        # samples and their variance finite, as MAX_ENERGY does for nbar; a
-        # bounded kbt/k keeps x ~ N(0, kbt/k) finite
-        if not 0.0 <= self.kbt <= MAX_ENERGY:
-            raise ValueError(f"kB*T must lie in [0, {MAX_ENERGY:g}], got {self.kbt}")
-        if not self.kbt / self.spring_k <= MAX_ENERGY**2:
-            raise ValueError(
-                f"kB*T / spring constant must be <= {MAX_ENERGY**2:g}, "
-                f"got {self.kbt / self.spring_k}"
-            )
-        if self.n_samples < 1:
-            raise ValueError(f"need at least one sample, got {self.n_samples}")
-
-
-def classical_cycle(config: ClassicalConfig, rng: np.random.Generator) -> np.ndarray:
-    """Sample work from the ideal classical cycle: x ~ N(0, kbt/k), W = k*x**2/2."""
-    x = rng.normal(0.0, math.sqrt(config.kbt / config.spring_k), size=config.n_samples)
+def classical_cycle(config: EngineConfig, rng: np.random.Generator) -> np.ndarray:
+    """Sample config.n_traj works from the ideal classical cycle at trap
+    stiffness config.spring_k and bath energy config.kbt:
+    x ~ N(0, kbt/k), W = k*x**2/2."""
+    config.validate()
+    x = rng.normal(0.0, math.sqrt(config.kbt / config.spring_k), size=config.n_traj)
     return 0.5 * config.spring_k * x * x
 
 

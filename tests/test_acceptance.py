@@ -171,13 +171,13 @@ def test_c08_scheme_equivalence():
 
 
 def test_c09_classical_baseline():
-    cfg = qm.ClassicalConfig(spring_k=1.0, kbt=2.0, n_samples=100_000)
+    cfg = qm.EngineConfig(spring_k=1.0, kbt=2.0, n_traj=100_000)
     w = qm.classical_cycle(cfg, qm.NoiseSource(901).generator())
     se = w.std(ddof=1) / math.sqrt(len(w))
     warm_ok = abs(w.mean() - 1.0) <= 3.0 * se
 
     frozen = qm.classical_cycle(
-        qm.ClassicalConfig(spring_k=1.0, kbt=0.0, n_samples=10_000),
+        qm.EngineConfig(spring_k=1.0, kbt=0.0, n_traj=10_000),
         qm.NoiseSource(902).generator(),
     )
     cold_ok = bool(np.all(frozen == 0.0))
@@ -195,14 +195,14 @@ def test_c09_classical_baseline():
 
 def test_c10_property_suites():
     # uncertainty-relation preservation (asymmetric channels, dt = min/50)
-    ch = qm.MeasurementChannels(1.0, 0.7)
+    tau1, tau2 = 1.0, 0.7
     dt = 0.7 / 50.0
-    cov = qm.covariance_series(2.0, ch, dt, int(10.0 / dt))
+    cov = qm.covariance_series(2.0, tau1, tau2, dt, int(10.0 / dt))
     det = cov[:, 0] * cov[:, 2] - cov[:, 1] ** 2
     uncertainty_ok = bool(det.min() >= 1.0 - 1e-6)
 
     # normal-form preservation for symmetric channels
-    sym = qm.covariance_series(1.5, qm.MeasurementChannels(0.7, 0.7), 0.005, 2000)
+    sym = qm.covariance_series(1.5, 0.7, 0.7, 0.005, 2000)
     normal_ok = (
         np.abs(sym[:, 1]).max() <= 10.0 * 0.005
         and np.abs(sym[:, 0] - sym[:, 2]).max() <= 10.0 * 0.005

@@ -709,6 +709,26 @@ class TestPresets:
         assert summary["checks"]["efficiency_ordering"]
 
 
+def assert_echo_reproduces_the_run(tmp_path, command, flags, expected):
+    """Run command with flags at seed 6, check that summary.json echoes the
+    expected values, and rerun command with only that echo as its config
+    file: every output but the manifest must come back byte for byte."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    code = run_cli(
+        [*command, *flags, "--n-traj", "200", "--seed", "6", "--output-dir", str(first)]
+    )
+    assert code in (0, 2)
+    echo = json.loads((first / "summary.json").read_text())["config"]
+    assert {key: echo[key] for key in expected} == expected
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echo))
+    assert run_cli([*command, "--config", str(path), "--output-dir", str(again)]) == code
+    names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
 class TestPresetSettings:
     @pytest.mark.parametrize(
         "preset,expected",
@@ -719,22 +739,20 @@ class TestPresetSettings:
         ],
     )
     def test_summary_echoes_the_config_that_ran(self, tmp_path, preset, expected):
-        first, again = tmp_path / "first", tmp_path / "again"
-        code = run_cli(
-            ["presets", preset, "--n-traj", "200", "--seed", "6", "--output-dir", str(first)]
-        )
-        assert code in (0, 2)
-        echo = json.loads((first / "summary.json").read_text())["config"]
-        assert {key: echo[key] for key in expected} == expected
-        # fed back as a config file, the echo reproduces the run byte for byte
-        path = tmp_path / "echo.json"
-        path.write_text(json.dumps(echo))
-        argv = ["presets", preset, "--config", str(path), "--output-dir", str(again)]
-        assert run_cli(argv) == code
-        names = sorted(p.name for p in first.iterdir() if p.name != "manifest.json")
-        assert names == sorted(p.name for p in again.iterdir() if p.name != "manifest.json")
-        for name in names:
-            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        assert_echo_reproduces_the_run(tmp_path, ["presets", preset], [], expected)
+
+    @pytest.mark.parametrize(
+        "family,flags,expected",
+        [
+            ("single-shot", ["--nbar", "0.5"], {"nbar": 0.5}),
+            ("binary", ["--r0", "1.5", "--demon-kbtd", "0.3"], {"r0": 1.5, "demon_kbtd": 0.3}),
+            ("classical", ["--kbt", "2", "--spring-k", "3"], {"kbt": 2.0, "spring_k": 3.0}),
+            ("continuous", ["--tau2", "0.8"], {"tau2": 0.8, "tau1": 1.0}),
+        ],
+        ids=["single-shot", "binary", "classical", "continuous"],
+    )
+    def test_family_echo_reproduces_the_run(self, tmp_path, family, flags, expected):
+        assert_echo_reproduces_the_run(tmp_path, [family], flags, expected)
 
     @pytest.mark.parametrize(
         "argv,config_file,key",
@@ -960,7 +978,7 @@ def fuzz_invocation(draw):
     whether the input is invalid by construction."""
     family = draw(st.sampled_from(FUZZ_FAMILIES), label="family")
     fault = draw(
-        st.sampled_from(_FAULTS + (("flag",) if family == "classical" else ())),
+        st.sampled_from(_FAULTS + (("classical",) if family == "classical" else ())),
         label="fault",
     )
     keys = draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS))), label="keys") | {"n_traj"}
@@ -994,6 +1012,15 @@ def fuzz_invocation(draw):
     elif values.get("scheme") == "ito" and values.get("tau1") != values.get("tau2"):
         values["scheme"] = "stratonovich"
 
+    if family == "classical":
+        values["spring_k"] = draw(st.floats(0.1, 10.0), label="spring_k")
+        values["kbt"] = draw(st.floats(0.0, 5.0), label="kbt")
+        if fault == "classical":
+            bad = draw(st.sampled_from([-1.0, _NAN, _INF]), label="bad classical value")
+            values["spring_k"], values["kbt"] = draw(st.sampled_from(
+                [(bad, values["kbt"]), (values["spring_k"], bad), (0.0, values["kbt"])]
+            ))
+
     in_file = {}
     flags = []
     for key, value in values.items():
@@ -1002,21 +1029,16 @@ def fuzz_invocation(draw):
         else:
             flags.append(f"--{key.replace('_', '-')}={value}")
     if fault == "type":
-        key = draw(st.sampled_from(sorted(_FUZZ_KEYS)), label="mistyped key")
+        # validate checks the classical keys' types for every family
+        typed = sorted([*_FUZZ_KEYS, "spring_k", "kbt"])
+        key = draw(st.sampled_from(typed), label="mistyped key")
         in_file[key] = draw(st.just(3) if key in ("policy", "scheme") else _WRONG_TYPES)
         flags = [f for f in flags if not f.startswith(f"--{key.replace('_', '-')}=")]
     elif fault == "unknown-key":
-        in_file[draw(st.sampled_from(["nbarr", "tau", "spring_k", "delta"]))] = 1.0
+        in_file[draw(st.sampled_from(["nbarr", "tau", "spring_constant", "delta"]))] = 1.0
     text = json.dumps(in_file) if in_file else None
     if fault == "non-object":
         text = json.dumps(draw(st.sampled_from([[1, 2], 3.5, "nbar", None])))
-    if family == "classical":
-        spring_k = draw(st.floats(0.1, 10.0), label="spring_k")
-        kbt = draw(st.floats(0.0, 5.0), label="kbt")
-        if fault == "flag":
-            bad = draw(st.sampled_from([-1.0, _NAN, _INF]), label="bad flag value")
-            spring_k, kbt = draw(st.sampled_from([(bad, kbt), (spring_k, bad), (0.0, kbt)]))
-        flags += [f"--spring-k={spring_k}", f"--kbt={kbt}"]
     return family, flags, text, fault is not None
 
 

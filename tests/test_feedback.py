@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import math
 import sys
@@ -21,6 +22,7 @@ from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import (
     NORMAL_FORM_TOL, Steps, _advance, _noise_block, run_ensemble_arrays,
 )
+from qmengine.gaussian import NO_MEASUREMENT_TAU, inv_2tau
 
 #: The per-trajectory fields of Steps; with cov, all of its fields.
 STEP_FIELDS = ("q1", "q2", "r1", "r2", "increment", "ledger", "harvest", "harvested")
@@ -162,7 +164,7 @@ class TestRunTrajectory:
             n_traj=1, policy="none", seed=0,
         )
         n = cfg.n_steps
-        cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, n)
+        cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
         noise = _noise_block(cfg.seed, 0, 1, n)
         steps = _advance(cfg, cov, noise, (1.0, 0.0), [n])
         assert steps.q1[0, 0] == pytest.approx(math.cos(1.571), abs=0.01)
@@ -191,7 +193,7 @@ class TestRunTrajectory:
             nbar=0.0, dt=0.01, t_final=1.0, n_traj=4000, policy="per-step", seed=8
         )
         n = cfg.n_steps
-        cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, n)
+        cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
         noise = _noise_block(cfg.seed, 0, cfg.n_traj, n)
         steps = _advance(cfg, cov, noise, (0.0, 0.0), [n // 2, n])
         for q in (steps.q1, steps.q2):
@@ -206,7 +208,7 @@ class TestRunTrajectory:
         for name in STEP_FIELDS:
             assert getattr(rec, name).shape == (n + 1, 1), name
             assert not getattr(rec, name)[0].any(), name
-        cov = qm.covariance_series(cfg.nbar, cfg.channels(), cfg.resolved_dt, n)
+        cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
         assert np.array_equal(rec.cov, cov)
 
     def test_same_stream_reproduces_record(self):
@@ -245,7 +247,7 @@ CHUNK_CONFIGS = {
 
 
 WORKER_CONFIGS = {
-    (policy, scheme): CHUNK_CONFIGS[policy].with_updates(scheme=scheme)
+    (policy, scheme): dataclasses.replace(CHUNK_CONFIGS[policy], scheme=scheme)
     for policy in CHUNK_CONFIGS
     for scheme in ("stratonovich", "ito")
 }
@@ -457,7 +459,7 @@ def blocked_workers(first_chunk, barrier):
         yield chunks
 
 
-BLOCKED_CONFIG = CHUNK_CONFIGS["terminal"].with_updates(n_traj=40)
+BLOCKED_CONFIG = dataclasses.replace(CHUNK_CONFIGS["terminal"], n_traj=40)
 
 
 class TestWorkers:
@@ -609,11 +611,10 @@ def reference_advance(config, cov, noise, start, record):
     """The one-step-at-a-time loop that the per-step tiles replaced."""
     m, n_steps, _ = noise.shape
     dt = config.resolved_dt
-    channels = config.channels()
-    i1 = channels.inv_2tau1
-    i2 = channels.inv_2tau2
-    w1 = math.sqrt(channels.tau1 / dt) if channels.monitors_position else 0.0
-    w2 = math.sqrt(channels.tau2 / dt) if channels.monitors_momentum else 0.0
+    i1 = inv_2tau(config.tau1)
+    i2 = inv_2tau(config.tau2)
+    w1 = math.sqrt(config.tau1 / dt) if config.tau1 < NO_MEASUREMENT_TAU else 0.0
+    w2 = math.sqrt(config.tau2 / dt) if config.tau2 < NO_MEASUREMENT_TAU else 0.0
 
     use_ito = config.scheme == "ito"
     if use_ito and (
@@ -652,7 +653,7 @@ def reference_advance(config, cov, noise, start, record):
         if use_ito:
             # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
             nu = 0.5 * c3
-            dW = nu * nu / channels.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
+            dW = nu * nu / config.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
         else:
             # midpoint rule on the pre- and post-step means
             m1 = 0.5 * (q1 + new1)
@@ -704,7 +705,7 @@ def kernel_case(draw, policy):
         nbar=draw(st.sampled_from([0.0, 0.5, 2.0])), tau1=tau1, tau2=tau2, dt=0.01,
         t_final=0.01 * n_steps, policy=policy, scheme=scheme,
     )
-    cov = qm.covariance_series(cfg.nbar, cfg.channels(), 0.01, n_steps)
+    cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, 0.01, n_steps)
     noise = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(
         (m, n_steps, 2)
     )
@@ -820,7 +821,7 @@ class TestFreeLoop:
         # scratch 96 takes 3 trajectories by 2 steps, 32 takes 2 by 1
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=1.31, policy=policy, scheme=scheme)
         n = cfg.n_steps
-        cov = qm.covariance_series(cfg.nbar, cfg.channels(), cfg.resolved_dt, n)
+        cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
         noise = np.random.default_rng(m).standard_normal((m, n, 2))
         record = range(n + 1)
         with mock.patch.object(feedback, "FREE_SCRATCH", scratch):
@@ -831,7 +832,7 @@ class TestFreeLoop:
     def test_noise_copy_stays_within_the_scratch_bound(self, m):
         # every time-major copy is made into one buffer of at most 2**20 bytes
         cfg = qm.EngineConfig(dt=0.01, t_final=0.03, policy="terminal")
-        cov = qm.covariance_series(0.0, cfg.channels(), cfg.resolved_dt, 3)
+        cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, 3)
         noise = np.zeros((m, 3, 2))
         buffers = []
         copyto = np.copyto

@@ -6,6 +6,7 @@ through the step kernel with injected noise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import qmengine as qm
 from qmengine.errors import UncertaintyViolationError
 from qmengine.feedback import _advance, _noise_block
-from qmengine.gaussian import UNCERTAINTY_TOL
+from qmengine.gaussian import NO_MEASUREMENT_TAU, UNCERTAINTY_TOL, inv_2tau
 
 
 def riccati_q3_closed_form(q3_0: float, tau: float, t: float) -> float:
@@ -37,31 +38,29 @@ class TestThermalState:
         assert q3 * q5 - q4**2 == 1.0
 
     def test_half_quantum(self):
-        cov = qm.covariance_series(0.5, qm.MeasurementChannels(1.0, 1.0), 0.01, 0)
+        cov = qm.covariance_series(0.5, 1.0, 1.0, 0.01, 0)
         assert cov.shape == (1, 3)
         assert tuple(cov[0]) == (2.0, 0.0, 2.0)
 
     def test_two_quanta_matches_quadrature_variance(self):
-        q3, _, q5 = qm.covariance_series(2.0, qm.MeasurementChannels(1.0, 1.0), 0.01, 0)[0]
+        q3, _, q5 = qm.covariance_series(2.0, 1.0, 1.0, 0.01, 0)[0]
         # 2*var(x) of a thermal Gaussian with var = (2*nbar + 1)/2 per quadrature
         assert q3 == 2.0 * (2.0 * 2.0 + 1.0) / 2.0 == 5.0
         assert q5 == 5.0
 
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError, match="occupation"):
-            qm.covariance_series(-0.1, qm.MeasurementChannels(1.0, 1.0), 0.01, 10)
+            qm.covariance_series(-0.1, 1.0, 1.0, 0.01, 10)
 
 
 class TestCovarianceFlow:
     def test_vacuum_is_fixed_point_bitwise(self):
-        ch = qm.MeasurementChannels(1.3, 1.3)
-        cov = qm.covariance_series(0.0, ch, 0.01, 50)
+        cov = qm.covariance_series(0.0, 1.3, 1.3, 0.01, 50)
         assert np.all(cov == [1.0, 0.0, 1.0])
 
     def test_matches_closed_form(self):
         # nbar=1 start (q3=3), symmetric tau=1, integrate to t=2
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        cov = qm.covariance_series(1.0, ch, 5e-4, 4000)
+        cov = qm.covariance_series(1.0, 1.0, 1.0, 5e-4, 4000)
         expected = riccati_q3_closed_form(3.0, 1.0, 2.0)
         assert cov[-1, 0] == pytest.approx(expected, rel=1e-6)
         assert cov[-1, 2] == pytest.approx(expected, rel=1e-6)
@@ -74,8 +73,7 @@ class TestCovarianceFlow:
         assert q3 == pytest.approx(riccati_q3_closed_form(3.0, tau, 2.0), abs=5e-5)
 
     def test_monotone_decay_to_steady_state(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
-        cov = qm.covariance_series(2.0, ch, 0.01, 2000)
+        cov = qm.covariance_series(2.0, 1.0, 1.0, 0.01, 2000)
         q3 = cov[:, 0]
         assert np.all(np.diff(q3) < 0.0)
         assert q3[-1] > 1.0
@@ -83,27 +81,38 @@ class TestCovarianceFlow:
     @pytest.mark.parametrize("q3_0", [1.0, 2.0, 5.0, 10.0])
     def test_fixed_point_reached_from_any_start(self, q3_0):
         tau = 1.0
-        ch = qm.MeasurementChannels(tau, tau)
         nbar = 0.5 * (q3_0 - 1.0)  # q3(0) = 2*nbar + 1
-        cov = qm.covariance_series(nbar, ch, 0.01, int(20.0 * tau / 0.01))
+        cov = qm.covariance_series(nbar, tau, tau, 0.01, int(20.0 * tau / 0.01))
         assert cov[0, 0] == q3_0
         assert abs(cov[-1, 0] - 1.0) < 1e-3
 
     def test_oversized_step_raises(self):
-        ch = qm.MeasurementChannels(1.0, 1.0)
         with pytest.raises(UncertaintyViolationError):
-            qm.covariance_series(3.0, ch, 10.0, 1)
+            qm.covariance_series(3.0, 1.0, 1.0, 10.0, 1)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_nonpositive_step_rejected(self, dt):
         with pytest.raises(ValueError, match="step length"):
-            qm.covariance_series(1.0, qm.MeasurementChannels(1.0, 1.0), dt, 10)
+            qm.covariance_series(1.0, 1.0, 1.0, dt, 10)
+
+    @pytest.mark.parametrize("taus", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, -math.inf)])
+    def test_nonpositive_measurement_time_rejected(self, taus):
+        with pytest.raises(ValueError, match="measurement times must be positive"):
+            qm.covariance_series(1.0, *taus, 0.01, 10)
+
+    def test_channel_off_at_the_sentinel(self):
+        # at or beyond NO_MEASUREMENT_TAU a channel has no backaction
+        assert inv_2tau(0.5) == 1.0
+        assert inv_2tau(math.nextafter(NO_MEASUREMENT_TAU, 0.0)) > 0.0
+        assert inv_2tau(NO_MEASUREMENT_TAU) == inv_2tau(math.inf) == 0.0
+        # with both channels off the thermal state is stationary
+        cov = qm.covariance_series(1.0, math.inf, NO_MEASUREMENT_TAU, 0.01, 20)
+        assert np.all(cov == [3.0, 0.0, 3.0])
 
     def test_normal_form_preserved_exactly(self):
         # tau1 == tau2 with q4(0) = 0 and q3(0) = q5(0)
-        ch = qm.MeasurementChannels(0.7, 0.7)
         dt = 0.005
-        cov = qm.covariance_series(1.5, ch, dt, 2000)
+        cov = qm.covariance_series(1.5, 0.7, 0.7, dt, 2000)
         assert np.abs(cov[:, 1]).max() <= 10.0 * dt
         assert np.abs(cov[:, 0] - cov[:, 2]).max() <= 10.0 * dt
         # the scheme actually preserves the normal form bitwise
@@ -112,16 +121,15 @@ class TestCovarianceFlow:
 
     def test_uncertainty_bound_asymmetric_channels(self):
         tau1, tau2 = 1.0, 0.7
-        ch = qm.MeasurementChannels(tau1, tau2)
         dt = min(tau1, tau2) / 50.0
-        cov = qm.covariance_series(2.0, ch, dt, int(10.0 / dt))
+        cov = qm.covariance_series(2.0, tau1, tau2, dt, int(10.0 / dt))
         det = cov[:, 0] * cov[:, 2] - cov[:, 1] ** 2
         assert det.min() >= 1.0 - 1e-6
 
     def test_flow_is_noise_independent(self):
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=1.0, policy="none", seed=0)
         a = qm.run_trajectory(cfg)
-        b = qm.run_trajectory(cfg.with_updates(seed=12345), 6)
+        b = qm.run_trajectory(dataclasses.replace(cfg, seed=12345), 6)
         assert not np.array_equal(a.r1, b.r1)
         assert np.array_equal(a.cov, b.cov)
 
@@ -132,9 +140,9 @@ class TestCovarianceFlow:
     )
     @settings(max_examples=40, deadline=None)
     def test_physicality_preserved_property(self, nbar, tau, ratio):
-        ch = qm.MeasurementChannels(tau, tau * ratio)
-        dt = min(ch.tau1, ch.tau2) / 100.0
-        cov = qm.covariance_series(nbar, ch, dt, 25)
+        tau1, tau2 = tau, tau * ratio
+        dt = min(tau1, tau2) / 100.0
+        cov = qm.covariance_series(nbar, tau1, tau2, dt, 25)
         q3, q4, q5 = cov.T
         assert np.all(q3 > 0.0) and np.all(q5 > 0.0)
         assert np.all(q3 * q5 - q4 * q4 >= 1.0 - UNCERTAINTY_TOL)
@@ -149,7 +157,7 @@ def trajectory(seed, j=0, **overrides):
 def advance(cfg, noise, start, record):
     """Drive the step kernel on cfg's covariance flow with the given noise."""
     n_steps = noise.shape[1]
-    cov = qm.covariance_series(cfg.nbar, cfg.channels(), cfg.resolved_dt, n_steps)
+    cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n_steps)
     return _advance(cfg, cov, noise, start, record)
 
 

@@ -16,24 +16,24 @@ from qmengine.thermo import shannon_entropy_bit
 
 class TestClassicalCycle:
     def test_mean_work_is_half_kbt(self):
-        cfg = qm.ClassicalConfig(spring_k=1.0, kbt=2.0, n_samples=100_000)
+        cfg = qm.EngineConfig(spring_k=1.0, kbt=2.0, n_traj=100_000)
         w = qm.classical_cycle(cfg, qm.NoiseSource(31).generator())
         se = w.std(ddof=1) / math.sqrt(len(w))
         assert abs(w.mean() - 1.0) <= 3.0 * se
 
     def test_spring_constant_drops_out_of_mean(self):
-        cfg = qm.ClassicalConfig(spring_k=5.0, kbt=2.0, n_samples=100_000)
+        cfg = qm.EngineConfig(spring_k=5.0, kbt=2.0, n_traj=100_000)
         w = qm.classical_cycle(cfg, qm.NoiseSource(32).generator())
         se = w.std(ddof=1) / math.sqrt(len(w))
         assert abs(w.mean() - 1.0) <= 3.0 * se
 
     def test_frozen_particle_at_zero_temperature(self):
-        cfg = qm.ClassicalConfig(spring_k=1.0, kbt=0.0, n_samples=1000)
+        cfg = qm.EngineConfig(spring_k=1.0, kbt=0.0, n_traj=1000)
         w = qm.classical_cycle(cfg, qm.NoiseSource(33).generator())
         assert np.all(w == 0.0)
 
     def test_mean_never_beats_the_bound(self):
-        cfg = qm.ClassicalConfig(spring_k=1.0, kbt=1.0, n_samples=50_000)
+        cfg = qm.EngineConfig(spring_k=1.0, kbt=1.0, n_traj=50_000)
         w = qm.classical_cycle(cfg, qm.NoiseSource(34).generator())
         se = w.std(ddof=1) / math.sqrt(len(w))
         assert w.mean() <= 0.5 * cfg.kbt + 3.0 * se
@@ -42,7 +42,7 @@ class TestClassicalCycle:
         # classical T=0 work is exactly zero; the quantum cycle still
         # delivers one quantum on average
         classical = qm.classical_cycle(
-            qm.ClassicalConfig(spring_k=1.0, kbt=0.0, n_samples=10_000),
+            qm.EngineConfig(spring_k=1.0, kbt=0.0, n_traj=10_000),
             qm.NoiseSource(35).generator(),
         )
         r, _ = qm.sample_outcomes(0.0, 100_000, qm.NoiseSource(36).generator())
@@ -51,28 +51,39 @@ class TestClassicalCycle:
         assert quantum.mean() - 3.0 * se > classical.mean()
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            qm.ClassicalConfig(spring_k=0.0, kbt=1.0, n_samples=10)
-        with pytest.raises(ValueError):
-            qm.ClassicalConfig(spring_k=1.0, kbt=-1.0, n_samples=10)
+        with pytest.raises(ValueError, match="spring constant"):
+            qm.EngineConfig(spring_k=0.0, kbt=1.0, n_traj=10).validate()
+        with pytest.raises(ValueError, match="kB\\*T"):
+            qm.EngineConfig(spring_k=1.0, kbt=-1.0, n_traj=10).validate()
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                qm.ClassicalConfig(spring_k=bad, kbt=1.0, n_samples=10)
-            with pytest.raises(ValueError):
-                qm.ClassicalConfig(spring_k=1.0, kbt=bad, n_samples=10)
+            with pytest.raises(ValueError, match="spring constant"):
+                qm.EngineConfig(spring_k=bad, kbt=1.0, n_traj=10).validate()
+            with pytest.raises(ValueError, match="kB\\*T"):
+                qm.EngineConfig(spring_k=1.0, kbt=bad, n_traj=10).validate()
+        for name in ("spring_k", "kbt"):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                qm.EngineConfig(**{name: "1"}).validate()
+
+    def test_invalid_config_draws_nothing(self):
+        rng = qm.NoiseSource(38).generator()
+        with pytest.raises(ValueError, match="spring constant"):
+            qm.classical_cycle(qm.EngineConfig(spring_k=-1.0, n_traj=10), rng)
+        with pytest.raises(ValueError, match="n_traj"):
+            qm.classical_cycle(qm.EngineConfig(n_traj=0), rng)
+        assert rng.standard_normal() == qm.NoiseSource(38).generator().standard_normal()
 
     @pytest.mark.filterwarnings("error")
     def test_largest_temperature_keeps_the_samples_finite(self):
         # W = kbt*g**2/2: at the largest kbt and kbt/k the samples, the
         # sampled positions and the variance of the work stay finite
         for k in (1e-140, 1.0, 1e308):
-            cfg = qm.ClassicalConfig(spring_k=k, kbt=MAX_ENERGY, n_samples=10_000)
+            cfg = qm.EngineConfig(spring_k=k, kbt=MAX_ENERGY, n_traj=10_000)
             w = qm.classical_cycle(cfg, qm.NoiseSource(37).generator())
             assert np.isfinite(np.var(w, ddof=1)) and w.mean() > 0.0
         for k, kbt in ((1.0, 1e300), (1.0, 2 * MAX_ENERGY), (1e-141, MAX_ENERGY),
                        (5e-324, 1.0)):
             with pytest.raises(ValueError, match="kB\\*T"):
-                qm.ClassicalConfig(spring_k=k, kbt=kbt, n_samples=10)
+                qm.EngineConfig(spring_k=k, kbt=kbt, n_traj=10).validate()
 
 
 class TestBinaryMemory:
