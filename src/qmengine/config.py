@@ -1,10 +1,6 @@
 """The one description of a run, shared by every family, preset and library call.
 
-``EngineConfig`` holds the thermal occupation, the two measurement times,
-the step grid, the policy and ledger scheme, the binary threshold and demon
-temperature, the classical baseline's trap stiffness and bath energy, the
-sample count and the seed.  All quantities are dimensionless: energies in
-hbar*omega, times in 1/omega.
+All quantities are dimensionless: energies in hbar*omega, times in 1/omega.
 """
 
 from __future__ import annotations

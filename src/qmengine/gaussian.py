@@ -4,10 +4,8 @@ The oscillator is described in dimensionless units (x in units of
 sqrt(hbar/m*omega), p in units of sqrt(hbar*m*omega), time in units of
 1/omega, energy in units of hbar*omega).  Both quadratures are monitored
 simultaneously by independent weak-measurement channels with characteristic
-times tau1 (position) and tau2 (momentum), the config's own two fields.
-``inv_2tau`` holds the one rule that switches a channel off: at or beyond
-NO_MEASUREMENT_TAU (math.inf included) its backaction factor 1/(2*tau) is
-0, and the kernel also drops its readout noise.  The conditional state stays
+times tau1 (position) and tau2 (momentum); ``inv_2tau`` switches a channel
+off at or beyond NO_MEASUREMENT_TAU.  The conditional state stays
 Gaussian, so five numbers carry it:
 
     q1 = <x>,  q2 = <p>,

@@ -4,9 +4,8 @@ The classical limit of the engine is a Brownian particle in a harmonic trap:
 an error-free position measurement plus an ideal trap shift converts all
 available information into work, W = k*x**2/2, averaging kB*T/2 per cycle.
 The quantum engine beats this bound at T = 0 thanks to the quantum of noise
-added by the dual-quadrature measurement.  The stiffness k and the bath
-energy kB*T are the run config's ``spring_k`` and ``kbt``, bounded by
-``EngineConfig.validate`` like every other field.
+added by the dual-quadrature measurement.  k and kB*T are the run config's
+``spring_k`` and ``kbt``.
 
 Erasing the demon's memory costs at least kB*T_D times the Shannon entropy
 of the record (Landauer); for the binary protocol the record is one bit.
@@ -23,8 +22,7 @@ from .single_shot import binary_average_work
 
 
 def classical_cycle(config: EngineConfig, rng: np.random.Generator) -> np.ndarray:
-    """Sample config.n_traj works from the ideal classical cycle at trap
-    stiffness config.spring_k and bath energy config.kbt:
+    """Sample config.n_traj works of the ideal classical cycle at k = spring_k:
     x ~ N(0, kbt/k), W = k*x**2/2."""
     config.validate()
     x = rng.normal(0.0, math.sqrt(config.kbt / config.spring_k), size=config.n_traj)
