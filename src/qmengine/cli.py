@@ -358,7 +358,9 @@ def _column_cells(a: np.ndarray) -> np.ndarray:
 
 
 def _csv_block(arrays: list[np.ndarray], start: int) -> bytes:
-    cells = [_column_cells(a[start:start + _CSV_BLOCK_ROWS]) for a in arrays]
+    distinct = {id(a): a for a in arrays}
+    formatted = {k: _column_cells(a[start:start + _CSV_BLOCK_ROWS]) for k, a in distinct.items()}
+    cells = [formatted[id(a)] for a in arrays]
     block = np.empty((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
     end = 0
     for c in cells:
@@ -379,7 +381,8 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
     exactly (hi + lo = |v| * 10**p exactly, and hi is an even integer above
     2**53, so hi + rint(lo) rounds half to even like '%.17g'); _fmt formats
     the rest, |v| < 1e-6, |v| >= 1e17, inf and nan, one cell at a time.
-    Rows are formatted, written and hashed _CSV_BLOCK_ROWS at a time.
+    Rows are formatted, written and hashed _CSV_BLOCK_ROWS at a time, and
+    an array given for several columns is formatted once per block.
     """
     arrays = [np.asarray(col) for col in columns.values()]
     if len({len(a) for a in arrays}) != 1:

@@ -173,7 +173,8 @@ def exact_work_cdf(w, t: float, schedule: SigmaSchedule):
 
 def _moments(samples: np.ndarray) -> tuple[float, float, float]:
     n = len(samples)
-    mean = math.fsum(samples) / n
+    # a memoryview yields Python floats without numpy scalars or a list of them
+    mean = math.fsum(memoryview(samples)) / n
     variance = float(np.var(samples, ddof=1)) if n > 1 else 0.0
     stderr = math.sqrt(variance / n) if n > 1 else 0.0
     return mean, variance, stderr
@@ -279,7 +280,7 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
     err = np.empty(len(t_grid))
     for i in range(len(t_grid)):
         w = steps.harvested[i]
-        mean_w = math.fsum(w) / len(w)
+        mean_w = math.fsum(memoryview(w)) / len(w)
         eta[i] = mean_w / (mean_w + excess[i])
         batch_eta = [
             (bm := float(np.mean(b))) / (bm + excess[i])

@@ -12,25 +12,25 @@ by all of them.  ``run_trajectory`` is its m = 1 case at every grid point;
 ``run_ensemble_arrays`` calls it once per chunk of trajectories and returns
 the same record at the checkpoints.  Noise comes from one stream per block
 of STREAM_BLOCK trajectories, so a trajectory's noise does not depend on
-how the ensemble is chunked.  The blocks of an ensemble are shared out in
-contiguous ranges among up to one thread per available CPU
-(``worker_threads``), and no more threads than whole blocks fit the bound
-on the noise in flight (``_layout``).  Each thread draws and advances its
-own trajectories into its own columns of the outputs; numpy releases the
-GIL in the draws and in the kernel's array operations, so the threads run
-at the same time.  Results do not depend on the number of threads, and so
-not on the CPU count.
+how the ensemble is chunked.  ``_layout`` shares the blocks out in
+contiguous ranges among up to one thread per CPU (``worker_threads``) and
+cuts the ranges into chunks: a per-step chunk is one cache-sized tile of
+PER_STEP_TILE trajectory-steps, a free-policy chunk as wide as the bound on
+the noise in flight allows.  Each thread draws and advances its own
+trajectories into its own columns of the outputs; numpy releases the GIL
+in the draws and in the kernel's array operations, so the threads run at
+the same time, and results do not depend on their number.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
 and banks (q1**2 + q2**2)/2 units of hbar*omega.  ``_per_step``, which
 ``_advance`` calls for the per-step policy, is the only reset code: every
-step after the first starts at the origin, so it takes the steps in tiles of
-trajectories by steps rather than one at a time.  ``_free`` takes the steps
-of the other policies in order, into buffers allocated once.  Both
-compute only the ``Steps`` fields their caller asks for; the others are
-None.  The covariances stay untouched because the kernel only reads them,
-from ``gaussian.covariance_series``.  The policies are:
+step after the first starts at the origin, so it takes a chunk's steps in
+spans rather than one at a time.  ``_free`` takes the steps of the other
+policies in order, into buffers allocated once.  Both compute only the
+``Steps`` fields their caller asks for; the others are None.  The
+covariances stay untouched because the kernel only reads them, from
+``gaussian.covariance_series``.  The policies are:
 
 * ``per-step``  -- the trap is re-centered after every measurement step,
   equivalent to a continuously applied linear feedback Hamiltonian in the
@@ -73,14 +73,16 @@ NORMAL_FORM_TOL = 1e-9
 #: draws of the trajectories before it in the same block.
 STREAM_BLOCK = 256
 
-#: Tile shape of the per-step policy, trajectories by steps.  Bounded in both
-#: axes, so its seven buffers take at most 7 * 256 * 64 * 8 bytes (0.9 MB).
-TILE_TRAJ = 256
-TILE_STEPS = 64
+#: Trajectory-steps of a per-step chunk, the kernel's one tile: chunks of
+#: max(1, PER_STEP_TILE // n_steps) trajectories keep their noise (640 kB at
+#: 2500 steps) and the kernel's seven buffers (2.2 MB) in cache.
+PER_STEP_TILE = 40_000
+
+#: Bytes of noise an ensemble may hold at once, across all its workers.
+NOISE_BUDGET = 48_000_000
 
 #: Bytes of the free policies' time-major noise copy, per worker: the copy
-#: takes at most FREE_SCRATCH // 16 trajectories by as many steps (at most
-#: TILE_STEPS) as fit.
+#: takes at most FREE_SCRATCH // 16 trajectories by as many steps as fit.
 FREE_SCRATCH = 2**20
 
 #: The noise layout of ensembles, as recorded in each run's manifest.
@@ -190,6 +192,7 @@ def _advance(
     start: tuple[float, float],
     record: Sequence[int],
     fields: Collection[str] = STEP_FIELDS,
+    work: np.ndarray | None = None,
 ) -> Steps:
     """Advance m trajectories by noise.shape[1] conditional-state steps.
 
@@ -201,8 +204,8 @@ def _advance(
     ``Steps`` fields to record; the others are None, and only what the
     recorded ones need is computed.  The scheme picks the ledger rule.
     Under ``per-step`` the means are reset after every step and
-    ``_per_step`` takes the steps in tiles; otherwise the means evolve
-    freely and ``_free`` takes the steps in order.
+    ``_per_step`` takes the steps in spans, in ``work`` if given; otherwise
+    the means evolve freely and ``_free`` takes them in order.
     """
     m = len(noise)
     rates = _rates(config, cov)
@@ -216,7 +219,7 @@ def _advance(
         if row is not None and field is not None:
             field[row] = value
     if config.policy == "per-step":
-        _per_step(rates, cov, noise, start, rows, out)
+        _per_step(rates, cov, noise, start, rows, out, work)
     else:
         _free(rates, cov, noise, start, rows, out)
     return out
@@ -240,9 +243,8 @@ def _free(
     arithmetic when m is small.  The ledger increment is taken only if
     ``out`` records it or its running sum.  The noise is read from a
     time-major copy, scaled by the readout weights, made for at most
-    FREE_SCRATCH // 16 trajectories by as many steps (at most TILE_STEPS) as
-    fit FREE_SCRATCH bytes at a time, so each step reads its normals
-    contiguously.
+    FREE_SCRATCH // 16 trajectories by as many steps as fit FREE_SCRATCH
+    bytes at a time, so each step reads its normals contiguously.
     """
     m, n_steps, _ = noise.shape
     dt, w1, w2, i1, i2 = s.dt, s.w1, s.w2, s.i1, s.i2
@@ -256,7 +258,7 @@ def _free(
     c3, c4, c5 = c3.tolist(), c4.tolist(), c5.tolist()
 
     width = min(m, FREE_SCRATCH // 16)
-    span = max(1, min(TILE_STEPS, FREE_SCRATCH // (16 * width)))
+    span = max(1, min(n_steps, FREE_SCRATCH // (16 * width)))
     noise_t = np.empty((span, 2, width))
     weights = np.array([[w1], [w2]])
     buffers = np.empty((13, width))
@@ -342,21 +344,23 @@ def _per_step(
     start: tuple[float, float],
     rows: dict[int, int],
     out: Steps,
+    work: np.ndarray | None = None,
 ) -> None:
     """The per-step policy: fill ``out`` as a step loop with resets would.
 
     After each step the trap is re-centred, so every step from the second on
     starts at the origin: its readouts, updated means, harvest and ledger
-    increment depend only on its own normals and covariance row.  Steps are
-    taken for tiles of TILE_TRAJ trajectories by TILE_STEPS steps, with the
-    expressions of ``_step`` at q1 = q2 = 0, in the same order.  A term of
-    those expressions is dropped only where it cannot change a bit of the
-    result, such as a ``0.0 +`` that cannot change the sign of a zero.  The
-    first step starts from ``start`` and is taken by ``_step`` itself.  Running
-    sums are cumulative sums along the steps, with the previous tile's total
-    added to the first column, so they add in the loop's order.  When ``out``
-    records no running sum, only the recorded steps are taken, their noise
-    and covariance rows gathered into the tiles; the harvest and the ledger
+    increment depend only on its own normals and covariance row.  The m
+    trajectories take their steps at once, in spans of PER_STEP_TILE // m
+    (at least one) into seven buffers in ``work`` (new if None), with the
+    expressions of ``_step`` at q1 = q2 = 0, in the same order.  A term is
+    dropped only where it cannot change a bit of the result, such as a
+    ``0.0 +`` that cannot change the sign of a zero.  The first step starts
+    from ``start`` and is taken by ``_step`` itself.  Running sums are
+    cumulative sums along the steps, with the previous span's total added to
+    the first column, so they add in the loop's order.  When ``out`` records
+    no running sum, only the recorded steps are taken, their noise and
+    covariance rows gathered into the spans; the harvest and the ledger
     increment are taken only if ``out`` records them or their sums.
     """
     m, n_steps, _ = noise.shape
@@ -372,103 +376,96 @@ def _per_step(
 
     # recorded grid points 1..n_steps, the steps to take (all of them for a
     # running sum, else the recorded ones), each recorded step's position
-    # among them and where each tile's run of those positions starts
+    # among them and where each span's run of those positions starts
     grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
     grid_rows = np.array([rows[k] for k in grid], dtype=int)
     steps = np.arange(n_steps) if running else grid - 1
     pos = grid - 1 if running else np.arange(len(grid))
-    edges = np.searchsorted(pos, np.arange(0, len(steps) + TILE_STEPS, TILE_STEPS))
+    span = max(1, min(len(steps), PER_STEP_TILE // m))
+    edges = np.searchsorted(pos, np.arange(0, len(steps) + span, span))
 
-    buffers = [np.empty((min(m, TILE_TRAJ), min(len(steps), TILE_STEPS))) for _ in range(7)]
-    for j0 in range(0, m, TILE_TRAJ):
-        j1 = min(j0 + TILE_TRAJ, m)
-        led = np.zeros(j1 - j0)
-        ext = np.zeros(j1 - j0)
-        for t, i0 in enumerate(range(0, len(steps), TILE_STEPS)):
-            i1 = min(i0 + TILE_STEPS, len(steps))
-            cols = slice(i0, i1) if running else steps[i0:i1]
-            r1, r2, n1, n2, x, dw, h = (b[: j1 - j0, : i1 - i0] for b in buffers)
-            g = noise[j0:j1, cols]
+    size = 7 * m * span
+    buffers = (np.empty(size) if work is None else work)[:size].reshape(7, m, span)
+    led, ext = np.zeros((2, m))
+    for t, i0 in enumerate(range(0, len(steps), span)):
+        i1 = min(i0 + span, len(steps))
+        cols = slice(i0, i1) if running else steps[i0:i1]
+        r1, r2, n1, n2, x, dw, h = buffers[:, :, : i1 - i0]
+        g = noise[:, cols]
 
-            # readouts 0 + w*g, which are also the innovations r - 0
-            np.multiply(g[:, :, 0], s.w1, out=r1)
-            r1 += 0.0
-            np.multiply(g[:, :, 1], s.w2, out=r2)
-            r2 += 0.0
-            # new1 = 0 + dt*((0 + a1*innov1) + b1*innov2); the inner 0 + can
-            # only change the sign of a zero sum, which the outer one clears
-            np.multiply(r1, a1[cols], out=n1)
-            np.multiply(r2, b1[cols], out=x)
-            n1 += x
-            n1 *= dt
-            n1 += 0.0
-            # new2 = 0 + dt*((-0 + a2*innov1) + b2*innov2); -0 + y is y
-            np.multiply(r1, a2[cols], out=n2)
-            np.multiply(r2, b2[cols], out=x)
-            n2 += x
-            n2 *= dt
-            n2 += 0.0
-            first = steps[i0] == 0
-            if first:
-                q1 = np.full(j1 - j0, float(start[0]))
-                q2 = np.full(j1 - j0, float(start[1]))
-                r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(
-                    s, q1, q2, g[:, 0, 0], g[:, 0, 1], *cov[0]
-                )
-            if harvest:
-                # harvest 0.5*(new1*new1 + new2*new2)
-                np.multiply(n1, n1, out=h)
-                np.multiply(n2, n2, out=x)
-                h += x
-                h *= 0.5
-            at = pos[edges[t]:edges[t + 1]] - i0
-            into = grid_rows[edges[t]:edges[t + 1]]
-            if len(at):
-                for field, tile in ((out.q1, n1), (out.q2, n2), (out.r1, r1),
-                                    (out.r2, r2)):
-                    if field is not None:
-                        field[into, j0:j1] = tile[:, at].T
+        # readouts 0 + w*g, which are also the innovations r - 0
+        np.multiply(g[:, :, 0], s.w1, out=r1)
+        r1 += 0.0
+        np.multiply(g[:, :, 1], s.w2, out=r2)
+        r2 += 0.0
+        # new1 = 0 + dt*((0 + a1*innov1) + b1*innov2); the inner 0 + can
+        # only change the sign of a zero sum, which the outer one clears
+        np.multiply(r1, a1[cols], out=n1)
+        np.multiply(r2, b1[cols], out=x)
+        n1 += x
+        n1 *= dt
+        n1 += 0.0
+        # new2 = 0 + dt*((-0 + a2*innov1) + b2*innov2); -0 + y is y
+        np.multiply(r1, a2[cols], out=n2)
+        np.multiply(r2, b2[cols], out=x)
+        n2 += x
+        n2 *= dt
+        n2 += 0.0
+        first = steps[i0] == 0
+        if first:
+            q1, q2 = (np.full(m, float(v)) for v in start)
+            r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(s, q1, q2, *g[:, 0].T, *cov[0])
+        if harvest:
+            # harvest 0.5*(new1*new1 + new2*new2)
+            np.multiply(n1, n1, out=h)
+            np.multiply(n2, n2, out=x)
+            h += x
+            h *= 0.5
+        at = pos[edges[t]:edges[t + 1]] - i0
+        into = grid_rows[edges[t]:edges[t + 1]]
+        for field, tile in ((out.q1, n1), (out.q2, n2), (out.r1, r1), (out.r2, r2)):
+            if field is not None:
+                field[into] = tile[:, at].T
 
-            if ledger and s.ito:
-                # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
-                # for finite normals the products are signed zeros, and the
-                # drift (>= +0) plus a signed zero is the drift
-                dw[...] = drift[cols]
-            elif ledger:
-                # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)
-                # and inc_i = innov_i*i_i*dt
-                r1 *= s.i1
-                r1 *= dt
-                r2 *= s.i2
-                r2 *= dt
-                n1 *= 0.5
-                n2 *= 0.5
-                np.multiply(n1, c3[cols], out=dw)
-                np.multiply(n2, c4[cols], out=x)
-                dw += x
-                dw *= r1
-                np.multiply(n1, c4[cols], out=x)
-                n2 *= c5[cols]
-                x += n2
-                x *= r2
-                dw += x
-            if ledger and first:
-                dw[:, 0] = dw0
+        if ledger and s.ito:
+            # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
+            # for finite normals the products are signed zeros, and the
+            # drift (>= +0) plus a signed zero is the drift
+            dw[...] = drift[cols]
+        elif ledger:
+            # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)
+            # and inc_i = innov_i*i_i*dt
+            r1 *= s.i1
+            r1 *= dt
+            r2 *= s.i2
+            r2 *= dt
+            n1 *= 0.5
+            n2 *= 0.5
+            np.multiply(n1, c3[cols], out=dw)
+            np.multiply(n2, c4[cols], out=x)
+            dw += x
+            dw *= r1
+            np.multiply(n1, c4[cols], out=x)
+            n2 *= c5[cols]
+            x += n2
+            x *= r2
+            dw += x
+        if ledger and first:
+            dw[:, 0] = dw0
 
-            for taken, tile, total, field, running_sum in (
-                (ledger, dw, led, out.increment, out.ledger),
-                (harvest, h, ext, out.harvest, out.harvested),
-            ):
-                if not taken:
-                    continue
-                if field is not None and len(at):
-                    field[into, j0:j1] = tile[:, at].T
-                if running_sum is not None:
-                    tile[:, 0] += total
-                    np.add.accumulate(tile, axis=1, out=tile)
-                    total[:] = tile[:, -1]
-                    if len(at):
-                        running_sum[into, j0:j1] = tile[:, at].T
+        for taken, tile, total, field, running_sum in (
+            (ledger, dw, led, out.increment, out.ledger),
+            (harvest, h, ext, out.harvest, out.harvested),
+        ):
+            if not taken:
+                continue
+            if field is not None:
+                field[into] = tile[:, at].T
+            if running_sum is not None:
+                tile[:, 0] += total
+                np.add.accumulate(tile, axis=1, out=tile)
+                total[:] = tile[:, -1]
+                running_sum[into] = tile[:, at].T
 
 
 def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
@@ -487,10 +484,8 @@ def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
 
 
 def _chunk_size(n_traj: int, n_steps: int) -> int:
-    """Trajectories whose noise may be in flight at once, across all workers."""
-    budget = 48_000_000  # bytes of noise
-    per_traj = 16 * max(n_steps, 1)
-    fits = budget // per_traj
+    """Trajectories of a free-policy ensemble in flight at once, across all workers."""
+    fits = NOISE_BUDGET // (16 * max(n_steps, 1))
     if fits >= STREAM_BLOCK:
         fits -= fits % STREAM_BLOCK  # whole blocks: each chunk opens its own streams
     return max(min(128, fits), min(n_traj, fits), 1)
@@ -509,34 +504,35 @@ def _split(start: int, stop: int, parts: int, unit: int) -> list[int]:
     return [min(stop, start + unit * (units * i // parts)) for i in range(parts + 1)]
 
 
-def _layout(n_traj: int, n_steps: int) -> list[list[int]]:
+def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]]:
     """Chunk edges of each worker thread of an ensemble.
 
     Each worker takes one contiguous range of whole blocks and advances it in
-    near-equal chunks, so no narrow tail chunk is left.  The workers share
-    the ``_chunk_size`` bound, so the noise in flight does not grow with
-    their number: if the whole ensemble fits it, each worker takes its range
-    at once; otherwise each worker's chunks hold at most the bound divided
-    by the workers.  A worker's chunk is at least one whole block, which
-    caps the workers where the bound is small.
+    near-equal chunks, so no narrow tail chunk is left.  A per-step chunk is
+    the kernel's tile, at most max(1, PER_STEP_TILE // n_steps) trajectories.
+    The free policies' chunks share the ``_chunk_size`` bound, so the noise
+    in flight does not grow with the workers: if the whole ensemble fits it,
+    each worker takes its range at once; otherwise each worker's chunks hold
+    at most the bound divided by the workers, and at least one whole block.
+    No more workers run than their chunks fit the NOISE_BUDGET.
     """
     bound = _chunk_size(n_traj, n_steps)
-    n_blocks = -(-n_traj // STREAM_BLOCK)
-    workers = min(worker_threads(), n_blocks, max(1, bound // STREAM_BLOCK))
-    ranges = _split(0, n_traj, workers, STREAM_BLOCK)
+    tile = max(1, PER_STEP_TILE // n_steps)
+    cap = NOISE_BUDGET // (16 * n_steps * tile) if per_step else bound // STREAM_BLOCK
+    workers = min(worker_threads(), -(-n_traj // STREAM_BLOCK), max(1, cap))
+    ranges = list(pairwise(_split(0, n_traj, workers, STREAM_BLOCK)))
+    if per_step:
+        return [_split(a, b, -(-(b - a) // tile), 1) for a, b in ranges]
     if bound >= n_traj:
-        return [[a, b] for a, b in pairwise(ranges)]
+        return [[a, b] for a, b in ranges]
     per_worker = bound // workers
     unit = STREAM_BLOCK if per_worker >= STREAM_BLOCK else 1
-    return [
-        _split(a, b, -(-(b - a) // (per_worker - per_worker % unit)), unit)
-        for a, b in pairwise(ranges)
-    ]
+    return [_split(a, b, -(-(b - a) // (per_worker - per_worker % unit)), unit) for a, b in ranges]
 
 
 def ensemble_workers(config: EngineConfig) -> int:
     """Worker threads that ``run_ensemble_arrays`` uses for config's ensemble."""
-    return len(_layout(config.n_traj, config.n_steps))
+    return len(_layout(config.n_traj, config.n_steps, config.policy == "per-step"))
 
 
 class _BlockStreams:
@@ -598,12 +594,14 @@ def _run_blocks(
     # threshold has risen to the size of a noise buffer
     shape = (max(np.diff(edges)), config.n_steps, 2)
     buffer = np.frombuffer(mmap.mmap(-1, 16 * shape[0] * shape[1])).reshape(shape)
+    # the per-step kernel's seven buffers, each at most one tile
+    work = np.empty(7 * PER_STEP_TILE) if config.policy == "per-step" else None
     for a, b in pairwise(edges):
         if cancel.is_set():
             return
         noise = buffer[: b - a]
         streams.fill(noise)
-        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx, out.keys())
+        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx, out.keys(), work)
         for name, target in out.items():
             target[:, a:b] = getattr(steps, name)
 
@@ -648,7 +646,7 @@ def run_ensemble_arrays(
 
     n_traj = config.n_traj
     out = {name: np.zeros((len(cp_idx), n_traj)) for name in STEP_FIELDS if name in fields}
-    plan = _layout(n_traj, n_steps)
+    plan = _layout(n_traj, n_steps, config.policy == "per-step")
     streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
     cancel = Event()
     with ThreadPoolExecutor(len(plan)) as pool:

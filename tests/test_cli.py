@@ -386,6 +386,16 @@ class TestCsvWriter:
         assert written == expected
         assert digest == hashlib.sha256(expected).hexdigest()
 
+    def test_repeated_column_is_formatted_once_per_block(self, tmp_path):
+        # single-shot writes theta as both theta and wait_time
+        theta = np.random.default_rng(3).uniform(0.0, 6.0, 2 * SMALL_BLOCK + 1)
+        columns = {"r": 2.0 * theta, "theta": theta, "wait_time": theta}
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK), \
+                mock.patch.object(cli, "_column_cells", wraps=cli._column_cells) as cells:
+            cli._write_csv(tmp_path / "out.csv", [], columns)
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv([], columns)
+        assert cells.call_count == 2 * 3  # two distinct arrays in each of three blocks
+
     def test_ragged_columns_raise_naming_each_length(self, tmp_path):
         path = tmp_path / "ragged.csv"
         columns = {"r": np.zeros(3), "theta": np.zeros(5), "work": [0.0]}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import math
 import sys
 import threading
@@ -265,6 +266,22 @@ class TestChunkInvariance:
         with mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
             rec = run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
         ref = default_chunking(policy)
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("tile", [1, 7, 50, feedback.PER_STEP_TILE])
+    def test_per_step_records_bit_identical_under_any_tile(self, tile, threads):
+        # blocks of 4: 11 trajectories are 3 blocks, shared by `threads`
+        # workers; tiles of 1 and 7 make one-trajectory chunks, taken in
+        # spans of 1 and of 7 steps, and 50 chunks of 1 and 2 trajectories
+        # that reuse one worker's buffers
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "PER_STEP_TILE", tile), \
+                mock.patch.object(feedback, "worker_threads", lambda: threads):
+            assert len(feedback._layout(11, 20, per_step=True)) == threads
+            rec = run_ensemble_arrays(CHUNK_CONFIGS["per-step"], [0.0, 0.1, 0.2])
+        ref = small_block_default_chunking("per-step")
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 
@@ -581,20 +598,43 @@ class TestWorkers:
             assert len(plan) == 4
             assert np.all(widths[:-1] == 256) and widths[-1] == 10_000 % 256
 
+    @pytest.mark.parametrize("threads", [1, 2, 64])
+    def test_per_step_chunks_are_one_tile(self, threads):
+        # computed from the layout, nothing is allocated
+        tile = feedback.PER_STEP_TILE
+        with mock.patch.object(feedback, "worker_threads", lambda: threads):
+            for n_steps in (1, 100, 2500, 2501, tile):
+                for n_traj in (1, 50, 1000, 10_000, 11_000):
+                    plan = feedback._layout(n_traj, n_steps, per_step=True)
+                    assert len(plan) == min(threads, -(-n_traj // 256))
+                    # whole blocks per worker, cut into chunks of one tile
+                    assert [e[0] for e in plan] == [256 * (e[0] // 256) for e in plan]
+                    widths = np.concatenate([np.diff(edges) for edges in plan])
+                    assert widths.min() >= 1
+                    assert widths.max() <= max(1, tile // n_steps)
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            # figure-S3: 16 trajectories by 2500 steps, 640 kB of noise
+            assert [len(e) - 1 for e in feedback._layout(10_000, 2500, True)] == [320, 305]
+            cfg = qm.EngineConfig(dt=0.01, t_final=25.0, n_traj=10_000, policy="per-step")
+            assert feedback.ensemble_workers(cfg) == 2
+
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_noise_in_flight_stays_within_the_budget(self, threads):
         # computed from the layout, nothing is allocated
         with mock.patch.object(feedback, "worker_threads", lambda: threads):
-            for n_steps in (1, 100, 2500, 20_000, 10**5, 3 * 10**5 + 1, MAX_N_STEPS):
-                for n_traj in (1, 50, 1000, 11_000, 10**6):
-                    plan = feedback._layout(n_traj, n_steps)
-                    assert 1 <= len(plan) <= threads
-                    # contiguous ranges that cover the ensemble
-                    assert [e[0] for e in plan] == [0] + [e[-1] for e in plan[:-1]]
-                    assert plan[-1][-1] == n_traj
-                    widest = [int(np.diff(edges).max()) for edges in plan]
-                    assert all(np.diff(edges).min() >= 1 for edges in plan)
-                    assert sum(widest) * 16 * n_steps <= 48_000_000
+            for n_steps, n_traj, per_step in itertools.product(
+                (1, 100, 2500, 20_000, 10**5, 3 * 10**5 + 1, MAX_N_STEPS),
+                (1, 50, 1000, 11_000, 10**6),
+                (False, True),
+            ):
+                plan = feedback._layout(n_traj, n_steps, per_step)
+                assert 1 <= len(plan) <= threads
+                # contiguous ranges that cover the ensemble
+                assert [e[0] for e in plan] == [0] + [e[-1] for e in plan[:-1]]
+                assert plan[-1][-1] == n_traj
+                widest = [int(np.diff(edges).max()) for edges in plan]
+                assert all(np.diff(edges).min() >= 1 for edges in plan)
+                assert sum(widest) * 16 * n_steps <= 48_000_000
         assert feedback._chunk_size(10_000, MAX_N_STEPS) == 3
 
 
@@ -718,7 +758,7 @@ def kernel_case(draw, policy):
         # products underflow to signed zeros, which only the 0.0 + terms clear
         noise *= 5e-324
     start = draw(st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (-0.0, 0.0)]))
-    edges = [k for k in (0, 1, 63, 64, 65, 127, 128, 129, n_steps) if k <= n_steps]
+    edges = [k for k in (0, 1, 6, 7, 8, 63, 64, 65, 127, 128, 129, n_steps) if k <= n_steps]
     record = draw(
         st.just(list(range(n_steps + 1)))
         | st.lists(st.sampled_from(edges) | st.integers(0, n_steps), min_size=1, max_size=8)
@@ -733,15 +773,18 @@ def assert_same_bits(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
+#: PER_STEP_TILE values of the kernel tests: spans of 1..7 steps, and the default
+TILES = [1, 3, 7, feedback.PER_STEP_TILE]
+
+
 class TestPerStepTiles:
-    @pytest.mark.parametrize("tile", [(256, 64), (2, 4)])
+    @pytest.mark.parametrize("tile", TILES)
     @given(case=kernel_case("per-step"))
     @settings(max_examples=40, deadline=None)
     def test_tiles_match_the_step_loop(self, tile, case):
-        # (2, 4) tiles: up to three trajectory tiles and 33 step tiles
+        # a tile of 1 takes one step at a time, of 7 up to 131 spans of 1..7 steps
         cfg, cov, noise, start, record = case
-        with mock.patch.object(feedback, "TILE_TRAJ", tile[0]), \
-                mock.patch.object(feedback, "TILE_STEPS", tile[1]):
+        with mock.patch.object(feedback, "PER_STEP_TILE", tile):
             got = _advance(cfg, cov, noise, start, record)
         assert_same_bits(got, reference_advance(cfg, cov, noise, start, record))
 
@@ -766,7 +809,7 @@ class TestKernelFieldSubsets:
         want = _advance(cfg, cov, noise, start, record)
         assert_same_fields(got, want, STEP_FIELDS, fields)
 
-    @pytest.mark.parametrize("tile", [(256, 64), (2, 4)])
+    @pytest.mark.parametrize("tile", TILES)
     @given(
         case=kernel_case("per-step"),
         fields=st.sets(
@@ -779,8 +822,7 @@ class TestKernelFieldSubsets:
         # always with grid point 0 and step 1 among them
         cfg, cov, noise, start, record = case
         record = [0, 1, *record]
-        with mock.patch.object(feedback, "TILE_TRAJ", tile[0]), \
-                mock.patch.object(feedback, "TILE_STEPS", tile[1]):
+        with mock.patch.object(feedback, "PER_STEP_TILE", tile):
             got = _advance(cfg, cov, noise, start, record, fields)
         want = reference_advance(cfg, cov, noise, start, record)
         assert_same_fields(got, want, STEP_FIELDS, fields)
