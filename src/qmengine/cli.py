@@ -347,13 +347,48 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     return cells[:, start:stop]
 
 
+#: 10**0 .. 10**19: an integer has as many digits as the powers it reaches.
+_POW10_U64 = np.array([10**p for p in range(20)], np.uint64)
+
+
+def _int_cells(a: np.ndarray) -> np.ndarray:
+    """'%d' % v for each integer v in a, as a (rows, width) uint8 matrix
+    whose zero bytes are to be dropped.
+
+    |v| as an unsigned 64-bit integer (at most 20 digits) is laid out in
+    groups of four digits from _DIGIT_GROUPS, as many groups from the right
+    as the widest cell needs; then the leading zeros are masked and a sign
+    is put before the first digit.
+    """
+    if a.dtype.kind == "u":
+        mag, neg = a.astype(np.uint64, copy=False), np.zeros(len(a), bool)
+    else:
+        a = a.astype(np.int64, copy=False)
+        neg = a < 0
+        # the two's complement ~a + 1 is |a|, also for the least int64
+        mag = np.where(neg, ~a.view(np.uint64) + 1, a.view(np.uint64))
+    digits = np.maximum(np.searchsorted(_POW10_U64, mag, side="right"), 1)
+    width = int((digits + neg).max(initial=1))
+    cells = np.empty((len(a), 20), np.uint8)
+    words = cells.view(np.uint32)
+    for i in range(4, 4 - -(-width // 4), -1):
+        mag, group = np.divmod(mag, 10**4)
+        words[:, i] = _DIGIT_GROUPS[group]
+    cells = cells[:, 20 - width:]
+    np.multiply(cells, np.arange(width) >= width - digits[:, None], out=cells)
+    cells[np.flatnonzero(neg), width - 1 - digits[neg]] = ord("-")
+    return cells
+
+
 def _column_cells(a: np.ndarray) -> np.ndarray:
     """The cells of one column as a (rows, width) uint8 matrix whose zero
     bytes are to be dropped."""
-    if a.dtype.kind in "biu":
-        # numpy's bytes of bools and integers are those of '%s' and '%d'
+    if a.dtype.kind == "b":
+        # numpy's bytes of bools are those of '%s'
         text = a.astype("S")
         return text.view(np.uint8).reshape(len(text), text.itemsize)
+    if a.dtype.kind in "iu":
+        return _int_cells(a)
     return _float_cells(a.astype(np.float64, copy=False))
 
 
@@ -374,13 +409,14 @@ def _csv_block(arrays: list[np.ndarray], start: int) -> bytes:
 def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
     """Write columns as CSV and return the SHA-256 hex digest of the file.
 
-    Every cell reads as _fmt would write it.  Bool and integer columns take
-    numpy's own bytes.  Float columns go through _float_cells: 0, -0 and
-    every value whose 17-digit rounding has decimal exponent in [-6, 16] are
-    laid out by array arithmetic from the significand _significands rounds
-    exactly (hi + lo = |v| * 10**p exactly, and hi is an even integer above
-    2**53, so hi + rint(lo) rounds half to even like '%.17g'); _fmt formats
-    the rest, |v| < 1e-6, |v| >= 1e17, inf and nan, one cell at a time.
+    Every cell reads as _fmt would write it.  Bool columns take numpy's own
+    bytes, and integer columns go through _int_cells.  Float columns go
+    through _float_cells: 0, -0 and every value whose 17-digit rounding has
+    decimal exponent in [-6, 16] are laid out by array arithmetic from the
+    significand _significands rounds exactly (hi + lo = |v| * 10**p
+    exactly, and hi is an even integer above 2**53, so hi + rint(lo) rounds
+    half to even like '%.17g'); _fmt formats the rest, |v| < 1e-6,
+    |v| >= 1e17, inf and nan, one cell at a time.
     Rows are formatted, written and hashed _CSV_BLOCK_ROWS at a time, and
     an array given for several columns is formatted once per block.
     """

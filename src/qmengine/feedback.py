@@ -8,26 +8,31 @@ covariances, a work-ledger increment, and an optional reset.  One array
 function, ``_advance``, performs this update for a block of m trajectories
 and returns one record, ``Steps``: the means, readouts, ledger and harvest
 of each trajectory at the recorded grid points, and the covariances shared
-by all of them.  ``run_trajectory`` is its m = 1 case at every grid point;
-``run_ensemble_arrays`` calls it once per chunk of trajectories and returns
-the same record at the checkpoints.  Noise comes from one stream per block
+by all of them.  ``run_trajectory`` is its m = 1 case at every grid point.
+``run_ensemble_arrays`` builds the run's constants once (``_tables``),
+advances each chunk of trajectories with them (``_chunk``) and returns the
+same record at the checkpoints.  Noise comes from one stream per block
 of STREAM_BLOCK trajectories, so a trajectory's noise does not depend on
 how the ensemble is chunked.  ``_layout`` shares the blocks out in
 contiguous ranges among up to one thread per CPU (``worker_threads``) and
-cuts the ranges into chunks: a per-step chunk is one cache-sized tile of
-PER_STEP_TILE trajectory-steps, a free-policy chunk as wide as the bound on
-the noise in flight allows.  Each thread draws and advances its own
+cuts the ranges into cache-sized chunks: a per-step chunk is one tile of
+PER_STEP_TILE trajectory-steps, a free-policy chunk at most FREE_TILE
+trajectory-steps or FREE_WIDTH trajectories, whichever is wider, within
+the bound on the noise in flight.  Each thread draws and advances its own
 trajectories into its own columns of the outputs; numpy releases the GIL
 in the draws and in the kernel's array operations, so the threads run at
-the same time, and results do not depend on their number.
+the same time, and results do not depend on their number.  One thread at
+a time steps a free-policy chunk, whose numpy calls are too short for two
+threads to share the GIL well, while the others draw.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
 and banks (q1**2 + q2**2)/2 units of hbar*omega.  ``_per_step``, which
-``_advance`` calls for the per-step policy, is the only reset code: every
+``_chunk`` calls for the per-step policy, is the only reset code: every
 step after the first starts at the origin, so it takes a chunk's steps in
 spans rather than one at a time.  ``_free`` takes the steps of the other
-policies in order, into buffers allocated once.  Both compute only the
+policies in order, into buffers allocated once, with each operation on the
+two channels paired into one call on two rows.  Both compute only the
 ``Steps`` fields their caller asks for; the others are None.  The
 covariances stay untouched because the kernel only reads them, from
 ``gaussian.covariance_series``.  The policies are:
@@ -55,7 +60,8 @@ import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import pairwise
-from threading import Event
+from contextlib import AbstractContextManager, nullcontext
+from threading import Event, Lock
 from typing import Collection, Sequence
 
 import numpy as np
@@ -77,6 +83,13 @@ STREAM_BLOCK = 256
 #: max(1, PER_STEP_TILE // n_steps) trajectories keep their noise (640 kB at
 #: 2500 steps) and the kernel's seven buffers (2.2 MB) in cache.
 PER_STEP_TILE = 40_000
+
+#: Trajectory-steps of a free-policy chunk, and the fewest trajectories one
+#: holds: chunks of max(FREE_WIDTH, FREE_TILE // n_steps) trajectories keep
+#: their noise near cache size (3.3 MB at 100 steps, 8.2 MB at 500) and wide
+#: enough that each of the kernel's numpy calls outlasts its overhead.
+FREE_TILE = 204_800
+FREE_WIDTH = 1024
 
 #: Bytes of noise an ensemble may hold at once, across all its workers.
 NOISE_BUDGET = 48_000_000
@@ -185,6 +198,59 @@ def _step(s: _Rates, q1, q2, g1, g2, c3, c4, c5):
     return rr1, rr2, new1, new2, dW
 
 
+@dataclass(frozen=True, slots=True)
+class _Tables:
+    """What every chunk of one run shares: built once by ``_tables``, then
+    only read, by every chunk and worker thread."""
+
+    rates: _Rates
+    per_step: bool
+    cov: np.ndarray  # covariance triplets (q3, q4, q5) at grid points 0..n_steps
+    recorded_cov: np.ndarray  # the rows of cov at the recorded grid points
+    rows: dict[int, int]  # the record row of each recorded grid point
+    grid: np.ndarray  # the recorded grid points 1..n_steps, ascending
+    grid_rows: np.ndarray  # their record rows
+    # per step, under per-step: rows c3, c4, c5, c3*i1, c4*i2, c4*i1 and
+    # c5*i2, shape (7, n_steps)
+    columns: np.ndarray | None
+    # per step, for the free policies: the pairs [c3*i1, c4*i1], [c4*i2,
+    # c5*i2] and the ledger's two (see _free), shape (n_steps, 4, 2, 1)
+    pairs: np.ndarray | None
+    drift: np.ndarray  # per step, the Ito ledger's drift nu**2/tau*dt (0 if unused)
+
+
+def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Tables:
+    """The constants of config's steps along cov, recording the grid points in record."""
+    s = _rates(config, cov)
+    rows = {int(k): i for i, k in enumerate(record)}
+    n_steps = len(cov) - 1
+    grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
+    c3, c4, c5 = cov[:n_steps].T
+    # the products c3*i1 etc. of _step, and its Ito drift
+    a1, b1, a2, b2 = c3 * s.i1, c4 * s.i2, c4 * s.i1, c5 * s.i2
+    nu = 0.5 * c3
+    drift = nu * nu / s.tau1 * s.dt if s.ito else np.zeros(n_steps)
+    per_step = config.policy == "per-step"
+    columns = pairs = None
+    if per_step:
+        columns = np.array([c3, c4, c5, a1, b1, a2, b2])
+    else:
+        ledger = (c3, c5, c3, c5) if s.ito else (c3, c4, c4, c5)
+        pairs = np.stack([a1, a2, b1, b2, *ledger], axis=1).reshape(n_steps, 4, 2, 1)
+    return _Tables(
+        rates=s,
+        per_step=per_step,
+        cov=cov,
+        recorded_cov=cov[np.asarray(record, dtype=int)],
+        rows=rows,
+        grid=grid,
+        grid_rows=np.array([rows[k] for k in grid], dtype=int),
+        columns=columns,
+        pairs=pairs,
+        drift=drift,
+    )
+
+
 def _advance(
     config: EngineConfig,
     cov: np.ndarray,
@@ -207,142 +273,134 @@ def _advance(
     ``_per_step`` takes the steps in spans, in ``work`` if given; otherwise
     the means evolve freely and ``_free`` takes them in order.
     """
+    return _chunk(_tables(config, cov, record), noise, start, fields, work)
+
+
+def _chunk(
+    t: _Tables,
+    noise: np.ndarray,
+    start: tuple[float, float],
+    fields: Collection[str] = STEP_FIELDS,
+    work: np.ndarray | None = None,
+) -> Steps:
+    """``_advance`` with the run's constants built already: one chunk of a run."""
     m = len(noise)
-    rates = _rates(config, cov)
     out = Steps(
-        *(np.zeros((len(record), m)) if name in fields else None for name in STEP_FIELDS),
-        cov=cov[np.asarray(record, dtype=int)],
+        *(np.zeros((len(t.recorded_cov), m)) if name in fields else None for name in STEP_FIELDS),
+        cov=t.recorded_cov,
     )
-    rows = {int(k): i for i, k in enumerate(record)}
-    row = rows.get(0)
+    row = t.rows.get(0)
     for field, value in ((out.q1, start[0]), (out.q2, start[1])):
         if row is not None and field is not None:
             field[row] = value
-    if config.policy == "per-step":
-        _per_step(rates, cov, noise, start, rows, out, work)
+    if t.per_step:
+        _per_step(t, noise, start, out, work)
     else:
-        _free(rates, cov, noise, start, rows, out)
+        _free(t, noise, start, out)
     return out
 
 
-def _free(
-    s: _Rates,
-    cov: np.ndarray,
-    noise: np.ndarray,
-    start: tuple[float, float],
-    rows: dict[int, int],
-    out: Steps,
-) -> None:
+def _free(t: _Tables, noise: np.ndarray, start: tuple[float, float], out: Steps) -> None:
     """The free policies: fill ``out`` as a loop of ``_step`` calls would.
 
-    The means evolve without resets, so the steps run in order.  Each step
-    applies ``_step``'s operations, in the same order, into buffers
-    allocated once; ``-q1 + y`` is taken as ``y - q1``, which rounds alike.
-    Within a step no operation writes into one of its own inputs: numpy
-    checks such an overlap on every call, which costs more than the
-    arithmetic when m is small.  The ledger increment is taken only if
-    ``out`` records it or its running sum.  The noise is read from a
-    time-major copy, scaled by the readout weights, made for at most
-    FREE_SCRATCH // 16 trajectories by as many steps as fit FREE_SCRATCH
-    bytes at a time, so each step reads its normals contiguously.
+    The means evolve without resets, so the steps run in order.  They are
+    held as one (3, m) array z = [q1, q2, -q1], whose rows 0:2 are q =
+    [q1, q2] and rows 1:3 are p = [q2, -q1], the drift of the mean update.
+    So each operation of ``_step`` on the two channels is one call on two
+    rows: with the readouts r = q + w*g and the innovations u = r - q,
+    new = q + dt*((p + u1*[c3*i1, c4*i1]) + u2*[c4*i2, c5*i2]), which adds
+    in ``_step``'s order, as -q1 + y is y + (-q1) exactly.  The ledger
+    increments are inc = u*[i1, i2]*dt, and the ledger rules pair up the
+    same way: the midpoints m = 0.5*(q + new) give (m1*[c3, c4] +
+    m2*[c4, c5])*inc, whose two rows ``_step`` adds; the Ito rule adds
+    q*[c3, c5]*inc to the drift.  The ledger is taken only if ``out``
+    records it or its running sum.  Every operation writes into a buffer
+    allocated once, never into one of its own inputs: numpy checks such an
+    overlap on every call, which costs more than the arithmetic when m is
+    small.  The noise is read from a time-major copy, scaled by the readout
+    weights, made for at most FREE_SCRATCH // 16 trajectories by as many
+    steps as fit FREE_SCRATCH bytes at a time, so each step reads its
+    normals contiguously.
     """
     m, n_steps, _ = noise.shape
-    dt, w1, w2, i1, i2 = s.dt, s.w1, s.w2, s.i1, s.i2
+    s, rows = t.rates, t.rows
+    dt = s.dt
     ledger = out.increment is not None or out.ledger is not None
-    c3, c4, c5 = cov[:n_steps].T
-    # per step: the products c3*i1 etc. of _step and the Ito drift
-    nu = 0.5 * c3
-    a1, b1, a2, b2, drift = (
-        v.tolist() for v in (c3 * i1, c4 * i2, c4 * i1, c5 * i2, nu * nu / s.tau1 * dt)
-    )
-    c3, c4, c5 = c3.tolist(), c4.tolist(), c5.tolist()
+    recorded = [(f, i) for i, f in enumerate((out.q1, out.q2, out.r1, out.r2,
+                                              out.increment, out.ledger)) if f is not None]
 
     width = min(m, FREE_SCRATCH // 16)
     span = max(1, min(n_steps, FREE_SCRATCH // (16 * width)))
     noise_t = np.empty((span, 2, width))
-    weights = np.array([[w1], [w2]])
-    buffers = np.empty((13, width))
+    weights = np.array([[s.w1], [s.w2]])
+    inv = np.array([[s.i1], [s.i2]])
+    buffers = np.empty((20, width))
     for j0 in range(0, m, width):
         j1 = min(j0 + width, m)
-        q1, q2, n1, n2, r1, r2, u1, u2, t1, t2, t3, dw, led = buffers[:, : j1 - j0]
-        q1.fill(start[0])
-        q2.fill(start[1])
-        led.fill(0.0)
+        buf = buffers[:, : j1 - j0]
+        r, u, x, y, v = buf[6:8], buf[8:10], buf[10:12], buf[12:14], buf[14:16]
+        r1, r2, u1, u2, x1, x2, y1, y2 = r[0], r[1], u[0], u[1], x[0], x[1], y[0], y[1]
+        dw, tmp = buf[16:18]
+        # step k reads z and the ledger from one set of buffers and writes
+        # the next into the other, set k % 2: q, p, the new q, its rows and
+        # -new q1, the ledger and the new ledger
+        sides = [
+            (z[0:2], z[1:3], zn[0:2], zn[0], zn[1], zn[2], led, led_next)
+            for z, zn, led, led_next in (
+                (buf[0:3], buf[3:6], buf[18], buf[19]),
+                (buf[3:6], buf[0:3], buf[19], buf[18]),
+            )
+        ]
+        buf[0], buf[1], buf[2] = start[0], start[1], -start[0]
+        buf[18] = 0.0
         for k0 in range(0, n_steps, span):
             k1 = min(k0 + span, n_steps)
             tile = noise_t[: k1 - k0, :, : j1 - j0]
             np.copyto(tile, noise[j0:j1, k0:k1].transpose(1, 2, 0))
             tile *= weights  # w*g
-            for k, (wg1, wg2) in enumerate(tile, k0):
-                # readouts q + w*g and innovations r - q
-                np.add(wg1, q1, r1)
-                np.add(wg2, q2, r2)
-                np.subtract(r1, q1, u1)
-                np.subtract(r2, q2, u2)
-                # new1 = q1 + dt*((q2 + c3*i1*innov1) + c4*i2*innov2)
-                np.multiply(u1, a1[k], t1)
-                np.add(t1, q2, t2)
-                np.multiply(u2, b1[k], t1)
-                np.add(t2, t1, t3)
-                np.multiply(t3, dt, t1)
-                np.add(t1, q1, n1)
-                # new2 = q2 + dt*((-q1 + c4*i1*innov1) + c5*i2*innov2)
-                np.multiply(u1, a2[k], t1)
-                np.subtract(t1, q1, t2)
-                np.multiply(u2, b2[k], t1)
-                np.add(t2, t1, t3)
-                np.multiply(t3, dt, t1)
-                np.add(t1, q2, n2)
+            for k, wg, (a, c, l1, l2), d in zip(
+                range(k0, k1), tile, t.pairs[k0:k1], t.drift[k0:k1].tolist()
+            ):
+                q, p, new, new1, new2, neg, led, led_next = sides[k % 2]
+                np.add(wg, q, r)  # readouts q + w*g
+                np.subtract(r, q, u)  # innovations r - q
+                np.multiply(u1, a, x)
+                np.add(x, p, y)
+                np.multiply(u2, c, x)
+                np.add(y, x, v)
+                np.multiply(v, dt, x)
+                np.add(x, q, new)
+                np.negative(new1, neg)
                 if ledger:
-                    # inc_i = innov_i*i_i*dt
-                    np.multiply(u1, i1, t1)
-                    np.multiply(t1, dt, u1)
-                    np.multiply(u2, i2, t1)
-                    np.multiply(t1, dt, u2)
+                    np.multiply(u, inv, x)
+                    np.multiply(x, dt, u)  # inc = innov*i*dt
                     if s.ito:
                         # (nu**2/tau*dt + q1*c3*inc1) + q2*c5*inc2
-                        np.multiply(q1, c3[k], t1)
-                        np.multiply(t1, u1, t2)
-                        np.add(t2, drift[k], t3)
-                        np.multiply(q2, c5[k], t1)
-                        np.multiply(t1, u2, t2)
-                        np.add(t3, t2, dw)
+                        np.multiply(q, l1, x)
+                        np.multiply(x, u, y)
+                        np.add(y1, d, tmp)
+                        np.add(tmp, y2, dw)
                     else:
-                        # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2 with the
-                        # midpoints m_i = 0.5*(q_i + new_i) written over q_i
-                        np.add(q1, n1, t1)
-                        np.multiply(t1, 0.5, q1)
-                        np.add(q2, n2, t1)
-                        np.multiply(t1, 0.5, q2)
-                        np.multiply(q1, c3[k], t1)
-                        np.multiply(q2, c4[k], t2)
-                        np.add(t1, t2, t3)
-                        np.multiply(t3, u1, dw)
-                        np.multiply(q1, c4[k], t1)
-                        np.multiply(q2, c5[k], t2)
-                        np.add(t1, t2, t3)
-                        np.multiply(t3, u2, t1)
-                        np.add(dw, t1, t2)
-                        dw, t2 = t2, dw
-                    np.add(led, dw, t1)
-                    led, t1 = t1, led
+                        # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2
+                        np.add(q, new, x)
+                        np.multiply(x, 0.5, y)
+                        np.multiply(y1, l1, x)
+                        np.multiply(y2, l2, v)
+                        np.add(x, v, y)
+                        np.multiply(y, u, x)
+                        np.add(x1, x2, dw)
+                    np.add(led, dw, led_next)
                 row = rows.get(k + 1)
                 if row is not None:
-                    for field, value in ((out.q1, n1), (out.q2, n2), (out.r1, r1),
-                                         (out.r2, r2), (out.increment, dw),
-                                         (out.ledger, led)):
-                        if field is not None:
-                            field[row, j0:j1] = value
-                q1, n1 = n1, q1
-                q2, n2 = n2, q2
+                    values = (new1, new2, r1, r2, dw, led_next)
+                    for field, i in recorded:
+                        field[row, j0:j1] = values[i]
 
 
 def _per_step(
-    s: _Rates,
-    cov: np.ndarray,
+    t: _Tables,
     noise: np.ndarray,
     start: tuple[float, float],
-    rows: dict[int, int],
     out: Steps,
     work: np.ndarray | None = None,
 ) -> None:
@@ -364,21 +422,17 @@ def _per_step(
     increment are taken only if ``out`` records them or their sums.
     """
     m, n_steps, _ = noise.shape
+    s = t.rates
     dt = s.dt
-    c3, c4, c5 = np.ascontiguousarray(cov[:n_steps].T)
-    a1, b1, a2, b2 = c3 * s.i1, c4 * s.i2, c4 * s.i1, c5 * s.i2
-    if s.ito:
-        nu = 0.5 * c3
-        drift = nu * nu / s.tau1 * dt
+    c3, c4, c5, a1, b1, a2, b2 = t.columns
     ledger = out.increment is not None or out.ledger is not None
     harvest = out.harvest is not None or out.harvested is not None
     running = out.ledger is not None or out.harvested is not None
 
-    # recorded grid points 1..n_steps, the steps to take (all of them for a
-    # running sum, else the recorded ones), each recorded step's position
-    # among them and where each span's run of those positions starts
-    grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
-    grid_rows = np.array([rows[k] for k in grid], dtype=int)
+    # the steps to take (all of them for a running sum, else the recorded
+    # ones), each recorded step's position among them and where each
+    # span's run of those positions starts
+    grid, grid_rows = t.grid, t.grid_rows
     steps = np.arange(n_steps) if running else grid - 1
     pos = grid - 1 if running else np.arange(len(grid))
     span = max(1, min(len(steps), PER_STEP_TILE // m))
@@ -387,7 +441,7 @@ def _per_step(
     size = 7 * m * span
     buffers = (np.empty(size) if work is None else work)[:size].reshape(7, m, span)
     led, ext = np.zeros((2, m))
-    for t, i0 in enumerate(range(0, len(steps), span)):
+    for n, i0 in enumerate(range(0, len(steps), span)):
         i1 = min(i0 + span, len(steps))
         cols = slice(i0, i1) if running else steps[i0:i1]
         r1, r2, n1, n2, x, dw, h = buffers[:, :, : i1 - i0]
@@ -414,15 +468,15 @@ def _per_step(
         first = steps[i0] == 0
         if first:
             q1, q2 = (np.full(m, float(v)) for v in start)
-            r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(s, q1, q2, *g[:, 0].T, *cov[0])
+            r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(s, q1, q2, *g[:, 0].T, *t.cov[0])
         if harvest:
             # harvest 0.5*(new1*new1 + new2*new2)
             np.multiply(n1, n1, out=h)
             np.multiply(n2, n2, out=x)
             h += x
             h *= 0.5
-        at = pos[edges[t]:edges[t + 1]] - i0
-        into = grid_rows[edges[t]:edges[t + 1]]
+        at = pos[edges[n]:edges[n + 1]] - i0
+        into = grid_rows[edges[n]:edges[n + 1]]
         for field, tile in ((out.q1, n1), (out.q2, n2), (out.r1, r1), (out.r2, r2)):
             if field is not None:
                 field[into] = tile[:, at].T
@@ -431,7 +485,7 @@ def _per_step(
             # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
             # for finite normals the products are signed zeros, and the
             # drift (>= +0) plus a signed zero is the drift
-            dw[...] = drift[cols]
+            dw[...] = t.drift[cols]
         elif ledger:
             # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)
             # and inc_i = innov_i*i_i*dt
@@ -484,10 +538,13 @@ def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
 
 
 def _chunk_size(n_traj: int, n_steps: int) -> int:
-    """Trajectories of a free-policy ensemble in flight at once, across all workers."""
+    """Trajectories of a free-policy ensemble in flight at once, across all
+    workers: the whole ensemble if NOISE_BUDGET holds it, else as many whole
+    blocks as it holds (trajectories, under one block); never fewer than
+    min(128, what it holds), nor than one."""
     fits = NOISE_BUDGET // (16 * max(n_steps, 1))
     if fits >= STREAM_BLOCK:
-        fits -= fits % STREAM_BLOCK  # whole blocks: each chunk opens its own streams
+        fits -= fits % STREAM_BLOCK  # whole blocks, as the workers' chunks are
     return max(min(128, fits), min(n_traj, fits), 1)
 
 
@@ -510,11 +567,12 @@ def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]
     Each worker takes one contiguous range of whole blocks and advances it in
     near-equal chunks, so no narrow tail chunk is left.  A per-step chunk is
     the kernel's tile, at most max(1, PER_STEP_TILE // n_steps) trajectories.
-    The free policies' chunks share the ``_chunk_size`` bound, so the noise
-    in flight does not grow with the workers: if the whole ensemble fits it,
-    each worker takes its range at once; otherwise each worker's chunks hold
-    at most the bound divided by the workers, and at least one whole block.
-    No more workers run than their chunks fit the NOISE_BUDGET.
+    A free-policy chunk holds at most max(FREE_WIDTH, FREE_TILE // n_steps)
+    trajectories, so its noise stays near cache size, and at most the
+    ``_chunk_size`` bound divided by the workers, so the noise in flight
+    does not grow with them; it is cut at whole blocks where it holds one.
+    No more workers run than their chunks fit the NOISE_BUDGET: for the
+    free policies, than the bound holds whole blocks (but at least one).
     """
     bound = _chunk_size(n_traj, n_steps)
     tile = max(1, PER_STEP_TILE // n_steps)
@@ -522,12 +580,12 @@ def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]
     workers = min(worker_threads(), -(-n_traj // STREAM_BLOCK), max(1, cap))
     ranges = list(pairwise(_split(0, n_traj, workers, STREAM_BLOCK)))
     if per_step:
-        return [_split(a, b, -(-(b - a) // tile), 1) for a, b in ranges]
-    if bound >= n_traj:
-        return [[a, b] for a, b in ranges]
-    per_worker = bound // workers
-    unit = STREAM_BLOCK if per_worker >= STREAM_BLOCK else 1
-    return [_split(a, b, -(-(b - a) // (per_worker - per_worker % unit)), unit) for a, b in ranges]
+        width, unit = tile, 1
+    else:
+        width = min(bound // workers, max(FREE_WIDTH, FREE_TILE // n_steps))
+        unit = STREAM_BLOCK if width >= STREAM_BLOCK else 1
+        width -= width % unit
+    return [_split(a, b, -(-(b - a) // width), unit) for a, b in ranges]
 
 
 def ensemble_workers(config: EngineConfig) -> int:
@@ -576,32 +634,32 @@ def _noise_block(seed: int, start: int, stop: int, n_steps: int) -> np.ndarray:
 
 
 def _run_blocks(
-    config: EngineConfig,
-    cov: np.ndarray,
-    cp_idx: np.ndarray,
+    t: _Tables,
     streams: _BlockStreams,
     edges: list[int],
     out: dict[str, np.ndarray],
     cancel: Event,
+    stepping: AbstractContextManager,
 ) -> None:
     """Advance the chunks between consecutive edges into their columns of out,
-    which maps the ``Steps`` fields asked for to their arrays.  Stops before
-    its next chunk once cancel is set.
+    which maps the ``Steps`` fields asked for to their arrays, each chunk's
+    steps within stepping.  Stops before its next chunk once cancel is set.
     """
     # an anonymous mapping rather than the heap: its pages go back to the
     # system when the ensemble ends, so the next ensemble's buffers are not
     # stranded beside freed heap memory that malloc keeps once its mmap
     # threshold has risen to the size of a noise buffer
-    shape = (max(np.diff(edges)), config.n_steps, 2)
+    shape = (max(np.diff(edges)), len(t.cov) - 1, 2)
     buffer = np.frombuffer(mmap.mmap(-1, 16 * shape[0] * shape[1])).reshape(shape)
     # the per-step kernel's seven buffers, each at most one tile
-    work = np.empty(7 * PER_STEP_TILE) if config.policy == "per-step" else None
+    work = np.empty(7 * PER_STEP_TILE) if t.per_step else None
     for a, b in pairwise(edges):
         if cancel.is_set():
             return
         noise = buffer[: b - a]
         streams.fill(noise)
-        steps = _advance(config, cov, noise, (0.0, 0.0), cp_idx, out.keys(), work)
+        with stepping:
+            steps = _chunk(t, noise, (0.0, 0.0), out.keys(), work)
         for name, target in out.items():
             target[:, a:b] = getattr(steps, name)
 
@@ -644,15 +702,21 @@ def run_ensemble_arrays(
         config.nbar, config.tau1, config.tau2, config.resolved_dt, n_steps
     )
 
+    tables = _tables(config, cov, cp_idx)
+
     n_traj = config.n_traj
     out = {name: np.zeros((len(cp_idx), n_traj)) for name in STEP_FIELDS if name in fields}
-    plan = _layout(n_traj, n_steps, config.policy == "per-step")
+    plan = _layout(n_traj, n_steps, tables.per_step)
     streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
     cancel = Event()
+    # one worker at a time takes a free-policy chunk's steps while the others
+    # draw: the numpy calls of those steps are short, so two workers stepping
+    # at once mostly wait to hand the GIL back and forth between calls
+    stepping = nullcontext() if tables.per_step else Lock()
     with ThreadPoolExecutor(len(plan)) as pool:
         try:
             jobs = [
-                pool.submit(_run_blocks, config, cov, cp_idx, s, edges, out, cancel)
+                pool.submit(_run_blocks, tables, s, edges, out, cancel, stepping)
                 for s, edges in zip(streams, plan)
             ]
             done, _ = wait(jobs, return_when=FIRST_EXCEPTION)
@@ -664,4 +728,4 @@ def run_ensemble_arrays(
             # next chunk, and the pool's exit waits for them
             cancel.set()
 
-    return Steps(*(out.get(name) for name in STEP_FIELDS), cov=cov[cp_idx])
+    return Steps(*(out.get(name) for name in STEP_FIELDS), cov=tables.recorded_cov)

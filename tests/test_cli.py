@@ -526,6 +526,35 @@ class TestFloatFormatter:
         assert self.fallback_calls(tmp_path, columns) == 4
 
 
+class TestIntFormatter:
+    """The digit-group integer cells against '%d', byte for byte."""
+
+    def assert_matches_percent(self, column):
+        blocks = range(0, len(column), cli._CSV_BLOCK_ROWS)
+        got = b"".join(cli._csv_block([column], start) for start in blocks)
+        assert got == ("%d\n" * len(column) % tuple(column.tolist())).encode()
+
+    def test_zero_negatives_and_the_extremes_of_every_width(self):
+        for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                      np.uint32, np.uint64):
+            info = np.iinfo(dtype)
+            values = [0, 1, info.min, info.max, info.min + 1, info.max - 1]
+            values += [v for v in (-1, -10, -9999, -10_000) if v >= info.min]
+            self.assert_matches_percent(np.array(values, dtype))
+
+    def test_every_digit_count_and_group_edge(self):
+        # 1 to 19 digits of both signs, at and beside each power of ten
+        values = [s * (10**p + d) for p in range(19) for d in (-1, 0, 1) for s in (1, -1)]
+        self.assert_matches_percent(np.array(values, np.int64))
+        self.assert_matches_percent(np.array([10**19 - 1, 10**19, 2**64 - 1], np.uint64))
+
+    def test_random_int64_over_several_blocks(self):
+        rng = np.random.default_rng(18)
+        column = rng.integers(-(2**63), 2**63 - 1, 2 * cli._CSV_BLOCK_ROWS + 5, endpoint=True)
+        column[::7] //= 10 ** rng.integers(0, 19, column[::7].size)
+        self.assert_matches_percent(column)
+
+
 class TestFamilies:
     def test_single_shot(self, tmp_path):
         assert run_cli(
@@ -882,10 +911,10 @@ class TestExitCodes:
         # the second of two workers fails partway through the ensemble
         run_blocks = feedback._run_blocks
 
-        def failing(config, cov, cp_idx, streams, edges, *rest):
+        def failing(tables, streams, edges, *rest):
             if edges[0] > 0:
                 raise ValueError("second worker failed")
-            return run_blocks(config, cov, cp_idx, streams, edges, *rest)
+            return run_blocks(tables, streams, edges, *rest)
 
         with mock.patch.object(feedback, "worker_threads", lambda: 2), \
                 mock.patch.object(feedback, "_run_blocks", failing):

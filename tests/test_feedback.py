@@ -9,6 +9,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -379,12 +380,14 @@ class TestStreamLayout:
         n = cfg.n_steps
         seen = []
 
-        def recording_advance(config, cov, noise, start, record, *fields):
-            seen.append(noise.copy())
-            return _advance(config, cov, noise, start, record, *fields)
+        chunk = feedback._chunk
 
-        # one worker, so the chunks reach recording_advance in trajectory order
-        with mock.patch.object(feedback, "_advance", recording_advance), \
+        def recording_chunk(tables, noise, *rest):
+            seen.append(noise.copy())
+            return chunk(tables, noise, *rest)
+
+        # one worker, so the chunks reach recording_chunk in trajectory order
+        with mock.patch.object(feedback, "_chunk", recording_chunk), \
                 mock.patch.object(feedback, "worker_threads", lambda: 1):
             run_ensemble_arrays(cfg, [cfg.t_final])
             ensemble_noise = np.concatenate(seen)
@@ -450,28 +453,29 @@ def single_worker(key):
 def blocked_workers(first_chunk, barrier):
     """Two workers of five one-block chunks each on a 40-trajectory ensemble.
 
-    At its first chunk each worker waits at barrier and then calls
-    first_chunk(barrier index, the ensemble's cancel event).  Yields the
-    list of the threads of the chunks run.
+    As it draws the noise of its first chunk, before it steps, each worker
+    waits at barrier and then calls first_chunk(barrier index, the
+    ensemble's cancel event).  Yields the list of the threads of the chunks
+    drawn.
     """
     events, chunks = [], []
-    advance = feedback._advance
+    fill = feedback._BlockStreams.fill
 
     def recording_event():
         events.append(threading.Event())
         return events[-1]
 
-    def blocked_advance(config, cov, noise, start, record, *fields):
+    def blocked_fill(streams, out):
         chunks.append(threading.current_thread())
         if chunks.count(chunks[-1]) == 1:
             first_chunk(barrier.wait(), events[0])
-        return advance(config, cov, noise, start, record, *fields)
+        return fill(streams, out)
 
     with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
             mock.patch.object(feedback, "worker_threads", lambda: 2), \
             mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8), \
             mock.patch.object(feedback, "Event", recording_event), \
-            mock.patch.object(feedback, "_advance", blocked_advance):
+            mock.patch.object(feedback._BlockStreams, "fill", blocked_fill):
         assert [len(edges) - 1 for edges in feedback._layout(40, 20)] == [5, 5]
         yield chunks
 
@@ -506,12 +510,27 @@ class TestWorkers:
         with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
                 mock.patch.object(feedback, "worker_threads", lambda: 1):
             ref = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
+        # the chunks stepping at each chunk's start; each chunk sleeps, so
+        # that workers free to step at once would overlap
+        stepping, seen = [], []
+        chunk = feedback._chunk
+
+        def counting_chunk(*args):
+            stepping.append(None)
+            seen.append(len(stepping))
+            try:
+                time.sleep(0.002)
+                return chunk(*args)
+            finally:
+                stepping.pop()
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
                     mock.patch.object(feedback, "worker_threads", lambda: 8), \
-                    mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8):
+                    mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8), \
+                    mock.patch.object(feedback, "_chunk", counting_chunk):
                 plan = feedback._layout(cfg.n_traj, cfg.n_steps)
                 assert len(plan) == 8
                 assert all(np.all(np.diff(edges) == 1) for edges in plan)
@@ -520,6 +539,10 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        assert seen
+        if policy != "per-step":
+            # one worker at a time steps a free-policy chunk
+            assert max(seen) == 1
 
     def test_two_workers_draw_every_normal_once(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
@@ -550,10 +573,10 @@ class TestWorkers:
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
         run_blocks = feedback._run_blocks
 
-        def failing(config, cov, cp_idx, streams, edges, *rest):
+        def failing(tables, streams, edges, *rest):
             if edges[0] > 0:
                 raise ValueError("second worker failed")
-            return run_blocks(config, cov, cp_idx, streams, edges, *rest)
+            return run_blocks(tables, streams, edges, *rest)
 
         with mock.patch.object(feedback, "worker_threads", lambda: 2), \
                 mock.patch.object(feedback, "_run_blocks", failing):
@@ -587,8 +610,13 @@ class TestWorkers:
 
     def test_chunks_are_whole_blocks_without_a_narrow_tail(self):
         with mock.patch.object(feedback, "worker_threads", lambda: 2):
-            # default continuous fits the bound: one chunk per worker
-            assert feedback._layout(10_000, 100) == [[0, 5120], [5120, 10_000]]
+            # default continuous: three chunks of 6 or 7 blocks per worker,
+            # within the 2048 trajectories of FREE_TILE // 100
+            assert feedback._layout(10_000, 100) == [
+                [0, 1536, 3328, 5120], [5120, 6656, 8448, 10_000]
+            ]
+            # figure-2c: five chunks of four blocks per worker, FREE_WIDTH
+            assert feedback._layout(10_000, 500)[0] == [0, 1024, 2048, 3072, 4096, 5120]
             # figure-S3: ten chunks of two blocks per worker
             assert [len(e) - 1 for e in feedback._layout(10_000, 2500)] == [10, 10]
         with mock.patch.object(feedback, "worker_threads", lambda: 64):
@@ -597,6 +625,38 @@ class TestWorkers:
             widths = np.concatenate([np.diff(edges) for edges in plan])
             assert len(plan) == 4
             assert np.all(widths[:-1] == 256) and widths[-1] == 10_000 % 256
+
+    @pytest.mark.parametrize("threads", [1, 2, 64])
+    def test_free_chunks_stay_within_the_cap(self, threads):
+        # computed from the layout, nothing is allocated
+        with mock.patch.object(feedback, "worker_threads", lambda: threads):
+            for n_steps in (1, 100, 200, 201, 500, 2500, 20_000, MAX_N_STEPS):
+                for n_traj in (1, 50, 300, 1000, 10_000, 11_000, 50_000):
+                    plan = feedback._layout(n_traj, n_steps)
+                    blocks = -(-n_traj // 256)
+                    bound = feedback._chunk_size(n_traj, n_steps)
+                    # the worker count is what it was with one chunk per worker
+                    workers = min(threads, blocks, max(1, bound // 256))
+                    assert len(plan) == workers
+                    cfg = qm.EngineConfig(n_traj=n_traj, dt=1.0 / n_steps, policy="terminal")
+                    assert feedback.ensemble_workers(cfg) == workers
+                    # whole blocks per worker, cut into chunks within the cap
+                    assert [e[0] for e in plan] == [256 * (e[0] // 256) for e in plan]
+                    widths = np.concatenate([np.diff(edges) for edges in plan])
+                    cap = max(feedback.FREE_WIDTH, feedback.FREE_TILE // n_steps)
+                    assert 1 <= widths.min() and widths.max() <= min(cap, bound // workers)
+                    if widths.max() >= 256:
+                        inner = np.concatenate([edges[1:-1] for edges in plan])
+                        assert np.all(inner % 256 == 0)
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            # continuous --policy terminal at 5 * 10**4: 13 chunks of at most
+            # 2048 trajectories per worker, 3.3 MB of noise each
+            plan = feedback._layout(50_000, 100)
+            assert [len(e) - 1 for e in plan] == [13, 13]
+            assert max(np.diff(e).max() for e in plan) == 2048
+            assert feedback.ensemble_workers(
+                qm.EngineConfig(n_traj=50_000, policy="terminal")
+            ) == 2
 
     @pytest.mark.parametrize("threads", [1, 2, 64])
     def test_per_step_chunks_are_one_tile(self, threads):
@@ -854,21 +914,36 @@ def step_call_advance(config, cov, noise, start, record):
     return out
 
 
+#: (m, FREE_SCRATCH) of the free-loop test: scratch 96 takes 3 trajectories
+#: by 2 steps, 32 takes 2 by 1, and 2**14 takes 1024 by one step, so 1025
+#: trajectories leave a one-trajectory pass in buffers whose rows are strided
+FREE_WIDTHS = [
+    *((m, scratch) for m in (1, 3) for scratch in (2**20, 96, 32)),
+    (1024, 2**20), (1025, 2**20), (1025, 2**14),
+]
+
+
 class TestFreeLoop:
-    @pytest.mark.parametrize("scratch", [2**20, 96, 32])
-    @pytest.mark.parametrize("scheme", ["stratonovich", "ito"])
+    @pytest.mark.parametrize(("tau2", "scheme"), [
+        (1.0, "stratonovich"), (1.0, "ito"), (0.7, "stratonovich"), (math.inf, "stratonovich"),
+    ])
     @pytest.mark.parametrize("policy", ["terminal", "none"])
-    @pytest.mark.parametrize("m", [1, 3])
-    def test_matches_one_step_call_per_step(self, m, policy, scheme, scratch):
-        # scratch 96 takes 3 trajectories by 2 steps, 32 takes 2 by 1
-        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=1.31, policy=policy, scheme=scheme)
+    @pytest.mark.parametrize(("m", "scratch"), FREE_WIDTHS)
+    def test_matches_one_step_call_per_step(self, m, scratch, policy, tau2, scheme):
+        cfg = qm.EngineConfig(
+            nbar=0.5, tau2=tau2, dt=0.01, t_final=1.31, policy=policy, scheme=scheme
+        )
         n = cfg.n_steps
         cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
         noise = np.random.default_rng(m).standard_normal((m, n, 2))
         record = range(n + 1)
+        want = step_call_advance(cfg, cov, noise, (0.3, -0.2), record)
         with mock.patch.object(feedback, "FREE_SCRATCH", scratch):
-            got = _advance(cfg, cov, noise, (0.3, -0.2), record)
-        assert_same_bits(got, step_call_advance(cfg, cov, noise, (0.3, -0.2), record))
+            assert_same_bits(_advance(cfg, cov, noise, (0.3, -0.2), record), want)
+            # each recorded field alone, so with and without the ledger
+            for name in STEP_FIELDS:
+                got = _advance(cfg, cov, noise, (0.3, -0.2), record, [name])
+                assert_same_fields(got, want, STEP_FIELDS, [name])
 
     @pytest.mark.parametrize("m", [1, 255, 4096, 65536, 65539])
     def test_noise_copy_stays_within_the_scratch_bound(self, m):
