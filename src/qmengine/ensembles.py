@@ -16,9 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-# np.histogram(bins="fd") reaches numpy.ma through np.quantile; loaded here,
-# its cost stays in the import instead of inside the first run
-import numpy.ma
 
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
@@ -36,11 +33,9 @@ EFFICIENCY_BATCHES = 100
 
 @dataclass(frozen=True, slots=True)
 class WorkStatistics:
-    """Binned work samples of one ensemble with their first two moments."""
+    """Work samples of one ensemble with their first two moments."""
 
     samples: np.ndarray
-    counts: np.ndarray
-    bin_edges: np.ndarray
     mean: float
     variance: float
     stderr: float
@@ -175,9 +170,13 @@ def _moments(samples: np.ndarray) -> tuple[float, float, float]:
     n = len(samples)
     # a memoryview yields Python floats without numpy scalars or a list of them
     mean = math.fsum(memoryview(samples)) / n
-    variance = float(np.var(samples, ddof=1)) if n > 1 else 0.0
-    stderr = math.sqrt(variance / n) if n > 1 else 0.0
-    return mean, variance, stderr
+    if n < 2:
+        return mean, 0.0, 0.0
+    # the variance of the samples scaled by 2**-e, |x| < 2**e, so that the
+    # squares of tiny samples do not underflow; scaling by 2**k is exact
+    e = math.frexp(float(np.max(np.abs(samples))))[1]
+    variance = float(np.var(np.ldexp(samples, -e), ddof=1))
+    return mean, math.ldexp(variance, 2 * e), math.ldexp(math.sqrt(variance / n), e)
 
 
 def work_samples(config: EngineConfig, t_grid: Sequence[float]) -> np.ndarray:
@@ -196,15 +195,12 @@ def work_samples(config: EngineConfig, t_grid: Sequence[float]) -> np.ndarray:
 
 
 def run_ensemble(config: EngineConfig) -> WorkStatistics:
-    """Run config.n_traj independent trajectories and bin the work at t_final
-    (Freedman-Diaconis bins)."""
+    """Run config.n_traj independent trajectories and take the moments of
+    their work at t_final."""
     (samples,) = work_samples(config, [config.t_final])
-    counts, bin_edges = np.histogram(samples, bins="fd")
     mean, variance, stderr = _moments(samples)
     return WorkStatistics(
         samples=samples,
-        counts=counts,
-        bin_edges=bin_edges,
         mean=mean,
         variance=variance,
         stderr=stderr,

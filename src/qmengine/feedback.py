@@ -5,19 +5,18 @@ update: the two readouts r_i = q_i + sqrt(tau_i/dt) * g_i (g_i standard
 normal; an unmonitored channel reports r_i = q_i), an Euler-Maruyama mean
 step driven by the innovations r_i - q_i weighted by the current
 covariances, a work-ledger increment, and an optional reset.  One array
-function, ``_advance``, performs this update for a block of m trajectories
-and returns one record, ``Steps``: the means, readouts, ledger and harvest
-of each trajectory at the recorded grid points, and the covariances shared
-by all of them.  ``run_trajectory`` is its m = 1 case at every grid point.
-``run_ensemble_arrays`` builds the run's constants once (``_tables``),
-advances each chunk of trajectories with them (``_chunk``) and returns the
-same record at the checkpoints.  Noise comes from one stream per block
-of STREAM_BLOCK trajectories, so a trajectory's noise does not depend on
-how the ensemble is chunked.  ``_layout`` shares the blocks out in
-contiguous ranges among up to one thread per CPU (``worker_threads``) and
-cuts the ranges into cache-sized chunks: a per-step chunk is one tile of
-PER_STEP_TILE trajectory-steps, a free-policy chunk at most FREE_TILE
-trajectory-steps or FREE_WIDTH trajectories, whichever is wider, within
+function, ``_chunk``, performs this update for a block of m trajectories
+with the run's constants (``_tables``) and fills one record, ``Steps``,
+supplied by its caller: the means, readouts, ledger and harvest of each
+trajectory at the recorded grid points, and the covariances shared by all
+of them.  ``run_trajectory`` is its m = 1 case at every grid point;
+``run_ensemble_arrays`` hands it views of the ensemble's columns, one
+chunk at a time, and returns the record at the checkpoints.  Noise comes
+from one stream per block of STREAM_BLOCK trajectories, so a trajectory's
+noise does not depend on how the ensemble is chunked.  ``_layout`` alone
+decides the cut: it shares the blocks out in contiguous ranges among up to
+one thread per CPU (``worker_threads``) and cuts each range, at any
+trajectory, into near-equal cache-sized chunks (see ``_layout``) within
 the bound on the noise in flight.  Each thread draws and advances its own
 trajectories into its own columns of the outputs; numpy releases the GIL
 in the draws and in the kernel's array operations, so the threads run at
@@ -94,8 +93,9 @@ FREE_WIDTH = 1024
 #: Bytes of noise an ensemble may hold at once, across all its workers.
 NOISE_BUDGET = 48_000_000
 
-#: Bytes of the free policies' time-major noise copy, per worker: the copy
-#: takes at most FREE_SCRATCH // 16 trajectories by as many steps as fit.
+#: Bytes of the free policies' time-major noise copy, per worker: a
+#: free-policy chunk holds at most FREE_SCRATCH // 16 trajectories, and the
+#: copy takes them by as many steps as fit.
 FREE_SCRATCH = 2**20
 
 #: The noise layout of ensembles, as recorded in each run's manifest.
@@ -109,8 +109,8 @@ STREAM_LAYOUT = {
 
 @dataclass(frozen=True, slots=True)
 class Steps:
-    """The record of a run, one trajectory or an ensemble: what ``_advance``
-    records and what ``run_trajectory`` and ``run_ensemble_arrays`` return.
+    """The record of a run, one trajectory or an ensemble: what ``_chunk``
+    fills and what ``run_trajectory`` and ``run_ensemble_arrays`` return.
 
     The per-trajectory fields have shape (len(record), m), one column per
     trajectory.  Row i belongs to the step ending at grid point record[i]; a
@@ -136,8 +136,9 @@ STEP_FIELDS = Steps.__slots__[:-1]
 
 
 @dataclass(frozen=True, slots=True)
-class _Rates:
-    """Constants of every step: the step, readout weights and backaction factors."""
+class _Tables:
+    """The constants of one run's steps: built once by ``_tables``, then only
+    read, by ``_step`` and by every chunk and worker thread."""
 
     dt: float
     w1: float  # readout noise weight sqrt(tau_i/dt), 0 for an unmonitored channel
@@ -146,10 +147,24 @@ class _Rates:
     i2: float
     tau1: float
     ito: bool
+    per_step: bool
+    cov: np.ndarray  # covariance triplets (q3, q4, q5) at grid points 0..n_steps
+    recorded_cov: np.ndarray  # the rows of cov at the recorded grid points
+    rows: dict[int, int]  # the record row of each recorded grid point
+    grid: np.ndarray  # the recorded grid points 1..n_steps, ascending
+    grid_rows: np.ndarray  # their record rows
+    # per step, under per-step: rows c3, c4, c5, c3*i1, c4*i2, c4*i1 and
+    # c5*i2, shape (7, n_steps)
+    columns: np.ndarray | None
+    # per step, for the free policies: the pairs [c3*i1, c4*i1], [c4*i2,
+    # c5*i2] and the ledger's two (see _free), shape (n_steps, 4, 2, 1)
+    pairs: np.ndarray | None
+    drift: np.ndarray  # per step, the Ito ledger's drift nu**2/tau*dt (0 if unused)
 
 
-def _rates(config: EngineConfig, cov: np.ndarray) -> _Rates:
-    """The step constants of config; an Ito ledger needs cov in normal form."""
+def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Tables:
+    """The constants of config's steps along cov, recording the grid points in
+    record; an Ito ledger needs cov in normal form."""
     dt = config.resolved_dt
     i1, i2 = inv_2tau(config.tau1), inv_2tau(config.tau2)
     ito = config.scheme == "ito"
@@ -160,7 +175,22 @@ def _rates(config: EngineConfig, cov: np.ndarray) -> _Rates:
         raise UnsupportedConfigurationError(
             "Ito work ledger requires the covariance normal form along the run"
         )
-    return _Rates(
+    rows = {int(k): i for i, k in enumerate(record)}
+    n_steps = len(cov) - 1
+    grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
+    c3, c4, c5 = cov[:n_steps].T
+    # the products c3*i1 etc. of _step, and its Ito drift
+    a1, b1, a2, b2 = c3 * i1, c4 * i2, c4 * i1, c5 * i2
+    nu = 0.5 * c3
+    drift = nu * nu / config.tau1 * dt if ito else np.zeros(n_steps)
+    per_step = config.policy == "per-step"
+    columns = pairs = None
+    if per_step:
+        columns = np.array([c3, c4, c5, a1, b1, a2, b2])
+    else:
+        ledger = (c3, c5, c3, c5) if ito else (c3, c4, c4, c5)
+        pairs = np.stack([a1, a2, b1, b2, *ledger], axis=1).reshape(n_steps, 4, 2, 1)
+    return _Tables(
         dt=dt,
         w1=math.sqrt(config.tau1 / dt) if i1 else 0.0,
         w2=math.sqrt(config.tau2 / dt) if i2 else 0.0,
@@ -168,10 +198,19 @@ def _rates(config: EngineConfig, cov: np.ndarray) -> _Rates:
         i2=i2,
         tau1=config.tau1,
         ito=ito,
+        per_step=per_step,
+        cov=cov,
+        recorded_cov=cov[np.asarray(record, dtype=int)],
+        rows=rows,
+        grid=grid,
+        grid_rows=np.array([rows[k] for k in grid], dtype=int),
+        columns=columns,
+        pairs=pairs,
+        drift=drift,
     )
 
 
-def _step(s: _Rates, q1, q2, g1, g2, c3, c4, c5):
+def _step(s: _Tables, q1, q2, g1, g2, c3, c4, c5):
     """One conditional-state step from the means (q1, q2) with normals (g1, g2).
 
     Returns the readouts, the updated means and the work-ledger increment.
@@ -198,97 +237,26 @@ def _step(s: _Rates, q1, q2, g1, g2, c3, c4, c5):
     return rr1, rr2, new1, new2, dW
 
 
-@dataclass(frozen=True, slots=True)
-class _Tables:
-    """What every chunk of one run shares: built once by ``_tables``, then
-    only read, by every chunk and worker thread."""
-
-    rates: _Rates
-    per_step: bool
-    cov: np.ndarray  # covariance triplets (q3, q4, q5) at grid points 0..n_steps
-    recorded_cov: np.ndarray  # the rows of cov at the recorded grid points
-    rows: dict[int, int]  # the record row of each recorded grid point
-    grid: np.ndarray  # the recorded grid points 1..n_steps, ascending
-    grid_rows: np.ndarray  # their record rows
-    # per step, under per-step: rows c3, c4, c5, c3*i1, c4*i2, c4*i1 and
-    # c5*i2, shape (7, n_steps)
-    columns: np.ndarray | None
-    # per step, for the free policies: the pairs [c3*i1, c4*i1], [c4*i2,
-    # c5*i2] and the ledger's two (see _free), shape (n_steps, 4, 2, 1)
-    pairs: np.ndarray | None
-    drift: np.ndarray  # per step, the Ito ledger's drift nu**2/tau*dt (0 if unused)
-
-
-def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Tables:
-    """The constants of config's steps along cov, recording the grid points in record."""
-    s = _rates(config, cov)
-    rows = {int(k): i for i, k in enumerate(record)}
-    n_steps = len(cov) - 1
-    grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
-    c3, c4, c5 = cov[:n_steps].T
-    # the products c3*i1 etc. of _step, and its Ito drift
-    a1, b1, a2, b2 = c3 * s.i1, c4 * s.i2, c4 * s.i1, c5 * s.i2
-    nu = 0.5 * c3
-    drift = nu * nu / s.tau1 * s.dt if s.ito else np.zeros(n_steps)
-    per_step = config.policy == "per-step"
-    columns = pairs = None
-    if per_step:
-        columns = np.array([c3, c4, c5, a1, b1, a2, b2])
-    else:
-        ledger = (c3, c5, c3, c5) if s.ito else (c3, c4, c4, c5)
-        pairs = np.stack([a1, a2, b1, b2, *ledger], axis=1).reshape(n_steps, 4, 2, 1)
-    return _Tables(
-        rates=s,
-        per_step=per_step,
-        cov=cov,
-        recorded_cov=cov[np.asarray(record, dtype=int)],
-        rows=rows,
-        grid=grid,
-        grid_rows=np.array([rows[k] for k in grid], dtype=int),
-        columns=columns,
-        pairs=pairs,
-        drift=drift,
-    )
-
-
-def _advance(
-    config: EngineConfig,
-    cov: np.ndarray,
+def _chunk(
+    t: _Tables,
     noise: np.ndarray,
     start: tuple[float, float],
-    record: Sequence[int],
-    fields: Collection[str] = STEP_FIELDS,
+    out: Steps,
     work: np.ndarray | None = None,
-) -> Steps:
-    """Advance m trajectories by noise.shape[1] conditional-state steps.
+) -> None:
+    """Advance m trajectories by noise.shape[1] conditional-state steps into out.
 
     ``noise`` has shape (m, n_steps, 2): two standard normals per trajectory
     and step, consumed also for unmonitored channels so the stream layout
-    does not depend on the channel setup.  ``cov`` holds the covariance
-    triplet (q3, q4, q5) at grid points 0..n_steps, ``start`` the means at
-    grid point 0, ``record`` the grid points to record and ``fields`` the
-    ``Steps`` fields to record; the others are None, and only what the
+    does not depend on the channel setup.  ``t`` holds the run's constants
+    and the grid points to record, ``start`` the means at grid point 0, and
+    ``out`` zeros in each field to record, one row per recorded grid point
+    and one column per trajectory; the others are None, and only what the
     recorded ones need is computed.  The scheme picks the ledger rule.
     Under ``per-step`` the means are reset after every step and
     ``_per_step`` takes the steps in spans, in ``work`` if given; otherwise
     the means evolve freely and ``_free`` takes them in order.
     """
-    return _chunk(_tables(config, cov, record), noise, start, fields, work)
-
-
-def _chunk(
-    t: _Tables,
-    noise: np.ndarray,
-    start: tuple[float, float],
-    fields: Collection[str] = STEP_FIELDS,
-    work: np.ndarray | None = None,
-) -> Steps:
-    """``_advance`` with the run's constants built already: one chunk of a run."""
-    m = len(noise)
-    out = Steps(
-        *(np.zeros((len(t.recorded_cov), m)) if name in fields else None for name in STEP_FIELDS),
-        cov=t.recorded_cov,
-    )
     row = t.rows.get(0)
     for field, value in ((out.q1, start[0]), (out.q2, start[1])):
         if row is not None and field is not None:
@@ -297,7 +265,6 @@ def _chunk(
         _per_step(t, noise, start, out, work)
     else:
         _free(t, noise, start, out)
-    return out
 
 
 def _free(t: _Tables, noise: np.ndarray, start: tuple[float, float], out: Steps) -> None:
@@ -318,83 +285,78 @@ def _free(t: _Tables, noise: np.ndarray, start: tuple[float, float], out: Steps)
     allocated once, never into one of its own inputs: numpy checks such an
     overlap on every call, which costs more than the arithmetic when m is
     small.  The noise is read from a time-major copy, scaled by the readout
-    weights, made for at most FREE_SCRATCH // 16 trajectories by as many
-    steps as fit FREE_SCRATCH bytes at a time, so each step reads its
-    normals contiguously.
+    weights, made for as many steps as fit FREE_SCRATCH bytes at a time (at
+    least one), so each step reads its normals contiguously; ``_layout``
+    keeps a chunk within FREE_SCRATCH // 16 trajectories, so one step fits.
     """
     m, n_steps, _ = noise.shape
-    s, rows = t.rates, t.rows
-    dt = s.dt
+    dt, rows = t.dt, t.rows
     ledger = out.increment is not None or out.ledger is not None
     recorded = [(f, i) for i, f in enumerate((out.q1, out.q2, out.r1, out.r2,
                                               out.increment, out.ledger)) if f is not None]
 
-    width = min(m, FREE_SCRATCH // 16)
-    span = max(1, min(n_steps, FREE_SCRATCH // (16 * width)))
-    noise_t = np.empty((span, 2, width))
-    weights = np.array([[s.w1], [s.w2]])
-    inv = np.array([[s.i1], [s.i2]])
-    buffers = np.empty((20, width))
-    for j0 in range(0, m, width):
-        j1 = min(j0 + width, m)
-        buf = buffers[:, : j1 - j0]
-        r, u, x, y, v = buf[6:8], buf[8:10], buf[10:12], buf[12:14], buf[14:16]
-        r1, r2, u1, u2, x1, x2, y1, y2 = r[0], r[1], u[0], u[1], x[0], x[1], y[0], y[1]
-        dw, tmp = buf[16:18]
-        # step k reads z and the ledger from one set of buffers and writes
-        # the next into the other, set k % 2: q, p, the new q, its rows and
-        # -new q1, the ledger and the new ledger
-        sides = [
-            (z[0:2], z[1:3], zn[0:2], zn[0], zn[1], zn[2], led, led_next)
-            for z, zn, led, led_next in (
-                (buf[0:3], buf[3:6], buf[18], buf[19]),
-                (buf[3:6], buf[0:3], buf[19], buf[18]),
-            )
-        ]
-        buf[0], buf[1], buf[2] = start[0], start[1], -start[0]
-        buf[18] = 0.0
-        for k0 in range(0, n_steps, span):
-            k1 = min(k0 + span, n_steps)
-            tile = noise_t[: k1 - k0, :, : j1 - j0]
-            np.copyto(tile, noise[j0:j1, k0:k1].transpose(1, 2, 0))
-            tile *= weights  # w*g
-            for k, wg, (a, c, l1, l2), d in zip(
-                range(k0, k1), tile, t.pairs[k0:k1], t.drift[k0:k1].tolist()
-            ):
-                q, p, new, new1, new2, neg, led, led_next = sides[k % 2]
-                np.add(wg, q, r)  # readouts q + w*g
-                np.subtract(r, q, u)  # innovations r - q
-                np.multiply(u1, a, x)
-                np.add(x, p, y)
-                np.multiply(u2, c, x)
-                np.add(y, x, v)
-                np.multiply(v, dt, x)
-                np.add(x, q, new)
-                np.negative(new1, neg)
-                if ledger:
-                    np.multiply(u, inv, x)
-                    np.multiply(x, dt, u)  # inc = innov*i*dt
-                    if s.ito:
-                        # (nu**2/tau*dt + q1*c3*inc1) + q2*c5*inc2
-                        np.multiply(q, l1, x)
-                        np.multiply(x, u, y)
-                        np.add(y1, d, tmp)
-                        np.add(tmp, y2, dw)
-                    else:
-                        # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2
-                        np.add(q, new, x)
-                        np.multiply(x, 0.5, y)
-                        np.multiply(y1, l1, x)
-                        np.multiply(y2, l2, v)
-                        np.add(x, v, y)
-                        np.multiply(y, u, x)
-                        np.add(x1, x2, dw)
-                    np.add(led, dw, led_next)
-                row = rows.get(k + 1)
-                if row is not None:
-                    values = (new1, new2, r1, r2, dw, led_next)
-                    for field, i in recorded:
-                        field[row, j0:j1] = values[i]
+    span = max(1, min(n_steps, FREE_SCRATCH // (16 * m)))
+    noise_t = np.empty((span, 2, m))
+    weights = np.array([[t.w1], [t.w2]])
+    inv = np.array([[t.i1], [t.i2]])
+    buf = np.empty((20, m))
+    r, u, x, y, v = buf[6:8], buf[8:10], buf[10:12], buf[12:14], buf[14:16]
+    r1, r2, u1, u2, x1, x2, y1, y2 = r[0], r[1], u[0], u[1], x[0], x[1], y[0], y[1]
+    dw, tmp = buf[16:18]
+    # step k reads z and the ledger from one set of buffers and writes the
+    # next into the other, set k % 2: q, p, the new q, its rows and -new q1,
+    # the ledger and the new ledger
+    sides = [
+        (z[0:2], z[1:3], zn[0:2], zn[0], zn[1], zn[2], led, led_next)
+        for z, zn, led, led_next in (
+            (buf[0:3], buf[3:6], buf[18], buf[19]),
+            (buf[3:6], buf[0:3], buf[19], buf[18]),
+        )
+    ]
+    buf[0], buf[1], buf[2] = start[0], start[1], -start[0]
+    buf[18] = 0.0
+    for k0 in range(0, n_steps, span):
+        k1 = min(k0 + span, n_steps)
+        tile = noise_t[: k1 - k0]
+        np.copyto(tile, noise[:, k0:k1].transpose(1, 2, 0))
+        tile *= weights  # w*g
+        for k, wg, (a, c, l1, l2), d in zip(
+            range(k0, k1), tile, t.pairs[k0:k1], t.drift[k0:k1].tolist()
+        ):
+            q, p, new, new1, new2, neg, led, led_next = sides[k % 2]
+            np.add(wg, q, r)  # readouts q + w*g
+            np.subtract(r, q, u)  # innovations r - q
+            np.multiply(u1, a, x)
+            np.add(x, p, y)
+            np.multiply(u2, c, x)
+            np.add(y, x, v)
+            np.multiply(v, dt, x)
+            np.add(x, q, new)
+            np.negative(new1, neg)
+            if ledger:
+                np.multiply(u, inv, x)
+                np.multiply(x, dt, u)  # inc = innov*i*dt
+                if t.ito:
+                    # (nu**2/tau*dt + q1*c3*inc1) + q2*c5*inc2
+                    np.multiply(q, l1, x)
+                    np.multiply(x, u, y)
+                    np.add(y1, d, tmp)
+                    np.add(tmp, y2, dw)
+                else:
+                    # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2
+                    np.add(q, new, x)
+                    np.multiply(x, 0.5, y)
+                    np.multiply(y1, l1, x)
+                    np.multiply(y2, l2, v)
+                    np.add(x, v, y)
+                    np.multiply(y, u, x)
+                    np.add(x1, x2, dw)
+                np.add(led, dw, led_next)
+            row = rows.get(k + 1)
+            if row is not None:
+                values = (new1, new2, r1, r2, dw, led_next)
+                for field, i in recorded:
+                    field[row] = values[i]
 
 
 def _per_step(
@@ -422,8 +384,7 @@ def _per_step(
     increment are taken only if ``out`` records them or their sums.
     """
     m, n_steps, _ = noise.shape
-    s = t.rates
-    dt = s.dt
+    dt = t.dt
     c3, c4, c5, a1, b1, a2, b2 = t.columns
     ledger = out.increment is not None or out.ledger is not None
     harvest = out.harvest is not None or out.harvested is not None
@@ -448,9 +409,9 @@ def _per_step(
         g = noise[:, cols]
 
         # readouts 0 + w*g, which are also the innovations r - 0
-        np.multiply(g[:, :, 0], s.w1, out=r1)
+        np.multiply(g[:, :, 0], t.w1, out=r1)
         r1 += 0.0
-        np.multiply(g[:, :, 1], s.w2, out=r2)
+        np.multiply(g[:, :, 1], t.w2, out=r2)
         r2 += 0.0
         # new1 = 0 + dt*((0 + a1*innov1) + b1*innov2); the inner 0 + can
         # only change the sign of a zero sum, which the outer one clears
@@ -468,7 +429,7 @@ def _per_step(
         first = steps[i0] == 0
         if first:
             q1, q2 = (np.full(m, float(v)) for v in start)
-            r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(s, q1, q2, *g[:, 0].T, *t.cov[0])
+            r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(t, q1, q2, *g[:, 0].T, *t.cov[0])
         if harvest:
             # harvest 0.5*(new1*new1 + new2*new2)
             np.multiply(n1, n1, out=h)
@@ -481,7 +442,7 @@ def _per_step(
             if field is not None:
                 field[into] = tile[:, at].T
 
-        if ledger and s.ito:
+        if ledger and t.ito:
             # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
             # for finite normals the products are signed zeros, and the
             # drift (>= +0) plus a signed zero is the drift
@@ -489,9 +450,9 @@ def _per_step(
         elif ledger:
             # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)
             # and inc_i = innov_i*i_i*dt
-            r1 *= s.i1
+            r1 *= t.i1
             r1 *= dt
-            r2 *= s.i2
+            r2 *= t.i2
             r2 *= dt
             n1 *= 0.5
             n2 *= 0.5
@@ -525,7 +486,7 @@ def _per_step(
 def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
     """Trajectory j of config's ensemble at every grid point 0..n_steps.
 
-    The m = 1 case of ``_advance``, with every field recorded.  Its noise is
+    The m = 1 case of ``_chunk``, with every field recorded.  Its noise is
     drawn from block stream (config.seed, j // STREAM_BLOCK) after the
     j mod STREAM_BLOCK trajectories before it, so its one column equals
     column j of ``run_ensemble_arrays`` at the same grid points.
@@ -533,19 +494,10 @@ def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
     config.validate()
     n = config.n_steps
     cov = covariance_series(config.nbar, config.tau1, config.tau2, config.resolved_dt, n)
-    noise = _noise_block(config.seed, j, j + 1, n)
-    return _advance(config, cov, noise, (0.0, 0.0), range(n + 1))
-
-
-def _chunk_size(n_traj: int, n_steps: int) -> int:
-    """Trajectories of a free-policy ensemble in flight at once, across all
-    workers: the whole ensemble if NOISE_BUDGET holds it, else as many whole
-    blocks as it holds (trajectories, under one block); never fewer than
-    min(128, what it holds), nor than one."""
-    fits = NOISE_BUDGET // (16 * max(n_steps, 1))
-    if fits >= STREAM_BLOCK:
-        fits -= fits % STREAM_BLOCK  # whole blocks, as the workers' chunks are
-    return max(min(128, fits), min(n_traj, fits), 1)
+    t = _tables(config, cov, range(n + 1))
+    out = Steps(*(np.zeros((n + 1, 1)) for _ in STEP_FIELDS), cov=t.recorded_cov)
+    _chunk(t, _noise_block(config.seed, j, j + 1, n), (0.0, 0.0), out)
+    return out
 
 
 def worker_threads() -> int:
@@ -555,7 +507,7 @@ def worker_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _split(start: int, stop: int, parts: int, unit: int) -> list[int]:
+def _split(start: int, stop: int, parts: int, unit: int = 1) -> list[int]:
     """Edges of parts near-equal pieces of start..stop-1, cut every unit from start."""
     units = -(-(stop - start) // unit)
     return [min(stop, start + unit * (units * i // parts)) for i in range(parts + 1)]
@@ -565,27 +517,26 @@ def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]
     """Chunk edges of each worker thread of an ensemble.
 
     Each worker takes one contiguous range of whole blocks and advances it in
-    near-equal chunks, so no narrow tail chunk is left.  A per-step chunk is
-    the kernel's tile, at most max(1, PER_STEP_TILE // n_steps) trajectories.
-    A free-policy chunk holds at most max(FREE_WIDTH, FREE_TILE // n_steps)
-    trajectories, so its noise stays near cache size, and at most the
-    ``_chunk_size`` bound divided by the workers, so the noise in flight
-    does not grow with them; it is cut at whole blocks where it holds one.
-    No more workers run than their chunks fit the NOISE_BUDGET: for the
-    free policies, than the bound holds whole blocks (but at least one).
+    near-equal chunks, cut at any trajectory, so no narrow tail chunk is
+    left.  A per-step chunk is the kernel's tile, at most
+    max(1, PER_STEP_TILE // n_steps) trajectories; a free-policy chunk holds
+    at most max(FREE_WIDTH, FREE_TILE // n_steps) trajectories, so its noise
+    stays near cache size, and at most FREE_SCRATCH // 16, so ``_free``'s
+    noise copy holds a step of it.  NOISE_BUDGET holds the noise of ``fits``
+    trajectories: no more workers run than it holds a tile (per-step) or a
+    block (free) for each, and each worker's chunks hold at most its share
+    of ``fits`` (but at least one trajectory).
     """
-    bound = _chunk_size(n_traj, n_steps)
-    tile = max(1, PER_STEP_TILE // n_steps)
-    cap = NOISE_BUDGET // (16 * n_steps * tile) if per_step else bound // STREAM_BLOCK
-    workers = min(worker_threads(), -(-n_traj // STREAM_BLOCK), max(1, cap))
-    ranges = list(pairwise(_split(0, n_traj, workers, STREAM_BLOCK)))
+    fits = max(1, NOISE_BUDGET // (16 * n_steps))
     if per_step:
-        width, unit = tile, 1
+        width = floor = max(1, PER_STEP_TILE // n_steps)
     else:
-        width = min(bound // workers, max(FREE_WIDTH, FREE_TILE // n_steps))
-        unit = STREAM_BLOCK if width >= STREAM_BLOCK else 1
-        width -= width % unit
-    return [_split(a, b, -(-(b - a) // width), unit) for a, b in ranges]
+        width = min(max(FREE_WIDTH, FREE_TILE // n_steps), FREE_SCRATCH // 16)
+        floor = STREAM_BLOCK
+    workers = min(worker_threads(), -(-n_traj // STREAM_BLOCK), max(1, fits // floor))
+    width = max(1, min(width, fits // workers))
+    ranges = pairwise(_split(0, n_traj, workers, STREAM_BLOCK))
+    return [_split(a, b, -(-(b - a) // width)) for a, b in ranges]
 
 
 def ensemble_workers(config: EngineConfig) -> int:
@@ -637,13 +588,13 @@ def _run_blocks(
     t: _Tables,
     streams: _BlockStreams,
     edges: list[int],
-    out: dict[str, np.ndarray],
+    out: Steps,
     cancel: Event,
     stepping: AbstractContextManager,
 ) -> None:
-    """Advance the chunks between consecutive edges into their columns of out,
-    which maps the ``Steps`` fields asked for to their arrays, each chunk's
-    steps within stepping.  Stops before its next chunk once cancel is set.
+    """Advance the chunks between consecutive edges into views of their
+    columns of out, each chunk's steps within stepping.  Stops before its
+    next chunk once cancel is set.
     """
     # an anonymous mapping rather than the heap: its pages go back to the
     # system when the ensemble ends, so the next ensemble's buffers are not
@@ -653,15 +604,15 @@ def _run_blocks(
     buffer = np.frombuffer(mmap.mmap(-1, 16 * shape[0] * shape[1])).reshape(shape)
     # the per-step kernel's seven buffers, each at most one tile
     work = np.empty(7 * PER_STEP_TILE) if t.per_step else None
+    fields = [getattr(out, name) for name in STEP_FIELDS]
     for a, b in pairwise(edges):
         if cancel.is_set():
             return
         noise = buffer[: b - a]
         streams.fill(noise)
+        columns = Steps(*(f if f is None else f[:, a:b] for f in fields), cov=out.cov)
         with stepping:
-            steps = _chunk(t, noise, (0.0, 0.0), out.keys(), work)
-        for name, target in out.items():
-            target[:, a:b] = getattr(steps, name)
+            _chunk(t, noise, (0.0, 0.0), columns, work)
 
 
 def run_ensemble_arrays(
@@ -675,9 +626,10 @@ def run_ensemble_arrays(
     j // STREAM_BLOCK).  The blocks are split into one contiguous range per
     worker thread (``_layout``); every block generator is created here, on
     the calling thread, and each worker refills its own noise buffer for
-    each of its chunks and writes its own columns.  Every normal is drawn
-    once, so results are independent of chunking and of the worker count,
-    and column j equals ``run_trajectory(config, j)`` at the checkpoints.
+    each of its chunks and advances the chunk in its own columns.  Every
+    normal is drawn once, so results are independent of chunking and of the
+    worker count, and column j equals ``run_trajectory(config, j)`` at the
+    checkpoints.
     When a worker raises, or the caller is interrupted, the other workers
     stop at their next chunk and the exception is raised here.
     Checkpoint times must lie on the step grid, each at most once.
@@ -705,7 +657,10 @@ def run_ensemble_arrays(
     tables = _tables(config, cov, cp_idx)
 
     n_traj = config.n_traj
-    out = {name: np.zeros((len(cp_idx), n_traj)) for name in STEP_FIELDS if name in fields}
+    out = Steps(
+        *(np.zeros((len(cp_idx), n_traj)) if name in fields else None for name in STEP_FIELDS),
+        cov=tables.recorded_cov,
+    )
     plan = _layout(n_traj, n_steps, tables.per_step)
     streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
     cancel = Event()
@@ -727,5 +682,4 @@ def run_ensemble_arrays(
             # after an error or an interrupt the other workers stop at their
             # next chunk, and the pool's exit waits for them
             cancel.set()
-
-    return Steps(*(out.get(name) for name in STEP_FIELDS), cov=tables.recorded_cov)
+    return out

@@ -131,11 +131,12 @@ class TestParsing:
                 "uncertainty",
             ),
             (["--dt", "1e-300"], None, "steps"),
+            (["--seed", "-1"], None, "seed"),
         ],
         ids=[
             "nbar-nan", "dt-nan", "nbar-string-in-file", "t-final-inf",
             "n-traj-float-in-file", "output-path-number-in-file", "file-not-an-object",
-            "covariance-step-too-coarse", "dt-too-fine",
+            "covariance-step-too-coarse", "dt-too-fine", "seed-negative",
         ],
     )
     def test_bad_value_exits_one_with_one_line(
@@ -619,6 +620,18 @@ class TestFamilies:
         assert code == 0
 
     @pytest.mark.filterwarnings("error")
+    def test_continuous_gate_holds_at_a_tiny_horizon(self, tmp_path):
+        # work samples near 2.5e-301: the squares of the samples underflow,
+        # so the moments scale them by a power of two first
+        code = run_cli(
+            ["continuous", "--t-final", "1e-300", "--n-traj", "1000",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        results = json.loads((tmp_path / "summary.json").read_text())["results"]
+        assert 0.0 < results["stderr"] < results["mean_work"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("family", ["single-shot", "binary", "classical"])
     def test_single_sample_summary_is_strict_json(self, tmp_path, family):
         code = run_cli(
@@ -674,6 +687,15 @@ class TestPresets:
         assert np.all(table["exact_pdf"] >= 0.0)
         # histogram densities integrate to one
         assert float((table["density"] * widths).sum()) == pytest.approx(1.0, rel=0.02)
+
+    def test_figure_2b_histogram_mass_equals_ensemble_size(self, tmp_path):
+        assert run_cli(
+            ["presets", "figure-2b", "--nbar", "0", "--dt", "0.01", "--t-final", "1",
+             "--n-traj", "2000", "--seed", "1", "--output-dir", str(tmp_path)]
+        ) == 0
+        assert load_csv(tmp_path / "histogram.csv")["count"].sum() == 2000
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["results"]["mean_work"] >= 0.0
 
     @pytest.mark.filterwarnings("error")
     def test_figure_2b_without_measurement_has_no_overlay(self, tmp_path):
@@ -924,6 +946,20 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "second worker failed" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # an array too large for memory, after a file was written
+        def exhausted_runner(config, run):
+            run.csv("cycles.csv", ["partial"], {"r": np.zeros(3)})
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "single-shot", exhausted_runner)
+        out_dir = tmp_path / "out"
+        code = run_cli(["single-shot", "--output-dir", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "Unable to allocate" in err[0]
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("error")

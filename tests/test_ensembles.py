@@ -129,12 +129,6 @@ class TestRunEnsemble:
             else:
                 assert stats.samples[0] == rec.harvest[-1, 0]
 
-    def test_histogram_mass_equals_ensemble_size(self):
-        cfg = qm.EngineConfig(nbar=0.0, dt=0.01, t_final=1.0, n_traj=2000, seed=1)
-        stats = qm.run_ensemble(cfg)
-        assert stats.counts.sum() == stats.n_traj == 2000
-        assert stats.mean >= 0.0
-
     def test_per_step_steady_state_mean(self):
         cfg = qm.EngineConfig(
             nbar=0.0, dt=0.01, t_final=1.0, n_traj=5000, policy="per-step", seed=13

@@ -21,9 +21,7 @@ import qmengine as qm
 from qmengine import feedback
 from qmengine.config import MAX_N_STEPS
 from qmengine.errors import UnsupportedConfigurationError
-from qmengine.feedback import (
-    NORMAL_FORM_TOL, Steps, _advance, _noise_block, run_ensemble_arrays,
-)
+from qmengine.feedback import NORMAL_FORM_TOL, Steps, _noise_block, run_ensemble_arrays
 from qmengine.gaussian import NO_MEASUREMENT_TAU, inv_2tau
 
 #: The per-trajectory fields of Steps; with cov, all of its fields.
@@ -44,6 +42,24 @@ def column(steps, name, j):
 def constant_cov(q3, q4, q5, n_steps):
     """A fixed covariance triplet at every grid point, for single-step checks."""
     return np.tile([q3, q4, q5], (n_steps + 1, 1))
+
+
+def _advance(config, cov, noise, start, record, fields=STEP_FIELDS):
+    """The kernel's record of noise.shape[0] trajectories from start along cov,
+    with the asked fields at the grid points in record."""
+    t = feedback._tables(config, cov, record)
+    out = Steps(
+        *(np.zeros((len(record), len(noise))) if name in fields else None
+          for name in STEP_FIELDS),
+        cov=t.recorded_cov,
+    )
+    feedback._chunk(t, noise, start, out)
+    return out
+
+
+def noise_budget(chunk, n_steps=20):
+    """A NOISE_BUDGET that holds the noise of chunk trajectories of n_steps."""
+    return mock.patch.object(feedback, "NOISE_BUDGET", 16 * n_steps * chunk)
 
 
 class TestStratonovichLedger:
@@ -264,7 +280,7 @@ class TestChunkInvariance:
     @given(chunk=st.integers(1, 14), policy=st.sampled_from(sorted(CHUNK_CONFIGS)))
     @settings(max_examples=30, deadline=None)
     def test_records_bit_identical_under_any_chunking(self, chunk, policy):
-        with mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
+        with noise_budget(chunk):
             rec = run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
         ref = default_chunking(policy)
         for name in ENSEMBLE_FIELDS:
@@ -341,10 +357,9 @@ class TestFieldSubsets:
     )
     @settings(max_examples=60, deadline=None)
     def test_asked_fields_are_bit_identical_to_all_fields(self, key, chunk, fields):
-        # blocks of 4: 11 trajectories are 3 blocks, so with two CPUs and
-        # chunks of two blocks or more the ensemble runs on several workers
-        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
-                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
+        # blocks of 4: 11 trajectories are 3 blocks, so with two CPUs and a
+        # budget of two blocks or more a free ensemble runs on two workers
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), noise_budget(chunk):
             rec = run_ensemble_arrays(WORKER_CONFIGS[key], FIELD_CHECKPOINTS, fields)
         ref = all_fields(key)
         assert np.array_equal(rec.cov, ref.cov)
@@ -408,9 +423,7 @@ class TestStreamLayout:
     def test_chunking_across_block_boundaries(self, chunk, policy):
         # blocks of 4 trajectories: 11 trajectories span three blocks, and
         # chunks of 1..14 start and end inside and across them
-        with mock.patch.object(feedback, "STREAM_BLOCK", 4), mock.patch.object(
-            feedback, "_chunk_size", lambda n_traj, n_steps: chunk
-        ):
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), noise_budget(chunk):
             rec = run_ensemble_arrays(CHUNK_CONFIGS[policy], [0.0, 0.1, 0.2])
         ref = small_block_default_chunking(policy)
         for name in ENSEMBLE_FIELDS:
@@ -428,18 +441,27 @@ class TestStreamLayout:
             return _CountingGenerator(generator(source), counts)
 
         with mock.patch.object(qm.NoiseSource, "generator", counting_generator), \
-                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 100):
+                noise_budget(100, cfg.n_steps):
+            # one worker of six 100-trajectory chunks, which cross blocks
+            assert feedback._layout(cfg.n_traj, cfg.n_steps) == [list(range(0, 700, 100))]
             rec = run_ensemble_arrays(cfg, [cfg.t_final])
         assert sum(counts) == cfg.n_traj * cfg.n_steps * 2
         assert streams == [0, 1, 2]
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 
-    def test_chunks_are_whole_blocks_within_the_budget(self):
-        assert feedback._chunk_size(50_000, 100) % feedback.STREAM_BLOCK == 0
-        assert feedback._chunk_size(10_000, 2500) == 1024
-        assert feedback._chunk_size(10_000, 20_000) == 150  # under one block
-        assert feedback._chunk_size(50, 100) == 128
+    def test_chunks_are_within_the_budget(self):
+        # the trajectories whose noise NOISE_BUDGET holds
+        budget = feedback.NOISE_BUDGET
+        assert budget // (16 * 100) == 30_000
+        assert budget // (16 * 2500) == 1200
+        assert budget // (16 * 20_000) == 150  # under one block
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            # a free ensemble's budget under one block holds one worker and
+            # chunks of at most 150; a per-step one holds a 2-trajectory tile
+            # for each of two workers
+            assert feedback._layout(1000, 20_000) == [[0, 142, 285, 428, 571, 714, 857, 1000]]
+            assert feedback._layout(1000, 20_000, per_step=True)[0][:3] == [0, 2, 4]
 
 
 @functools.cache
@@ -473,7 +495,7 @@ def blocked_workers(first_chunk, barrier):
 
     with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
             mock.patch.object(feedback, "worker_threads", lambda: 2), \
-            mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8), \
+            noise_budget(8), \
             mock.patch.object(feedback, "Event", recording_event), \
             mock.patch.object(feedback._BlockStreams, "fill", blocked_fill):
         assert [len(edges) - 1 for edges in feedback._layout(40, 20)] == [5, 5]
@@ -492,11 +514,16 @@ class TestWorkers:
     @settings(max_examples=60, deadline=None)
     def test_records_bit_identical_under_any_worker_count(self, threads, chunk, key):
         # blocks of 4: 11 trajectories are 3 blocks, shared by up to 3
-        # workers, each with chunks of at least one block
+        # workers, as many as the budget holds a block (free policies) or a
+        # two-trajectory tile (per-step) for
+        per_step = key[0] == "per-step"
         with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "PER_STEP_TILE", 40), \
                 mock.patch.object(feedback, "worker_threads", lambda: threads), \
-                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: chunk):
-            assert len(feedback._layout(11, 20)) == min(threads, 3, max(1, chunk // 4))
+                noise_budget(chunk):
+            floor = 2 if per_step else 4
+            workers = min(threads, 3, max(1, chunk // floor))
+            assert len(feedback._layout(11, 20, per_step)) == workers
             rec = run_ensemble_arrays(WORKER_CONFIGS[key], [0.0, 0.1, 0.2])
         ref = single_worker(key)
         for name in ENSEMBLE_FIELDS:
@@ -528,10 +555,11 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)
         try:
             with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
+                    mock.patch.object(feedback, "PER_STEP_TILE", 20), \
                     mock.patch.object(feedback, "worker_threads", lambda: 8), \
-                    mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 8), \
+                    noise_budget(8), \
                     mock.patch.object(feedback, "_chunk", counting_chunk):
-                plan = feedback._layout(cfg.n_traj, cfg.n_steps)
+                plan = feedback._layout(cfg.n_traj, cfg.n_steps, policy == "per-step")
                 assert len(plan) == 8
                 assert all(np.all(np.diff(edges) == 1) for edges in plan)
                 rec = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
@@ -556,12 +584,13 @@ class TestWorkers:
             streams.append((source.stream, threading.current_thread()))
             return _CountingGenerator(generator(source), counts)
 
-        # one block per chunk: the first worker takes block 0, the second
-        # takes block 1 and the 88 trajectories of block 2 in two chunks
+        # chunks of at most one block: the first worker takes block 0, the
+        # second takes block 1 and the 88 trajectories of block 2 in two
+        # chunks of 172, the first of which crosses into block 2
         with mock.patch.object(qm.NoiseSource, "generator", counting_generator), \
                 mock.patch.object(feedback, "worker_threads", lambda: 2), \
-                mock.patch.object(feedback, "_chunk_size", lambda n_traj, n_steps: 512):
-            assert feedback._layout(cfg.n_traj, cfg.n_steps) == [[0, 256], [256, 512, 600]]
+                noise_budget(512, cfg.n_steps):
+            assert feedback._layout(cfg.n_traj, cfg.n_steps) == [[0, 256], [256, 428, 600]]
             rec = run_ensemble_arrays(cfg, [cfg.t_final])
         assert sum(counts) == cfg.n_traj * cfg.n_steps * 2
         # each block's generator is created once, on the calling thread
@@ -609,51 +638,57 @@ class TestWorkers:
         assert len(chunks) == len(set(chunks)) == 2
 
     def test_chunks_are_whole_blocks_without_a_narrow_tail(self):
+        # each worker's range is whole blocks, cut near-equal at any trajectory
         with mock.patch.object(feedback, "worker_threads", lambda: 2):
-            # default continuous: three chunks of 6 or 7 blocks per worker,
-            # within the 2048 trajectories of FREE_TILE // 100
+            # default continuous: three chunks per worker, within the 2048
+            # trajectories of FREE_TILE // 100
             assert feedback._layout(10_000, 100) == [
-                [0, 1536, 3328, 5120], [5120, 6656, 8448, 10_000]
+                [0, 1706, 3413, 5120], [5120, 6746, 8373, 10_000]
             ]
-            # figure-2c: five chunks of four blocks per worker, FREE_WIDTH
+            # figure-2c: five chunks of FREE_WIDTH trajectories in the first worker
             assert feedback._layout(10_000, 500)[0] == [0, 1024, 2048, 3072, 4096, 5120]
-            # figure-S3: ten chunks of two blocks per worker
-            assert [len(e) - 1 for e in feedback._layout(10_000, 2500)] == [10, 10]
+            # figure-S3 terminal: nine chunks per worker, within the budget's
+            # 1200 trajectories shared by two
+            assert [len(e) - 1 for e in feedback._layout(10_000, 2500)] == [9, 9]
         with mock.patch.object(feedback, "worker_threads", lambda: 64):
-            # a 1024-trajectory bound holds one block for each of 4 workers
+            # the 1200-trajectory budget holds a block for each of 4 workers,
+            # whose chunks hold at most 300
             plan = feedback._layout(10_000, 2500)
-            widths = np.concatenate([np.diff(edges) for edges in plan])
-            assert len(plan) == 4
-            assert np.all(widths[:-1] == 256) and widths[-1] == 10_000 % 256
+            assert [e[0] for e in plan] == [0, 2560, 5120, 7680]
+            widths = [np.diff(edges) for edges in plan]
+            assert all(w.max() - w.min() <= 1 and w.max() <= 300 for w in widths)
 
     @pytest.mark.parametrize("threads", [1, 2, 64])
     def test_free_chunks_stay_within_the_cap(self, threads):
         # computed from the layout, nothing is allocated
         with mock.patch.object(feedback, "worker_threads", lambda: threads):
             for n_steps in (1, 100, 200, 201, 500, 2500, 20_000, MAX_N_STEPS):
-                for n_traj in (1, 50, 300, 1000, 10_000, 11_000, 50_000):
+                for n_traj in (1, 50, 300, 1000, 10_000, 11_000, 50_000, 10**6):
                     plan = feedback._layout(n_traj, n_steps)
                     blocks = -(-n_traj // 256)
-                    bound = feedback._chunk_size(n_traj, n_steps)
-                    # the worker count is what it was with one chunk per worker
-                    workers = min(threads, blocks, max(1, bound // 256))
+                    fits = max(1, feedback.NOISE_BUDGET // (16 * n_steps))
+                    # as many workers as the budget holds a block for
+                    workers = min(threads, blocks, max(1, fits // 256))
                     assert len(plan) == workers
                     cfg = qm.EngineConfig(n_traj=n_traj, dt=1.0 / n_steps, policy="terminal")
                     assert feedback.ensemble_workers(cfg) == workers
-                    # whole blocks per worker, cut into chunks within the cap
+                    # whole blocks per worker, cut into near-equal chunks
+                    # within the cap, the scratch bound and the worker's share
                     assert [e[0] for e in plan] == [256 * (e[0] // 256) for e in plan]
-                    widths = np.concatenate([np.diff(edges) for edges in plan])
                     cap = max(feedback.FREE_WIDTH, feedback.FREE_TILE // n_steps)
-                    assert 1 <= widths.min() and widths.max() <= min(cap, bound // workers)
-                    if widths.max() >= 256:
-                        inner = np.concatenate([edges[1:-1] for edges in plan])
-                        assert np.all(inner % 256 == 0)
+                    for edges in plan:
+                        widths = np.diff(edges)
+                        assert 1 <= widths.min() and widths.max() - widths.min() <= 1
+                        assert widths.max() <= min(cap, max(1, fits // workers))
+                        assert widths.max() <= feedback.FREE_SCRATCH // 16
         with mock.patch.object(feedback, "worker_threads", lambda: 2):
             # continuous --policy terminal at 5 * 10**4: 13 chunks of at most
-            # 2048 trajectories per worker, 3.3 MB of noise each
+            # 1930 trajectories per worker, 3.1 MB of noise each
             plan = feedback._layout(50_000, 100)
             assert [len(e) - 1 for e in plan] == [13, 13]
-            assert max(np.diff(e).max() for e in plan) == 2048
+            assert max(np.diff(e).max() for e in plan) == 1930
+            # single-step chunks fill the scratch bound
+            assert feedback._layout(2**17, 1) == [[0, 2**16], [2**16, 2**17]]
             assert feedback.ensemble_workers(
                 qm.EngineConfig(n_traj=50_000, policy="terminal")
             ) == 2
@@ -695,7 +730,7 @@ class TestWorkers:
                 widest = [int(np.diff(edges).max()) for edges in plan]
                 assert all(np.diff(edges).min() >= 1 for edges in plan)
                 assert sum(widest) * 16 * n_steps <= 48_000_000
-        assert feedback._chunk_size(10_000, MAX_N_STEPS) == 3
+        assert feedback.NOISE_BUDGET // (16 * MAX_N_STEPS) == 3
 
 
 class TestCheckpoints:
@@ -890,7 +925,7 @@ class TestKernelFieldSubsets:
 
 def step_call_advance(config, cov, noise, start, record):
     """The free policies as one ``_step`` call per step, recording every field."""
-    rates = feedback._rates(config, cov)
+    tables = feedback._tables(config, cov, record)
     m, n_steps, _ = noise.shape
     out = Steps(
         *(np.zeros((len(record), m)) for _ in STEP_FIELDS), cov=cov[np.asarray(record, int)]
@@ -903,7 +938,7 @@ def step_call_advance(config, cov, noise, start, record):
     led = np.zeros(m)
     for k in range(n_steps):
         rr1, rr2, q1, q2, dw = feedback._step(
-            rates, q1, q2, noise[:, k, 0], noise[:, k, 1], *cov[k]
+            tables, q1, q2, noise[:, k, 0], noise[:, k, 1], *cov[k]
         )
         led = led + dw
         row = rows.get(k + 1)
@@ -914,9 +949,9 @@ def step_call_advance(config, cov, noise, start, record):
     return out
 
 
-#: (m, FREE_SCRATCH) of the free-loop test: scratch 96 takes 3 trajectories
-#: by 2 steps, 32 takes 2 by 1, and 2**14 takes 1024 by one step, so 1025
-#: trajectories leave a one-trajectory pass in buffers whose rows are strided
+#: (m, FREE_SCRATCH) of the free-loop test: the noise copy takes 3
+#: trajectories by 2 steps in scratch 96, and one step at a time in 32 or,
+#: for 1025 trajectories, in 2**14
 FREE_WIDTHS = [
     *((m, scratch) for m in (1, 3) for scratch in (2**20, 96, 32)),
     (1024, 2**20), (1025, 2**20), (1025, 2**14),
@@ -945,9 +980,10 @@ class TestFreeLoop:
                 got = _advance(cfg, cov, noise, (0.3, -0.2), record, [name])
                 assert_same_fields(got, want, STEP_FIELDS, [name])
 
-    @pytest.mark.parametrize("m", [1, 255, 4096, 65536, 65539])
+    @pytest.mark.parametrize("m", [1, 255, 4096, 65536])
     def test_noise_copy_stays_within_the_scratch_bound(self, m):
-        # every time-major copy is made into one buffer of at most 2**20 bytes
+        # every time-major copy is made into one buffer of at most 2**20
+        # bytes; _layout keeps free chunks within 65536 trajectories
         cfg = qm.EngineConfig(dt=0.01, t_final=0.03, policy="terminal")
         cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, 3)
         noise = np.zeros((m, 3, 2))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine.errors import UncertaintyViolationError
-from qmengine.feedback import _advance, _noise_block
+from qmengine.feedback import STEP_FIELDS, Steps, _chunk, _noise_block, _tables
 from qmengine.gaussian import NO_MEASUREMENT_TAU, UNCERTAINTY_TOL, inv_2tau
 
 
@@ -158,7 +158,10 @@ def advance(cfg, noise, start, record):
     """Drive the step kernel on cfg's covariance flow with the given noise."""
     n_steps = noise.shape[1]
     cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n_steps)
-    return _advance(cfg, cov, noise, start, record)
+    t = _tables(cfg, cov, record)
+    out = Steps(*(np.zeros((len(record), len(noise))) for _ in STEP_FIELDS), cov=t.recorded_cov)
+    _chunk(t, noise, start, out)
+    return out
 
 
 class TestReadout:
