@@ -44,6 +44,7 @@ from .ensembles import (
     exact_work_cdf,
     exact_work_pdf,
     ks_compare,
+    ledger_mean_work,
     mean_work_curve,
     power_series,
     run_ensemble,
@@ -587,18 +588,22 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
         [f"work per trajectory at t={_fmt(config.t_final)} under policy={config.policy}"],
         {"trajectory": np.arange(config.n_traj), "work": stats.samples},
     )
-    results = {
-        "mean_work": stats.mean,
-        "stderr": stats.stderr,
-        "variance": stats.variance,
-        "t": stats.t,
-    }
+    results = {"mean_work": stats.mean, "stderr": stats.stderr, "variance": stats.variance,
+               "t": stats.t}
     checks: dict = {}
-    if config.tau1 == config.tau2 and config.policy in ("terminal", "per-step"):
+    expected, schedule, rounding = None, None, 0.0
+    if config.policy == "none":
+        expected = ledger_mean_work(config)
+        # its n_steps additions round: all that moves a ledger without noise
+        rounding = config.n_steps * 2.0**-52 * expected
+    elif config.tau1 == config.tau2:
         schedule = sigma_schedule(config, policy=config.policy)
         expected = schedule.mean_work_at(config.t_final)
+    if expected is not None:
         results["expected_mean_work"] = expected
-        checks["mean_work_within_3se"] = abs(stats.mean - expected) <= 3.0 * stats.stderr
+        bound = 3.0 * stats.stderr + rounding
+        checks["mean_work_within_3se"] = abs(stats.mean - expected) <= bound
+    if schedule is not None:
         if stats.samples.size < KS_MIN_SAMPLES:
             results["ks_not_applicable"] = (
                 f"need at least {KS_MIN_SAMPLES} samples, got {stats.samples.size}"

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
+import numpy as np
+
 from .errors import UnsupportedConfigurationError
 
 POLICIES = ("terminal", "per-step", "none")
@@ -71,16 +73,21 @@ class EngineConfig:
         steps = round(self.t_final / self.resolved_dt)
         return max(int(steps), 1)
 
-    def step_index(self, t: float) -> int:
-        """Index of the grid point at time t; t must sit on the step grid."""
-        k = round(t / self.resolved_dt)
-        if abs(k * self.resolved_dt - t) > 1e-9:
-            raise ValueError(
-                f"time {t} does not lie on the step grid with dt={self.resolved_dt}"
-            )
-        if not 0 <= k <= self.n_steps:
-            raise ValueError(f"time {t} outside the horizon {self.t_final}")
-        return int(k)
+    def step_index(self, t: float | np.ndarray) -> int | np.ndarray:
+        """Grid index of time t, or of each of an array of times; each must lie on
+        the step grid within the horizon, and an error names the first that does not."""
+        dt = self.resolved_dt
+        times = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail the grid
+            k = np.round(times / dt)
+            off_grid = ~(np.abs(k * dt - times) <= 1e-9)
+        bad = np.flatnonzero(off_grid | (k < 0) | (k > self.n_steps))
+        if len(bad):
+            first = t if times.ndim == 0 else times.flat[bad[0]].item()
+            if off_grid.flat[bad[0]]:
+                raise ValueError(f"time {first} does not lie on the step grid with dt={dt}")
+            raise ValueError(f"time {first} outside the horizon {self.t_final}")
+        return int(k) if times.ndim == 0 else k.astype(int)
 
     def validate(self) -> "EngineConfig":
         """Check every domain constraint; returns self for chaining.

@@ -20,7 +20,7 @@ import numpy as np
 from .config import EngineConfig
 from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
 from .feedback import run_ensemble_arrays
-from .gaussian import covariance_series
+from .gaussian import covariance_series, inv_2tau
 from .kolmogorov import two_sided_test
 
 #: Smallest sample the KS comparison accepts.
@@ -127,6 +127,25 @@ def sigma_schedule(config: EngineConfig, policy: str = "terminal") -> SigmaSched
         sigma = y * dt
     t = np.arange(len(nu)) * dt
     return SigmaSchedule(t=t, nu=nu, sigma=sigma, config=config)
+
+
+def ledger_mean_work(config: EngineConfig) -> float:
+    """Exact mean of the work ledger at t_final for the discrete scheme, any
+    channels: a sum over the covariance rows (c3, c4, c5) at the step starts,
+    as each step's means are independent of its noise.  Its terms are the Ito
+    drift nu**2*dt/tau1 (nu = c3/2) or the midpoint rule's (dt/4)*((c3**2 +
+    c4**2)*i1 + (c4**2 + c5**2)*i2), i = inv_2tau(tau).
+    """
+    dt = config.resolved_dt
+    cov = covariance_series(config.nbar, config.tau1, config.tau2, dt, config.n_steps)
+    c3, c4, c5 = cov[:-1].T
+    if config.scheme == "ito":
+        nu = 0.5 * c3
+        terms = nu * nu / config.tau1 * dt
+    else:
+        i1, i2 = inv_2tau(config.tau1), inv_2tau(config.tau2)
+        terms = 0.25 * dt * ((c3 * c3 + c4 * c4) * i1 + (c4 * c4 + c5 * c5) * i2)
+    return math.fsum(memoryview(terms))
 
 
 def _work_rate(t: float, schedule: SigmaSchedule) -> float:
@@ -262,12 +281,15 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
     Q adds to the harvested work the energy still stored in the covariances,
     (q3 + q5)/4 - 1/2 (the general form, valid also for asymmetric
     channels).  Standard errors come from batch means over trajectory
-    sub-ensembles (EFFICIENCY_BATCHES of them, at most n_traj // 2).
+    sub-ensembles (EFFICIENCY_BATCHES of them, at most n_traj // 2 but at
+    least two), so n_traj must be at least 2.
     """
     if config.policy != "per-step":
         raise UnsupportedConfigurationError(
             f"efficiency series is defined for the per-step policy, got {config.policy!r}"
         )
+    if config.n_traj < 2:
+        raise ValueError(f"efficiency series needs at least 2 trajectories, got {config.n_traj}")
     steps = run_ensemble_arrays(config, t_grid, ["harvested"])
     excess = 0.25 * (steps.cov[:, 0] + steps.cov[:, 2]) - 0.5
     n_batches = max(2, min(EFFICIENCY_BATCHES, config.n_traj // 2))

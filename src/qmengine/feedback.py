@@ -4,35 +4,35 @@ Each step of the monitored oscillator is one Gaussian conditional-state
 update: the two readouts r_i = q_i + sqrt(tau_i/dt) * g_i (g_i standard
 normal; an unmonitored channel reports r_i = q_i), an Euler-Maruyama mean
 step driven by the innovations r_i - q_i weighted by the current
-covariances, a work-ledger increment, and an optional reset.  One array
+covariances, a work-ledger increment, and an optional reset.  Every
+trajectory starts at the origin, the means of the thermal state.  One array
 function, ``_chunk``, performs this update for a block of m trajectories
 with the run's constants (``_tables``) and fills one record, ``Steps``,
 supplied by its caller: the means, readouts, ledger and harvest of each
 trajectory at the recorded grid points, and the covariances shared by all
-of them.  ``run_trajectory`` is its m = 1 case at every grid point;
-``run_ensemble_arrays`` hands it views of the ensemble's columns, one
-chunk at a time, and returns the record at the checkpoints.  Noise comes
+of them.  ``run_ensemble_arrays`` hands it views of the ensemble's
+columns, one chunk at a time, and returns the record at the checkpoints;
+``run_trajectory`` is its m = 1 column at every grid point.  Noise comes
 from one stream per block of STREAM_BLOCK trajectories, so a trajectory's
 noise does not depend on how the ensemble is chunked.  ``_layout`` alone
-decides the cut: it shares the blocks out in contiguous ranges among up to
-one thread per CPU (``worker_threads``) and cuts each range, at any
-trajectory, into near-equal cache-sized chunks (see ``_layout``) within
-the bound on the noise in flight.  Each thread draws and advances its own
-trajectories into its own columns of the outputs; numpy releases the GIL
-in the draws and in the kernel's array operations, so the threads run at
-the same time, and results do not depend on their number.  One thread at
-a time steps a free-policy chunk, whose numpy calls are too short for two
+decides the cut: contiguous ranges of whole blocks, one per thread (up to
+one per CPU), each cut into near-equal cache-sized chunks within the bound
+on the noise in flight.  Each thread draws and advances its own
+trajectories into its own columns of the outputs; numpy releases the GIL in
+the draws and in the kernel's array operations, so the threads run at the
+same time, and results do not depend on their number.  One thread at a
+time steps a free-policy chunk, whose numpy calls are too short for two
 threads to share the GIL well, while the others draw.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
 and banks (q1**2 + q2**2)/2 units of hbar*omega.  ``_per_step``, which
 ``_chunk`` calls for the per-step policy, is the only reset code: every
-step after the first starts at the origin, so it takes a chunk's steps in
-spans rather than one at a time.  ``_free`` takes the steps of the other
-policies in order, into buffers allocated once, with each operation on the
-two channels paired into one call on two rows.  Both compute only the
-``Steps`` fields their caller asks for; the others are None.  The
+step starts at the origin, so it takes a chunk's steps in spans rather
+than one at a time.  ``_free`` takes the steps of the other policies in
+order, with each operation on the two channels paired into one call on two
+rows; the two hold the only copies of the step expressions.  Both compute
+only the ``Steps`` fields their caller asks for; the others are None.  The
 covariances stay untouched because the kernel only reads them, from
 ``gaussian.covariance_series``.  The policies are:
 
@@ -57,7 +57,7 @@ import math
 import mmap
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import pairwise
 from contextlib import AbstractContextManager, nullcontext
 from threading import Event, Lock
@@ -114,8 +114,8 @@ class Steps:
 
     The per-trajectory fields have shape (len(record), m), one column per
     trajectory.  Row i belongs to the step ending at grid point record[i]; a
-    row for grid point 0 holds the starting means and zeros elsewhere.  A
-    field that the caller did not ask for is None.  ``cov`` holds the
+    row for grid point 0 is zeros, the origin where every trajectory starts.
+    A field that the caller did not ask for is None.  ``cov`` holds the
     covariance triplet (q3, q4, q5) at the recorded grid points, shape
     (len(record), 3), shared by all trajectories.
     """
@@ -138,19 +138,16 @@ STEP_FIELDS = Steps.__slots__[:-1]
 @dataclass(frozen=True, slots=True)
 class _Tables:
     """The constants of one run's steps: built once by ``_tables``, then only
-    read, by ``_step`` and by every chunk and worker thread."""
+    read, by every chunk and worker thread."""
 
     dt: float
     w1: float  # readout noise weight sqrt(tau_i/dt), 0 for an unmonitored channel
     w2: float
     i1: float  # 1/(2 tau_i), 0 for an unmonitored channel
     i2: float
-    tau1: float
     ito: bool
     per_step: bool
-    cov: np.ndarray  # covariance triplets (q3, q4, q5) at grid points 0..n_steps
-    recorded_cov: np.ndarray  # the rows of cov at the recorded grid points
-    rows: dict[int, int]  # the record row of each recorded grid point
+    recorded_cov: np.ndarray  # the covariance rows at the recorded grid points
     grid: np.ndarray  # the recorded grid points 1..n_steps, ascending
     grid_rows: np.ndarray  # their record rows
     # per step, under per-step: rows c3, c4, c5, c3*i1, c4*i2, c4*i1 and
@@ -175,11 +172,12 @@ def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Ta
         raise UnsupportedConfigurationError(
             "Ito work ledger requires the covariance normal form along the run"
         )
-    rows = {int(k): i for i, k in enumerate(record)}
+    record = np.asarray(record, dtype=int)
+    rows = np.argsort(record, kind="stable")
+    grid_rows = rows[record[rows] > 0]
     n_steps = len(cov) - 1
-    grid = np.array(sorted(k for k in rows if 0 < k <= n_steps), dtype=int)
     c3, c4, c5 = cov[:n_steps].T
-    # the products c3*i1 etc. of _step, and its Ito drift
+    # the gains c3*i1 etc. of the mean update, and the Ito ledger's drift
     a1, b1, a2, b2 = c3 * i1, c4 * i2, c4 * i1, c5 * i2
     nu = 0.5 * c3
     drift = nu * nu / config.tau1 * dt if ito else np.zeros(n_steps)
@@ -196,101 +194,67 @@ def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Ta
         w2=math.sqrt(config.tau2 / dt) if i2 else 0.0,
         i1=i1,
         i2=i2,
-        tau1=config.tau1,
         ito=ito,
         per_step=per_step,
-        cov=cov,
-        recorded_cov=cov[np.asarray(record, dtype=int)],
-        rows=rows,
-        grid=grid,
-        grid_rows=np.array([rows[k] for k in grid], dtype=int),
+        recorded_cov=cov[record],
+        grid=record[grid_rows],
+        grid_rows=grid_rows,
         columns=columns,
         pairs=pairs,
         drift=drift,
     )
 
 
-def _step(s: _Tables, q1, q2, g1, g2, c3, c4, c5):
-    """One conditional-state step from the means (q1, q2) with normals (g1, g2).
-
-    Returns the readouts, the updated means and the work-ledger increment.
-    """
-    dt, i1, i2 = s.dt, s.i1, s.i2
-    rr1 = q1 + s.w1 * g1
-    rr2 = q2 + s.w2 * g2
-    innov1 = rr1 - q1
-    innov2 = rr2 - q2
-    new1 = q1 + dt * (q2 + c3 * i1 * innov1 + c4 * i2 * innov2)
-    new2 = q2 + dt * (-q1 + c4 * i1 * innov1 + c5 * i2 * innov2)
-
-    inc1 = innov1 * i1 * dt
-    inc2 = innov2 * i2 * dt
-    if s.ito:
-        # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
-        nu = 0.5 * c3
-        dW = nu * nu / s.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
-    else:
-        # midpoint rule on the pre- and post-step means
-        m1 = 0.5 * (q1 + new1)
-        m2 = 0.5 * (q2 + new2)
-        dW = (m1 * c3 + m2 * c4) * inc1 + (m1 * c4 + m2 * c5) * inc2
-    return rr1, rr2, new1, new2, dW
-
-
-def _chunk(
-    t: _Tables,
-    noise: np.ndarray,
-    start: tuple[float, float],
-    out: Steps,
-    work: np.ndarray | None = None,
-) -> None:
-    """Advance m trajectories by noise.shape[1] conditional-state steps into out.
+def _chunk(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray | None = None) -> None:
+    """Advance m trajectories from the origin by noise.shape[1] steps into out.
 
     ``noise`` has shape (m, n_steps, 2): two standard normals per trajectory
     and step, consumed also for unmonitored channels so the stream layout
     does not depend on the channel setup.  ``t`` holds the run's constants
-    and the grid points to record, ``start`` the means at grid point 0, and
-    ``out`` zeros in each field to record, one row per recorded grid point
-    and one column per trajectory; the others are None, and only what the
-    recorded ones need is computed.  The scheme picks the ledger rule.
-    Under ``per-step`` the means are reset after every step and
+    and the grid points to record, and ``out`` zeros in each field to
+    record, one row per recorded grid point and one column per trajectory;
+    the others are None, and only what the recorded ones need is computed.
+    A row for grid point 0 keeps its zeros.  The scheme picks the ledger
+    rule.  Under ``per-step`` the means are reset after every step and
     ``_per_step`` takes the steps in spans, in ``work`` if given; otherwise
     the means evolve freely and ``_free`` takes them in order.
     """
-    row = t.rows.get(0)
-    for field, value in ((out.q1, start[0]), (out.q2, start[1])):
-        if row is not None and field is not None:
-            field[row] = value
     if t.per_step:
-        _per_step(t, noise, start, out, work)
+        _per_step(t, noise, out, work)
     else:
-        _free(t, noise, start, out)
+        _free(t, noise, out)
 
 
-def _free(t: _Tables, noise: np.ndarray, start: tuple[float, float], out: Steps) -> None:
-    """The free policies: fill ``out`` as a loop of ``_step`` calls would.
+def _free(t: _Tables, noise: np.ndarray, out: Steps) -> None:
+    """The free policies: fill ``out`` with the steps taken one at a time.
+
+    Step k from the means (q1, q2), with normals g and the covariance row
+    (c3, c4, c5) of grid point k, reads r_i = q_i + w_i*g_i and takes the
+    innovations u_i = r_i - q_i; then new1 = q1 + dt*((q2 + c3*i1*u1) +
+    c4*i2*u2) and new2 = q2 + dt*((-q1 + c4*i1*u1) + c5*i2*u2), and with
+    inc_i = u_i*i_i*dt the ledger increment (m1*c3 + m2*c4)*inc1 + (m1*c4 +
+    m2*c5)*inc2 at the midpoints m = 0.5*(q + new) (Stratonovich) or
+    (nu**2/tau1*dt + q1*c3*inc1) + q2*c5*inc2 with nu = c3/2 (Ito).
 
     The means evolve without resets, so the steps run in order.  They are
     held as one (3, m) array z = [q1, q2, -q1], whose rows 0:2 are q =
     [q1, q2] and rows 1:3 are p = [q2, -q1], the drift of the mean update.
-    So each operation of ``_step`` on the two channels is one call on two
-    rows: with the readouts r = q + w*g and the innovations u = r - q,
-    new = q + dt*((p + u1*[c3*i1, c4*i1]) + u2*[c4*i2, c5*i2]), which adds
-    in ``_step``'s order, as -q1 + y is y + (-q1) exactly.  The ledger
-    increments are inc = u*[i1, i2]*dt, and the ledger rules pair up the
-    same way: the midpoints m = 0.5*(q + new) give (m1*[c3, c4] +
-    m2*[c4, c5])*inc, whose two rows ``_step`` adds; the Ito rule adds
-    q*[c3, c5]*inc to the drift.  The ledger is taken only if ``out``
-    records it or its running sum.  Every operation writes into a buffer
-    allocated once, never into one of its own inputs: numpy checks such an
-    overlap on every call, which costs more than the arithmetic when m is
-    small.  The noise is read from a time-major copy, scaled by the readout
-    weights, made for as many steps as fit FREE_SCRATCH bytes at a time (at
-    least one), so each step reads its normals contiguously; ``_layout``
-    keeps a chunk within FREE_SCRATCH // 16 trajectories, so one step fits.
+    So each operation on the two channels is one call on two rows, adding
+    in the step's order (-q1 + y is y + (-q1) exactly): new = q + dt*((p +
+    u1*[c3*i1, c4*i1]) + u2*[c4*i2, c5*i2]), inc = u*[i1, i2]*dt, and the
+    ledger's (m1*[c3, c4] + m2*[c4, c5])*inc, whose two rows are added, or
+    q*[c3, c5]*inc, added to the drift.  The ledger is taken only if
+    ``out`` records it or its running sum.  Every operation writes into a
+    buffer allocated once, never into one of its own inputs: numpy checks
+    such an overlap on every call, which costs more than the arithmetic when
+    m is small.  The noise is read from a time-major copy, scaled by the
+    readout weights, made for as many steps as fit FREE_SCRATCH bytes at a
+    time (at least one), so each step reads its normals contiguously;
+    ``_layout`` keeps a chunk within FREE_SCRATCH // 16 trajectories, so one
+    step fits.
     """
     m, n_steps, _ = noise.shape
-    dt, rows = t.dt, t.rows
+    dt = t.dt
     ledger = out.increment is not None or out.ledger is not None
     recorded = [(f, i) for i, f in enumerate((out.q1, out.q2, out.r1, out.r2,
                                               out.increment, out.ledger)) if f is not None]
@@ -313,8 +277,11 @@ def _free(t: _Tables, noise: np.ndarray, start: tuple[float, float], out: Steps)
             (buf[3:6], buf[0:3], buf[19], buf[18]),
         )
     ]
-    buf[0], buf[1], buf[2] = start[0], start[1], -start[0]
+    buf[0:3] = [[0.0], [0.0], [-0.0]]
     buf[18] = 0.0
+    # the recorded grid points and their rows, walked in step order
+    marks = zip(map(int, t.grid), map(int, t.grid_rows))
+    mark, row = next(marks, (0, 0))
     for k0 in range(0, n_steps, span):
         k1 = min(k0 + span, n_steps)
         tile = noise_t[: k1 - k0]
@@ -352,34 +319,27 @@ def _free(t: _Tables, noise: np.ndarray, start: tuple[float, float], out: Steps)
                     np.multiply(y, u, x)
                     np.add(x1, x2, dw)
                 np.add(led, dw, led_next)
-            row = rows.get(k + 1)
-            if row is not None:
+            if k + 1 == mark:
                 values = (new1, new2, r1, r2, dw, led_next)
                 for field, i in recorded:
                     field[row] = values[i]
+                mark, row = next(marks, (0, 0))
 
 
-def _per_step(
-    t: _Tables,
-    noise: np.ndarray,
-    start: tuple[float, float],
-    out: Steps,
-    work: np.ndarray | None = None,
-) -> None:
+def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray | None = None) -> None:
     """The per-step policy: fill ``out`` as a step loop with resets would.
 
-    After each step the trap is re-centred, so every step from the second on
-    starts at the origin: its readouts, updated means, harvest and ledger
-    increment depend only on its own normals and covariance row.  The m
-    trajectories take their steps at once, in spans of PER_STEP_TILE // m
-    (at least one) into seven buffers in ``work`` (new if None), with the
-    expressions of ``_step`` at q1 = q2 = 0, in the same order.  A term is
-    dropped only where it cannot change a bit of the result, such as a
-    ``0.0 +`` that cannot change the sign of a zero.  The first step starts
-    from ``start`` and is taken by ``_step`` itself.  Running sums are
-    cumulative sums along the steps, with the previous span's total added to
-    the first column, so they add in the loop's order.  When ``out`` records
-    no running sum, only the recorded steps are taken, their noise and
+    After each step the trap is re-centred, so every step starts at the
+    origin: its readouts, updated means, harvest and ledger increment depend
+    only on its own normals and covariance row.  The m trajectories take
+    their steps at once, in spans of PER_STEP_TILE // m (at least one) into
+    seven buffers in ``work`` (new if None), with the expressions of
+    ``_free``'s step at q1 = q2 = 0, in the same order.  A term is dropped
+    only where it cannot change a bit of the result, such as a ``0.0 +``
+    that cannot change the sign of a zero.  Running sums are cumulative sums
+    along the steps, with the previous span's total added to the first
+    column, so they add in the loop's order.  When ``out`` records no
+    running sum, only the recorded steps are taken, their noise and
     covariance rows gathered into the spans; the harvest and the ledger
     increment are taken only if ``out`` records them or their sums.
     """
@@ -426,10 +386,6 @@ def _per_step(
         n2 += x
         n2 *= dt
         n2 += 0.0
-        first = steps[i0] == 0
-        if first:
-            q1, q2 = (np.full(m, float(v)) for v in start)
-            r1[:, 0], r2[:, 0], n1[:, 0], n2[:, 0], dw0 = _step(t, q1, q2, *g[:, 0].T, *t.cov[0])
         if harvest:
             # harvest 0.5*(new1*new1 + new2*new2)
             np.multiply(n1, n1, out=h)
@@ -465,8 +421,6 @@ def _per_step(
             x += n2
             x *= r2
             dw += x
-        if ledger and first:
-            dw[:, 0] = dw0
 
         for taken, tile, total, field, running_sum in (
             (ledger, dw, led, out.increment, out.ledger),
@@ -481,23 +435,6 @@ def _per_step(
                 np.add.accumulate(tile, axis=1, out=tile)
                 total[:] = tile[:, -1]
                 running_sum[into] = tile[:, at].T
-
-
-def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
-    """Trajectory j of config's ensemble at every grid point 0..n_steps.
-
-    The m = 1 case of ``_chunk``, with every field recorded.  Its noise is
-    drawn from block stream (config.seed, j // STREAM_BLOCK) after the
-    j mod STREAM_BLOCK trajectories before it, so its one column equals
-    column j of ``run_ensemble_arrays`` at the same grid points.
-    """
-    config.validate()
-    n = config.n_steps
-    cov = covariance_series(config.nbar, config.tau1, config.tau2, config.resolved_dt, n)
-    t = _tables(config, cov, range(n + 1))
-    out = Steps(*(np.zeros((n + 1, 1)) for _ in STEP_FIELDS), cov=t.recorded_cov)
-    _chunk(t, _noise_block(config.seed, j, j + 1, n), (0.0, 0.0), out)
-    return out
 
 
 def worker_threads() -> int:
@@ -545,18 +482,16 @@ def ensemble_workers(config: EngineConfig) -> int:
 
 
 class _BlockStreams:
-    """Draws the noise of trajectories first..stop-1 from their block streams.
+    """Draws the noise of trajectories first..stop-1 from their block streams;
+    first is the first trajectory of a block, as every worker's range starts.
 
-    The generators of their blocks are created here, once each and in block
-    order, so the fills may run on another thread.  The first fill skips the
-    draws of the trajectories before ``first`` in its block; each generator
-    is carried across fills, so a run of fills draws every normal exactly
-    once.
+    The generators of the blocks are created here, once each and in block
+    order, so the fills may run on another thread; each generator is carried
+    across fills, so a run of fills draws every normal exactly once.
     """
 
     def __init__(self, seed: int, first: int, stop: int) -> None:
         self.next = first
-        self.skip = first % STREAM_BLOCK
         self.gens = {
             block: NoiseSource(seed, block).generator()
             for block in range(first // STREAM_BLOCK, -(-stop // STREAM_BLOCK))
@@ -567,21 +502,10 @@ class _BlockStreams:
         pos = 0
         while pos < len(out):
             block, offset = divmod(self.next, STREAM_BLOCK)
-            gen = self.gens[block]
-            for _ in range(self.skip):  # skipped trajectories, overwritten below
-                gen.standard_normal(out=out[pos])
-            self.skip = 0
             take = min(len(out) - pos, STREAM_BLOCK - offset)
-            gen.standard_normal(out=out[pos:pos + take])
+            self.gens[block].standard_normal(out=out[pos:pos + take])
             pos += take
             self.next += take
-
-
-def _noise_block(seed: int, start: int, stop: int, n_steps: int) -> np.ndarray:
-    """Noise of trajectories start..stop-1 of the ensemble with seed."""
-    noise = np.empty((stop - start, n_steps, 2))
-    _BlockStreams(seed, start, stop).fill(noise)
-    return noise
 
 
 def _run_blocks(
@@ -600,7 +524,7 @@ def _run_blocks(
     # system when the ensemble ends, so the next ensemble's buffers are not
     # stranded beside freed heap memory that malloc keeps once its mmap
     # threshold has risen to the size of a noise buffer
-    shape = (max(np.diff(edges)), len(t.cov) - 1, 2)
+    shape = (max(np.diff(edges)), len(t.drift), 2)
     buffer = np.frombuffer(mmap.mmap(-1, 16 * shape[0] * shape[1])).reshape(shape)
     # the per-step kernel's seven buffers, each at most one tile
     work = np.empty(7 * PER_STEP_TILE) if t.per_step else None
@@ -612,7 +536,7 @@ def _run_blocks(
         streams.fill(noise)
         columns = Steps(*(f if f is None else f[:, a:b] for f in fields), cov=out.cov)
         with stepping:
-            _chunk(t, noise, (0.0, 0.0), columns, work)
+            _chunk(t, noise, columns, work)
 
 
 def run_ensemble_arrays(
@@ -643,17 +567,16 @@ def run_ensemble_arrays(
         raise ValueError(f"not a per-trajectory Steps field: {', '.join(sorted(unknown))}")
     config.validate()
     n_steps = config.n_steps
-    cp_idx = np.array([config.step_index(tc) for tc in checkpoints], dtype=int)
+    cp_idx = config.step_index(np.asarray(checkpoints, dtype=float))
     if len(cp_idx) == 0:
         raise ValueError("need at least one checkpoint")
-    seen = {}
-    for i, k in enumerate(cp_idx):
-        if seen.setdefault(k, i) != i:
-            raise ValueError(f"checkpoint time {checkpoints[i]} is repeated (step {k})")
-    cov = covariance_series(
-        config.nbar, config.tau1, config.tau2, config.resolved_dt, n_steps
-    )
-
+    # the later occurrences of repeated checkpoints: a stable sort keeps the first first
+    order = np.argsort(cp_idx, kind="stable")
+    repeats = order[1:][np.diff(cp_idx[order]) == 0]
+    if len(repeats):
+        i = repeats.min()
+        raise ValueError(f"checkpoint time {checkpoints[i]} is repeated (step {cp_idx[i]})")
+    cov = covariance_series(config.nbar, config.tau1, config.tau2, config.resolved_dt, n_steps)
     tables = _tables(config, cov, cp_idx)
 
     n_traj = config.n_traj
@@ -683,3 +606,15 @@ def run_ensemble_arrays(
             # next chunk, and the pool's exit waits for them
             cancel.set()
     return out
+
+
+def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:
+    """Trajectory j of config's ensemble at every grid point 0..n_steps.
+
+    The m = 1 case of ``run_ensemble_arrays``: column j of its record of the
+    first j + 1 trajectories, with every field, at every grid point.
+    """
+    config.validate()
+    times = np.arange(config.n_steps + 1) * config.resolved_dt
+    steps = run_ensemble_arrays(replace(config, n_traj=j + 1), times)
+    return Steps(*(getattr(steps, name)[:, j:] for name in STEP_FIELDS), cov=steps.cov)

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmengine as qm
-from qmengine import cli, feedback
+from qmengine import cli, ensembles, feedback
 from qmengine.config import MAX_ENERGY, MAX_N_STEPS
 
 
@@ -668,6 +668,22 @@ class TestFamilies:
 
         json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [
+        [], ["--nbar", "1"], ["--tau2", "1.2"], ["--tau2", "inf"], ["--scheme", "ito"],
+        ["--tau", "1e13", "--scheme", "ito"],  # a ledger without noise
+    ], ids=lambda flags: "-".join(flags) or "default")
+    def test_policy_none_checks_the_ledger_mean(self, tmp_path, flags):
+        code = run_cli(
+            ["continuous", "--policy", "none", *flags, "--n-traj", "2000", "--seed", "3",
+             "--output-dir", str(tmp_path)]
+        )
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["checks"] == {"mean_work_within_3se": True}
+        config = qm.EngineConfig(**summary["config"])
+        assert summary["results"]["expected_mean_work"] == ensembles.ledger_mean_work(config)
+
     def test_per_step_continuous(self, tmp_path):
         assert run_cli(
             ["continuous", "--policy", "per-step", "--t-final", "1", "--n-traj", "2000",
@@ -757,6 +773,24 @@ class TestPresets:
         ) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert 0.84 <= summary["results"]["grid_max_efficiency"] <= 0.86
+
+    def test_figure_s3_needs_two_trajectories(self, tmp_path, capsys):
+        code = run_cli(["presets", "figure-S3", "--n-traj", "1", "--output-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "at least 2 trajectories, got 1" in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_figure_s3_at_two_trajectories_is_strict_json(self, tmp_path):
+        code = run_cli(["presets", "figure-S3", "--n-traj", "2", "--output-dir", str(tmp_path)])
+        assert code in (0, 2)
+
+        def reject(constant):
+            raise ValueError(f"summary.json holds {constant}")
+
+        json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert "nan" not in (tmp_path / "efficiency_series.csv").read_text()
 
     def test_figure_s3_three_series(self, tmp_path):
         assert run_cli(
@@ -891,8 +925,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--policy", "none"], ["--tau1", "1", "--tau2", "0.9", "--dt", "0.01"]],
-        ids=["policy-none", "asymmetric-channels"],
+        [["--tau2", "1.2", "--policy", "per-step"],
+         ["--tau1", "1", "--tau2", "0.9", "--dt", "0.01"]],
+        ids=["per-step-asymmetric", "asymmetric-channels"],
     )
     def test_run_without_checks_exits_two(self, tmp_path, capsys, flags):
         code = run_cli(

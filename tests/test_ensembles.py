@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, norm
 
 import qmengine as qm
-from qmengine import kolmogorov
+from qmengine import ensembles, kolmogorov
 from qmengine.errors import (
     DegenerateWorkDistributionError,
     UnsupportedConfigurationError,
@@ -235,6 +235,36 @@ class TestEfficiencySeries:
     def test_requires_per_step_policy(self):
         with pytest.raises(UnsupportedConfigurationError):
             qm.efficiency_series(qm.EngineConfig(policy="terminal"), [1.0])
+
+    def test_needs_two_trajectories_before_any_ensemble_runs(self):
+        # one trajectory leaves a batch of the standard errors empty
+        cfg = qm.EngineConfig(dt=0.01, t_final=1.0, n_traj=1, policy="per-step")
+        with mock.patch.object(ensembles, "run_ensemble_arrays") as ensemble, \
+                pytest.raises(ValueError, match="at least 2 trajectories, got 1"):
+            qm.efficiency_series(cfg, [1.0])
+        ensemble.assert_not_called()
+
+
+class TestLedgerMeanWork:
+    @pytest.mark.parametrize("scheme", ["stratonovich", "ito"])
+    def test_thermal_start_sum(self, scheme):
+        # nbar 1 at t = 1 with dt = 0.01, either ledger rule
+        cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=1.0, scheme=scheme)
+        assert ensembles.ledger_mean_work(cfg) == pytest.approx(1.03332, abs=5e-6)
+
+    def test_vacuum_is_quarter_t(self):
+        # q3 = q5 = 1 at every step: each step adds (dt/4) * (1/2 + 1/2)
+        cfg = qm.EngineConfig(nbar=0.0, dt=0.01, t_final=2.0)
+        assert ensembles.ledger_mean_work(cfg) == pytest.approx(0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("tau2", [1.2, math.inf])
+    def test_matches_the_ledger_of_an_ensemble(self, tau2):
+        cfg = qm.EngineConfig(
+            nbar=1.0, tau2=tau2, dt=0.01, t_final=1.0, n_traj=20_000, policy="none", seed=12
+        )
+        w = run_ensemble_arrays(cfg, [1.0], ["ledger"]).ledger[0]
+        se = w.std(ddof=1) / math.sqrt(len(w))
+        assert abs(w.mean() - ensembles.ledger_mean_work(cfg)) <= 3.0 * se
 
 
 class TestKsCompare:

@@ -21,7 +21,7 @@ import qmengine as qm
 from qmengine import feedback
 from qmengine.config import MAX_N_STEPS
 from qmengine.errors import UnsupportedConfigurationError
-from qmengine.feedback import NORMAL_FORM_TOL, Steps, _noise_block, run_ensemble_arrays
+from qmengine.feedback import NORMAL_FORM_TOL, Steps, run_ensemble_arrays
 from qmengine.gaussian import NO_MEASUREMENT_TAU, inv_2tau
 
 #: The per-trajectory fields of Steps; with cov, all of its fields.
@@ -44,16 +44,23 @@ def constant_cov(q3, q4, q5, n_steps):
     return np.tile([q3, q4, q5], (n_steps + 1, 1))
 
 
-def _advance(config, cov, noise, start, record, fields=STEP_FIELDS):
-    """The kernel's record of noise.shape[0] trajectories from start along cov,
-    with the asked fields at the grid points in record."""
+def kick(g, c, config):
+    """The mean a first step from the origin reaches on one channel's normal g
+    through covariance entry c, for symmetric channels of time tau:
+    dt*(c/(2 tau))*sqrt(tau/dt)*g, that is c*g*sqrt(dt/tau)/2."""
+    return 0.5 * c * g * math.sqrt(config.resolved_dt / config.tau1)
+
+
+def _advance(config, cov, noise, record, fields=STEP_FIELDS):
+    """The kernel's record of noise.shape[0] trajectories from the origin along
+    cov, with the asked fields at the grid points in record."""
     t = feedback._tables(config, cov, record)
     out = Steps(
         *(np.zeros((len(record), len(noise))) if name in fields else None
           for name in STEP_FIELDS),
         cov=t.recorded_cov,
     )
-    feedback._chunk(t, noise, start, out)
+    feedback._chunk(t, noise, out)
     return out
 
 
@@ -67,7 +74,7 @@ class TestStratonovichLedger:
         # zero means before and after the step: the midpoint rule banks nothing
         cfg = qm.EngineConfig(dt=0.01, policy="none")
         cov = constant_cov(1.0, 0.0, 1.0, 1)
-        steps = _advance(cfg, cov, np.zeros((3, 1, 2)), (0.0, 0.0), [1])
+        steps = _advance(cfg, cov, np.zeros((3, 1, 2)), [1])
         assert np.all(steps.q1 == 0.0) and np.all(steps.q2 == 0.0)
         assert np.all(steps.increment == 0.0)
 
@@ -97,15 +104,20 @@ class TestItoLedger:
     def test_drift_exact_at_zero_means(self):
         cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
         noise = qm.NoiseSource(42).generator().standard_normal((20, 1, 2))
-        steps = _advance(cfg, constant_cov(1.4, 0.0, 1.4, 1), noise, (0.0, 0.0), [1])
+        steps = _advance(cfg, constant_cov(1.4, 0.0, 1.4, 1), noise, [1])
         nu = 0.7
         assert np.all(steps.increment == nu * nu / cfg.tau1 * cfg.resolved_dt)
 
     def test_expectation_is_power_drift(self):
+        # a shared first-step kick moves the means to (0.28, -0.21); the
+        # second step's increments, on random noise, average to the drift
         cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
-        noise = qm.NoiseSource(43).generator().standard_normal((20000, 1, 2))
-        steps = _advance(cfg, constant_cov(1.4, 0.0, 1.4, 1), noise, (0.3, -0.2), [1])
-        incs = steps.increment[0]
+        noise = qm.NoiseSource(43).generator().standard_normal((20000, 2, 2))
+        noise[:, 0] = [4.0, -3.0]
+        steps = _advance(cfg, constant_cov(1.4, 0.0, 1.4, 2), noise, [1, 2])
+        assert steps.q1[0, 0] == pytest.approx(kick(4.0, 1.4, cfg), rel=1e-12)
+        assert steps.q2[0, 0] == pytest.approx(kick(-3.0, 1.4, cfg), rel=1e-12)
+        incs = steps.increment[1]
         drift = 0.7**2 / cfg.tau1 * cfg.resolved_dt
         se = incs.std(ddof=1) / math.sqrt(len(incs))
         assert abs(incs.mean() - drift) <= 3.0 * se
@@ -119,7 +131,7 @@ class TestItoLedger:
         cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
         with pytest.raises(UnsupportedConfigurationError):
             cov = constant_cov(1.5, 0.3, 1.5, 1)
-            _advance(cfg, cov, np.zeros((1, 1, 2)), (0.0, 0.0), [1])
+            _advance(cfg, cov, np.zeros((1, 1, 2)), [1])
 
     def test_per_step_run_increments_equal_power_drift(self):
         # per-step policy resets the means, so every Ito ledger increment is
@@ -138,21 +150,23 @@ class TestReset:
     def test_zero_state(self):
         # zero means and zero innovations: nothing to bank, means stay at 0
         cfg = qm.EngineConfig(dt=0.01, policy="per-step")
-        steps = _advance(cfg, constant_cov(1.0, 0.0, 1.0, 2), np.zeros((1, 2, 2)),
-                         (0.0, 0.0), [1, 2])
+        steps = _advance(cfg, constant_cov(1.0, 0.0, 1.0, 2), np.zeros((1, 2, 2)), [1, 2])
         assert np.all(steps.harvest == 0.0)
         assert np.all(steps.q1 == 0.0) and np.all(steps.q2 == 0.0)
 
     def test_unit_displacement(self):
-        # a displaced start banks (q1^2 + q2^2)/2 of the updated means, and
-        # the next step starts from the origin again
+        # a first-step kick g1 = 10 displaces the means to c*g1*sqrt(dt/tau)/2
+        # with c = (q3, q4), the step banks (q1^2 + q2^2)/2 of them, and the
+        # next step, with zero noise, starts from the origin again
         cfg = qm.EngineConfig(dt=0.01, policy="per-step")
-        steps = _advance(cfg, constant_cov(1.3, 0.1, 1.5, 2), np.zeros((1, 2, 2)),
-                         (1.0, 1.0), [1, 2])
+        noise = np.zeros((1, 2, 2))
+        noise[0, 0, 0] = 10.0
+        steps = _advance(cfg, constant_cov(1.3, 0.1, 1.5, 2), noise, [1, 2])
         q1, q2 = steps.q1[0, 0], steps.q2[0, 0]
-        assert (q1, q2) == (1.0 + 0.01, 1.0 - 0.01)
+        assert (q1, q2) == (0.65, 0.05)
+        assert (q1, q2) == pytest.approx((kick(10.0, 1.3, cfg), kick(10.0, 0.1, cfg)), rel=1e-12)
         assert steps.harvest[0, 0] == 0.5 * (q1 * q1 + q2 * q2)
-        assert steps.harvest[0, 0] == pytest.approx(1.0, abs=1e-3)
+        assert steps.harvest[0, 0] == pytest.approx(0.2125, abs=1e-12)
         assert (steps.q1[1, 0], steps.q2[1, 0], steps.harvest[1, 0]) == (0.0, 0.0, 0.0)
         assert steps.harvested[1, 0] == steps.harvest[0, 0]
 
@@ -175,19 +189,6 @@ class TestRunTrajectory:
         assert np.all(rec.increment == 0.0)
         assert np.all(rec.r1[1:] == rec.q1[:-1])
         assert np.all(rec.q1 == 0.0)  # rotation of zero means
-
-    def test_unmonitored_rotation_of_displaced_start(self):
-        cfg = qm.EngineConfig(
-            nbar=0.0, tau1=1e13, tau2=1e13, dt=0.001, t_final=1.571,
-            n_traj=1, policy="none", seed=0,
-        )
-        n = cfg.n_steps
-        cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
-        noise = _noise_block(cfg.seed, 0, 1, n)
-        steps = _advance(cfg, cov, noise, (1.0, 0.0), [n])
-        assert steps.q1[0, 0] == pytest.approx(math.cos(1.571), abs=0.01)
-        assert steps.q2[0, 0] == pytest.approx(-math.sin(1.571), abs=0.01)
-        assert steps.ledger[0, 0] == 0.0
 
     def test_terminal_run_banks_nothing_along_the_way(self):
         # its one harvest, at the end, is the final displacement energy,
@@ -212,14 +213,14 @@ class TestRunTrajectory:
         )
         n = cfg.n_steps
         cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
-        noise = _noise_block(cfg.seed, 0, cfg.n_traj, n)
-        steps = _advance(cfg, cov, noise, (0.0, 0.0), [n // 2, n])
+        noise = np.random.default_rng(cfg.seed).standard_normal((cfg.n_traj, n, 2))
+        steps = _advance(cfg, cov, noise, [n // 2, n])
         for q in (steps.q1, steps.q2):
             se = q.std(axis=1, ddof=1) / math.sqrt(cfg.n_traj)
             assert np.all(np.abs(q.mean(axis=1)) <= 4.0 * se)
 
     def test_record_shapes(self):
-        # every grid point 0..n_steps, one column; row 0 is the start
+        # every grid point 0..n_steps, one column; row 0 is zeros, the origin
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=0.3, policy="terminal", seed=5)
         rec = qm.run_trajectory(cfg)
         n = cfg.n_steps
@@ -408,9 +409,10 @@ class TestStreamLayout:
             ensemble_noise = np.concatenate(seen)
             single = {}
             for j in (0, 255, 256, 599):
+                # the ensemble of trajectories 0..j, whose last is j
                 seen.clear()
                 qm.run_trajectory(cfg, j)
-                single[j] = seen[0][0]
+                single[j] = np.concatenate(seen)[j]
         assert ensemble_noise.shape == (600, n, 2)
         for j in (0, 255, 256, 599):
             block = qm.NoiseSource(cfg.seed, j // 256).generator()
@@ -740,10 +742,38 @@ class TestCheckpoints:
         )
         with pytest.raises(ValueError, match=r"checkpoint time 0\.5 is repeated"):
             run_ensemble_arrays(cfg, [0.5, 0.5, 1.0])
+        # the first time that repeats an earlier one is named
+        with pytest.raises(ValueError, match=r"^checkpoint time 0\.5 is repeated \(step 50\)$"):
+            run_ensemble_arrays(cfg, [0.1, 0.5, 0.2, 0.5, 0.1])
+
+    def test_step_index_of_an_array(self):
+        cfg = qm.EngineConfig(dt=0.01, t_final=1.0)
+        got = cfg.step_index(np.array([0.0, 0.5, 0.07, 1.0]))
+        assert got.dtype.kind == "i" and got.tolist() == [0, 50, 7, 100]
+        assert cfg.step_index([]).tolist() == []
+        assert cfg.step_index(0.5) == 50 and type(cfg.step_index(0.5)) is int
+
+    @pytest.mark.parametrize("times, message", [
+        ([0.5, 0.505, 0.707], r"^time 0\.505 does not lie on the step grid with dt=0\.01$"),
+        ([0.5, math.nan], r"^time nan does not lie on the step grid"),
+        ([math.inf, 0.5], r"^time inf does not lie on the step grid"),
+        ([0.5, 1.5, 2.0], r"^time 1\.5 outside the horizon 1\.0$"),
+        ([-0.01, 0.5], r"^time -0\.01 outside the horizon 1\.0$"),
+        # the first offending time, whatever its fault
+        ([2.0, 0.505], r"^time 2\.0 outside the horizon 1\.0$"),
+        ([0.505, 2.0], r"^time 0\.505 does not lie on the step grid"),
+    ])
+    def test_step_index_names_the_first_offending_time(self, times, message):
+        cfg = qm.EngineConfig(dt=0.01, t_final=1.0, n_traj=4)
+        with pytest.raises(ValueError, match=message):
+            cfg.step_index(np.array(times))
+        with pytest.raises(ValueError, match=message):
+            run_ensemble_arrays(cfg, times)
 
 
-def reference_advance(config, cov, noise, start, record):
-    """The one-step-at-a-time loop that the per-step tiles replaced."""
+def reference_advance(config, cov, noise, record):
+    """The kernel's steps from the origin taken one at a time, in plain
+    expressions, recording every field."""
     m, n_steps, _ = noise.shape
     dt = config.resolved_dt
     i1 = inv_2tau(config.tau1)
@@ -765,13 +795,8 @@ def reference_advance(config, cov, noise, start, record):
         *(np.zeros((len(record), m)) for _ in STEP_FIELDS), cov=cov[np.asarray(record, int)]
     )
     rows = {int(k): i for i, k in enumerate(record)}
-    row = rows.get(0)
-    if row is not None:
-        out.q1[row] = start[0]
-        out.q2[row] = start[1]
-
-    q1 = np.full(m, float(start[0]))
-    q2 = np.full(m, float(start[1]))
+    q1 = np.zeros(m)
+    q2 = np.zeros(m)
     led = np.zeros(m)
     ext = np.zeros(m)
     for k in range(n_steps):
@@ -832,7 +857,7 @@ KERNEL_CHANNELS = [
 
 @st.composite
 def kernel_case(draw, policy):
-    """A config, covariance series, noise, start and record set for _advance."""
+    """A config, covariance series, noise and record set for _advance."""
     tau1, tau2, scheme = draw(st.sampled_from(KERNEL_CHANNELS))
     n_steps = draw(st.sampled_from([1, 63, 64, 65, 131]))
     m = draw(st.integers(1, 5))
@@ -852,13 +877,14 @@ def kernel_case(draw, policy):
     elif kind == "subnormal":
         # products underflow to signed zeros, which only the 0.0 + terms clear
         noise *= 5e-324
-    start = draw(st.sampled_from([(0.0, 0.0), (1.0, 1.0), (0.3, -0.2), (-0.0, 0.0)]))
     edges = [k for k in (0, 1, 6, 7, 8, 63, 64, 65, 127, 128, 129, n_steps) if k <= n_steps]
     record = draw(
         st.just(list(range(n_steps + 1)))
-        | st.lists(st.sampled_from(edges) | st.integers(0, n_steps), min_size=1, max_size=8)
+        | st.lists(
+            st.sampled_from(edges) | st.integers(0, n_steps), min_size=1, max_size=8, unique=True
+        )
     )
-    return cfg, cov, noise, start, record
+    return cfg, cov, noise, record
 
 
 def assert_same_bits(got, want):
@@ -878,17 +904,17 @@ class TestPerStepTiles:
     @settings(max_examples=40, deadline=None)
     def test_tiles_match_the_step_loop(self, tile, case):
         # a tile of 1 takes one step at a time, of 7 up to 131 spans of 1..7 steps
-        cfg, cov, noise, start, record = case
+        cfg, cov, noise, record = case
         with mock.patch.object(feedback, "PER_STEP_TILE", tile):
-            got = _advance(cfg, cov, noise, start, record)
-        assert_same_bits(got, reference_advance(cfg, cov, noise, start, record))
+            got = _advance(cfg, cov, noise, record)
+        assert_same_bits(got, reference_advance(cfg, cov, noise, record))
 
     @given(case=kernel_case("terminal") | kernel_case("none"))
     @settings(max_examples=20, deadline=None)
     def test_free_policies_match_the_step_loop(self, case):
-        cfg, cov, noise, start, record = case
-        got = _advance(cfg, cov, noise, start, record)
-        assert_same_bits(got, reference_advance(cfg, cov, noise, start, record))
+        cfg, cov, noise, record = case
+        got = _advance(cfg, cov, noise, record)
+        assert_same_bits(got, reference_advance(cfg, cov, noise, record))
 
 
 
@@ -899,9 +925,9 @@ class TestKernelFieldSubsets:
     )
     @settings(max_examples=60, deadline=None)
     def test_kernel_records_only_the_asked_fields(self, case, fields):
-        cfg, cov, noise, start, record = case
-        got = _advance(cfg, cov, noise, start, record, fields)
-        want = _advance(cfg, cov, noise, start, record)
+        cfg, cov, noise, record = case
+        got = _advance(cfg, cov, noise, record, fields)
+        want = _advance(cfg, cov, noise, record)
         assert_same_fields(got, want, STEP_FIELDS, fields)
 
     @pytest.mark.parametrize("tile", TILES)
@@ -915,38 +941,12 @@ class TestKernelFieldSubsets:
     def test_recorded_steps_only_match_the_step_loop(self, tile, case, fields):
         # no running sum asked for: only the recorded steps are taken, here
         # always with grid point 0 and step 1 among them
-        cfg, cov, noise, start, record = case
-        record = [0, 1, *record]
+        cfg, cov, noise, record = case
+        record = [0, 1, *(k for k in record if k > 1)]
         with mock.patch.object(feedback, "PER_STEP_TILE", tile):
-            got = _advance(cfg, cov, noise, start, record, fields)
-        want = reference_advance(cfg, cov, noise, start, record)
+            got = _advance(cfg, cov, noise, record, fields)
+        want = reference_advance(cfg, cov, noise, record)
         assert_same_fields(got, want, STEP_FIELDS, fields)
-
-
-def step_call_advance(config, cov, noise, start, record):
-    """The free policies as one ``_step`` call per step, recording every field."""
-    tables = feedback._tables(config, cov, record)
-    m, n_steps, _ = noise.shape
-    out = Steps(
-        *(np.zeros((len(record), m)) for _ in STEP_FIELDS), cov=cov[np.asarray(record, int)]
-    )
-    rows = {int(k): i for i, k in enumerate(record)}
-    if 0 in rows:
-        out.q1[rows[0]], out.q2[rows[0]] = start
-    q1 = np.full(m, float(start[0]))
-    q2 = np.full(m, float(start[1]))
-    led = np.zeros(m)
-    for k in range(n_steps):
-        rr1, rr2, q1, q2, dw = feedback._step(
-            tables, q1, q2, noise[:, k, 0], noise[:, k, 1], *cov[k]
-        )
-        led = led + dw
-        row = rows.get(k + 1)
-        if row is not None:
-            for name, value in (("q1", q1), ("q2", q2), ("r1", rr1), ("r2", rr2),
-                                ("increment", dw), ("ledger", led)):
-                getattr(out, name)[row] = value
-    return out
 
 
 #: (m, FREE_SCRATCH) of the free-loop test: the noise copy takes 3
@@ -972,12 +972,12 @@ class TestFreeLoop:
         cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n)
         noise = np.random.default_rng(m).standard_normal((m, n, 2))
         record = range(n + 1)
-        want = step_call_advance(cfg, cov, noise, (0.3, -0.2), record)
+        want = reference_advance(cfg, cov, noise, record)
         with mock.patch.object(feedback, "FREE_SCRATCH", scratch):
-            assert_same_bits(_advance(cfg, cov, noise, (0.3, -0.2), record), want)
+            assert_same_bits(_advance(cfg, cov, noise, record), want)
             # each recorded field alone, so with and without the ledger
             for name in STEP_FIELDS:
-                got = _advance(cfg, cov, noise, (0.3, -0.2), record, [name])
+                got = _advance(cfg, cov, noise, record, [name])
                 assert_same_fields(got, want, STEP_FIELDS, [name])
 
     @pytest.mark.parametrize("m", [1, 255, 4096, 65536])
@@ -995,6 +995,6 @@ class TestFreeLoop:
             return copyto(dst, src, *args, **kwargs)
 
         with mock.patch.object(np, "copyto", recording_copyto):
-            _advance(cfg, cov, noise, (0.0, 0.0), [3], ["q1"])
+            _advance(cfg, cov, noise, [3], ["q1"])
         assert buffers and max(b.nbytes for b in buffers) <= 2**20
         assert feedback.FREE_SCRATCH == 2**20

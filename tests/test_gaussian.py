@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine.errors import UncertaintyViolationError
-from qmengine.feedback import STEP_FIELDS, Steps, _chunk, _noise_block, _tables
+from qmengine.feedback import STEP_FIELDS, Steps, _chunk, _tables
 from qmengine.gaussian import NO_MEASUREMENT_TAU, UNCERTAINTY_TOL, inv_2tau
 
 
@@ -149,18 +149,19 @@ class TestCovarianceFlow:
 
 
 def trajectory(seed, j=0, **overrides):
-    """Trajectory j's record, one column; row 0 is the start."""
+    """Trajectory j's record, one column; row 0 is zeros, the origin."""
     fields = dict(dt=0.01, t_final=0.5, policy="none", seed=seed) | overrides
     return qm.run_trajectory(qm.EngineConfig(**fields), j)
 
 
-def advance(cfg, noise, start, record):
-    """Drive the step kernel on cfg's covariance flow with the given noise."""
+def advance(cfg, noise, record):
+    """Drive the step kernel from the origin on cfg's covariance flow with the
+    given noise."""
     n_steps = noise.shape[1]
     cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n_steps)
     t = _tables(cfg, cov, record)
     out = Steps(*(np.zeros((len(record), len(noise))) for _ in STEP_FIELDS), cov=t.recorded_cov)
-    _chunk(t, noise, start, out)
+    _chunk(t, noise, out)
     return out
 
 
@@ -188,37 +189,50 @@ class TestReadout:
         assert np.all(rec.r1[1:] != rec.q1[:-1])
 
 
+#: First-step normals that kick the vacuum means from the origin to (1, 0) at
+#: tau = 1 and dt = 1e-3: q1 = q3*g1*sqrt(dt/tau)/2 with q3 = 1, as
+#: test_single_step_substitution computes it.
+KICK = (2.0 * math.sqrt(1.0 / 1e-3), 0.0)
+
+
 class TestMeanStep:
     def test_free_evolution_rotation(self):
-        # zero-innovation readouts: pure harmonic rotation by t = pi/2
+        # a first-step kick to (1, 0), then zero-innovation readouts: pure
+        # harmonic rotation by t = pi/2
         cfg = qm.EngineConfig(dt=1e-3, policy="none")
         n = 1571
-        steps = advance(cfg, np.zeros((1, n, 2)), (1.0, 0.0), [n])
-        t = n * cfg.resolved_dt
-        assert steps.q1[0, 0] == pytest.approx(math.cos(t), abs=10.0 * cfg.resolved_dt)
-        assert steps.q2[0, 0] == pytest.approx(-math.sin(t), abs=10.0 * cfg.resolved_dt)
+        noise = np.zeros((1, n, 2))
+        noise[0, 0] = KICK
+        steps = advance(cfg, noise, [1, n])
+        assert (steps.q1[0, 0], steps.q2[0, 0]) == pytest.approx((1.0, 0.0), rel=1e-12)
+        t = (n - 1) * cfg.resolved_dt
+        assert steps.q1[1, 0] == pytest.approx(math.cos(t), abs=10.0 * cfg.resolved_dt)
+        assert steps.q2[1, 0] == pytest.approx(-math.sin(t), abs=10.0 * cfg.resolved_dt)
 
     def test_single_step_substitution(self):
         # q1 = q2 = 0, one step with g1 = 1, g2 = 0, q3 = 1, q4 = 0
         tau, dt = 1.0, 0.01
         cfg = qm.EngineConfig(nbar=0.0, tau1=tau, tau2=tau, dt=dt, policy="none")
-        steps = advance(cfg, np.array([[[1.0, 0.0]]]), (0.0, 0.0), [1])
+        steps = advance(cfg, np.array([[[1.0, 0.0]]]), [1])
         assert steps.r1[0, 0] == math.sqrt(tau / dt)
         assert steps.q1[0, 0] == pytest.approx(0.5 * math.sqrt(dt / tau), rel=1e-12)
         assert steps.q2[0, 0] == 0.0
 
     def test_ensemble_mean_follows_free_rotation(self):
-        # Monte Carlo average over 10^4 noisy realizations tracks the
-        # measurement-free rotation of the initial means.
+        # Monte Carlo average over 10^4 noisy realizations, kicked to (1, 0)
+        # by a shared first step, tracks the measurement-free rotation of the
+        # kicked means.
         cfg = qm.EngineConfig(
             nbar=0.0, dt=1e-3, t_final=2.0, n_traj=10_000, policy="none", seed=21
         )
-        t_obs = 1.571
-        n = cfg.step_index(t_obs)
+        n = cfg.step_index(1.571)
+        t_obs = (n - 1) * cfg.resolved_dt
+        rng = np.random.default_rng(cfg.seed)
         q1, q2 = [], []
-        for start in range(0, cfg.n_traj, 1000):
-            noise = _noise_block(cfg.seed, start, start + 1000, n)
-            steps = advance(cfg, noise, (1.0, 0.0), [n])
+        for _ in range(0, cfg.n_traj, 1000):
+            noise = rng.standard_normal((1000, n, 2))
+            noise[:, 0] = KICK
+            steps = advance(cfg, noise, [n])
             q1.append(steps.q1[0])
             q2.append(steps.q2[0])
         q1, q2 = np.concatenate(q1), np.concatenate(q2)
@@ -241,7 +255,7 @@ class TestConvergenceOrder:
 
         def final_means(dt, steps, g, tau=1.0, nbar=1.0):
             cfg = qm.EngineConfig(nbar=nbar, tau1=tau, tau2=tau, dt=dt, policy="none")
-            out = advance(cfg, g[np.newaxis], (0.0, 0.0), [steps])
+            out = advance(cfg, g[np.newaxis], [steps])
             return np.array([out.q1[0, 0], out.q2[0, 0]])
 
         rng = np.random.default_rng(77)
