@@ -68,7 +68,8 @@ class SigmaSchedule:
         return float(self.nu[self.config.step_index(t)])
 
     def mean_work_at(self, t: float) -> float:
-        return self.sigma_at(t) / self.tau
+        # a channel switched off (inv_2tau = 0) banks no work
+        return self.sigma_at(t) / self.tau if inv_2tau(self.tau) else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +151,9 @@ def ledger_mean_work(config: EngineConfig) -> float:
 
 def _work_rate(t: float, schedule: SigmaSchedule) -> float:
     """tau/sigma(t), the inverse mean work; inf when all probability mass
-    sits at W = 0 (sigma = 0, or tau = inf: no measurement)."""
+    sits at W = 0 (sigma = 0, or the channel switched off: no measurement)."""
     sigma = schedule.sigma_at(t)
-    return schedule.tau / sigma if sigma > 0.0 else math.inf
+    return schedule.tau / sigma if sigma > 0.0 and inv_2tau(schedule.tau) else math.inf
 
 
 def exact_work_pdf(w, t: float, schedule: SigmaSchedule):
@@ -312,9 +313,10 @@ def ks_compare(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     """Two-sided Kolmogorov-Smirnov test of samples against an analytic CDF.
 
     Passes when the p-value is at or above KS_LEVEL, i.e. the
-    statistic is below the corresponding critical value.  The p-value is the
-    exact one, Pr(D_n >= D) (``kolmogorov.kstwo_sf``).  A sample containing
-    NaN gives statistic and p-value NaN and does not pass.
+    statistic is below the corresponding critical value.  The p-value is
+    Pr(D_n >= D) (``kolmogorov.kstwo_sf``), or below about 0.024 the bound
+    2*Pr(D_n+ >= D), exact for D >= 1/2.  A sample containing NaN gives
+    statistic and p-value NaN and does not pass.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:

@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, norm
 
@@ -23,6 +25,7 @@ from qmengine.errors import (
     UnsupportedConfigurationError,
 )
 from qmengine.feedback import run_ensemble_arrays
+from qmengine.gaussian import NO_MEASUREMENT_TAU
 
 
 def exp_cdf(w):
@@ -82,6 +85,19 @@ class TestExactWorkDistribution:
         assert qm.exact_work_cdf(-1e-9, 1.0, schedule) == 0.0
         with pytest.raises(DegenerateWorkDistributionError):
             qm.exact_work_pdf(0.1, 1.0, schedule)
+
+    @pytest.mark.parametrize("policy", ["terminal", "per-step"])
+    @pytest.mark.parametrize("tau", [NO_MEASUREMENT_TAU, 1e13])
+    def test_channels_switched_off_at_finite_tau_bank_no_work(self, tau, policy):
+        # the kernel's inv_2tau is 0 here, so its ledger stays at 0; sigma/tau
+        # alone would be about 2.5e-13
+        config = qm.EngineConfig(tau1=tau, tau2=tau, dt=0.01, policy=policy, n_traj=200)
+        schedule = qm.sigma_schedule(config, policy=policy)
+        assert schedule.sigma_at(1.0) > 0.0
+        assert schedule.mean_work_at(1.0) == 0.0
+        assert qm.exact_work_cdf(0.0, 1.0, schedule) == 1.0
+        assert qm.exact_work_cdf(-1e-300, 1.0, schedule) == 0.0
+        assert not qm.run_ensemble(config).samples.any()
 
 
 class TestSigmaSchedule:
@@ -340,64 +356,133 @@ SF_BRANCHES = {
 HELPERS = ("smirnov", "_kolmogn_DMTW", "_kolmogn_Pomeranz", "_kolmogn_PelzGood")
 
 
+#: Relative tolerance of the Birnbaum-Tingey ``smirnov`` against scipy's
+#: up to n = 10**6, where the largest difference measured was 3.2e-13
+SMIRNOV_RTOL = 1e-11
+
+
+def smirnov_mp(n: int, d: float) -> mpmath.mpf:
+    """The Birnbaum-Tingey sum in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        d = mpmath.mpf(d)
+        total = mpmath.fsum(
+            mpmath.binomial(n, j) * (1 - d - mpmath.mpf(j) / n) ** (n - j)
+            * (d + mpmath.mpf(j) / n) ** (j - 1)
+            for j in range(n + 1) if j < n * (1 - d)
+        )
+        return d * total
+
+
+def sf_with_spies(n: int, d: float) -> tuple[np.float64, set[str]]:
+    """kstwo_sf(d, n), and the helpers it called."""
+    spies = {
+        name: mock.patch.object(kolmogorov, name, wraps=getattr(kolmogorov, name))
+        for name in HELPERS
+    }
+    with contextlib.ExitStack() as stack:
+        called = {name: stack.enter_context(spy) for name, spy in spies.items()}
+        sf = kolmogorov.kstwo_sf(d, n)
+    return sf, {name for name, spy in called.items() if spy.called}
+
+
 class TestKolmogorovPort:
     @pytest.mark.parametrize(
-        "n,d,helper", list(SF_BRANCHES.values()), ids=list(SF_BRANCHES)
+        "n,d,helper",
+        [case for case in SF_BRANCHES.values() if case[2] != "smirnov"],
+        ids=[name for name, case in SF_BRANCHES.items() if case[2] != "smirnov"],
     )
     def test_survival_function_matches_scipy_bit_for_bit(self, n, d, helper):
-        spies = {
-            name: mock.patch.object(
-                kolmogorov, name, wraps=getattr(kolmogorov, name)
-            )
-            for name in HELPERS
-        }
-        with contextlib.ExitStack() as stack:
-            called = {name: stack.enter_context(spy) for name, spy in spies.items()}
-            sf = kolmogorov.kstwo_sf(d, n)
+        sf, called = sf_with_spies(n, d)
         assert bits(sf) == bits(kstwo.sf(d, n))
-        assert {name for name, spy in called.items() if spy.called} == (
-            {helper} if helper else set()
-        )
+        assert called == ({helper} if helper else set())
 
-    def test_smirnov_branch_loads_scipy_special_on_first_use(self):
-        # a fresh interpreter, so no other test has loaded scipy.special yet
+    @pytest.mark.parametrize(
+        "n,d",
+        [case[:2] for case in SF_BRANCHES.values() if case[2] == "smirnov"],
+        ids=[name for name, case in SF_BRANCHES.items() if case[2] == "smirnov"],
+    )
+    def test_smirnov_branch_matches_scipy(self, n, d):
+        sf, called = sf_with_spies(n, d)
+        assert sf == pytest.approx(kstwo.sf(d, n), rel=SMIRNOV_RTOL)
+        assert called == {"smirnov"}
+
+    @pytest.mark.parametrize("n", [141, 1_000, 10_000, 100_000, 200_000])
+    def test_smirnov_matches_scipy_across_the_tail(self, n):
+        # n*d**2 from the branch's lower edge 2.2 to p ~ 1e-10, and d >= 1/2
+        for d in [*np.sqrt(np.array([2.2, 3.0, 5.0, 8.0, 12.0]) / n), 0.5, 0.7]:
+            ours, ref = kolmogorov.smirnov(n, d), special.smirnov(n, d)
+            assert ours == pytest.approx(ref, rel=SMIRNOV_RTOL)
+            assert (2 * ours >= 0.01) == (2 * ref >= 0.01)
+
+    @pytest.mark.filterwarnings("error")
+    def test_smirnov_on_the_1_over_n_grid(self):
+        # n*(1 - d) rounds up past an integer for some d = k/n, which puts a
+        # term with d + j/n = 1 (or just above) at the end of the sum
+        n = 141
+        for d in np.arange(18, 140) / n:
+            assert kolmogorov.smirnov(n, d) == pytest.approx(
+                special.smirnov(n, d), rel=SMIRNOV_RTOL, abs=1e-300
+            )
+
+    @pytest.mark.parametrize(
+        "n,d", [(141, math.sqrt(3.0 / 141)), (500, 0.1), (2_000, math.sqrt(2.2 / 2_000)),
+                (2_000, math.sqrt(8.0 / 2_000)), (300, 0.6)],
+    )
+    def test_smirnov_matches_a_40_digit_sum(self, n, d):
+        assert kolmogorov.smirnov(n, d) == pytest.approx(float(smirnov_mp(n, d)), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [10**6 + 1, 2 * 10**6, 10**7])
+    def test_smirnov_above_1e6_is_scipys_asymptotic_form_bit_for_bit(self, n):
+        for nd2 in (2.2, 3.7, 5.0, 12.0, 100.0, 369.0):
+            d = math.sqrt(nd2 / n)
+            assert bits(kolmogorov.smirnov(n, d)) == bits(special.smirnov(n, d))
+            assert bits(kolmogorov.kstwo_sf(d, n)) == bits(kstwo.sf(d, n))
+
+    def test_smirnov_branch_runs_with_scipy_blocked(self):
+        # a fresh interpreter in which scipy cannot be imported at all
         code = (
             "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "import numpy as np\n"
             "import qmengine as qm\n"
-            "loaded = ['scipy.special' in sys.modules]\n"
             "samples = qm.NoiseSource(27).generator().exponential(1.03, size=10_000)\n"
-            "cdf = lambda w: 1.0 - np.exp(-np.clip(w, 0, None))\n"
-            "res = qm.ks_compare(samples, cdf)\n"
-            "loaded.append('scipy.special' in sys.modules)\n"
-            "from scipy.stats import kstest\n"
-            "ref = kstest(samples, cdf, method='exact')\n"
-            "print(json.dumps({'loaded': loaded,\n"
-            "    'ours': [res.statistic.hex(), res.pvalue.hex()],\n"
-            "    'scipy': [float(ref.statistic).hex(), float(ref.pvalue).hex()]}))\n"
+            "res = qm.ks_compare(samples, lambda w: 1.0 - np.exp(-np.clip(w, 0, None)))\n"
+            "print(json.dumps([res.statistic.hex(), res.pvalue.hex(), res.passed]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True,
             text=True, check=True, timeout=60,
         )
-        out = json.loads(proc.stdout)
-        assert out["loaded"] == [False, True]
-        assert out["ours"] == out["scipy"]
+        statistic, pvalue, passed = json.loads(proc.stdout)
+        samples = qm.NoiseSource(27).generator().exponential(1.03, size=10_000)
+        ref = kstest(samples, exp_cdf, method="exact")
+        assert float.fromhex(statistic) == ref.statistic
+        assert float.fromhex(pvalue) == pytest.approx(ref.pvalue, rel=SMIRNOV_RTOL)
+        assert passed is bool(ref.pvalue >= 0.01)
         # n > 140 and 2.2 <= n*d**2 < 370: the branch that calls smirnov
-        d = float.fromhex(out["ours"][0])
-        assert 2.2 <= 10_000 * d * d < 370.0
+        assert 2.2 <= 10_000 * ref.statistic**2 < 370.0
 
     def test_nan_statistic_has_nan_survival(self):
         assert math.isnan(kolmogorov.kstwo_sf(math.nan, 100))
 
     @pytest.mark.parametrize("n", [100, 120, 141, 10_000, 50_000])
-    def test_ks_compare_matches_scipy_bit_for_bit(self, n):
+    def test_ks_compare_matches_scipy(self, n):
         rng = qm.NoiseSource(26, n).generator()
         for scale in (1.0, 1.02, 1.3):
             samples = rng.exponential(scale, size=n)
-            res = qm.ks_compare(samples, exp_cdf)
+            with mock.patch.object(kolmogorov, "smirnov", wraps=kolmogorov.smirnov) as spy:
+                res = qm.ks_compare(samples, exp_cdf)
             ref = kstest(samples, exp_cdf, method="exact")
             assert bits(res.statistic) == bits(ref.statistic)
-            assert bits(res.pvalue) == bits(ref.pvalue)
+            assert spy.called is ((n, scale) in KS_SMIRNOV_CASES)
+            if spy.called:
+                assert res.pvalue == pytest.approx(ref.pvalue, rel=SMIRNOV_RTOL)
+            else:
+                assert bits(res.pvalue) == bits(ref.pvalue)
             assert res.passed is bool(ref.pvalue >= 0.01)
+
+
+#: the (n, scale) samples of test_ks_compare_matches_scipy whose p-value
+#: comes from smirnov
+KS_SMIRNOV_CASES = {(141, 1.02), (141, 1.3), (10_000, 1.0), (10_000, 1.3), (50_000, 1.02)}
