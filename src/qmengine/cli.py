@@ -50,7 +50,7 @@ from .ensembles import (
     sigma_schedule,
 )
 from .errors import DegenerateWorkDistributionError, UncertaintyViolationError
-from .feedback import STREAM_LAYOUT, ensemble_workers, run_trajectory
+from .feedback import STREAM_LAYOUT, ensemble_layout, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
     binary_average_work,
@@ -616,7 +616,7 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
             )
             results.update({"ks_statistic": ks.statistic, "ks_pvalue": ks.pvalue})
             checks["work_distribution_ks_pass_1pct"] = ks.passed
-    out = {"results": results, "checks": checks, "workers": ensemble_workers(config)}
+    out = {"results": results, "checks": checks, "layout": ensemble_layout(config)}
     return out, stats
 
 
@@ -676,7 +676,7 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
     return {
         "results": {"t": list(series.t), "mc_mean": list(series.mean)},
         "checks": {"mean_curve_within_3se": ok},
-        "workers": ensemble_workers(config),
+        "layout": ensemble_layout(config),
     }
 
 
@@ -741,7 +741,7 @@ def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
             "unit_efficiency_when_symmetric": abs(1.0 - eta_sym) <= 3.0 * se_sym + 1e-12,
             "efficiency_ordering": bool(ordered),
         },
-        "workers": ensemble_workers(config),
+        "layout": ensemble_layout(config),
     }
 
 
@@ -783,7 +783,8 @@ def run_experiment(args: argparse.Namespace) -> int:
             "argv": sys.argv[1:],
             "wall_clock_seconds": time.monotonic() - start,
             "noise_streams": STREAM_LAYOUT,
-            "workers": out.get("workers", 0),
+            # the ensemble's worker threads and the bytes of their mappings
+            **out.get("layout", {"workers": 0, "scratch_bytes": 0}),
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,

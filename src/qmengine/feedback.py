@@ -18,7 +18,10 @@ noise does not depend on how the ensemble is chunked.  ``_layout`` alone
 decides the cut: contiguous ranges of whole blocks, one per thread (up to
 one per CPU), each cut into near-equal cache-sized chunks within the bound
 on the noise in flight.  Each thread draws and advances its own
-trajectories into its own columns of the outputs; numpy releases the GIL in
+trajectories into its own columns of the outputs, chunk after chunk in one
+anonymous mapping that holds its widest chunk's noise and its kernel's
+scratch (``_scratch``), so no buffer of a chunk's size is taken from the
+heap, where freed memory would stay resident; numpy releases the GIL in
 the draws and in the kernel's array operations, so the threads run at the
 same time, and results do not depend on their number.  One thread at a
 time steps a free-policy chunk, whose numpy calls are too short for two
@@ -85,10 +88,10 @@ PER_STEP_TILE = 40_000
 
 #: Trajectory-steps of a free-policy chunk, and the fewest trajectories one
 #: holds: chunks of max(FREE_WIDTH, FREE_TILE // n_steps) trajectories keep
-#: their noise near cache size (3.3 MB at 100 steps, 8.2 MB at 500) and wide
+#: their noise near cache size (3.3 MB at 100 steps, 4.1 MB at 500) and wide
 #: enough that each of the kernel's numpy calls outlasts its overhead.
 FREE_TILE = 204_800
-FREE_WIDTH = 1024
+FREE_WIDTH = 512
 
 #: Bytes of noise an ensemble may hold at once, across all its workers.
 NOISE_BUDGET = 48_000_000
@@ -205,7 +208,23 @@ def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Ta
     )
 
 
-def _chunk(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray | None = None) -> None:
+def _scratch(m: int, n_steps: int, per_step: bool) -> int:
+    """Floats of kernel scratch that ``_chunk`` needs for any chunk of at
+    most m trajectories by n_steps steps.
+
+    A kernel span holds at most max(m, min(m * n_steps, tile))
+    trajectory-steps, where the tile is PER_STEP_TILE under per-step and
+    FREE_SCRATCH // 16 otherwise.  ``_per_step`` takes seven buffers of a
+    span and two rows of m, the running sums' totals; ``_free`` takes two,
+    its time-major noise copy, and twenty rows of m, its operands.  The bound
+    grows with m, so a worker's widest chunk sizes the scratch of them all.
+    """
+    tile = PER_STEP_TILE if per_step else FREE_SCRATCH // 16
+    spans = max(m, min(m * n_steps, tile))
+    return 7 * spans + 2 * m if per_step else 2 * spans + 20 * m
+
+
+def _chunk(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     """Advance m trajectories from the origin by noise.shape[1] steps into out.
 
     ``noise`` has shape (m, n_steps, 2): two standard normals per trajectory
@@ -214,18 +233,20 @@ def _chunk(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray | None = 
     and the grid points to record, and ``out`` zeros in each field to
     record, one row per recorded grid point and one column per trajectory;
     the others are None, and only what the recorded ones need is computed.
-    A row for grid point 0 keeps its zeros.  The scheme picks the ledger
-    rule.  Under ``per-step`` the means are reset after every step and
-    ``_per_step`` takes the steps in spans, in ``work`` if given; otherwise
-    the means evolve freely and ``_free`` takes them in order.
+    A row for grid point 0 keeps its zeros.  ``work`` is the kernel's
+    scratch, a flat float array of at least ``_scratch(m, n_steps,
+    t.per_step)`` elements, which the kernel overwrites.  The scheme picks
+    the ledger rule.  Under ``per-step`` the means are reset after every step
+    and ``_per_step`` takes the steps in spans; otherwise the means evolve
+    freely and ``_free`` takes them in order.
     """
     if t.per_step:
         _per_step(t, noise, out, work)
     else:
-        _free(t, noise, out)
+        _free(t, noise, out, work)
 
 
-def _free(t: _Tables, noise: np.ndarray, out: Steps) -> None:
+def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     """The free policies: fill ``out`` with the steps taken one at a time.
 
     Step k from the means (q1, q2), with normals g and the covariance row
@@ -245,13 +266,14 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps) -> None:
     ledger's (m1*[c3, c4] + m2*[c4, c5])*inc, whose two rows are added, or
     q*[c3, c5]*inc, added to the drift.  The ledger is taken only if
     ``out`` records it or its running sum.  Every operation writes into a
-    buffer allocated once, never into one of its own inputs: numpy checks
-    such an overlap on every call, which costs more than the arithmetic when
-    m is small.  The noise is read from a time-major copy, scaled by the
-    readout weights, made for as many steps as fit FREE_SCRATCH bytes at a
-    time (at least one), so each step reads its normals contiguously;
-    ``_layout`` keeps a chunk within FREE_SCRATCH // 16 trajectories, so one
-    step fits.
+    (20, m) buffer at the head of ``work``, never into one of its own inputs:
+    numpy checks such an overlap on every call, which costs more than the
+    arithmetic when m is small.  The noise is read from a time-major copy in
+    the rest of ``work``, scaled by the readout weights, made for as many
+    steps as fit FREE_SCRATCH bytes at a time (at least one), so each step
+    reads its normals contiguously; ``_layout`` keeps a chunk within
+    FREE_SCRATCH // 16 trajectories, so one step fits.  Nothing of the chunk's
+    size is allocated here: the caller's ``work`` is reused chunk after chunk.
     """
     m, n_steps, _ = noise.shape
     dt = t.dt
@@ -260,10 +282,10 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps) -> None:
                                               out.increment, out.ledger)) if f is not None]
 
     span = max(1, min(n_steps, FREE_SCRATCH // (16 * m)))
-    noise_t = np.empty((span, 2, m))
+    buf = work[: 20 * m].reshape(20, m)
+    noise_t = work[20 * m : (20 + 2 * span) * m].reshape(span, 2, m)
     weights = np.array([[t.w1], [t.w2]])
     inv = np.array([[t.i1], [t.i2]])
-    buf = np.empty((20, m))
     r, u, x, y, v = buf[6:8], buf[8:10], buf[10:12], buf[12:14], buf[14:16]
     r1, r2, u1, u2, x1, x2, y1, y2 = r[0], r[1], u[0], u[1], x[0], x[1], y[0], y[1]
     dw, tmp = buf[16:18]
@@ -326,17 +348,17 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps) -> None:
                 mark, row = next(marks, (0, 0))
 
 
-def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray | None = None) -> None:
+def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     """The per-step policy: fill ``out`` as a step loop with resets would.
 
     After each step the trap is re-centred, so every step starts at the
     origin: its readouts, updated means, harvest and ledger increment depend
     only on its own normals and covariance row.  The m trajectories take
     their steps at once, in spans of PER_STEP_TILE // m (at least one) into
-    seven buffers in ``work`` (new if None), with the expressions of
-    ``_free``'s step at q1 = q2 = 0, in the same order.  A term is dropped
-    only where it cannot change a bit of the result, such as a ``0.0 +``
-    that cannot change the sign of a zero.  Running sums are cumulative sums
+    seven buffers in ``work``, after two rows of m for the running sums'
+    totals, with the expressions of ``_free``'s step at q1 = q2 = 0, in the
+    same order.  A term is dropped only where it cannot change a bit of the
+    result, such as a ``0.0 +`` that cannot change the sign of a zero.  Running sums are cumulative sums
     along the steps, with the previous span's total added to the first
     column, so they add in the loop's order.  When ``out`` records no
     running sum, only the recorded steps are taken, their noise and
@@ -359,9 +381,10 @@ def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray | None
     span = max(1, min(len(steps), PER_STEP_TILE // m))
     edges = np.searchsorted(pos, np.arange(0, len(steps) + span, span))
 
-    size = 7 * m * span
-    buffers = (np.empty(size) if work is None else work)[:size].reshape(7, m, span)
-    led, ext = np.zeros((2, m))
+    totals = work[: 2 * m].reshape(2, m)
+    totals[...] = 0.0
+    led, ext = totals
+    buffers = work[2 * m : (2 + 7 * span) * m].reshape(7, m, span)
     for n, i0 in enumerate(range(0, len(steps), span)):
         i1 = min(i0 + span, len(steps))
         cols = slice(i0, i1) if running else steps[i0:i1]
@@ -476,9 +499,21 @@ def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]
     return [_split(a, b, -(-(b - a) // width)) for a, b in ranges]
 
 
-def ensemble_workers(config: EngineConfig) -> int:
-    """Worker threads that ``run_ensemble_arrays`` uses for config's ensemble."""
-    return len(_layout(config.n_traj, config.n_steps, config.policy == "per-step"))
+def _mapping_floats(edges: list[int], n_steps: int, per_step: bool) -> int:
+    """Floats of the one mapping of a worker whose chunks lie between edges:
+    the noise of its widest chunk, then the kernel's scratch for it."""
+    width = int(np.diff(edges).max())
+    return 2 * width * n_steps + _scratch(width, n_steps, per_step)
+
+
+def ensemble_layout(config: EngineConfig) -> dict[str, int]:
+    """The worker threads that ``run_ensemble_arrays`` uses for config's
+    ensemble (``workers``) and the bytes of their mappings (``scratch_bytes``),
+    as each run's manifest records them."""
+    per_step = config.policy == "per-step"
+    plan = _layout(config.n_traj, config.n_steps, per_step)
+    floats = sum(_mapping_floats(edges, config.n_steps, per_step) for edges in plan)
+    return {"workers": len(plan), "scratch_bytes": 8 * floats}
 
 
 class _BlockStreams:
@@ -520,14 +555,17 @@ def _run_blocks(
     columns of out, each chunk's steps within stepping.  Stops before its
     next chunk once cancel is set.
     """
-    # an anonymous mapping rather than the heap: its pages go back to the
-    # system when the ensemble ends, so the next ensemble's buffers are not
-    # stranded beside freed heap memory that malloc keeps once its mmap
-    # threshold has risen to the size of a noise buffer
-    shape = (max(np.diff(edges)), len(t.drift), 2)
-    buffer = np.frombuffer(mmap.mmap(-1, 16 * shape[0] * shape[1])).reshape(shape)
-    # the per-step kernel's seven buffers, each at most one tile
-    work = np.empty(7 * PER_STEP_TILE) if t.per_step else None
+    # one anonymous mapping per worker holds its noise and its kernel's
+    # scratch, so no buffer of a chunk's size comes from the heap: the
+    # mapping's pages go back to the system when the ensemble ends, while
+    # heap memory freed on a worker thread stays resident in its malloc arena
+    # (malloc's mmap threshold rises to the largest block freed), raising the
+    # peak of every later run in the process
+    n_steps = len(t.drift)
+    noise_floats = 2 * int(np.diff(edges).max()) * n_steps
+    mapping = np.frombuffer(mmap.mmap(-1, 8 * _mapping_floats(edges, n_steps, t.per_step)))
+    buffer = mapping[:noise_floats].reshape(-1, n_steps, 2)
+    work = mapping[noise_floats:]
     fields = [getattr(out, name) for name in STEP_FIELDS]
     for a, b in pairwise(edges):
         if cancel.is_set():

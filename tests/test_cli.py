@@ -247,25 +247,35 @@ class TestOutputs:
         _, out = continuous_run
         manifest = json.loads((out / "manifest.json").read_text())
         cfg = qm.EngineConfig(nbar=0.0, t_final=1.0, n_traj=2000, seed=7)
-        assert manifest["workers"] == feedback.ensemble_workers(cfg) >= 1
+        assert manifest["workers"] == feedback.ensemble_layout(cfg)["workers"] >= 1
 
     @pytest.mark.parametrize(
-        "argv, workers",
+        "argv, workers, scratch_bytes",
         [
-            (["continuous", "--n-traj", "200"], 1),  # one block
-            (["continuous", "--n-traj", "600"], 2),
-            (["presets", "figure-2c", "--n-traj", "600"], 2),
-            (["presets", "figure-S3", "--n-traj", "600"], 2),
-            (["single-shot", "--n-traj", "500"], 0),  # no ensemble
-            (["presets", "figure-2f"], 0),
+            (["continuous", "--n-traj", "200"], 1, None),  # one block
+            (["continuous", "--n-traj", "600"], 2, None),
+            # 500 steps: chunks of 256 and 344 trajectories, within
+            # FREE_WIDTH; each worker maps their noise and _free's scratch,
+            # a 2**20-byte noise copy and twenty rows
+            (["presets", "figure-2c", "--n-traj", "600"], 2,
+             sum(16 * m * 500 + 2**20 + 160 * m for m in (256, 344))),
+            # 2500 steps: per-step chunks of one tile, 16 trajectories; each
+            # worker maps their noise, seven tile buffers and two rows
+            (["presets", "figure-S3", "--n-traj", "600"], 2,
+             2 * (16 * 16 * 2500 + 8 * (7 * 40_000 + 2 * 16))),
+            (["single-shot", "--n-traj", "500"], 0, 0),  # no ensemble
+            (["presets", "figure-2f"], 0, 0),
         ],
     )
-    def test_manifest_records_the_workers_used(self, tmp_path, argv, workers):
+    def test_manifest_records_the_workers_used(self, tmp_path, argv, workers, scratch_bytes):
         # two CPUs: as many workers as the ensemble's blocks allow, up to two
         with mock.patch.object(feedback, "worker_threads", lambda: 2):
             run_cli(argv + ["--output-dir", str(tmp_path)])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["workers"] == workers
+        if scratch_bytes is not None:
+            assert manifest["scratch_bytes"] == scratch_bytes
+        assert (manifest["scratch_bytes"] > 0) == (workers > 0)
 
     def test_manifest_records_stream_layout_and_versions(self, continuous_run):
         _, out = continuous_run

@@ -10,6 +10,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -60,7 +61,8 @@ def _advance(config, cov, noise, record, fields=STEP_FIELDS):
           for name in STEP_FIELDS),
         cov=t.recorded_cov,
     )
-    feedback._chunk(t, noise, out)
+    m, n_steps, _ = noise.shape
+    feedback._chunk(t, noise, out, np.empty(feedback._scratch(m, n_steps, t.per_step)))
     return out
 
 
@@ -647,11 +649,11 @@ class TestWorkers:
             assert feedback._layout(10_000, 100) == [
                 [0, 1706, 3413, 5120], [5120, 6746, 8373, 10_000]
             ]
-            # figure-2c: five chunks of FREE_WIDTH trajectories in the first worker
-            assert feedback._layout(10_000, 500)[0] == [0, 1024, 2048, 3072, 4096, 5120]
-            # figure-S3 terminal: nine chunks per worker, within the budget's
-            # 1200 trajectories shared by two
-            assert [len(e) - 1 for e in feedback._layout(10_000, 2500)] == [9, 9]
+            # figure-2c: ten chunks of FREE_WIDTH trajectories in the first worker
+            assert feedback._layout(10_000, 500)[0] == list(range(0, 5121, 512))
+            # figure-S3 terminal: ten chunks of FREE_WIDTH per worker, within
+            # the budget's 1200 trajectories shared by two
+            assert [len(e) - 1 for e in feedback._layout(10_000, 2500)] == [10, 10]
         with mock.patch.object(feedback, "worker_threads", lambda: 64):
             # the 1200-trajectory budget holds a block for each of 4 workers,
             # whose chunks hold at most 300
@@ -673,7 +675,7 @@ class TestWorkers:
                     workers = min(threads, blocks, max(1, fits // 256))
                     assert len(plan) == workers
                     cfg = qm.EngineConfig(n_traj=n_traj, dt=1.0 / n_steps, policy="terminal")
-                    assert feedback.ensemble_workers(cfg) == workers
+                    assert feedback.ensemble_layout(cfg)["workers"] == workers
                     # whole blocks per worker, cut into near-equal chunks
                     # within the cap, the scratch bound and the worker's share
                     assert [e[0] for e in plan] == [256 * (e[0] // 256) for e in plan]
@@ -691,9 +693,9 @@ class TestWorkers:
             assert max(np.diff(e).max() for e in plan) == 1930
             # single-step chunks fill the scratch bound
             assert feedback._layout(2**17, 1) == [[0, 2**16], [2**16, 2**17]]
-            assert feedback.ensemble_workers(
+            assert feedback.ensemble_layout(
                 qm.EngineConfig(n_traj=50_000, policy="terminal")
-            ) == 2
+            )["workers"] == 2
 
     @pytest.mark.parametrize("threads", [1, 2, 64])
     def test_per_step_chunks_are_one_tile(self, threads):
@@ -713,7 +715,7 @@ class TestWorkers:
             # figure-S3: 16 trajectories by 2500 steps, 640 kB of noise
             assert [len(e) - 1 for e in feedback._layout(10_000, 2500, True)] == [320, 305]
             cfg = qm.EngineConfig(dt=0.01, t_final=25.0, n_traj=10_000, policy="per-step")
-            assert feedback.ensemble_workers(cfg) == 2
+            assert feedback.ensemble_layout(cfg)["workers"] == 2
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 4])
     def test_noise_in_flight_stays_within_the_budget(self, threads):
@@ -733,6 +735,47 @@ class TestWorkers:
                 assert all(np.diff(edges).min() >= 1 for edges in plan)
                 assert sum(widest) * 16 * n_steps <= 48_000_000
         assert feedback.NOISE_BUDGET // (16 * MAX_N_STEPS) == 3
+
+
+class TestScratch:
+    @pytest.mark.parametrize(("policy", "n_steps", "fields"), [
+        ("terminal", 500, ["q1", "q2"]),  # the fields of mean_work_curve
+        ("per-step", 2500, ["harvested"]),  # and of efficiency_series
+    ])
+    def test_kernel_scratch_is_off_the_heap(self, policy, n_steps, fields):
+        # each worker's noise and kernel scratch live in its one anonymous
+        # mapping, which tracemalloc does not see; it sees numpy's heap
+        # buffers: the record, the covariances and the run's tables
+        cfg = qm.EngineConfig(n_traj=2048, dt=0.01, t_final=n_steps / 100, policy=policy)
+        assert cfg.n_steps == n_steps
+        tracemalloc.start()
+        try:
+            run_ensemble_arrays(cfg, [cfg.t_final], fields)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_widest_chunk_sizes_every_chunk(self, per_step):
+        # a worker's mapping is sized for its widest chunk, so the scratch
+        # bound may not fall as chunks widen, also where tile // m rounds down
+        for n_steps in (1, 7, 100, 343, 500, 2500):
+            sizes = [feedback._scratch(m, n_steps, per_step) for m in range(1, 1200)]
+            assert sizes == sorted(sizes)
+
+    def test_layout_counts_the_bytes_of_each_workers_mapping(self):
+        # figure-2c on two CPUs: ten chunks of 512 and ten of 488
+        # trajectories; each worker maps the noise of its widest chunk by 500
+        # steps, and _free's scratch for it: a 2**20-byte time-major copy and
+        # twenty rows
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            cfg = qm.EngineConfig(n_traj=10_000, dt=0.01, t_final=5.0, policy="terminal")
+            assert feedback._layout(cfg.n_traj, cfg.n_steps)[1][:2] == [5120, 5608]
+            mappings = [16 * m * 500 + 2**20 + 160 * m for m in (512, 488)]
+            assert feedback.ensemble_layout(cfg) == {
+                "workers": 2, "scratch_bytes": sum(mappings)
+            }
 
 
 class TestCheckpoints:
@@ -982,19 +1025,21 @@ class TestFreeLoop:
 
     @pytest.mark.parametrize("m", [1, 255, 4096, 65536])
     def test_noise_copy_stays_within_the_scratch_bound(self, m):
-        # every time-major copy is made into one buffer of at most 2**20
-        # bytes; _layout keeps free chunks within 65536 trajectories
+        # every time-major copy is made into one region of the kernel's
+        # scratch, of at most 2**20 bytes; _layout keeps free chunks within
+        # 65536 trajectories
         cfg = qm.EngineConfig(dt=0.01, t_final=0.03, policy="terminal")
         cov = qm.covariance_series(0.0, cfg.tau1, cfg.tau2, cfg.resolved_dt, 3)
         noise = np.zeros((m, 3, 2))
-        buffers = []
+        copies = []
         copyto = np.copyto
 
         def recording_copyto(dst, src, *args, **kwargs):
-            buffers.append(dst if dst.base is None else dst.base)
+            copies.append((dst.ctypes.data, dst.nbytes))
             return copyto(dst, src, *args, **kwargs)
 
         with mock.patch.object(np, "copyto", recording_copyto):
             _advance(cfg, cov, noise, [3], ["q1"])
-        assert buffers and max(b.nbytes for b in buffers) <= 2**20
+        assert copies and len({start for start, _ in copies}) == 1
+        assert max(size for _, size in copies) <= 2**20
         assert feedback.FREE_SCRATCH == 2**20

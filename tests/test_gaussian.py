@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qmengine as qm
 from qmengine.errors import UncertaintyViolationError
-from qmengine.feedback import STEP_FIELDS, Steps, _chunk, _tables
+from qmengine.feedback import STEP_FIELDS, Steps, _chunk, _scratch, _tables
 from qmengine.gaussian import NO_MEASUREMENT_TAU, UNCERTAINTY_TOL, inv_2tau
 
 
@@ -161,7 +161,7 @@ def advance(cfg, noise, record):
     cov = qm.covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, n_steps)
     t = _tables(cfg, cov, record)
     out = Steps(*(np.zeros((len(record), len(noise))) for _ in STEP_FIELDS), cov=t.recorded_cov)
-    _chunk(t, noise, out)
+    _chunk(t, noise, out, np.empty(_scratch(len(noise), n_steps, t.per_step)))
     return out
 
 
