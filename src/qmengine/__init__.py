@@ -10,8 +10,6 @@ from .ensembles import (
     EfficiencySeries,
     KsResult,
     MeanWorkSeries,
-    PowerSeries,
-    SigmaSchedule,
     WorkStatistics,
     efficiency_series,
     exact_work_cdf,
@@ -19,15 +17,10 @@ from .ensembles import (
     ks_compare,
     mean_work_curve,
     monte_carlo_power,
-    power_series,
     run_ensemble,
     sigma_schedule,
 )
-from .errors import (
-    DegenerateWorkDistributionError,
-    UncertaintyViolationError,
-    UnsupportedConfigurationError,
-)
+from .errors import UncertaintyViolationError, UnsupportedConfigurationError
 from .feedback import Steps, run_trajectory
 from .gaussian import NoiseSource, covariance_series
 from .single_shot import (

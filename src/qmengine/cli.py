@@ -45,11 +45,10 @@ from .ensembles import (
     ks_compare,
     ledger_mean_work,
     mean_work_curve,
-    power_series,
     run_ensemble,
     sigma_schedule,
 )
-from .errors import DegenerateWorkDistributionError, UncertaintyViolationError
+from .errors import UncertaintyViolationError
 from .feedback import STREAM_LAYOUT, ensemble_layout, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
@@ -579,7 +578,11 @@ def _run_binary(config: EngineConfig, run: _Run) -> dict:
     }
 
 
-def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatistics]:
+def _run_continuous(
+    config: EngineConfig, run: _Run
+) -> tuple[dict, WorkStatistics, float | None]:
+    # also the rate tau/sigma of the exact work law at t_final: inf for the
+    # point mass at W = 0, None where no such law applies
     _emit_trajectory(run, config)
     stats = run_ensemble(config)
     run.csv(
@@ -590,34 +593,33 @@ def _run_continuous(config: EngineConfig, run: _Run) -> tuple[dict, WorkStatisti
     results = {"mean_work": stats.mean, "stderr": stats.stderr, "variance": stats.variance,
                "t": stats.t}
     checks: dict = {}
-    expected, schedule, rounding = None, None, 0.0
+    expected, rate, rounding = None, None, 0.0
     if config.policy == "none":
         expected = ledger_mean_work(config)
         # its n_steps additions round: all that moves a ledger without noise
         rounding = config.n_steps * 2.0**-52 * expected
     elif config.tau1 == config.tau2:
-        schedule = sigma_schedule(config, policy=config.policy)
-        expected = schedule.mean_work_at(config.t_final)
+        _, means, rates = sigma_schedule(config, policy=config.policy)
+        k = config.step_index(config.t_final)
+        expected, rate = float(means[k]), float(rates[k])
     if expected is not None:
         results["expected_mean_work"] = expected
         bound = 3.0 * stats.stderr + rounding
         checks["mean_work_within_3se"] = abs(stats.mean - expected) <= bound
-    if schedule is not None:
+    if rate is not None:
         if stats.samples.size < KS_MIN_SAMPLES:
             results["ks_not_applicable"] = (
                 f"need at least {KS_MIN_SAMPLES} samples, got {stats.samples.size}"
             )
-        elif expected == 0.0:
+        elif rate == math.inf:
             # KS assumes a continuous law; this one is a point mass at W = 0
             results["ks_not_applicable"] = "the exact work law is a point mass at W = 0"
         else:
-            ks = ks_compare(
-                stats.samples, lambda w: exact_work_cdf(w, config.t_final, schedule)
-            )
+            ks = ks_compare(stats.samples, lambda w: exact_work_cdf(w, rate))
             results.update({"ks_statistic": ks.statistic, "ks_pvalue": ks.pvalue})
             checks["work_distribution_ks_pass_1pct"] = ks.passed
     out = {"results": results, "checks": checks, "layout": ensemble_layout(config)}
-    return out, stats
+    return out, stats, rate
 
 
 def _run_classical(config: EngineConfig, run: _Run) -> dict:
@@ -644,18 +646,20 @@ def _run_classical(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
-    out, stats = _run_continuous(config, run)
-    schedule = sigma_schedule(config)
+    out, stats, rate = _run_continuous(config, run)
     counts, edges = np.histogram(stats.samples, bins="fd")  # Freedman-Diaconis bins
     centers = 0.5 * (edges[:-1] + edges[1:])
     density = counts / (config.n_traj * np.diff(edges))
     columns = {"bin_center": centers, "count": counts, "density": density}
-    try:
-        columns["exact_pdf"] = exact_work_pdf(centers, config.t_final, schedule)
+    if rate < math.inf:
+        columns["exact_pdf"] = exact_work_pdf(centers, rate)
         comment = "work histogram with the exact exponential overlay"
-    except DegenerateWorkDistributionError as exc:
+    else:
         # a point mass at W = 0 has no density to overlay
-        out["results"]["exact_pdf_not_applicable"] = str(exc)
+        mean = out["results"]["expected_mean_work"]
+        out["results"]["exact_pdf_not_applicable"] = (
+            f"sigma({config.t_final})/tau = {mean}: all probability mass at W = 0"
+        )
         comment = "work histogram; no exact overlay: all probability mass at W = 0"
     run.csv("histogram.csv", [comment], columns)
     return out
@@ -664,8 +668,7 @@ def _preset_figure_2b(config: EngineConfig, run: _Run) -> dict:
 def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
     grid = [0.5, 1.0, 2.5, 5.0]
     series = mean_work_curve(config, grid)
-    schedule = sigma_schedule(config)
-    oracle = np.array([schedule.mean_work_at(t) for t in grid])
+    oracle = sigma_schedule(config)[1][config.step_index(grid)]
     run.csv(
         "mean_work.csv",
         ["terminal-feedback mean work versus observation time"],
@@ -682,12 +685,12 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
 
 def _preset_figure_2f(config: EngineConfig, run: _Run) -> dict:
     t_grid = np.round(np.arange(0.0, config.t_final + 1e-9, 0.25), 10)
-    series = power_series(config, t_grid)
-    j_tau = series.power * config.tau1
+    nu = sigma_schedule(config)[0][config.step_index(t_grid)]
+    j_tau = nu * nu  # J = nu**2/tau
     run.csv(
         "power.csv",
         ["engine power per measurement rate, J(t)*tau"],
-        {"t": series.t, "J_tau": j_tau},
+        {"t": t_grid, "J_tau": j_tau},
     )
     checks = {
         "power_monotone_decreasing": bool(np.all(np.diff(j_tau) <= 1e-12)),

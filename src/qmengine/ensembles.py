@@ -6,7 +6,9 @@ P(W, t) = (tau/sigma(t)) * exp(-tau*W/sigma(t)) in units of hbar*omega, with
 sigma(t) the accumulated squared symplectic eigenvalue nu(t) = q3(t)/2 of the
 covariance flow (integral of nu**2 for a single terminal feedback, nu**2*dt
 for extraction after every step).  The mean work is sigma(t)/tau and the
-steady-state power is nu_ss**2/tau = 1/(4*tau).
+steady-state power is nu_ss**2/tau = 1/(4*tau).  ``sigma_schedule`` gives
+that law's parameter on the step grid, and ``exact_work_pdf`` and
+``exact_work_cdf`` evaluate the law from it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .errors import DegenerateWorkDistributionError, UnsupportedConfigurationError
+from .errors import UnsupportedConfigurationError
 from .feedback import run_ensemble_arrays
 from .gaussian import covariance_series, inv_2tau
 from .kolmogorov import two_sided_test
@@ -44,45 +46,10 @@ class WorkStatistics:
 
 
 @dataclass(frozen=True, slots=True)
-class SigmaSchedule:
-    """Time series of nu(t) and of the work-scale parameter sigma(t) on the
-    step grid of the run's config.
-
-    For the terminal policy sigma(t) is the running integral of nu**2; for
-    the per-step policy it is nu(t)**2 * dt.
-    """
-
-    t: np.ndarray
-    nu: np.ndarray
-    sigma: np.ndarray
-    config: EngineConfig
-
-    @property
-    def tau(self) -> float:
-        return self.config.tau1
-
-    def sigma_at(self, t: float) -> float:
-        return float(self.sigma[self.config.step_index(t)])
-
-    def nu_at(self, t: float) -> float:
-        return float(self.nu[self.config.step_index(t)])
-
-    def mean_work_at(self, t: float) -> float:
-        # a channel switched off (inv_2tau = 0) banks no work
-        return self.sigma_at(t) / self.tau if inv_2tau(self.tau) else 0.0
-
-
-@dataclass(frozen=True, slots=True)
 class MeanWorkSeries:
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
-class PowerSeries:
-    t: np.ndarray
-    power: np.ndarray
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,12 +70,19 @@ class KsResult:
     passed: bool
 
 
-def sigma_schedule(config: EngineConfig, policy: str = "terminal") -> SigmaSchedule:
-    """Integrate the covariance flow on the config's step grid up to t_final
-    and accumulate the work scale sigma(t).
+def sigma_schedule(
+    config: EngineConfig, policy: str = "terminal"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """nu(t), the mean work sigma(t)/tau and the work law's rate tau/sigma(t)
+    on the config's step grid up to t_final; ``config.step_index`` indexes
+    them.
 
-    Defined only for symmetric channels, where the covariance matrix stays in
-    normal form and nu(t) = q3(t)/2 = q5(t)/2.
+    sigma(t) is the running integral of nu**2 for the terminal policy and
+    nu(t)**2 * dt for the per-step policy.  A channel switched off
+    (inv_2tau = 0) banks no work: its sigma is 0, so the mean is 0 and the
+    rate inf, the law a point mass at W = 0.  Defined only for symmetric
+    channels, where the covariance matrix stays in normal form and
+    nu(t) = q3(t)/2 = q5(t)/2.
     """
     if config.tau1 != config.tau2:
         raise UnsupportedConfigurationError(
@@ -126,8 +100,13 @@ def sigma_schedule(config: EngineConfig, policy: str = "terminal") -> SigmaSched
         sigma = np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
     else:
         sigma = y * dt
-    t = np.arange(len(nu)) * dt
-    return SigmaSchedule(t=t, nu=nu, sigma=sigma, config=config)
+    tau = config.tau1
+    if not inv_2tau(tau):
+        sigma = np.zeros_like(sigma)
+    # sigma = 0 (channel off, or t = 0 under the terminal policy) and a
+    # tau/sigma that overflows both give rate inf, the point mass
+    with np.errstate(divide="ignore", over="ignore"):
+        return nu, sigma / tau, tau / sigma
 
 
 def ledger_mean_work(config: EngineConfig) -> float:
@@ -149,35 +128,21 @@ def ledger_mean_work(config: EngineConfig) -> float:
     return math.fsum(memoryview(terms))
 
 
-def _work_rate(t: float, schedule: SigmaSchedule) -> float:
-    """tau/sigma(t), the inverse mean work; inf when all probability mass
-    sits at W = 0 (sigma = 0, or the channel switched off: no measurement)."""
-    sigma = schedule.sigma_at(t)
-    return schedule.tau / sigma if sigma > 0.0 and inv_2tau(schedule.tau) else math.inf
-
-
-def exact_work_pdf(w, t: float, schedule: SigmaSchedule):
-    """Exact density of the harvested work at time t (units hbar*omega).
-
-    Exponential with mean sigma(t)/tau; zero for w < 0.  A vanishing mean
-    means all mass sits at W = 0 and is reported as a distinct error.
-    """
-    rate = _work_rate(t, schedule)
+def exact_work_pdf(w, rate: float):
+    """Exact density of the harvested work (units hbar*omega) under the
+    exponential law with rate tau/sigma(t) from ``sigma_schedule``; zero for
+    w < 0.  The point mass at W = 0 (rate inf) has no density."""
     if rate == math.inf:
-        raise DegenerateWorkDistributionError(
-            f"sigma({t})/tau = {schedule.mean_work_at(t)}: all probability mass at W = 0"
-        )
+        raise ValueError("the work law is a point mass at W = 0 and has no density")
     w = np.asarray(w, dtype=float)
     out = np.where(w >= 0.0, rate * np.exp(-rate * np.clip(w, 0.0, None)), 0.0)
     return out if out.ndim else float(out)
 
 
-def exact_work_cdf(w, t: float, schedule: SigmaSchedule):
-    """Exact distribution function of the harvested work at time t.
-
-    Handles the degenerate zero-mean case as a unit step at W = 0.
-    """
-    rate = _work_rate(t, schedule)
+def exact_work_cdf(w, rate: float):
+    """Exact distribution function of the harvested work under the
+    exponential law with rate tau/sigma(t); the point mass at W = 0
+    (rate inf) is a unit step there."""
     w = np.asarray(w, dtype=float)
     if rate == math.inf:
         out = np.where(w >= 0.0, 1.0, 0.0)
@@ -243,15 +208,6 @@ def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSe
     return MeanWorkSeries(t=np.asarray(t_grid, dtype=float), mean=means, stderr=errs)
 
 
-def power_series(config: EngineConfig, t_grid: Sequence[float]) -> PowerSeries:
-    """Analytic engine power J(t) = nu(t)**2 / tau on the grid, up to t_final."""
-    schedule = sigma_schedule(config)
-    power = np.array(
-        [schedule.nu_at(t) ** 2 / schedule.tau for t in t_grid], dtype=float
-    )
-    return PowerSeries(t=np.asarray(t_grid, dtype=float), power=power)
-
-
 def monte_carlo_power(
     config: EngineConfig, t_grid: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,7 +239,8 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
     (q3 + q5)/4 - 1/2 (the general form, valid also for asymmetric
     channels).  Standard errors come from batch means over trajectory
     sub-ensembles (EFFICIENCY_BATCHES of them, at most n_traj // 2 but at
-    least two), so n_traj must be at least 2.
+    least two), so n_traj must be at least 2.  Where <Q> = 0 no energy has
+    entered and eta is undefined: a ValueError names the first such time.
     """
     if config.policy != "per-step":
         raise UnsupportedConfigurationError(
@@ -300,7 +257,13 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
     for i in range(len(t_grid)):
         w = steps.harvested[i]
         mean_w = math.fsum(memoryview(w)) / len(w)
-        eta[i] = mean_w / (mean_w + excess[i])
+        energy = mean_w + excess[i]
+        if energy == 0.0:
+            raise ValueError(
+                f"efficiency is undefined at t = {t_grid[i]}: <W> + excess = 0, "
+                "no energy has entered"
+            )
+        eta[i] = mean_w / energy
         batch_eta = [
             (bm := float(np.mean(b))) / (bm + excess[i])
             for b in np.array_split(w, n_batches)

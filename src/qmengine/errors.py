@@ -15,7 +15,3 @@ class UnsupportedConfigurationError(ValueError):
     Typical case: the Ito work ledger and the variance schedule require
     symmetric measurement channels (tau1 == tau2) in covariance normal form.
     """
-
-
-class DegenerateWorkDistributionError(ValueError):
-    """Work distribution has zero scale (all probability mass at W = 0)."""

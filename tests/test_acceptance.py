@@ -72,10 +72,11 @@ def test_c04_work_distribution():
         n_traj=10_000, policy="terminal", seed=404,
     )
     stats = qm.run_ensemble(cfg)
-    schedule = qm.sigma_schedule(cfg)
-    assert schedule.mean_work_at(1.0) == pytest.approx(0.25, abs=1e-12)
+    _, mean, rate = qm.sigma_schedule(cfg)
+    k = cfg.step_index(1.0)
+    assert mean[k] == pytest.approx(0.25, abs=1e-12)
     assert qm.ensembles.KS_LEVEL == 0.01
-    ks = qm.ks_compare(stats.samples, lambda w: qm.exact_work_cdf(w, 1.0, schedule))
+    ks = qm.ks_compare(stats.samples, lambda w: qm.exact_work_cdf(w, rate[k]))
     report(
         "C4",
         f"10^4 terminal trajectories at t=1 pass KS vs exponential mean 1/4 "
@@ -90,11 +91,8 @@ def test_c05_mean_work_curve():
     )
     grid = [0.5, 1.0, 2.5, 5.0]
     series = qm.mean_work_curve(cfg, grid)
-    schedule = qm.sigma_schedule(cfg)
-    zs = [
-        abs(series.mean[i] - schedule.mean_work_at(t)) / series.stderr[i]
-        for i, t in enumerate(grid)
-    ]
+    oracle = qm.sigma_schedule(cfg)[1][cfg.step_index(grid)]
+    zs = [abs(series.mean[i] - oracle[i]) / series.stderr[i] for i in range(len(grid))]
     ok = all(z <= 3.0 for z in zs)
     report(
         "C5",
@@ -106,8 +104,8 @@ def test_c05_mean_work_curve():
 
 def test_c06_power_and_steady_state():
     # analytic: thermal start relaxes to nu = 1/2, J_ss * tau = 1/4
-    schedule = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=0.01, t_final=20.0))
-    nu_final = schedule.nu_at(20.0)
+    thermal = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=20.0)
+    nu_final = float(qm.sigma_schedule(thermal)[0][thermal.step_index(20.0)])
     analytic_ok = abs(nu_final - 0.5) < 1e-3 and abs(nu_final**2 - 0.25) < 1e-3
 
     # Monte Carlo: finite differences of the mean-work curve at the steady

@@ -31,6 +31,22 @@ def run_cli(args: list[str]) -> int:
     return cli.main(args)
 
 
+def assert_strict_outputs(out: Path) -> None:
+    """summary.json holds no NaN, and no infinity outside its config echo,
+    where tau = inf is a valid input; no CSV cell reads nan."""
+
+    def reject_nan(constant):
+        if constant == "NaN":
+            raise ValueError("summary.json holds NaN")
+        return float(constant)
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_nan)
+    json.dumps({k: v for k, v in summary.items() if k != "config"}, allow_nan=False)
+    for path in out.glob("*.csv"):
+        rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert "nan" not in {c for row in rows for c in row.split(",")}, path.name
+
+
 def load_csv(path) -> dict[str, np.ndarray]:
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     names = lines[0].split(",")
@@ -833,6 +849,51 @@ class TestPresets:
         json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
         assert "nan" not in (tmp_path / "efficiency_series.csv").read_text()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", ["1e12", "1e13", "inf"])
+    @pytest.mark.parametrize("preset", cli.PRESETS)
+    def test_channels_switched_off_write_no_nan(self, tmp_path, capsys, preset, tau):
+        # a preset with its channels off either writes finite, strict outputs
+        # or exits 1 with one line, as figure-S3 does when no energy enters
+        out = tmp_path / "out"
+        code = run_cli(
+            ["presets", preset, "--tau", tau, "--n-traj", "20", "--seed", "2",
+             "--output-dir", str(out)]
+        )
+        if code == 1:
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "Traceback" not in err[0]
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert code in (0, 2)
+            assert_strict_outputs(out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_figure_2f_without_measurement_is_nu_squared(self, tmp_path):
+        # J*tau = nu**2, which stays at nu(0)**2 = 2.25 when no channel
+        # measures: tau = inf writes what tau = 1e13 does, and fails honestly
+        for tau in ("1e13", "inf"):
+            assert run_cli(
+                ["presets", "figure-2f", "--tau", tau, "--output-dir", str(tmp_path / tau)]
+            ) == 2
+        off, inf = (tmp_path / tau / "power.csv" for tau in ("1e13", "inf"))
+        assert inf.read_bytes() == off.read_bytes()
+        summary = json.loads((tmp_path / "inf" / "summary.json").read_text())
+        assert summary["results"] == {"J_tau_final": 2.25}
+        assert summary["checks"] == {
+            "power_monotone_decreasing": True, "power_reaches_quarter": False
+        }
+
+    def test_figure_2b_takes_its_law_from_the_ensemble_run(self, tmp_path):
+        # the overlay's rate comes from _run_continuous: one schedule per run
+        with mock.patch.object(cli, "sigma_schedule", wraps=ensembles.sigma_schedule) as s:
+            assert run_cli(
+                ["presets", "figure-2b", "--n-traj", "200", "--tau", "0.7",
+                 "--output-dir", str(tmp_path)]
+            ) == 0
+        assert s.call_count == 1
+        assert "exact_pdf" in load_csv(tmp_path / "histogram.csv")
+
     def test_figure_s3_three_series(self, tmp_path):
         assert run_cli(
             ["presets", "figure-S3", "--n-traj", "1500", "--seed", "11",
@@ -1220,3 +1281,4 @@ class TestConfigFuzz:
             assert set(manifest["files"]) == on_disk
             summary = json.loads((out / "summary.json").read_text())
             assert summary["all_checks_passed"] is (code == 0)
+            assert_strict_outputs(out)

@@ -20,12 +20,9 @@ from scipy.stats import kstest, kstwo, norm
 
 import qmengine as qm
 from qmengine import ensembles, kolmogorov
-from qmengine.errors import (
-    DegenerateWorkDistributionError,
-    UnsupportedConfigurationError,
-)
+from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import run_ensemble_arrays
-from qmengine.gaussian import NO_MEASUREMENT_TAU
+from qmengine.gaussian import NO_MEASUREMENT_TAU, covariance_series
 
 
 def exp_cdf(w):
@@ -53,68 +50,76 @@ def sigma_closed_form(q3_0: float, tau: float, t) -> np.ndarray:
 
 class TestExactWorkDistribution:
     def setup_method(self):
-        self.schedule = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01))
+        config = qm.EngineConfig(nbar=0.0, dt=0.01)
+        _, self.mean, self.rate = qm.sigma_schedule(config)
+        self.k = config.step_index(1.0)
 
     def test_normalized(self):
-        total, _ = quad(lambda w: qm.exact_work_pdf(w, 1.0, self.schedule), 0.0, np.inf)
+        total, _ = quad(lambda w: qm.exact_work_pdf(w, self.rate[self.k]), 0.0, np.inf)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_mean_is_sigma_over_tau(self):
         mean, _ = quad(
-            lambda w: w * qm.exact_work_pdf(w, 1.0, self.schedule), 0.0, np.inf
+            lambda w: w * qm.exact_work_pdf(w, self.rate[self.k]), 0.0, np.inf
         )
-        assert mean == pytest.approx(self.schedule.mean_work_at(1.0), rel=1e-8)
-        assert self.schedule.mean_work_at(1.0) == pytest.approx(0.25, abs=1e-12)
+        assert mean == pytest.approx(self.mean[self.k], rel=1e-8)
+        assert self.mean[self.k] == pytest.approx(0.25, abs=1e-12)
 
     def test_negative_work_has_zero_density(self):
-        assert qm.exact_work_pdf(-0.3, 1.0, self.schedule) == 0.0
-        assert qm.exact_work_cdf(-0.3, 1.0, self.schedule) == 0.0
+        assert qm.exact_work_pdf(-0.3, self.rate[self.k]) == 0.0
+        assert qm.exact_work_cdf(-0.3, self.rate[self.k]) == 0.0
 
     def test_degenerate_scale_reported_distinctly(self):
-        with pytest.raises(DegenerateWorkDistributionError):
-            qm.exact_work_pdf(0.1, 0.0, self.schedule)
+        # sigma(0) = 0: the rate is inf, the law a point mass at W = 0
+        assert self.mean[0] == 0.0 and self.rate[0] == math.inf
+        with pytest.raises(ValueError, match="point mass"):
+            qm.exact_work_pdf(0.1, self.rate[0])
         # the distribution function is still well defined: a step at zero
-        assert qm.exact_work_cdf(0.0, 0.0, self.schedule) == 1.0
-        assert qm.exact_work_cdf(-1e-9, 0.0, self.schedule) == 0.0
-
+        assert qm.exact_work_cdf(0.0, self.rate[0]) == 1.0
+        assert qm.exact_work_cdf(-1e-9, self.rate[0]) == 0.0
 
     def test_no_measurement_is_a_point_mass_at_zero(self):
-        schedule = qm.sigma_schedule(qm.EngineConfig(tau1=math.inf, tau2=math.inf, dt=0.01))
-        assert schedule.mean_work_at(1.0) == 0.0
-        assert qm.exact_work_cdf(0.0, 1.0, schedule) == 1.0
-        assert qm.exact_work_cdf(-1e-9, 1.0, schedule) == 0.0
-        with pytest.raises(DegenerateWorkDistributionError):
-            qm.exact_work_pdf(0.1, 1.0, schedule)
+        config = qm.EngineConfig(tau1=math.inf, tau2=math.inf, dt=0.01)
+        _, mean, rate = qm.sigma_schedule(config)
+        k = config.step_index(1.0)
+        assert mean[k] == 0.0
+        assert qm.exact_work_cdf(0.0, rate[k]) == 1.0
+        assert qm.exact_work_cdf(-1e-9, rate[k]) == 0.0
+        with pytest.raises(ValueError, match="point mass"):
+            qm.exact_work_pdf(0.1, rate[k])
 
     @pytest.mark.parametrize("policy", ["terminal", "per-step"])
     @pytest.mark.parametrize("tau", [NO_MEASUREMENT_TAU, 1e13])
     def test_channels_switched_off_at_finite_tau_bank_no_work(self, tau, policy):
         # the kernel's inv_2tau is 0 here, so its ledger stays at 0; sigma/tau
-        # alone would be about 2.5e-13
+        # alone would be about 2.5e-13, as nu stays at 1/2
         config = qm.EngineConfig(tau1=tau, tau2=tau, dt=0.01, policy=policy, n_traj=200)
-        schedule = qm.sigma_schedule(config, policy=policy)
-        assert schedule.sigma_at(1.0) > 0.0
-        assert schedule.mean_work_at(1.0) == 0.0
-        assert qm.exact_work_cdf(0.0, 1.0, schedule) == 1.0
-        assert qm.exact_work_cdf(-1e-300, 1.0, schedule) == 0.0
+        nu, mean, rate = qm.sigma_schedule(config, policy=policy)
+        k = config.step_index(1.0)
+        assert nu[k] == 0.5
+        assert mean[k] == 0.0 and rate[k] == math.inf
+        assert qm.exact_work_cdf(0.0, rate[k]) == 1.0
+        assert qm.exact_work_cdf(-1e-300, rate[k]) == 0.0
         assert not qm.run_ensemble(config).samples.any()
 
 
 class TestSigmaSchedule:
     def test_vacuum_gives_quarter_t(self):
-        sched = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01, t_final=5.0))
-        assert np.allclose(sched.sigma, 0.25 * sched.t, atol=1e-12)
+        _, mean, _ = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01, t_final=5.0))
+        # tau = 1: the mean work is sigma
+        assert np.allclose(mean, 0.25 * np.arange(len(mean)) * 0.01, atol=1e-12)
 
     def test_matches_closed_form_integral(self):
         dt = 2e-4
-        sched = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=dt, t_final=2.0))
-        exact = sigma_closed_form(3.0, 1.0, sched.t)
-        assert np.abs(sched.sigma - exact).max() < 1e-6
+        _, mean, _ = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=dt, t_final=2.0))
+        exact = sigma_closed_form(3.0, 1.0, np.arange(len(mean)) * dt)
+        assert np.abs(mean - exact).max() < 1e-6
 
     def test_monotone_with_steady_slope(self):
-        sched = qm.sigma_schedule(qm.EngineConfig(nbar=1.0, dt=0.01, t_final=20.0))
-        assert np.all(np.diff(sched.sigma) >= 0.0)
-        late_slope = (sched.sigma_at(20.0) - sched.sigma_at(19.0)) / 1.0
+        config = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=20.0)
+        _, mean, _ = qm.sigma_schedule(config)
+        assert np.all(np.diff(mean) >= 0.0)
+        late_slope = (mean[config.step_index(20.0)] - mean[config.step_index(19.0)]) / 1.0
         assert late_slope == pytest.approx(0.25, abs=1e-4)
 
     def test_asymmetric_channels_rejected(self):
@@ -122,13 +127,33 @@ class TestSigmaSchedule:
             qm.sigma_schedule(qm.EngineConfig(tau2=0.9, dt=0.01))
 
     def test_per_step_scale(self):
-        sched = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01), policy="per-step")
-        assert sched.sigma_at(1.0) == pytest.approx(0.25 * 0.01, rel=1e-12)
+        config = qm.EngineConfig(nbar=0.0, dt=0.01)
+        _, mean, _ = qm.sigma_schedule(config, policy="per-step")
+        assert mean[config.step_index(1.0)] == pytest.approx(0.25 * 0.01, rel=1e-12)
 
     def test_off_grid_time_rejected(self):
-        sched = qm.sigma_schedule(qm.EngineConfig(nbar=0.0, dt=0.01))
+        config = qm.EngineConfig(nbar=0.0, dt=0.01)
+        _, mean, _ = qm.sigma_schedule(config)
         with pytest.raises(ValueError):
-            sched.sigma_at(0.0147)
+            mean[config.step_index(0.0147)]
+
+    @pytest.mark.parametrize("policy", ["terminal", "per-step"])
+    def test_mean_and_rate_are_one_division_of_sigma_each(self, policy):
+        # the rate is tau/sigma, not 1/(sigma/tau): at tau != 1 the two
+        # differ in the last bits, and so would the KS statistic and exact_pdf
+        config = qm.EngineConfig(nbar=2.0, tau1=0.7, tau2=0.7, t_final=1.0)
+        nu, mean, rate = qm.sigma_schedule(config, policy=policy)
+        dt = config.resolved_dt
+        cov = covariance_series(2.0, 0.7, 0.7, dt, config.n_steps)
+        assert np.array_equal(nu, 0.5 * cov[:, 0])
+        y = nu * nu
+        if policy == "terminal":
+            sigma = np.concatenate(([0.0], np.cumsum(dt * (y[1:] + y[:-1]) / 2.0)))
+        else:
+            sigma = y * dt
+        assert np.array_equal(mean, sigma / 0.7)
+        assert np.array_equal(rate[1:], 0.7 / sigma[1:])
+        assert (rate[1:] != 1.0 / mean[1:]).any()
 
 
 class TestRunEnsemble:
@@ -174,9 +199,9 @@ class TestMeanWorkCurve:
         )
         grid = [0.5, 1.0]
         series = qm.mean_work_curve(cfg, grid)
-        sched = qm.sigma_schedule(cfg)
-        for i, t in enumerate(grid):
-            assert abs(series.mean[i] - sched.mean_work_at(t)) <= 3.0 * series.stderr[i]
+        oracle = qm.sigma_schedule(cfg)[1][cfg.step_index(grid)]
+        for i in range(len(grid)):
+            assert abs(series.mean[i] - oracle[i]) <= 3.0 * series.stderr[i]
         assert series.mean[1] > series.mean[0]
 
     def test_requires_terminal_policy(self):
@@ -184,33 +209,41 @@ class TestMeanWorkCurve:
         with pytest.raises(UnsupportedConfigurationError):
             qm.mean_work_curve(cfg, [0.5])
 
-    @pytest.mark.parametrize("series", ["mean_work_curve", "power_series"])
+    @pytest.mark.parametrize("series", ["mean_work_curve", "sigma_schedule"])
     def test_grid_ends_at_the_configured_horizon(self, series):
         # each series runs to config.t_final; it no longer stretches the run
         # to reach its last grid time
         cfg = qm.EngineConfig(dt=0.01, t_final=1.0, n_traj=10)
         with pytest.raises(ValueError, match="outside the horizon"):
-            getattr(qm, series)(cfg, [0.5, 2.0])
+            if series == "mean_work_curve":
+                qm.mean_work_curve(cfg, [0.5, 2.0])
+            else:
+                qm.sigma_schedule(cfg)[0][cfg.step_index([0.5, 2.0])]
+
+
+def power(cfg: qm.EngineConfig, grid) -> np.ndarray:
+    """The engine power J(t) = nu(t)**2/tau on the grid."""
+    nu = qm.sigma_schedule(cfg)[0][cfg.step_index(grid)]
+    return nu * nu / cfg.tau1
 
 
 class TestPowerSeries:
     def test_steady_state_value(self):
         cfg = qm.EngineConfig(nbar=0.0, dt=0.01)
-        series = qm.power_series(cfg, [0.5, 1.0])
-        assert np.allclose(series.power, 0.25, atol=1e-12)
+        assert np.allclose(power(cfg, [0.5, 1.0]), 0.25, atol=1e-12)
 
     def test_thermal_start_decreases_to_steady_state(self):
         cfg = qm.EngineConfig(nbar=1.0, dt=0.01, t_final=10.0)
         grid = np.round(np.arange(0.0, 10.0 + 1e-9, 0.5), 10)
-        series = qm.power_series(cfg, grid)
-        assert np.all(np.diff(series.power) < 0.0)
-        assert series.power[0] == pytest.approx(2.25, abs=1e-12)  # nu(0)^2 = 1.5^2
-        assert series.power[-1] == pytest.approx(0.25, abs=1e-3)
+        series = power(cfg, grid)
+        assert np.all(np.diff(series) < 0.0)
+        assert series[0] == pytest.approx(2.25, abs=1e-12)  # nu(0)^2 = 1.5^2
+        assert series[-1] == pytest.approx(0.25, abs=1e-3)
 
     def test_faster_measurement_doubles_steady_power(self):
-        slow = qm.power_series(qm.EngineConfig(nbar=0.0, tau1=1.0, tau2=1.0, dt=0.005), [1.0])
-        fast = qm.power_series(qm.EngineConfig(nbar=0.0, tau1=0.5, tau2=0.5, dt=0.005), [1.0])
-        assert fast.power[0] == pytest.approx(2.0 * slow.power[0], rel=1e-9)
+        slow = power(qm.EngineConfig(nbar=0.0, tau1=1.0, tau2=1.0, dt=0.005), [1.0])
+        fast = power(qm.EngineConfig(nbar=0.0, tau1=0.5, tau2=0.5, dt=0.005), [1.0])
+        assert fast[0] == pytest.approx(2.0 * slow[0], rel=1e-9)
 
     def test_monte_carlo_estimate(self):
         cfg = qm.EngineConfig(
@@ -259,6 +292,17 @@ class TestEfficiencySeries:
                 pytest.raises(ValueError, match="at least 2 trajectories, got 1"):
             qm.efficiency_series(cfg, [1.0])
         ensemble.assert_not_called()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [NO_MEASUREMENT_TAU, math.inf])
+    def test_no_energy_in_names_the_first_time(self, tau):
+        # vacuum and both channels off: <W> = 0 and no excess, so eta = 0/0
+        cfg = qm.EngineConfig(
+            nbar=0.0, tau1=tau, tau2=tau, dt=0.01, t_final=2.0, n_traj=4,
+            policy="per-step",
+        )
+        with pytest.raises(ValueError, match=r"undefined at t = 0\.5: <W> \+ excess = 0"):
+            qm.efficiency_series(cfg, [0.5, 1.0, 2.0])
 
 
 class TestLedgerMeanWork:

@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of every CSV each CLI family and preset writes.
+"""Golden SHA-256 digests of every CSV each CLI family and preset writes,
+and of summary.json for two runs at tau != 1.
 
 The digests were recorded at seed 5 with small fixed sizes, plus one run long
 enough to span many CSV row blocks and two ensembles of several noise-stream
@@ -94,6 +95,15 @@ GOLDEN = [
         },
     ),
     (
+        # tau != 1: the overlay's rate tau/sigma and 1/(sigma/tau) differ in the last bits
+        ("presets", "figure-2b", "--n-traj", "200", "--tau", "0.7", "--nbar", "2"),
+        {
+            "histogram.csv": "b43d5692e8e7bb1d5f9d2bba9739352b437fea9c4f5a2de0053c61710b328e21",
+            "trajectory.csv": "380917b70fc64b96263726fd543cf8dbf12fe9c65dbb99a13fa2a96414f908c9",
+            "work_samples.csv": "ae10e04aa8fe8ee4fd733255b2a1b0f2e8942c51d297cdd4d66ea081fbd80e73",
+        },
+    ),
+    (
         ("presets", "figure-2c", "--n-traj", "200"),
         {
             "mean_work.csv": "68fe3fa055441294d51c78e6f377f957f4baaf19c860dfaba2e4741612a1f6b3",
@@ -103,6 +113,12 @@ GOLDEN = [
         ("presets", "figure-2f"),
         {
             "power.csv": "7f2062126cbac0d9633bfce4fc9a49e32c9861c360bd574e9afedc1cf1d979cf",
+        },
+    ),
+    (
+        ("presets", "figure-2f", "--tau", "0.7"),
+        {
+            "power.csv": "544c0ba5f61d63499ccacd9108a434a5ac2fab0b287b209e368042bc4db89132",
         },
     ),
     (
@@ -135,3 +151,25 @@ def test_csv_digests(tmp_path, argv, digests):
         for p in tmp_path.glob("*.csv")
     }
     assert written == digests
+
+
+#: SHA-256 of summary.json for runs whose KS statistic and p-value, and
+#: expected mean, depend on tau/sigma and sigma/tau at tau != 1.
+SUMMARY_GOLDEN = [
+    (
+        ("continuous", "--n-traj", "200", "--tau", "0.7"),
+        "ed38bad25df4bf497d78033ee3770cf9e5dc83ba94a1493dc8f3ab438ae827cd",
+    ),
+    (
+        ("presets", "figure-2b", "--n-traj", "200", "--tau", "0.7", "--nbar", "2"),
+        "0ffc969b4bf745ad203ecf3d29db8c92c2a5810cc3ade8c2a5372f3e04f06f7d",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", SUMMARY_GOLDEN, ids=[" ".join(a) for a, _ in SUMMARY_GOLDEN]
+)
+def test_summary_digests(tmp_path, argv, digest):
+    assert cli.main(list(argv) + ["--seed", "5", "--output-dir", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == digest
