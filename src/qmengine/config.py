@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedConfigurationError
+from .gaussian import inv_2tau
 
 POLICIES = ("terminal", "per-step", "none")
 SCHEMES = ("stratonovich", "ito")
@@ -122,6 +123,15 @@ class EngineConfig:
             raise ValueError(
                 f"dt={dt} too large: must be <= {MAX_DT_FRACTION} * min(tau1, tau2, 1)"
             )
+        # a monitored channel's readout noise weight sqrt(tau/dt) must be
+        # finite; a float quotient overflows to inf, as a subnormal dt may make it
+        for name in ("tau1", "tau2"):
+            tau = getattr(self, name)
+            if inv_2tau(tau) and not tau / dt < math.inf:
+                raise ValueError(
+                    f"{name}={tau} with dt={dt}: the readout noise weight "
+                    f"sqrt({name}/dt) overflows"
+                )
         # a float quotient, so a subnormal dt that overflows it still compares
         steps = self.t_final / dt
         if steps > MAX_N_STEPS + 0.5:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import UnsupportedConfigurationError
-from .feedback import run_ensemble_arrays
+from .feedback import Steps, run_ensemble_arrays, run_ensembles
 from .gaussian import covariance_series, inv_2tau
 from .kolmogorov import two_sided_test
 
@@ -232,31 +232,48 @@ def monte_carlo_power(
     return mids, est, err
 
 
-def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> EfficiencySeries:
-    """Ensemble efficiency eta(t) = <W>/<Q> under per-step extraction.
+def efficiency_series(
+    configs: Sequence[EngineConfig], t_grid: Sequence[float]
+) -> list[EfficiencySeries]:
+    """Ensemble efficiency eta(t) = <W>/<Q> under per-step extraction, one
+    series per config.
 
-    Q adds to the harvested work the energy still stored in the covariances,
-    (q3 + q5)/4 - 1/2 (the general form, valid also for asymmetric
-    channels).  Standard errors come from batch means over trajectory
-    sub-ensembles (EFFICIENCY_BATCHES of them, at most n_traj // 2 but at
-    least two), so n_traj must be at least 2.  Where <Q> = 0 no energy has
-    entered and eta is undefined: a ValueError names the first such time.
+    The configs' ensembles step on the same normals (``run_ensembles``), so
+    they must agree on the seed, n_traj, t_final, dt and policy.  Q adds to
+    the harvested work the energy still stored in the covariances, (q3 +
+    q5)/4 - 1/2 (the general form, valid also for asymmetric channels).
+    Standard errors come from batch means over trajectory sub-ensembles
+    (EFFICIENCY_BATCHES of them, at most n_traj // 2 but at least two), so
+    n_traj must be at least 2.  Where <Q> = 0 no energy has entered and eta
+    is undefined: a ValueError names the first such time.
     """
-    if config.policy != "per-step":
-        raise UnsupportedConfigurationError(
-            f"efficiency series is defined for the per-step policy, got {config.policy!r}"
-        )
-    if config.n_traj < 2:
-        raise ValueError(f"efficiency series needs at least 2 trajectories, got {config.n_traj}")
-    steps = run_ensemble_arrays(config, t_grid, ["harvested"])
+    for config in configs:
+        if config.policy != "per-step":
+            raise UnsupportedConfigurationError(
+                f"efficiency series is defined for the per-step policy, got {config.policy!r}"
+            )
+        if config.n_traj < 2:
+            raise ValueError(
+                f"efficiency series needs at least 2 trajectories, got {config.n_traj}"
+            )
+    return [_efficiency(steps, t_grid) for steps in run_ensembles(configs, t_grid, ["harvested"])]
+
+
+def _efficiency(steps: Steps, t_grid: Sequence[float]) -> EfficiencySeries:
+    """eta(t) and its batch-means standard error from an ensemble's
+    ``harvested`` and ``cov`` at the times of t_grid."""
     excess = 0.25 * (steps.cov[:, 0] + steps.cov[:, 2]) - 0.5
-    n_batches = max(2, min(EFFICIENCY_BATCHES, config.n_traj // 2))
+    harvested = steps.harvested
+    n = harvested.shape[1]
+    n_batches = max(2, min(EFFICIENCY_BATCHES, n // 2))
+    # np.array_split's batches: the first r hold q + 1 trajectories, the rest q
+    q, r = divmod(n, n_batches)
+    cut = r * (q + 1)
 
     eta = np.empty(len(t_grid))
     err = np.empty(len(t_grid))
-    for i in range(len(t_grid)):
-        w = steps.harvested[i]
-        mean_w = math.fsum(memoryview(w)) / len(w)
+    for i, w in enumerate(harvested):
+        mean_w = math.fsum(memoryview(w)) / n
         energy = mean_w + excess[i]
         if energy == 0.0:
             raise ValueError(
@@ -264,10 +281,11 @@ def efficiency_series(config: EngineConfig, t_grid: Sequence[float]) -> Efficien
                 "no energy has entered"
             )
         eta[i] = mean_w / energy
-        batch_eta = [
-            (bm := float(np.mean(b))) / (bm + excess[i])
-            for b in np.array_split(w, n_batches)
-        ]
+        means = np.concatenate((
+            w[:cut].reshape(r, q + 1).mean(axis=1),
+            w[cut:].reshape(n_batches - r, q).mean(axis=1),
+        ))
+        batch_eta = means / (means + excess[i])
         err[i] = float(np.std(batch_eta, ddof=1)) / math.sqrt(n_batches)
     return EfficiencySeries(t=np.asarray(t_grid, dtype=float), eta=eta, stderr=err)
 

@@ -10,18 +10,22 @@ function, ``_chunk``, performs this update for a block of m trajectories
 with the run's constants (``_tables``) and fills one record, ``Steps``,
 supplied by its caller: the means, readouts, ledger and harvest of each
 trajectory at the recorded grid points, and the covariances shared by all
-of them.  ``run_ensemble_arrays`` hands it views of the ensemble's
-columns, one chunk at a time, and returns the record at the checkpoints;
-``run_trajectory`` is its m = 1 column at every grid point.  Noise comes
-from one stream per block of STREAM_BLOCK trajectories, so a trajectory's
-noise does not depend on how the ensemble is chunked.  ``_layout`` alone
-decides the cut: contiguous ranges of whole blocks, one per thread (up to
-one per CPU), each cut into near-equal cache-sized chunks within the bound
-on the noise in flight.  Each thread draws and advances its own
-trajectories into its own columns of the outputs, chunk after chunk in one
-anonymous mapping that holds its widest chunk's noise and its kernel's
-scratch (``_scratch``), so no buffer of a chunk's size is taken from the
-heap, where freed memory would stay resident; numpy releases the GIL in
+of them.  ``run_ensembles`` hands it views of each ensemble's columns,
+one chunk at a time, and returns the records at the checkpoints: ensembles
+that agree on the seed, the trajectory count, the step grid and the policy
+(figure-S3's three channel ratios) step on the same normals, drawn once.
+``run_ensemble_arrays`` is its one-ensemble case and ``run_trajectory`` the
+m = 1 column of that at every grid point.  Noise comes from one stream per
+block of STREAM_BLOCK trajectories, so a trajectory's noise does not depend
+on how the ensemble is chunked.  ``_layout`` alone decides the cut:
+contiguous ranges of whole blocks, one per thread (up to one per CPU), each
+cut into near-equal cache-sized chunks within the bound on the noise in
+flight.  Each thread draws its own trajectories' noise and advances them
+into its own columns of every record, chunk after chunk in one anonymous
+mapping that holds its widest chunk's noise and its kernel's scratch
+(``_scratch``), so no buffer of a chunk's size is taken from the heap,
+where freed memory would stay resident; the kernel reads the noise
+read-only, so no ensemble changes the next one's.  numpy releases the GIL in
 the draws and in the kernel's array operations, so the threads run at the
 same time, and results do not depend on their number.  One thread at a
 time steps a free-policy chunk, whose numpy calls are too short for two
@@ -61,7 +65,7 @@ import mmap
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import pairwise, product
 from contextlib import AbstractContextManager, nullcontext
 from threading import Event, Lock
 from typing import Collection, Sequence
@@ -82,9 +86,9 @@ NORMAL_FORM_TOL = 1e-9
 STREAM_BLOCK = 256
 
 #: Trajectory-steps of a per-step chunk, the kernel's one tile: chunks of
-#: max(1, PER_STEP_TILE // n_steps) trajectories keep their noise (640 kB at
-#: 2500 steps) and the kernel's seven buffers (2.2 MB) in cache.
-PER_STEP_TILE = 40_000
+#: max(1, PER_STEP_TILE // n_steps) trajectories keep their noise (320 kB at
+#: 2500 steps) and the kernel's seven buffers (1.1 MB) in cache.
+PER_STEP_TILE = 20_000
 
 #: Trajectory-steps of a free-policy chunk, and the fewest trajectories one
 #: holds: chunks of max(FREE_WIDTH, FREE_TILE // n_steps) trajectories keep
@@ -113,7 +117,7 @@ STREAM_LAYOUT = {
 @dataclass(frozen=True, slots=True)
 class Steps:
     """The record of a run, one trajectory or an ensemble: what ``_chunk``
-    fills and what ``run_trajectory`` and ``run_ensemble_arrays`` return.
+    fills and what ``run_trajectory`` and ``run_ensembles`` return.
 
     The per-trajectory fields have shape (len(record), m), one column per
     trajectory.  Row i belongs to the step ending at grid point record[i]; a
@@ -229,10 +233,11 @@ def _chunk(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
 
     ``noise`` has shape (m, n_steps, 2): two standard normals per trajectory
     and step, consumed also for unmonitored channels so the stream layout
-    does not depend on the channel setup.  ``t`` holds the run's constants
-    and the grid points to record, and ``out`` zeros in each field to
-    record, one row per recorded grid point and one column per trajectory;
-    the others are None, and only what the recorded ones need is computed.
+    does not depend on the channel setup, and only read.  ``t`` holds the
+    run's constants and the grid points to record, and ``out`` zeros in
+    each field to record, one row per recorded grid point and one column per
+    trajectory; the others are None, and only what the recorded ones need is
+    computed.
     A row for grid point 0 keeps its zeros.  ``work`` is the kernel's
     scratch, a flat float array of at least ``_scratch(m, n_steps,
     t.per_step)`` elements, which the kernel overwrites.  The scheme picks
@@ -507,9 +512,10 @@ def _mapping_floats(edges: list[int], n_steps: int, per_step: bool) -> int:
 
 
 def ensemble_layout(config: EngineConfig) -> dict[str, int]:
-    """The worker threads that ``run_ensemble_arrays`` uses for config's
+    """The worker threads that ``run_ensembles`` uses for config's
     ensemble (``workers``) and the bytes of their mappings (``scratch_bytes``),
-    as each run's manifest records them."""
+    as each run's manifest records them; ensembles that share their noise
+    share these too."""
     per_step = config.policy == "per-step"
     plan = _layout(config.n_traj, config.n_steps, per_step)
     floats = sum(_mapping_floats(edges, config.n_steps, per_step) for edges in plan)
@@ -544,16 +550,17 @@ class _BlockStreams:
 
 
 def _run_blocks(
-    t: _Tables,
+    tables: Sequence[_Tables],
     streams: _BlockStreams,
     edges: list[int],
-    out: Steps,
+    outs: Sequence[Steps],
     cancel: Event,
     stepping: AbstractContextManager,
 ) -> None:
-    """Advance the chunks between consecutive edges into views of their
-    columns of out, each chunk's steps within stepping.  Stops before its
-    next chunk once cancel is set.
+    """Advance the chunks between consecutive edges of every run in tables,
+    each into views of its columns of that run's record in outs.  A chunk's
+    noise is drawn once and handed to each run read-only, each run's steps
+    within stepping.  Stops before its next chunk once cancel is set.
     """
     # one anonymous mapping per worker holds its noise and its kernel's
     # scratch, so no buffer of a chunk's size comes from the heap: the
@@ -561,51 +568,77 @@ def _run_blocks(
     # heap memory freed on a worker thread stays resident in its malloc arena
     # (malloc's mmap threshold rises to the largest block freed), raising the
     # peak of every later run in the process
-    n_steps = len(t.drift)
+    n_steps, per_step = len(tables[0].drift), tables[0].per_step
     noise_floats = 2 * int(np.diff(edges).max()) * n_steps
-    mapping = np.frombuffer(mmap.mmap(-1, 8 * _mapping_floats(edges, n_steps, t.per_step)))
+    mapping = np.frombuffer(mmap.mmap(-1, 8 * _mapping_floats(edges, n_steps, per_step)))
     buffer = mapping[:noise_floats].reshape(-1, n_steps, 2)
     work = mapping[noise_floats:]
-    fields = [getattr(out, name) for name in STEP_FIELDS]
+    # the kernel reads the noise through a read-only view, so that no run
+    # can change the normals of the runs after it
+    shared = buffer.view()
+    shared.flags.writeable = False
+    fields = [[getattr(out, name) for name in STEP_FIELDS] for out in outs]
     for a, b in pairwise(edges):
         if cancel.is_set():
             return
-        noise = buffer[: b - a]
-        streams.fill(noise)
-        columns = Steps(*(f if f is None else f[:, a:b] for f in fields), cov=out.cov)
-        with stepping:
-            _chunk(t, noise, columns, work)
+        streams.fill(buffer[: b - a])
+        for t, out, columns in zip(tables, outs, fields):
+            view = Steps(*(f if f is None else f[:, a:b] for f in columns), cov=out.cov)
+            with stepping:
+                _chunk(t, shared[: b - a], view, work)
 
 
-def run_ensemble_arrays(
-    config: EngineConfig,
+#: The config values of the ensembles that ``run_ensembles`` runs on one
+#: set of normals: they fix the noise and the step grid.
+SHARED_NOISE = ("seed", "n_traj", "t_final", "dt", "policy")
+
+
+def run_ensembles(
+    configs: Sequence[EngineConfig],
     checkpoints: Sequence[float],
     fields: Collection[str] = STEP_FIELDS,
-) -> Steps:
-    """Advance n_traj independent trajectories, recording them at the checkpoints.
+) -> list[Steps]:
+    """Advance the n_traj trajectories of each config on the same normals,
+    recording them at the checkpoints.
 
-    Trajectory j consumes its slice of block stream (config.seed,
-    j // STREAM_BLOCK).  The blocks are split into one contiguous range per
+    The configs must agree on SHARED_NOISE (dt as resolved), and may differ
+    in everything else, such as the channels or nbar: each normal is drawn
+    once and every config steps on it, so the result for each config is
+    that of its own run, bit for bit, for the cost of one run's draws.
+    Trajectory j consumes its slice of block stream (seed, j //
+    STREAM_BLOCK).  The blocks are split into one contiguous range per
     worker thread (``_layout``); every block generator is created here, on
-    the calling thread, and each worker refills its own noise buffer for
-    each of its chunks and advances the chunk in its own columns.  Every
-    normal is drawn once, so results are independent of chunking and of the
-    worker count, and column j equals ``run_trajectory(config, j)`` at the
-    checkpoints.
+    the calling thread, and so are the tables of every config, which checks
+    them all before any worker starts.  Each worker refills its own noise
+    buffer for each of its chunks and advances the chunk in its own columns
+    of each config's record.  Every normal is drawn once, so results are
+    independent of chunking and of the worker count, and column j equals
+    ``run_trajectory(config, j)`` at the checkpoints.
     When a worker raises, or the caller is interrupted, the other workers
     stop at their next chunk and the exception is raised here.
     Checkpoint times must lie on the step grid, each at most once.
 
-    Returns the ``Steps`` of the ensemble at the checkpoints, one column per
-    trajectory.  ``fields`` names the per-trajectory fields to compute (by
-    default all of STEP_FIELDS); the others are None.
+    Returns the ``Steps`` of each config's ensemble at the checkpoints, one
+    column per trajectory, in the order of configs.  ``fields`` names the
+    per-trajectory fields to compute (by default all of STEP_FIELDS); the
+    others are None.
     """
     unknown = set(fields) - set(STEP_FIELDS)
     if unknown:
         raise ValueError(f"not a per-trajectory Steps field: {', '.join(sorted(unknown))}")
-    config.validate()
-    n_steps = config.n_steps
-    cp_idx = config.step_index(np.asarray(checkpoints, dtype=float))
+    if not configs:
+        raise ValueError("need at least one config")
+    for config in configs:
+        config.validate()
+    first = configs[0]
+    for config, name in product(configs[1:], SHARED_NOISE):
+        a, b = (getattr(c, "resolved_dt" if name == "dt" else name) for c in (first, config))
+        if a != b:
+            raise ValueError(
+                f"ensembles on shared noise must agree on {name}, got {a!r} and {b!r}"
+            )
+    n_steps = first.n_steps
+    cp_idx = first.step_index(np.asarray(checkpoints, dtype=float))
     if len(cp_idx) == 0:
         raise ValueError("need at least one checkpoint")
     # the later occurrences of repeated checkpoints: a stable sort keeps the first first
@@ -614,25 +647,31 @@ def run_ensemble_arrays(
     if len(repeats):
         i = repeats.min()
         raise ValueError(f"checkpoint time {checkpoints[i]} is repeated (step {cp_idx[i]})")
-    cov = covariance_series(config.nbar, config.tau1, config.tau2, config.resolved_dt, n_steps)
-    tables = _tables(config, cov, cp_idx)
+    tables = [
+        _tables(c, covariance_series(c.nbar, c.tau1, c.tau2, c.resolved_dt, n_steps), cp_idx)
+        for c in configs
+    ]
 
-    n_traj = config.n_traj
-    out = Steps(
-        *(np.zeros((len(cp_idx), n_traj)) if name in fields else None for name in STEP_FIELDS),
-        cov=tables.recorded_cov,
-    )
-    plan = _layout(n_traj, n_steps, tables.per_step)
-    streams = [_BlockStreams(config.seed, edges[0], edges[-1]) for edges in plan]
+    n_traj = first.n_traj
+    outs = [
+        Steps(
+            *(np.zeros((len(cp_idx), n_traj)) if name in fields else None for name in STEP_FIELDS),
+            cov=t.recorded_cov,
+        )
+        for t in tables
+    ]
+    per_step = tables[0].per_step
+    plan = _layout(n_traj, n_steps, per_step)
+    streams = [_BlockStreams(first.seed, edges[0], edges[-1]) for edges in plan]
     cancel = Event()
     # one worker at a time takes a free-policy chunk's steps while the others
     # draw: the numpy calls of those steps are short, so two workers stepping
     # at once mostly wait to hand the GIL back and forth between calls
-    stepping = nullcontext() if tables.per_step else Lock()
+    stepping = nullcontext() if per_step else Lock()
     with ThreadPoolExecutor(len(plan)) as pool:
         try:
             jobs = [
-                pool.submit(_run_blocks, tables, s, edges, out, cancel, stepping)
+                pool.submit(_run_blocks, tables, s, edges, outs, cancel, stepping)
                 for s, edges in zip(streams, plan)
             ]
             done, _ = wait(jobs, return_when=FIRST_EXCEPTION)
@@ -643,7 +682,17 @@ def run_ensemble_arrays(
             # after an error or an interrupt the other workers stop at their
             # next chunk, and the pool's exit waits for them
             cancel.set()
-    return out
+    return outs
+
+
+def run_ensemble_arrays(
+    config: EngineConfig,
+    checkpoints: Sequence[float],
+    fields: Collection[str] = STEP_FIELDS,
+) -> Steps:
+    """The ensemble of config at the checkpoints: the one-config case of
+    ``run_ensembles``, whose record it returns."""
+    return run_ensembles([config], checkpoints, fields)[0]
 
 
 def run_trajectory(config: EngineConfig, j: int = 0) -> Steps:

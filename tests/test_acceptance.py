@@ -130,7 +130,7 @@ def test_c07_efficiency_ordering():
             nbar=0.0, tau1=1.0, tau2=ratio, dt=0.01, t_final=25.0,
             n_traj=10_000, policy="per-step", seed=707 + i,
         )
-        series = qm.efficiency_series(cfg, [25.0])
+        (series,) = qm.efficiency_series([cfg], [25.0])
         finals[ratio] = (float(series.eta[0]), float(series.stderr[0]))
     eta_sym, se_sym = finals[1.0]
     sym_ok = abs(1.0 - eta_sym) <= 3.0 * se_sym + 1e-12

@@ -182,6 +182,37 @@ class TestParsing:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [["continuous"], ["presets", "figure-2b"]])
+    def test_readout_weight_overflow_exits_one_with_one_line(self, tmp_path, capsys, argv):
+        # dt = t_final = 1e-300 and tau/dt = 1e311: sqrt(tau/dt) is inf, and
+        # the ensemble would turn NaN
+        out = tmp_path / "out"
+        code = run_cli([*argv, "--tau", "1e11", "--t-final", "1e-300", "--output-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: tau1=100000000000.0 with dt=1e-300: the readout noise weight "
+            "sqrt(tau1/dt) overflows"
+        ]
+        assert not out.exists()
+
+    def test_readout_weight_overflow_names_the_channel(self):
+        # at and beyond NO_MEASUREMENT_TAU = 1e12 a channel is off and has no
+        # readout weight; just below it, tau/dt = 9.99e311 overflows
+        for tau2 in (1e12, math.inf):
+            qm.EngineConfig(tau2=tau2, t_final=1e-300).validate()
+        message = r"^tau2=999000000000\.0 with dt=1e-300: .* sqrt\(tau2/dt\) overflows$"
+        with pytest.raises(ValueError, match=message):
+            qm.EngineConfig(tau2=9.99e11, t_final=1e-300).validate()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["continuous"], ["presets", "figure-2b"]])
+    def test_unmonitored_channel_has_no_readout_weight_to_overflow(self, tmp_path, argv):
+        # tau = inf switches both channels off: the same horizon runs and passes
+        code = run_cli([*argv, "--tau", "inf", "--t-final", "1e-300", "--n-traj", "200",
+                        "--output-dir", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["results"]["mean_work"] == 0.0
+
     def test_asymmetric_ito_rejected(self, tmp_path):
         code = run_cli(
             ["continuous", "--tau1", "1", "--tau2", "0.9", "--scheme", "ito",
@@ -275,10 +306,11 @@ class TestOutputs:
             # a 2**20-byte noise copy and twenty rows
             (["presets", "figure-2c", "--n-traj", "600"], 2,
              sum(16 * m * 500 + 2**20 + 160 * m for m in (256, 344))),
-            # 2500 steps: per-step chunks of one tile, 16 trajectories; each
-            # worker maps their noise, seven tile buffers and two rows
+            # 2500 steps: per-step chunks of one tile, 8 trajectories; each
+            # worker maps their noise, seven tile buffers and two rows, which
+            # the three ensembles share: 2,880,256 bytes
             (["presets", "figure-S3", "--n-traj", "600"], 2,
-             2 * (16 * 16 * 2500 + 8 * (7 * 40_000 + 2 * 16))),
+             2 * (16 * 8 * 2500 + 8 * (7 * 20_000 + 2 * 8))),
             (["single-shot", "--n-traj", "500"], 0, 0),  # no ensemble
             (["presets", "figure-2f"], 0, 0),
         ],

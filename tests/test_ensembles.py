@@ -258,7 +258,7 @@ class TestEfficiencySeries:
         cfg = qm.EngineConfig(
             nbar=0.0, dt=0.01, t_final=5.0, n_traj=2000, policy="per-step", seed=18
         )
-        series = qm.efficiency_series(cfg, [1.0, 5.0])
+        (series,) = qm.efficiency_series([cfg], [1.0, 5.0])
         # vacuum + symmetric channels: covariance excess is identically zero
         assert series.eta[0] == 1.0 and series.eta[1] == 1.0
         assert series.stderr[0] == 0.0
@@ -267,7 +267,7 @@ class TestEfficiencySeries:
         cfg = qm.EngineConfig(
             nbar=1.0, dt=0.01, t_final=10.0, n_traj=2000, policy="per-step", seed=19
         )
-        series = qm.efficiency_series(cfg, [0.01, 1.0, 10.0])
+        (series,) = qm.efficiency_series([cfg], [0.01, 1.0, 10.0])
         # just after the start Q is dominated by the thermal variance excess
         assert series.eta[0] < 0.05
         assert np.all(np.diff(series.eta) > 0.0)
@@ -278,19 +278,37 @@ class TestEfficiencySeries:
             nbar=0.0, tau2=0.9, dt=0.01, t_final=15.0, n_traj=2000,
             policy="per-step", seed=20,
         )
-        series = qm.efficiency_series(cfg, [15.0])
+        (series,) = qm.efficiency_series([cfg], [15.0])
         assert 1.0 - series.eta[0] > 3.0 * series.stderr[0]
+
+    @pytest.mark.parametrize("n_traj", [1003, 10007])
+    def test_batch_means_are_those_of_the_array_split_loop(self, n_traj):
+        # uneven batches: 1003 trajectories are 3 batches of 11 and 97 of 10,
+        # 10007 are 7 of 101 and 93 of 100; every stderr has the loop's bits
+        cfg = qm.EngineConfig(
+            nbar=1.0, tau2=0.9, dt=0.01, t_final=1.0, n_traj=n_traj, policy="per-step", seed=31
+        )
+        grid = [0.01, 0.5, 1.0]
+        (series,) = qm.efficiency_series([cfg], grid)
+        steps = run_ensemble_arrays(cfg, grid, ["harvested"])
+        excess = 0.25 * (steps.cov[:, 0] + steps.cov[:, 2]) - 0.5
+        for i, w in enumerate(steps.harvested):
+            batch_eta = [
+                (bm := float(np.mean(b))) / (bm + excess[i]) for b in np.array_split(w, 100)
+            ]
+            want = float(np.std(batch_eta, ddof=1)) / math.sqrt(100)
+            assert bits(series.stderr[i]) == bits(want), i
 
     def test_requires_per_step_policy(self):
         with pytest.raises(UnsupportedConfigurationError):
-            qm.efficiency_series(qm.EngineConfig(policy="terminal"), [1.0])
+            qm.efficiency_series([qm.EngineConfig(policy="terminal")], [1.0])
 
     def test_needs_two_trajectories_before_any_ensemble_runs(self):
         # one trajectory leaves a batch of the standard errors empty
         cfg = qm.EngineConfig(dt=0.01, t_final=1.0, n_traj=1, policy="per-step")
-        with mock.patch.object(ensembles, "run_ensemble_arrays") as ensemble, \
+        with mock.patch.object(ensembles, "run_ensembles") as ensemble, \
                 pytest.raises(ValueError, match="at least 2 trajectories, got 1"):
-            qm.efficiency_series(cfg, [1.0])
+            qm.efficiency_series([cfg], [1.0])
         ensemble.assert_not_called()
 
     @pytest.mark.filterwarnings("error")
@@ -302,7 +320,7 @@ class TestEfficiencySeries:
             policy="per-step",
         )
         with pytest.raises(ValueError, match=r"undefined at t = 0\.5: <W> \+ excess = 0"):
-            qm.efficiency_series(cfg, [0.5, 1.0, 2.0])
+            qm.efficiency_series([cfg], [0.5, 1.0, 2.0])
 
 
 class TestLedgerMeanWork:

@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmengine as qm
-from qmengine import feedback
+from qmengine import cli, feedback
 from qmengine.config import MAX_N_STEPS
 from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import NORMAL_FORM_TOL, Steps, run_ensemble_arrays
-from qmengine.gaussian import NO_MEASUREMENT_TAU, inv_2tau
+from qmengine.gaussian import NO_MEASUREMENT_TAU, covariance_series, inv_2tau
 
 #: The per-trajectory fields of Steps; with cov, all of its fields.
 STEP_FIELDS = ("q1", "q2", "r1", "r2", "increment", "ledger", "harvest", "harvested")
@@ -462,10 +462,10 @@ class TestStreamLayout:
         assert budget // (16 * 20_000) == 150  # under one block
         with mock.patch.object(feedback, "worker_threads", lambda: 2):
             # a free ensemble's budget under one block holds one worker and
-            # chunks of at most 150; a per-step one holds a 2-trajectory tile
+            # chunks of at most 150; a per-step one holds a 1-trajectory tile
             # for each of two workers
             assert feedback._layout(1000, 20_000) == [[0, 142, 285, 428, 571, 714, 857, 1000]]
-            assert feedback._layout(1000, 20_000, per_step=True)[0][:3] == [0, 2, 4]
+            assert feedback._layout(1000, 20_000, per_step=True)[0][:3] == [0, 1, 2]
 
 
 @functools.cache
@@ -712,8 +712,8 @@ class TestWorkers:
                     assert widths.min() >= 1
                     assert widths.max() <= max(1, tile // n_steps)
         with mock.patch.object(feedback, "worker_threads", lambda: 2):
-            # figure-S3: 16 trajectories by 2500 steps, 640 kB of noise
-            assert [len(e) - 1 for e in feedback._layout(10_000, 2500, True)] == [320, 305]
+            # figure-S3: 8 trajectories by 2500 steps, 320 kB of noise
+            assert [len(e) - 1 for e in feedback._layout(10_000, 2500, True)] == [640, 610]
             cfg = qm.EngineConfig(dt=0.01, t_final=25.0, n_traj=10_000, policy="per-step")
             assert feedback.ensemble_layout(cfg)["workers"] == 2
 
@@ -776,6 +776,117 @@ class TestScratch:
             assert feedback.ensemble_layout(cfg) == {
                 "workers": 2, "scratch_bytes": sum(mappings)
             }
+
+
+def shared_configs(policy, scheme):
+    """Configs that share WORKER_CONFIGS[policy, scheme]'s noise: figure-S3's
+    three channel ratios and a warmer start, or under Ito, which needs
+    symmetric channels, a warmer start and slower channels."""
+    base = WORKER_CONFIGS[policy, scheme]
+    if scheme == "ito":
+        changes = [{}, {"nbar": 2.0}, {"tau1": 0.8, "tau2": 0.8}]
+    else:
+        changes = [{"tau2": ratio} for ratio in (1.0, 0.9, 1.2)] + [{"nbar": 2.0}]
+    return [dataclasses.replace(base, **change) for change in changes]
+
+
+class TestSharedNoise:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fields", [STEP_FIELDS, ("harvested",)], ids=["all", "harvested"])
+    @pytest.mark.parametrize("key", sorted(WORKER_CONFIGS))
+    def test_shared_records_are_the_separate_ones(self, key, fields, threads):
+        # blocks of 4: 11 trajectories are 3 blocks, shared by `threads` workers
+        configs = shared_configs(*key)
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "worker_threads", lambda: threads):
+            assert len(feedback._layout(11, 20, key[0] == "per-step")) == threads
+            shared = feedback.run_ensembles(configs, FIELD_CHECKPOINTS, fields)
+            separate = [run_ensemble_arrays(c, FIELD_CHECKPOINTS, fields) for c in configs]
+        assert len(shared) == len(configs)
+        for got, want in zip(shared, separate):
+            assert np.array_equal(got.cov, want.cov)
+            assert_same_fields(got, want, STEP_FIELDS, fields)
+        if fields == STEP_FIELDS:
+            # the configs step differently on the same normals
+            assert not np.array_equal(shared[0].q1, shared[1].q1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 14), ("n_traj", 12), ("t_final", 0.3), ("dt", 0.005), ("policy", "none"),
+    ])
+    def test_configs_must_agree_on_the_noise(self, name, value):
+        base = CHUNK_CONFIGS["terminal"]
+        other = dataclasses.replace(base, **{name: value})
+        message = f"^ensembles on shared noise must agree on {name}, "
+        with mock.patch.object(feedback, "_run_blocks") as run_blocks, \
+                pytest.raises(ValueError, match=message):
+            feedback.run_ensembles([base, other], [0.1])
+        run_blocks.assert_not_called()
+
+    def test_dt_is_compared_as_resolved(self):
+        # the default dt of t_final = 1 is 0.01
+        base = qm.EngineConfig(n_traj=5, policy="per-step", seed=3)
+        configs = [base, dataclasses.replace(base, dt=0.01, nbar=1.0)]
+        shared = feedback.run_ensembles(configs, [1.0], ["harvested"])
+        for got, config in zip(shared, configs):
+            want = run_ensemble_arrays(config, [1.0], ["harvested"])
+            assert np.array_equal(got.harvested, want.harvested)
+
+    def test_every_config_is_checked_before_any_worker_starts(self):
+        # the second config's covariance flow leaves the physical region at
+        # this dt, which building its tables finds, or it fails validate
+        base = qm.EngineConfig(
+            tau1=1e-3, tau2=1e-3, dt=1e-4, t_final=0.002, n_traj=11, policy="per-step"
+        )
+        for nbar, error in ((1000.0, qm.UncertaintyViolationError), (-1.0, ValueError)):
+            with mock.patch.object(feedback, "_run_blocks") as run_blocks, pytest.raises(error):
+                feedback.run_ensembles([base, dataclasses.replace(base, nbar=nbar)], [0.001])
+            run_blocks.assert_not_called()
+
+    def test_no_config_is_an_error(self):
+        with pytest.raises(ValueError, match="need at least one config"):
+            feedback.run_ensembles([], [0.1])
+
+    @pytest.mark.parametrize("scheme", ["stratonovich", "ito"])
+    @pytest.mark.parametrize("policy", ["per-step", "terminal"])
+    def test_the_kernel_only_reads_the_noise(self, policy, scheme):
+        # every field of both kernels, on noise that raises if written
+        cfg = WORKER_CONFIGS[policy, scheme]
+        cov = covariance_series(cfg.nbar, cfg.tau1, cfg.tau2, cfg.resolved_dt, cfg.n_steps)
+        noise = np.random.default_rng(3).standard_normal((5, cfg.n_steps, 2))
+        frozen = noise.copy()
+        frozen.flags.writeable = False
+        record = [0, 1, 10, 20]
+        got, want = _advance(cfg, cov, frozen, record), _advance(cfg, cov, noise, record)
+        assert_same_fields(got, want, STEP_FIELDS, STEP_FIELDS)
+        assert np.array_equal(frozen, noise)
+
+    def test_the_ensembles_hand_the_kernel_read_only_noise(self):
+        seen = []
+        chunk = feedback._chunk
+
+        def recording_chunk(tables, noise, *rest):
+            seen.append(noise.flags.writeable)
+            return chunk(tables, noise, *rest)
+
+        with mock.patch.object(feedback, "_chunk", recording_chunk):
+            feedback.run_ensembles(shared_configs("per-step", "stratonovich"), [0.2])
+            run_ensemble_arrays(CHUNK_CONFIGS["terminal"], [0.2])
+        assert seen and not any(seen)
+
+    def test_figure_s3_draws_each_block_once(self, tmp_path):
+        # 600 trajectories are 3 blocks: their generators are created once
+        # for the three channel ratios, not once per ratio
+        streams = []
+        generator = qm.NoiseSource.generator
+
+        def counting_generator(source):
+            streams.append(source.stream)
+            return generator(source)
+
+        with mock.patch.object(qm.NoiseSource, "generator", counting_generator):
+            cli.main(["presets", "figure-S3", "--n-traj", "600", "--output-dir", str(tmp_path)])
+        assert (tmp_path / "efficiency_series.csv").exists()
+        assert streams == [0, 1, 2]
 
 
 class TestCheckpoints:
