@@ -26,6 +26,8 @@ import math
 import platform
 import sys
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,7 @@ import numpy as np
 # its cost stays in the import instead of inside figure-2b's run
 import numpy.ma
 
-from . import __version__
+from . import __version__, feedback
 from .config import EngineConfig, POLICIES, SCHEMES
 from .ensembles import (
     KS_MIN_SAMPLES,
@@ -181,9 +183,10 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-#: Rows formatted and written together by _write_csv; a block's byte matrix
-#: stays under about 1 MB.
-_CSV_BLOCK_ROWS = 4096
+#: Rows formatted together by one of _write_csv's threads.  Each numpy call
+#: of a block may hand the GIL to another thread, so two threads gain only
+#: on blocks this long; a worker's temporaries peak at about 4.4 MB.
+_CSV_BLOCK_ROWS = 12288
 
 #: 10**p for p = 0..22, every one an exact double, and its Dekker split.
 _POW10 = np.array([float(10**p) for p in range(23)])
@@ -405,7 +408,10 @@ def _csv_block(arrays: list[np.ndarray], start: int) -> bytes:
         end += c.shape[1] + 1
         block[:, end - 1] = ord(",")
     block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, b"\0")
+    # numpy drops the zero bytes without the GIL, where bytes.translate
+    # holds it, so the writer's threads strip their blocks at once
+    flat = block.reshape(-1)
+    return flat[flat != 0].tobytes()
 
 
 def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
@@ -419,20 +425,40 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
     exactly, and hi is an even integer above 2**53, so hi + rint(lo) rounds
     half to even like '%.17g'); _fmt formats the rest, |v| < 1e-6,
     |v| >= 1e17, inf and nan, one cell at a time.
-    Rows are formatted, written and hashed _CSV_BLOCK_ROWS at a time, and
-    an array given for several columns is formatted once per block.
+    Rows are formatted _CSV_BLOCK_ROWS at a time on one worker thread per
+    CPU the process may use (feedback.worker_threads), and an array given
+    for several columns is formatted once per block.  The calling thread
+    writes and hashes the finished blocks in file order; the file write and
+    hashlib release the GIL, so that work overlaps the formatting.  At most
+    one block more than there are workers is in flight.
     """
     arrays = [np.asarray(col) for col in columns.values()]
     if len({len(a) for a in arrays}) != 1:
         lengths = ", ".join(f"{name}={len(a)}" for name, a in zip(columns, arrays))
         raise ValueError(f"CSV columns differ in length: {lengths}")
     header = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
-    blocks = (_csv_block(arrays, start) for start in range(0, len(arrays[0]), _CSV_BLOCK_ROWS))
+    starts = range(0, len(arrays[0]), _CSV_BLOCK_ROWS)
+    workers = max(1, min(feedback.worker_threads(), len(starts)))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for data in itertools.chain([header.encode()], blocks):
+        def put(data: bytes) -> None:
             fh.write(data)
             digest.update(data)
+
+        put(header.encode())
+        pool = ThreadPoolExecutor(workers)
+        pending = deque()
+        try:
+            for start in starts:
+                pending.append(pool.submit(_csv_block, arrays, start))
+                if len(pending) > workers:
+                    put(pending.popleft().result())
+            while pending:
+                put(pending.popleft().result())
+        finally:
+            # after an error or an interrupt the queued blocks are dropped,
+            # and the pool is joined before the caller removes the file
+            pool.shutdown(cancel_futures=True)
     return digest.hexdigest()
 
 

@@ -87,13 +87,30 @@ def erfc(x):
     1 - erf(x) for |x| < 1; exp(-x**2) times a rational function of |x|
     beyond, reflected as 2 - erfc(|x|) for x < 0; 0 or 2 where exp(-x**2)
     underflows.  exp(-x**2) is libm's, through math.exp: numpy's vectorised
-    exp differs from it in the last bit at some points.  An array is
-    evaluated element by element in Python floats.
+    exp differs from it in the last bit at some points.  An array takes the
+    same branches and Horner steps as numpy arrays, whose + - * / round
+    like Python floats and are never fused; only exp(-x**2) is evaluated
+    element by element.
     """
     if np.ndim(x) == 0:
         return _erfc_scalar(float(x))
     a = np.asarray(x, dtype=float)
-    return np.array([_erfc_scalar(t) for t in a.ravel().tolist()], dtype=float).reshape(a.shape)
+    x = np.abs(a)
+    y = np.where(a < 0.0, 2.0, 0.0)  # where exp(-x*x) underflows
+    # each branch sees only its own lanes, so inf and nan raise no warning
+    near = ~(x >= 1.0)  # also NaN
+    s = a[near]
+    z = s * s
+    y[near] = 1.0 - s * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    with np.errstate(over="ignore"):  # x*x is inf past 1.3e154, as in Python floats
+        tail = ~near & (a * a <= _MAXLOG)
+    branches = ((tail & (x < 8.0), _ERFC_P, _ERFC_Q), (tail & (x >= 8.0), _ERFC_R, _ERFC_S))
+    for lanes, p, q in branches:
+        s, t = a[lanes], x[lanes]
+        e = np.fromiter(map(math.exp, (-s * s).tolist()), float, len(s))
+        v = e * _polevl(t, p) / _polevl(t, q)
+        y[lanes] = np.where(s < 0.0, 2.0 - v, v)
+    return y
 
 
 def sample_outcomes(

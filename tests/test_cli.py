@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 from decimal import Decimal
 from pathlib import Path
 from unittest import mock
@@ -425,18 +427,20 @@ def csv_column(draw, n_rows: int):
 
 
 class TestCsvWriter:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "n_rows", [0, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2]
     )
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_bytes_match_the_cell_by_cell_writer(self, n_rows, data):
+    def test_bytes_match_the_cell_by_cell_writer(self, n_rows, workers, data):
         n_cols = data.draw(st.integers(1, 4), label="n_cols")
         columns = {f"c{i}": data.draw(csv_column(n_rows)) for i in range(n_cols)}
         comments = ["unit line", "second comment"]
         expected = reference_csv(comments, columns)
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK):
+                mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK), \
+                mock.patch.object(feedback, "worker_threads", lambda: workers):
             path = Path(tmp) / "out.csv"
             digest = cli._write_csv(path, comments, columns)
             written = path.read_bytes()
@@ -444,10 +448,12 @@ class TestCsvWriter:
         assert digest == hashlib.sha256(expected).hexdigest()
 
     def test_repeated_column_is_formatted_once_per_block(self, tmp_path):
-        # single-shot writes theta as both theta and wait_time
+        # single-shot writes theta as both theta and wait_time; one worker,
+        # because the mock's call count is not updated atomically
         theta = np.random.default_rng(3).uniform(0.0, 6.0, 2 * SMALL_BLOCK + 1)
         columns = {"r": 2.0 * theta, "theta": theta, "wait_time": theta}
         with mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK), \
+                mock.patch.object(feedback, "worker_threads", lambda: 1), \
                 mock.patch.object(cli, "_column_cells", wraps=cli._column_cells) as cells:
             cli._write_csv(tmp_path / "out.csv", [], columns)
         assert (tmp_path / "out.csv").read_bytes() == reference_csv([], columns)
@@ -460,9 +466,10 @@ class TestCsvWriter:
             cli._write_csv(path, [], columns)
         assert not path.exists()
 
-    def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch, capsys, workers):
         real_open = open
-        written: list[int] = []
+        written: list[bytes] = []
 
         class FullDisk:
             """A binary file whose third write fails as on a full disk."""
@@ -479,17 +486,101 @@ class TestCsvWriter:
             def write(self, data):
                 if len(written) == 2:
                     raise OSError(errno.ENOSPC, "No space left on device")
-                written.append(len(data))
+                written.append(data)
                 return self.fh.write(data)
 
+        argv = ["single-shot", "--n-traj", "100", "--seed", "1"]
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 8)
+        monkeypatch.setattr(feedback, "worker_threads", lambda: workers)
+        assert run_cli(argv + ["--output-dir", str(tmp_path / "full")]) == 0
+        whole = (tmp_path / "full" / "cycles.csv").read_bytes()
         monkeypatch.setattr(cli, "open", FullDisk, raising=False)
-        code = run_cli(
-            ["single-shot", "--n-traj", "100", "--seed", "1", "--output-dir", str(tmp_path)]
-        )
+        code = run_cli(argv + ["--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert "No space left on device" in capsys.readouterr().err
-        assert len(written) == 2  # header and first block reached the file
+        # the header, then the first block of eight rows, reached the file
+        assert len(written) == 2
+        assert written[0].endswith(b"r,theta,wait_time,work\n")
+        assert written[1].count(b"\n") == 8
+        assert whole.startswith(b"".join(written))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_one_block_more_than_the_workers_is_in_flight(self, tmp_path, workers):
+        # the file write of the first block stalls; meanwhile the workers
+        # start only the blocks already handed to them
+        real_open, csv_block = open, cli._csv_block
+        formatted, seen = [], []
+
+        def counting_block(arrays, start):
+            formatted.append(start)
+            return csv_block(arrays, start)
+
+        class SlowDisk:
+            def __init__(self, *args, **kwargs):
+                self.fh, self.writes = real_open(*args, **kwargs), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 2:
+                    time.sleep(0.3)
+                    seen.append(len(formatted))
+                return self.fh.write(data)
+
+        columns = {"x": np.arange(25 * SMALL_BLOCK) / 7.0}
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK), \
+                mock.patch.object(feedback, "worker_threads", lambda: workers), \
+                mock.patch.object(cli, "_csv_block", counting_block), \
+                mock.patch.object(cli, "open", SlowDisk, create=True):
+            cli._write_csv(tmp_path / "out.csv", [], columns)
+        assert seen == [workers + 1]
+        assert sorted(formatted) == list(range(0, 25 * SMALL_BLOCK, SMALL_BLOCK))
+        assert (tmp_path / "out.csv").read_bytes() == reference_csv([], columns)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("failure", [ValueError, KeyboardInterrupt])
+    def test_failing_block_stops_the_writer(self, tmp_path, capsys, workers, failure):
+        # block 2 of 25 fails on a worker thread (a KeyboardInterrupt stands
+        # for an interrupt as the caller waits for it) while block 3 is still
+        # being formatted: the writer waits for block 3, and only then is
+        # the file removed
+        csv_block = cli._csv_block
+        out = tmp_path / "out"
+        block_3_started, threads, file_kept = threading.Event(), [], []
+
+        def failing_block(arrays, start):
+            threads.append(threading.current_thread())
+            if start == 2 * 8:
+                block_3_started.wait(10)
+                raise failure("block formatting failed")
+            if start == 3 * 8:
+                block_3_started.set()
+                time.sleep(0.2)
+                file_kept.append((out / "cycles.csv").exists())
+            return csv_block(arrays, start)
+
+        live = threading.active_count()
+        argv = ["single-shot", "--n-traj", "200", "--output-dir", str(out)]
+        with mock.patch.object(cli, "_CSV_BLOCK_ROWS", 8), \
+                mock.patch.object(feedback, "worker_threads", lambda: workers), \
+                mock.patch.object(cli, "_csv_block", failing_block):
+            if failure is KeyboardInterrupt:
+                with pytest.raises(KeyboardInterrupt):
+                    run_cli(argv)
+            else:
+                assert run_cli(argv) == 1
+                err = capsys.readouterr().err.strip().splitlines()
+                assert len(err) == 1 and "block formatting failed" in err[0]
+        assert file_kept == [True]
+        assert threading.active_count() == live
+        assert threading.main_thread() not in threads
+        assert len(threads) < 25
         assert list(tmp_path.iterdir()) == []
 
 

@@ -189,6 +189,26 @@ class TestErfc:
             assert np.float64(got).tobytes() == want.tobytes(), x
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_array_path_matches_the_scalar_loop_in_every_branch(self):
+        rng = np.random.default_rng(21)
+        sign = rng.choice([-1.0, 1.0], 20_000)
+        branches = {
+            "|x| < 1": rng.uniform(-1.0, 1.0, 20_000),
+            "1 <= |x| < 8": rng.uniform(1.0, 8.0, 20_000) * sign,
+            "8 <= |x| <= cut": rng.uniform(8.0, _MAXLOG_CUT, 20_000) * sign,
+            # exp(-x*x) underflows, and x*x overflows past 1.3e154
+            "underflow": np.concatenate([
+                rng.uniform(_MAXLOG_CUT, 1e3, 10_000), 10.0 ** rng.uniform(3.0, 308.0, 10_000)
+            ]) * sign,
+            "edges": ERFC_EDGES,
+            "non-finite and zeros": np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0]),
+        }
+        for name, points in branches.items():
+            want = np.array([single_shot._erfc_scalar(x) for x in points.tolist()])
+            assert single_shot.erfc(points).tobytes() == want.tobytes(), name
+
+
 class TestAddedQuantum:
     @pytest.mark.parametrize("nbar", [0.0, 5.0])
     def test_one_quantum_added(self, nbar):
