@@ -38,4 +38,4 @@ from .thermo import (
     classical_cycle,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

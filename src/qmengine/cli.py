@@ -642,7 +642,7 @@ def _run_continuous(
             results["ks_not_applicable"] = "the exact work law is a point mass at W = 0"
         else:
             ks = ks_compare(stats.samples, lambda w: exact_work_cdf(w, rate))
-            results.update({"ks_statistic": ks.statistic, "ks_pvalue": ks.pvalue})
+            results.update({"ks_statistic": ks.statistic, "ks_pvalue_bound": ks.pvalue})
             checks["work_distribution_ks_pass_1pct"] = ks.passed
     out = {"results": results, "checks": checks, "layout": ensemble_layout(config)}
     return out, stats, rate

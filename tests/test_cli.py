@@ -330,7 +330,7 @@ class TestOutputs:
     def test_manifest_records_stream_layout_and_versions(self, continuous_run):
         _, out = continuous_run
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["version"] == qm.__version__ == "0.2.0"
+        assert manifest["version"] == qm.__version__ == "0.3.0"
         assert manifest["noise_streams"] == {
             "bit_generator": "PCG64",
             "seeding": "SeedSequence(seed, spawn_key=(block,))",
@@ -1248,7 +1248,7 @@ class TestExitCodes:
         assert summary["results"]["ks_not_applicable"] == (
             f"need at least 100 samples, got {n_traj}"
         )
-        assert "ks_pvalue" not in summary["results"]
+        assert "ks_pvalue_bound" not in summary["results"]
         samples = load_csv(tmp_path / "work_samples.csv")["work"]
         assert len(samples) == n_traj
         assert (tmp_path / "trajectory.csv").exists()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -11,15 +10,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
-from scipy import special
 from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, norm
 
 import qmengine as qm
-from qmengine import ensembles, kolmogorov
+from qmengine import ensembles
 from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import run_ensemble_arrays
 from qmengine.gaussian import NO_MEASUREMENT_TAU, covariance_series
@@ -385,122 +382,45 @@ class TestKsCompare:
             assert math.isnan(res.statistic) and math.isnan(res.pvalue)
             assert res.passed is False
         else:
-            ref = kstest(samples, cdf, method="exact")
-            assert bits(res.statistic) == bits(ref.statistic)
-            assert bits(res.pvalue) == bits(ref.pvalue)
+            assert_matches_kstest(res, samples, cdf)
 
+    def test_nan_statistic_has_nan_p_value_and_does_not_pass(self):
+        samples = qm.NoiseSource(25).generator().exponential(1.0, size=500)
+        res = qm.ks_compare(samples, lambda w: np.full_like(w, np.nan))
+        assert math.isnan(res.statistic) and math.isnan(res.pvalue)
+        assert res.passed is False
 
-#: (n, d) pairs that reach each branch of the survival function; the name
-#: is the branch, and the helper it must call (None: a closed form).
-SF_BRANCHES = {
-    "d-at-most-half-over-n": (100, 0.005, None),
-    "d-at-least-one": (100, 1.0, None),
-    "nd-at-most-1-n<=140": (5, 0.19, None),
-    "nd-at-most-1-n>140": (200, 0.004, None),
-    "nd-at-least-n-1": (5, 0.85, None),
-    "nd-at-least-n-1-large-n": (100, 0.995, None),
-    "d-at-least-half": (100, 0.6, "smirnov"),
-    "n<=140-dmtw": (100, 0.08, "_kolmogn_DMTW"),
-    "n<=140-dmtw-edge": (100, 0.086, "_kolmogn_DMTW"),
-    "n<=140-pomeranz": (100, 0.15, "_kolmogn_Pomeranz"),
-    "n<=140-smirnov": (140, 0.25, "smirnov"),
-    "n>140-ndd>=370": (10_000, 0.2, None),
-    "n>140-ndd>=2.2-smirnov": (10_000, 0.02, "smirnov"),
-    "n>140-dmtw": (141, 0.02, "_kolmogn_DMTW"),
-    "n>140-dmtw-rescaled": (10_000, 0.0025, "_kolmogn_DMTW"),
-    "n>140-dmtw-n=1e5": (100_000, 0.00025, "_kolmogn_DMTW"),
-    "n>140-pelz-good": (141, 0.05, "_kolmogn_PelzGood"),
-    "n>140-pelz-good-wide": (10_000, 0.01, "_kolmogn_PelzGood"),
-    "n>1e5-pelz-good": (200_000, 0.002, "_kolmogn_PelzGood"),
-    "n>1e5-pelz-good-edge": (100_001, 0.00025, "_kolmogn_PelzGood"),
-    "n>1e5-pelz-good-underflow": (200_000, 7.5e-6, "_kolmogn_PelzGood"),
-}
-HELPERS = ("smirnov", "_kolmogn_DMTW", "_kolmogn_Pomeranz", "_kolmogn_PelzGood")
-
-
-#: Relative tolerance of the Birnbaum-Tingey ``smirnov`` against scipy's
-#: up to n = 10**6, where the largest difference measured was 3.2e-13
-SMIRNOV_RTOL = 1e-11
-
-
-def smirnov_mp(n: int, d: float) -> mpmath.mpf:
-    """The Birnbaum-Tingey sum in 40-digit arithmetic."""
-    with mpmath.workdps(40):
-        d = mpmath.mpf(d)
-        total = mpmath.fsum(
-            mpmath.binomial(n, j) * (1 - d - mpmath.mpf(j) / n) ** (n - j)
-            * (d + mpmath.mpf(j) / n) ** (j - 1)
-            for j in range(n + 1) if j < n * (1 - d)
-        )
-        return d * total
-
-
-def sf_with_spies(n: int, d: float) -> tuple[np.float64, set[str]]:
-    """kstwo_sf(d, n), and the helpers it called."""
-    spies = {
-        name: mock.patch.object(kolmogorov, name, wraps=getattr(kolmogorov, name))
-        for name in HELPERS
-    }
-    with contextlib.ExitStack() as stack:
-        called = {name: stack.enter_context(spy) for name, spy in spies.items()}
-        sf = kolmogorov.kstwo_sf(d, n)
-    return sf, {name for name, spy in called.items() if spy.called}
-
-
-class TestKolmogorovPort:
-    @pytest.mark.parametrize(
-        "n,d,helper",
-        [case for case in SF_BRANCHES.values() if case[2] != "smirnov"],
-        ids=[name for name, case in SF_BRANCHES.items() if case[2] != "smirnov"],
-    )
-    def test_survival_function_matches_scipy_bit_for_bit(self, n, d, helper):
-        sf, called = sf_with_spies(n, d)
-        assert bits(sf) == bits(kstwo.sf(d, n))
-        assert called == ({helper} if helper else set())
-
-    @pytest.mark.parametrize(
-        "n,d",
-        [case[:2] for case in SF_BRANCHES.values() if case[2] == "smirnov"],
-        ids=[name for name, case in SF_BRANCHES.items() if case[2] == "smirnov"],
-    )
-    def test_smirnov_branch_matches_scipy(self, n, d):
-        sf, called = sf_with_spies(n, d)
-        assert sf == pytest.approx(kstwo.sf(d, n), rel=SMIRNOV_RTOL)
-        assert called == {"smirnov"}
-
-    @pytest.mark.parametrize("n", [141, 1_000, 10_000, 100_000, 200_000])
-    def test_smirnov_matches_scipy_across_the_tail(self, n):
-        # n*d**2 from the branch's lower edge 2.2 to p ~ 1e-10, and d >= 1/2
-        for d in [*np.sqrt(np.array([2.2, 3.0, 5.0, 8.0, 12.0]) / n), 0.5, 0.7]:
-            ours, ref = kolmogorov.smirnov(n, d), special.smirnov(n, d)
-            assert ours == pytest.approx(ref, rel=SMIRNOV_RTOL)
-            assert (2 * ours >= 0.01) == (2 * ref >= 0.01)
-
-    @pytest.mark.filterwarnings("error")
-    def test_smirnov_on_the_1_over_n_grid(self):
-        # n*(1 - d) rounds up past an integer for some d = k/n, which puts a
-        # term with d + j/n = 1 (or just above) at the end of the sum
-        n = 141
-        for d in np.arange(18, 140) / n:
-            assert kolmogorov.smirnov(n, d) == pytest.approx(
-                special.smirnov(n, d), rel=SMIRNOV_RTOL, abs=1e-300
+    @pytest.mark.parametrize("n", [100, 120, 141, 10_000, 50_000])
+    def test_ks_compare_matches_scipy(self, n):
+        rng = qm.NoiseSource(26, n).generator()
+        for scale in (1.0, 1.02, 1.3):
+            assert_matches_kstest(
+                qm.ks_compare(samples := rng.exponential(scale, size=n), exp_cdf),
+                samples, exp_cdf,
             )
 
-    @pytest.mark.parametrize(
-        "n,d", [(141, math.sqrt(3.0 / 141)), (500, 0.1), (2_000, math.sqrt(2.2 / 2_000)),
-                (2_000, math.sqrt(8.0 / 2_000)), (300, 0.6)],
-    )
-    def test_smirnov_matches_a_40_digit_sum(self, n, d):
-        assert kolmogorov.smirnov(n, d) == pytest.approx(float(smirnov_mp(n, d)), rel=1e-13)
+    def test_bound_is_never_below_the_exact_p_value_and_falls_with_d(self):
+        # sorted samples i/n - D against the uniform law on [0, 1] give D_n = D
+        # up to rounding; the exact p-value is taken at the D_n they give.
+        # kstwo.sf takes about 0.15 s a call at n = 2*10**5, so the grid stops
+        # at 10**4; test_ks_compare_matches_scipy reaches 5*10**4
+        uniform = lambda w: np.clip(w, 0.0, 1.0)
+        for n in (100, 141, 1_000, 10_000):
+            grid = np.arange(1.0, n + 1) / n
+            results = [
+                qm.ks_compare(grid - t / math.sqrt(n), uniform)
+                for t in np.linspace(0.2, 3.2, 61)
+            ]
+            statistics = [res.statistic for res in results]
+            pvalues = [res.pvalue for res in results]
+            assert statistics == sorted(statistics)
+            assert all(a >= b for a, b in zip(pvalues, pvalues[1:]))
+            for p, d in zip(pvalues, statistics):
+                exact = kstwo.sf(d, n)
+                assert p >= exact
+                assert (p >= 0.01) is bool(exact >= 0.01) or in_decision_band(exact, n)
 
-    @pytest.mark.parametrize("n", [10**6 + 1, 2 * 10**6, 10**7])
-    def test_smirnov_above_1e6_is_scipys_asymptotic_form_bit_for_bit(self, n):
-        for nd2 in (2.2, 3.7, 5.0, 12.0, 100.0, 369.0):
-            d = math.sqrt(nd2 / n)
-            assert bits(kolmogorov.smirnov(n, d)) == bits(special.smirnov(n, d))
-            assert bits(kolmogorov.kstwo_sf(d, n)) == bits(kstwo.sf(d, n))
-
-    def test_smirnov_branch_runs_with_scipy_blocked(self):
+    def test_runs_with_scipy_blocked(self):
         # a fresh interpreter in which scipy cannot be imported at all
         code = (
             "import json, sys\n"
@@ -518,33 +438,31 @@ class TestKolmogorovPort:
         )
         statistic, pvalue, passed = json.loads(proc.stdout)
         samples = qm.NoiseSource(27).generator().exponential(1.03, size=10_000)
-        ref = kstest(samples, exp_cdf, method="exact")
-        assert float.fromhex(statistic) == ref.statistic
-        assert float.fromhex(pvalue) == pytest.approx(ref.pvalue, rel=SMIRNOV_RTOL)
-        assert passed is bool(ref.pvalue >= 0.01)
-        # n > 140 and 2.2 <= n*d**2 < 370: the branch that calls smirnov
-        assert 2.2 <= 10_000 * ref.statistic**2 < 370.0
-
-    def test_nan_statistic_has_nan_survival(self):
-        assert math.isnan(kolmogorov.kstwo_sf(math.nan, 100))
-
-    @pytest.mark.parametrize("n", [100, 120, 141, 10_000, 50_000])
-    def test_ks_compare_matches_scipy(self, n):
-        rng = qm.NoiseSource(26, n).generator()
-        for scale in (1.0, 1.02, 1.3):
-            samples = rng.exponential(scale, size=n)
-            with mock.patch.object(kolmogorov, "smirnov", wraps=kolmogorov.smirnov) as spy:
-                res = qm.ks_compare(samples, exp_cdf)
-            ref = kstest(samples, exp_cdf, method="exact")
-            assert bits(res.statistic) == bits(ref.statistic)
-            assert spy.called is ((n, scale) in KS_SMIRNOV_CASES)
-            if spy.called:
-                assert res.pvalue == pytest.approx(ref.pvalue, rel=SMIRNOV_RTOL)
-            else:
-                assert bits(res.pvalue) == bits(ref.pvalue)
-            assert res.passed is bool(ref.pvalue >= 0.01)
+        res = qm.KsResult(float.fromhex(statistic), float.fromhex(pvalue), passed)
+        assert res == qm.ks_compare(samples, exp_cdf)
+        assert_matches_kstest(res, samples, exp_cdf)
 
 
-#: the (n, scale) samples of test_ks_compare_matches_scipy whose p-value
-#: comes from smirnov
-KS_SMIRNOV_CASES = {(141, 1.02), (141, 1.3), (10_000, 1.0), (10_000, 1.3), (50_000, 1.02)}
+#: Floors of the exact p-values whose 1% decision the bound moves, by the
+#: smallest n they hold for: the decision moves, from fail to pass, where
+#: 2*exp(-2*n*D**2) >= 0.01 > Pr(D_n >= D), i.e. at most for exact p-values
+#: from kstwo.sf(sqrt(log(200) / (2n)), n) up to 0.01 (0.00879 at n = 100,
+#: 0.00964 at 10**3, 0.00989 at 10**4, 0.00995 at 5*10**4)
+KS_DECISION_BAND = {100: 0.0087, 1_000: 0.0096, 10_000: 0.0098, 50_000: 0.0099}
+
+
+def in_decision_band(exact: float, n: int) -> bool:
+    """Whether an exact p-value lies where the bound may pass a failing test."""
+    floor = max(v for size, v in KS_DECISION_BAND.items() if size <= n)
+    return floor <= exact < 0.01
+
+
+def assert_matches_kstest(res, samples, cdf) -> None:
+    """D_n bit for bit as kstest's, a p-value bound at or above kstest's exact
+    one, and the same 1% decision but for fail -> pass inside the band."""
+    ref = kstest(samples, cdf, method="exact")
+    n, d = len(samples), res.statistic
+    assert bits(d) == bits(ref.statistic)
+    assert res.pvalue == min(2.0 * math.exp(-2.0 * n * d * d), 1.0)
+    assert res.pvalue >= ref.pvalue
+    assert res.passed is bool(ref.pvalue >= 0.01) or in_decision_band(ref.pvalue, n)

@@ -6,15 +6,22 @@ enough to span many CSV row blocks and two ensembles of several noise-stream
 blocks, which several worker threads share.  Any change to the physics, the
 noise-stream layout or the CSV format changes a digest, so a refactor that
 must keep data files byte-identical is checked here; a deliberate output
-change updates the table and says so.
+change updates the table and says so.  The outputs do not depend on which
+of numpy's SIMD kernels a CPU dispatches to: a test below runs the CLI on
+the default path and with the AVX-512 targets disabled.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmengine
 from qmengine import cli
 
 GOLDEN = [
@@ -89,7 +96,7 @@ GOLDEN = [
     (
         ("presets", "figure-2b", "--n-traj", "200"),
         {
-            "histogram.csv": "56b34b621b0a694793c18ac16b1340f6fd1ab3b064c3e4534ff06d69c2c54a3e",
+            "histogram.csv": "4fa50b662b5c70f0f282ddb5b02e05ec6ad08cf4746456fdfb48bad7b4af774b",
             "trajectory.csv": "72fcc8c15ef98e45e8a254809215690209d9be4e54479158a65f4c88f62b863e",
             "work_samples.csv": "3dde6d632eaf161a0a300167675ac7b4077113a704c79c5594bc4d25991a64cf",
         },
@@ -98,7 +105,7 @@ GOLDEN = [
         # tau != 1: the overlay's rate tau/sigma and 1/(sigma/tau) differ in the last bits
         ("presets", "figure-2b", "--n-traj", "200", "--tau", "0.7", "--nbar", "2"),
         {
-            "histogram.csv": "b43d5692e8e7bb1d5f9d2bba9739352b437fea9c4f5a2de0053c61710b328e21",
+            "histogram.csv": "c3f6b879523db80003148be398cba67306228cafebc766ff839566e5107f64b2",
             "trajectory.csv": "380917b70fc64b96263726fd543cf8dbf12fe9c65dbb99a13fa2a96414f908c9",
             "work_samples.csv": "ae10e04aa8fe8ee4fd733255b2a1b0f2e8942c51d297cdd4d66ea081fbd80e73",
         },
@@ -153,16 +160,16 @@ def test_csv_digests(tmp_path, argv, digests):
     assert written == digests
 
 
-#: SHA-256 of summary.json for runs whose KS statistic and p-value, and
+#: SHA-256 of summary.json for runs whose KS statistic and p-value bound, and
 #: expected mean, depend on tau/sigma and sigma/tau at tau != 1.
 SUMMARY_GOLDEN = [
     (
         ("continuous", "--n-traj", "200", "--tau", "0.7"),
-        "ed38bad25df4bf497d78033ee3770cf9e5dc83ba94a1493dc8f3ab438ae827cd",
+        "7a0cfe43f3b329ade9d9f877b0ba14d4ccc4c56779809499dcd0001c8b049c56",
     ),
     (
         ("presets", "figure-2b", "--n-traj", "200", "--tau", "0.7", "--nbar", "2"),
-        "0ffc969b4bf745ad203ecf3d29db8c92c2a5810cc3ade8c2a5372f3e04f06f7d",
+        "1d3491286e14aed9c5a397257dcc9b38c25a9ca9c9b453ba5f189599e8f2c848",
     ),
 ]
 
@@ -173,3 +180,50 @@ SUMMARY_GOLDEN = [
 def test_summary_digests(tmp_path, argv, digest):
     assert cli.main(list(argv) + ["--seed", "5", "--output-dir", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == digest
+
+
+#: Disables numpy's AVX-512 dispatch targets, as on a CPU without AVX-512,
+#: where float64 transcendentals such as np.exp take other SIMD kernels
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _numpy_has_avx512f() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+@pytest.mark.skipif(
+    not _numpy_has_avx512f(),
+    reason="numpy reports no AVX512F: both runs would take the same SIMD path",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("presets", "figure-2b", "--n-traj", "200", "--seed", "5"),
+        ("continuous", "--n-traj", "2000", "--seed", "2"),
+    ],
+    ids=" ".join,
+)
+def test_outputs_do_not_depend_on_simd_dispatch(tmp_path, argv):
+    written = []
+    for disabled in (None, NO_AVX512):
+        env = dict(os.environ, PYTHONPATH=str(Path(qmengine.__file__).parents[1]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        out = tmp_path / ("no-avx512" if disabled else "default")
+        subprocess.run(
+            [sys.executable, "-m", "qmengine", *argv, "--output-dir", str(out)],
+            env=env, capture_output=True, check=False, timeout=120,
+        )
+        written.append({
+            p.name: p.read_bytes() for p in out.iterdir()
+            if p.suffix == ".csv" or p.name == "summary.json"
+        })
+    default, no_avx512 = written
+    assert "summary.json" in default and len(default) > 1
+    assert sorted(no_avx512) == sorted(default)
+    assert [name for name in default if default[name] != no_avx512[name]] == []
