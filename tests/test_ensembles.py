@@ -66,6 +66,18 @@ class TestExactWorkDistribution:
         assert qm.exact_work_pdf(-0.3, self.rate[self.k]) == 0.0
         assert qm.exact_work_cdf(-0.3, self.rate[self.k]) == 0.0
 
+    @pytest.mark.parametrize("law", ["pdf", "cdf"])
+    def test_exp_is_libms_element_by_element(self, law):
+        # numpy's vectorised exp follows its SIMD dispatch; math.exp does not
+        rate = self.rate[self.k]
+        w = qm.NoiseSource(28).generator().exponential(1.0 / rate, size=(3, 1_000))
+        if law == "pdf":
+            values, ref = qm.exact_work_pdf(w, rate), [rate * math.exp(-rate * x) for x in w.flat]
+        else:
+            values, ref = qm.exact_work_cdf(w, rate), [1.0 - math.exp(-rate * x) for x in w.flat]
+        assert values.shape == w.shape
+        assert values.tobytes() == np.array(ref).tobytes()
+
     def test_degenerate_scale_reported_distinctly(self):
         # sigma(0) = 0: the rate is inf, the law a point mass at W = 0
         assert self.mean[0] == 0.0 and self.rate[0] == math.inf
@@ -342,6 +354,35 @@ class TestLedgerMeanWork:
         assert abs(w.mean() - ensembles.ledger_mean_work(cfg)) <= 3.0 * se
 
 
+#: A point (n, D) in each regime of scipy's kstwo.sf, the exact law the
+#: bound is held against: its closed forms at the ends of the range, the
+#: Durbin matrix, Pomeranz and Pelz-Good algorithms for n <= 10**5, the
+#: Birnbaum-Tingey sum, and the asymptotic forms above 10**5 and 10**6
+KS_REGIMES = {
+    "d-at-most-half-over-n": (100, 0.005),
+    "nd-at-most-1": (100, 0.008),
+    "nd-at-most-1-n>140": (200, 0.004),
+    "d-at-least-one": (100, 1.0),
+    "nd-at-least-n-1": (100, 0.995),
+    "d-at-least-half": (100, 0.6),
+    "n<=140-dmtw": (100, 0.08),
+    "n<=140-dmtw-edge": (100, 0.086),
+    "n<=140-pomeranz": (100, 0.15),
+    "n<=140-smirnov": (140, 0.25),
+    "n>140-ndd>=370": (10_000, 0.2),
+    "n>140-ndd>=2.2-smirnov": (10_000, 0.02),
+    "n>140-dmtw": (141, 0.02),
+    "n>140-dmtw-rescaled": (10_000, 0.0025),
+    "n>140-dmtw-n=1e5": (100_000, 0.00025),
+    "n>140-pelz-good": (141, 0.05),
+    "n>140-pelz-good-wide": (10_000, 0.01),
+    "n>1e5-pelz-good": (200_000, 0.002),
+    "n>1e5-pelz-good-edge": (100_001, 0.00025),
+    "n>1e5-pelz-good-underflow": (200_000, 7.5e-6),
+    "n>1e6-asymptotic": (10**6 + 1, math.sqrt(3.7 / (10**6 + 1))),
+}
+
+
 class TestKsCompare:
     def test_calibration_on_matching_law(self):
         rng = qm.NoiseSource(22).generator()
@@ -399,26 +440,48 @@ class TestKsCompare:
                 samples, exp_cdf,
             )
 
-    def test_bound_is_never_below_the_exact_p_value_and_falls_with_d(self):
-        # sorted samples i/n - D against the uniform law on [0, 1] give D_n = D
-        # up to rounding; the exact p-value is taken at the D_n they give.
+    @pytest.mark.parametrize("n", [100, 141, 1_000, 10_000])
+    def test_bound_is_never_below_the_exact_p_value_and_falls_with_d(self, n):
         # kstwo.sf takes about 0.15 s a call at n = 2*10**5, so the grid stops
         # at 10**4; test_ks_compare_matches_scipy reaches 5*10**4
-        uniform = lambda w: np.clip(w, 0.0, 1.0)
-        for n in (100, 141, 1_000, 10_000):
-            grid = np.arange(1.0, n + 1) / n
-            results = [
-                qm.ks_compare(grid - t / math.sqrt(n), uniform)
-                for t in np.linspace(0.2, 3.2, 61)
-            ]
-            statistics = [res.statistic for res in results]
-            pvalues = [res.pvalue for res in results]
-            assert statistics == sorted(statistics)
-            assert all(a >= b for a, b in zip(pvalues, pvalues[1:]))
-            for p, d in zip(pvalues, statistics):
-                exact = kstwo.sf(d, n)
-                assert p >= exact
-                assert (p >= 0.01) is bool(exact >= 0.01) or in_decision_band(exact, n)
+        results = [qm.ks_compare(*sample_at(n, t / math.sqrt(n))) for t in np.linspace(0.2, 3.2, 61)]
+        statistics = [res.statistic for res in results]
+        pvalues = [res.pvalue for res in results]
+        assert statistics == sorted(statistics)
+        assert all(a >= b for a, b in zip(pvalues, pvalues[1:]))
+        for res in results:
+            assert_bounds_kstwo(res, n)
+
+    @pytest.mark.parametrize("n,d", KS_REGIMES.values(), ids=KS_REGIMES.keys())
+    def test_bound_is_never_below_the_exact_p_value_in_each_regime(self, n, d):
+        res = qm.ks_compare(*sample_at(n, d))
+        assert res.statistic == pytest.approx(max(d, 1.0 / n - d), rel=1e-9)
+        assert_bounds_kstwo(res, n)
+
+    @pytest.mark.parametrize("n", [141, 1_000, 10_000, 100_000, 200_000])
+    def test_bound_is_never_below_the_exact_p_value_in_the_tail(self, n):
+        # n*D**2 from 2.2 (p ~ 0.02) to p ~ 1e-10, and D >= 1/2
+        for d in [*np.sqrt(np.array([2.2, 3.0, 5.0, 8.0, 12.0]) / n), 0.5, 0.7]:
+            assert_bounds_kstwo(qm.ks_compare(*sample_at(n, d)), n)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_on_the_1_over_n_lattice(self):
+        # D = k/n is where the exact law of D_n has its atoms of probability
+        n = 141
+        results = [qm.ks_compare(*sample_at(n, k / n)) for k in range(18, 140)]
+        pvalues = [res.pvalue for res in results]
+        assert all(a >= b for a, b in zip(pvalues, pvalues[1:]))
+        for res in results:
+            assert_bounds_kstwo(res, n)
+
+    @pytest.mark.parametrize("n", [100, 141, 1_000, 10_000, 50_000, 200_000])
+    def test_decision_band_holds_the_exact_p_value_where_the_bound_is_1_percent(self, n):
+        # the bound reaches KS_LEVEL at D = sqrt(log(200) / (2n)); the exact
+        # p-value there is the lowest whose decision the bound can move
+        d = math.sqrt(math.log(200.0) / (2 * n))
+        assert min(2.0 * math.exp(-2.0 * n * d * d), 1.0) == pytest.approx(0.01, rel=1e-12)
+        assert in_decision_band(kstwo.sf(d, n), n)
+        assert not in_decision_band(0.01, n)
 
     def test_runs_with_scipy_blocked(self):
         # a fresh interpreter in which scipy cannot be imported at all
@@ -441,6 +504,26 @@ class TestKsCompare:
         res = qm.KsResult(float.fromhex(statistic), float.fromhex(pvalue), passed)
         assert res == qm.ks_compare(samples, exp_cdf)
         assert_matches_kstest(res, samples, exp_cdf)
+
+
+def uniform_cdf(w):
+    return np.clip(w, 0.0, 1.0)
+
+
+def sample_at(n: int, d: float):
+    """Sorted samples i/n - d and the uniform law on [0, 1]: D_n is
+    max(d, 1/n - d), up to rounding."""
+    return np.arange(1.0, n + 1) / n - d, uniform_cdf
+
+
+def assert_bounds_kstwo(res, n: int) -> None:
+    """The bound at D_n, at or above the exact p-value there, with the same
+    1% decision but for fail -> pass inside the band."""
+    d = res.statistic
+    exact = kstwo.sf(d, n)
+    assert res.pvalue == min(2.0 * math.exp(-2.0 * n * d * d), 1.0)
+    assert res.pvalue >= exact
+    assert res.passed is bool(exact >= 0.01) or in_decision_band(exact, n)
 
 
 #: Floors of the exact p-values whose 1% decision the bound moves, by the
