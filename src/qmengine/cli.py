@@ -30,6 +30,11 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows, where an ensemble forks no worker
+    resource = None
+
 import numpy as np
 # np.histogram(bins="fd") reaches numpy.ma through np.quantile; loaded here,
 # its cost stays in the import instead of inside figure-2b's run
@@ -788,6 +793,23 @@ _RUNNERS = {
 }
 
 
+#: The manifest's layout keys, 0 for a run without an ensemble.
+NO_ENSEMBLE = ("workers", "scratch_bytes", "chunks", "chunk_width")
+
+
+def _peak_rss_mb() -> dict[str, float] | None:
+    """The peak resident set of this process (``process``) and of the
+    largest of the ensemble workers it has forked (``workers``; 0 if none),
+    in MB, as ``getrusage`` reports them; None where it does not."""
+    if resource is None:
+        return None
+    unit = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss: bytes there, else kB
+    return {
+        name: resource.getrusage(who).ru_maxrss / unit
+        for name, who in (("process", resource.RUSAGE_SELF), ("workers", resource.RUSAGE_CHILDREN))
+    }
+
+
 def run_experiment(args: argparse.Namespace) -> int:
     start = time.monotonic()
     config = parse_config(args)
@@ -813,8 +835,10 @@ def run_experiment(args: argparse.Namespace) -> int:
             "argv": sys.argv[1:],
             "wall_clock_seconds": time.monotonic() - start,
             "noise_streams": STREAM_LAYOUT,
-            # the ensemble's worker threads and the bytes of their mappings
-            **out.get("layout", {"workers": 0, "scratch_bytes": 0}),
+            # the ensemble's workers (the process and the ones it forks), the
+            # bytes of their mappings, and their chunks
+            **out.get("layout", dict.fromkeys(NO_ENSEMBLE, 0)),
+            "peak_rss_mb": _peak_rss_mb(),
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,

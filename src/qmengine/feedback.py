@@ -18,18 +18,21 @@ that agree on the seed, the trajectory count, the step grid and the policy
 m = 1 column of that at every grid point.  Noise comes from one stream per
 block of STREAM_BLOCK trajectories, so a trajectory's noise does not depend
 on how the ensemble is chunked.  ``_layout`` alone decides the cut:
-contiguous ranges of whole blocks, one per thread (up to one per CPU), each
+contiguous ranges of whole blocks, one per worker (up to one per CPU), each
 cut into near-equal cache-sized chunks within the bound on the noise in
-flight.  Each thread draws its own trajectories' noise and advances them
-into its own columns of every record, chunk after chunk in one anonymous
-mapping that holds its widest chunk's noise and its kernel's scratch
-(``_scratch``), so no buffer of a chunk's size is taken from the heap,
-where freed memory would stay resident; the kernel reads the noise
-read-only, so no ensemble changes the next one's.  numpy releases the GIL in
-the draws and in the kernel's array operations, so the threads run at the
-same time, and results do not depend on their number.  One thread at a
-time steps a free-policy chunk, whose numpy calls are too short for two
-threads to share the GIL well, while the others draw.
+flight.  Worker 0 runs in the caller and every other worker in a process
+forked for the ensemble: the kernel's numpy calls are too short for two
+threads to share the GIL well, so threads would take their steps one at a
+time.  Every field of every record lives in one anonymous shared mapping,
+which the workers fill in place, and one byte of it is the ensemble's
+cancel flag.  Each worker draws its own trajectories' noise and advances
+them into its own columns of every record, chunk after chunk in one
+anonymous mapping that holds its widest chunk's noise and its kernel's
+scratch (``_scratch``), so no buffer of a chunk's size is taken from the
+heap, where freed memory would stay resident; the kernel reads the noise
+read-only, so no ensemble changes the next one's.  Results do not depend on
+the number of workers.  Where ``os.fork`` does not exist, ``_layout`` plans
+one worker, the caller.
 
 Work is harvested by shifting the bottom of the harmonic trap onto the
 conditional mean, which zeroes (q1, q2), leaves the covariances untouched,
@@ -63,12 +66,11 @@ from __future__ import annotations
 import math
 import mmap
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import pickle
+import warnings
 from dataclasses import dataclass, replace
 from itertools import pairwise, product
-from contextlib import AbstractContextManager, nullcontext
-from threading import Event, Lock
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -145,7 +147,7 @@ STEP_FIELDS = Steps.__slots__[:-1]
 @dataclass(frozen=True, slots=True)
 class _Tables:
     """The constants of one run's steps: built once by ``_tables``, then only
-    read, by every chunk and worker thread."""
+    read, by every chunk and worker."""
 
     dt: float
     w1: float  # readout noise weight sqrt(tau_i/dt), 0 for an unmonitored channel
@@ -466,7 +468,8 @@ def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> No
 
 
 def worker_threads() -> int:
-    """CPUs this process may run on: the most threads one ensemble uses."""
+    """CPUs this process may run on: the most workers one ensemble uses, and
+    the CSV writer's threads."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -479,7 +482,9 @@ def _split(start: int, stop: int, parts: int, unit: int = 1) -> list[int]:
 
 
 def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]]:
-    """Chunk edges of each worker thread of an ensemble.
+    """Chunk edges of each worker of an ensemble: the caller, then one forked
+    process per further range, and the caller alone where ``os.fork`` does not
+    exist.
 
     Each worker takes one contiguous range of whole blocks and advances it in
     near-equal chunks, cut at any trajectory, so no narrow tail chunk is
@@ -498,7 +503,8 @@ def _layout(n_traj: int, n_steps: int, per_step: bool = False) -> list[list[int]
     else:
         width = min(max(FREE_WIDTH, FREE_TILE // n_steps), FREE_SCRATCH // 16)
         floor = STREAM_BLOCK
-    workers = min(worker_threads(), -(-n_traj // STREAM_BLOCK), max(1, fits // floor))
+    cpus = worker_threads() if hasattr(os, "fork") else 1
+    workers = min(cpus, -(-n_traj // STREAM_BLOCK), max(1, fits // floor))
     width = max(1, min(width, fits // workers))
     ranges = pairwise(_split(0, n_traj, workers, STREAM_BLOCK))
     return [_split(a, b, -(-(b - a) // width)) for a, b in ranges]
@@ -512,14 +518,20 @@ def _mapping_floats(edges: list[int], n_steps: int, per_step: bool) -> int:
 
 
 def ensemble_layout(config: EngineConfig) -> dict[str, int]:
-    """The worker threads that ``run_ensembles`` uses for config's
-    ensemble (``workers``) and the bytes of their mappings (``scratch_bytes``),
-    as each run's manifest records them; ensembles that share their noise
-    share these too."""
+    """The workers that ``run_ensembles`` uses for config's ensemble
+    (``workers``: the caller and the processes it forks), the bytes of their
+    noise and scratch mappings (``scratch_bytes``), their chunks (``chunks``)
+    and the widest chunk's trajectories (``chunk_width``), as each run's
+    manifest records them; ensembles that share their noise share these too."""
     per_step = config.policy == "per-step"
     plan = _layout(config.n_traj, config.n_steps, per_step)
     floats = sum(_mapping_floats(edges, config.n_steps, per_step) for edges in plan)
-    return {"workers": len(plan), "scratch_bytes": 8 * floats}
+    return {
+        "workers": len(plan),
+        "scratch_bytes": 8 * floats,
+        "chunks": sum(len(edges) - 1 for edges in plan),
+        "chunk_width": max(int(np.diff(edges).max()) for edges in plan),
+    }
 
 
 class _BlockStreams:
@@ -527,7 +539,7 @@ class _BlockStreams:
     first is the first trajectory of a block, as every worker's range starts.
 
     The generators of the blocks are created here, once each and in block
-    order, so the fills may run on another thread; each generator is carried
+    order, so the fills may run in a forked worker; each generator is carried
     across fills, so a run of fills draws every normal exactly once.
     """
 
@@ -554,20 +566,19 @@ def _run_blocks(
     streams: _BlockStreams,
     edges: list[int],
     outs: Sequence[Steps],
-    cancel: Event,
-    stepping: AbstractContextManager,
+    cancelled: Callable[[], bool],
 ) -> None:
     """Advance the chunks between consecutive edges of every run in tables,
     each into views of its columns of that run's record in outs.  A chunk's
-    noise is drawn once and handed to each run read-only, each run's steps
-    within stepping.  Stops before its next chunk once cancel is set.
+    noise is drawn once and handed to each run read-only.  Stops before its
+    next chunk once cancelled() is true.
     """
     # one anonymous mapping per worker holds its noise and its kernel's
     # scratch, so no buffer of a chunk's size comes from the heap: the
     # mapping's pages go back to the system when the ensemble ends, while
-    # heap memory freed on a worker thread stays resident in its malloc arena
-    # (malloc's mmap threshold rises to the largest block freed), raising the
-    # peak of every later run in the process
+    # freed heap memory can stay resident (malloc's mmap threshold rises to
+    # the largest block freed), raising the peak of every later run in the
+    # process
     n_steps, per_step = len(tables[0].drift), tables[0].per_step
     noise_floats = 2 * int(np.diff(edges).max()) * n_steps
     mapping = np.frombuffer(mmap.mmap(-1, 8 * _mapping_floats(edges, n_steps, per_step)))
@@ -579,13 +590,83 @@ def _run_blocks(
     shared.flags.writeable = False
     fields = [[getattr(out, name) for name in STEP_FIELDS] for out in outs]
     for a, b in pairwise(edges):
-        if cancel.is_set():
+        if cancelled():
             return
         streams.fill(buffer[: b - a])
         for t, out, columns in zip(tables, outs, fields):
             view = Steps(*(f if f is None else f[:, a:b] for f in columns), cov=out.cov)
-            with stepping:
-                _chunk(t, shared[: b - a], view, work)
+            _chunk(t, shared[: b - a], view, work)
+
+
+def _fork(
+    tables: Sequence[_Tables],
+    streams: _BlockStreams,
+    edges: list[int],
+    outs: Sequence[Steps],
+    flag: np.ndarray,
+) -> tuple[int, int]:
+    """Run ``_run_blocks`` on edges in a forked child, which writes outs (in
+    the shared mapping) in place; returns the child's pid and the read end of
+    the pipe that brings back its exception.
+
+    The child stops before its next chunk once flag[0] is set or its parent
+    is gone.  When it fails, it sets flag[0] and sends its exception pickled
+    (or, if that does not pickle, a RuntimeError with its repr); it leaves
+    through ``os._exit``, so no exit handler or buffered stream of the
+    caller's runs in it.
+    """
+    parent = os.getpid()
+    read, write = os.pipe()
+    # Python 3.12 and later warn that forking a process with other threads
+    # (numpy's OpenBLAS starts one at import) may deadlock the child on a
+    # lock one of them held.  The child takes no lock that another thread
+    # uses: it runs only numpy ufuncs, the block generators that it alone
+    # draws from, the pickling of its error and os._exit
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        _run_blocks(tables, streams, edges, outs, lambda: flag[0] or os.getppid() != parent)
+        if os.getppid() != parent:
+            raise RuntimeError("ensemble worker stopped: its caller is gone")
+        os._exit(0)
+    except BaseException as exc:
+        flag[0] = 1
+        try:
+            message = pickle.dumps(exc)
+            pickle.loads(message)
+        except Exception:
+            message = pickle.dumps(RuntimeError(repr(exc)))
+        with open(write, "wb") as pipe:
+            pipe.write(message)
+    finally:
+        os._exit(1)
+
+
+def _raise_failure(pid: int, message: bytes, status: int) -> None:
+    """Raise the failure of the reaped worker pid: the exception it sent,
+    message, or a ChildProcessError if its wait status says it died without
+    one, e.g. killed by a signal, whose columns are then not results."""
+    code = os.waitstatus_to_exitcode(status)
+    if message:
+        raise pickle.loads(message)
+    if code < 0:
+        import signal  # its enums cost a millisecond at import, paid only here
+
+        raise ChildProcessError(
+            f"ensemble worker {pid} was killed by signal {signal.Signals(-code).name}"
+        )
+    if code:
+        raise ChildProcessError(f"ensemble worker {pid} exited with status {code}")
 
 
 #: The config values of the ensembles that ``run_ensembles`` runs on one
@@ -607,15 +688,19 @@ def run_ensembles(
     that of its own run, bit for bit, for the cost of one run's draws.
     Trajectory j consumes its slice of block stream (seed, j //
     STREAM_BLOCK).  The blocks are split into one contiguous range per
-    worker thread (``_layout``); every block generator is created here, on
-    the calling thread, and so are the tables of every config, which checks
-    them all before any worker starts.  Each worker refills its own noise
-    buffer for each of its chunks and advances the chunk in its own columns
-    of each config's record.  Every normal is drawn once, so results are
-    independent of chunking and of the worker count, and column j equals
+    worker (``_layout``); every block generator is created here, and so are
+    the tables of every config, which checks them all before any worker
+    starts.  The caller runs the first range and a forked child each of the
+    others (``_fork``), and every record field lives in one anonymous shared
+    mapping, which the children fill in place.  Each worker refills its own
+    noise buffer for each of its chunks and advances the chunk in its own
+    columns of each config's record.  Every normal is drawn once, so results
+    are independent of chunking and of the worker count, and column j equals
     ``run_trajectory(config, j)`` at the checkpoints.
-    When a worker raises, or the caller is interrupted, the other workers
-    stop at their next chunk and the exception is raised here.
+    When a worker raises, it sets the cancel flag, a byte of the mapping,
+    and the other workers stop at their next chunk; its exception is raised
+    here.  After any error or interrupt, every child still running is killed,
+    and no child is left unreaped.
     Checkpoint times must lie on the step grid, each at most once.
 
     Returns the ``Steps`` of each config's ensemble at the checkpoints, one
@@ -652,36 +737,45 @@ def run_ensembles(
         for c in configs
     ]
 
-    n_traj = first.n_traj
+    shape = (len(cp_idx), first.n_traj)
+    size = len(tables) * sum(name in fields for name in STEP_FIELDS) * math.prod(shape)
+    # every record field, then the cancel flag's byte, in one mapping that
+    # forked workers share
+    mapping = mmap.mmap(-1, 8 * size + 1)
+    records = iter(np.frombuffer(mapping, count=size).reshape(-1, *shape))
+    flag = np.frombuffer(mapping, np.uint8, 1, offset=8 * size)
     outs = [
-        Steps(
-            *(np.zeros((len(cp_idx), n_traj)) if name in fields else None for name in STEP_FIELDS),
-            cov=t.recorded_cov,
-        )
+        Steps(*(next(records) if name in fields else None for name in STEP_FIELDS),
+              cov=t.recorded_cov)
         for t in tables
     ]
-    per_step = tables[0].per_step
-    plan = _layout(n_traj, n_steps, per_step)
+    plan = _layout(first.n_traj, n_steps, tables[0].per_step)
     streams = [_BlockStreams(first.seed, edges[0], edges[-1]) for edges in plan]
-    cancel = Event()
-    # one worker at a time takes a free-policy chunk's steps while the others
-    # draw: the numpy calls of those steps are short, so two workers stepping
-    # at once mostly wait to hand the GIL back and forth between calls
-    stepping = nullcontext() if per_step else Lock()
-    with ThreadPoolExecutor(len(plan)) as pool:
-        try:
-            jobs = [
-                pool.submit(_run_blocks, tables, s, edges, outs, cancel, stepping)
-                for s, edges in zip(streams, plan)
-            ]
-            done, _ = wait(jobs, return_when=FIRST_EXCEPTION)
-            for job in jobs:
-                if job in done:
-                    job.result()
-        finally:
-            # after an error or an interrupt the other workers stop at their
-            # next chunk, and the pool's exit waits for them
-            cancel.set()
+    workers: dict[int, int] = {}  # the pid of each child not yet reaped, and its pipe
+    pipes = []
+    try:
+        for s, edges in zip(streams[1:], plan[1:]):
+            pid, pipe = _fork(tables, s, edges, outs, flag)
+            workers[pid] = pipe
+            pipes.append(pipe)
+        _run_blocks(tables, streams[0], plan[0], outs, lambda: flag[0])
+        for pid, pipe in list(workers.items()):
+            with open(pipe, "rb", closefd=False) as reader:
+                message = reader.read()  # until the child exits
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            _raise_failure(pid, message, status)
+    finally:
+        if workers:
+            # an error or an interrupt: no running child's columns are needed
+            import signal
+
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+            for pid in workers:
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            os.close(pipe)
     return outs
 
 

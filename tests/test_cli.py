@@ -326,6 +326,46 @@ class TestOutputs:
         if scratch_bytes is not None:
             assert manifest["scratch_bytes"] == scratch_bytes
         assert (manifest["scratch_bytes"] > 0) == (workers > 0)
+        assert set(manifest["peak_rss_mb"]) == {"process", "workers"}
+        assert manifest["peak_rss_mb"]["process"] > 0
+
+    @pytest.mark.parametrize(
+        "argv, chunks, chunk_width",
+        [
+            (["continuous", "--n-traj", "200"], 1, 200),  # one block
+            # two workers of 256 and 344 trajectories, one chunk each
+            (["continuous", "--n-traj", "600"], 2, 344),
+            (["presets", "figure-2c", "--n-traj", "600"], 2, 344),
+            # per-step chunks of one tile, 8 trajectories: 32 and 43 of them
+            (["presets", "figure-S3", "--n-traj", "600"], 75, 8),
+            (["single-shot", "--n-traj", "500"], 0, 0),  # no ensemble
+            (["presets", "figure-2f"], 0, 0),
+        ],
+    )
+    def test_manifest_records_the_chunks(self, tmp_path, argv, chunks, chunk_width):
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            run_cli(argv + ["--output-dir", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["chunks"], manifest["chunk_width"]) == (chunks, chunk_width)
+
+    @pytest.mark.parametrize("cpus, workers_peak", [(1, False), (2, True)])
+    def test_manifest_records_the_workers_peak_rss(self, tmp_path, cpus, workers_peak):
+        # in a fresh process, whose only children are its ensemble's workers
+        script = (
+            "import sys; from unittest import mock; from qmengine import cli, feedback\n"
+            f"with mock.patch.object(feedback, 'worker_threads', lambda: {cpus}):\n"
+            "    sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ["continuous", "--n-traj", "600", "--output-dir", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["workers"] == cpus
+        peak = manifest["peak_rss_mb"]
+        assert peak["process"] > 0
+        assert (peak["workers"] > 0) == workers_peak
 
     def test_manifest_records_stream_layout_and_versions(self, continuous_run):
         _, out = continuous_run

@@ -7,10 +7,12 @@ import dataclasses
 import functools
 import itertools
 import math
-import sys
-import threading
+import mmap
+import os
+import signal
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -380,14 +382,16 @@ def small_block_default_chunking(policy):
 
 
 class _CountingGenerator:
-    """Forwards standard_normal to a generator and counts the normals drawn."""
+    """Forwards standard_normal to a generator and counts the normals drawn
+    in counts[slot]."""
 
-    def __init__(self, gen, counts):
+    def __init__(self, gen, counts, slot):
         self.gen = gen
         self.counts = counts
+        self.slot = slot
 
     def standard_normal(self, size=None, out=None):
-        self.counts.append(out.size if out is not None else int(np.prod(size)))
+        self.counts[self.slot] += out.size if out is not None else int(np.prod(size))
         return self.gen.standard_normal(size, out=out)
 
 
@@ -436,13 +440,13 @@ class TestStreamLayout:
     def test_every_normal_drawn_once_with_chunks_inside_a_block(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
         ref = run_ensemble_arrays(cfg, [cfg.t_final])
-        counts = []
+        counts = np.zeros(3, dtype=int)
         streams = []
         generator = qm.NoiseSource.generator
 
         def counting_generator(source):
             streams.append(source.stream)
-            return _CountingGenerator(generator(source), counts)
+            return _CountingGenerator(generator(source), counts, source.stream)
 
         with mock.patch.object(qm.NoiseSource, "generator", counting_generator), \
                 noise_budget(100, cfg.n_steps):
@@ -475,38 +479,68 @@ def single_worker(key):
         return run_ensemble_arrays(WORKER_CONFIGS[key], [0.0, 0.1, 0.2])
 
 
+def shared_ints(n):
+    """n int64 zeros in an anonymous shared mapping, which forked workers
+    write in place and the test process reads."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
+
+
+def wait_until(condition, timeout=10.0):
+    """Poll condition() until it is true; raise if timeout seconds pass first."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            raise TimeoutError("condition not met")
+        time.sleep(0.001)
+
+
+def assert_no_child():
+    """The test process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextlib.contextmanager
-def blocked_workers(first_chunk, barrier):
-    """Two workers of five one-block chunks each on a 40-trajectory ensemble.
+def blocked_workers(first_chunk, workers=2):
+    """workers workers of five one-block chunks each, on a 20*workers-trajectory
+    ensemble: the caller is worker 0, and a forked child each of the others.
 
     As it draws the noise of its first chunk, before it steps, each worker
-    waits at barrier and then calls first_chunk(barrier index, the
-    ensemble's cancel event).  Yields the list of the threads of the chunks
-    drawn.
+    calls first_chunk(its index, cancelled), where cancelled() is true once
+    the ensemble is cancelled.  Yields the number of chunks each worker drew,
+    counted in shared memory.
     """
-    events, chunks = [], []
-    fill = feedback._BlockStreams.fill
+    caller = os.getpid()
+    chunks = shared_ints(workers)
+    index = {}
+    run_blocks, fill = feedback._run_blocks, feedback._BlockStreams.fill
 
-    def recording_event():
-        events.append(threading.Event())
-        return events[-1]
+    def recording_run_blocks(tables, streams, edges, outs, cancelled):
+        index.update(worker=edges[0] // 20, cancelled=cancelled)
+        return run_blocks(tables, streams, edges, outs, cancelled)
 
     def blocked_fill(streams, out):
-        chunks.append(threading.current_thread())
-        if chunks.count(chunks[-1]) == 1:
-            first_chunk(barrier.wait(), events[0])
+        assert (index["worker"] == 0) == (os.getpid() == caller)
+        chunks[index["worker"]] += 1
+        if chunks[index["worker"]] == 1:
+            first_chunk(index["worker"], index["cancelled"])
         return fill(streams, out)
 
     with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
-            mock.patch.object(feedback, "worker_threads", lambda: 2), \
-            noise_budget(8), \
-            mock.patch.object(feedback, "Event", recording_event), \
+            mock.patch.object(feedback, "worker_threads", lambda: workers), \
+            noise_budget(4 * workers), \
+            mock.patch.object(feedback, "_run_blocks", recording_run_blocks), \
             mock.patch.object(feedback._BlockStreams, "fill", blocked_fill):
-        assert [len(edges) - 1 for edges in feedback._layout(40, 20)] == [5, 5]
+        plan = feedback._layout(20 * workers, 20)
+        assert [edges[0] for edges in plan] == list(range(0, 20 * workers, 20))
+        assert [len(edges) - 1 for edges in plan] == [5] * workers
         yield chunks
 
 
-BLOCKED_CONFIG = dataclasses.replace(CHUNK_CONFIGS["terminal"], n_traj=40)
+def run_blocked(workers=2):
+    """The ensemble of blocked_workers(first_chunk, workers)."""
+    cfg = dataclasses.replace(CHUNK_CONFIGS["terminal"], n_traj=20 * workers)
+    return run_ensemble_arrays(cfg, [cfg.t_final])
 
 
 class TestWorkers:
@@ -535,58 +569,66 @@ class TestWorkers:
 
     @pytest.mark.parametrize("policy", sorted(CHUNK_CONFIGS))
     def test_more_workers_than_cores_with_fast_switching(self, policy):
-        # blocks of one trajectory: 8 workers of one-trajectory chunks, with a
-        # thread switch about every microsecond
+        # blocks of one trajectory: 8 workers of one-trajectory chunks, each
+        # of which sleeps, so that the workers overlap
         cfg = CHUNK_CONFIGS[policy]
         with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
                 mock.patch.object(feedback, "worker_threads", lambda: 1):
             ref = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
-        # the chunks stepping at each chunk's start; each chunk sleeps, so
-        # that workers free to step at once would overlap
-        stepping, seen = [], []
         chunk = feedback._chunk
 
-        def counting_chunk(*args):
-            stepping.append(None)
-            seen.append(len(stepping))
-            try:
-                time.sleep(0.002)
-                return chunk(*args)
-            finally:
-                stepping.pop()
+        def slow_chunk(*args):
+            time.sleep(0.002)
+            return chunk(*args)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
-                    mock.patch.object(feedback, "PER_STEP_TILE", 20), \
-                    mock.patch.object(feedback, "worker_threads", lambda: 8), \
-                    noise_budget(8), \
-                    mock.patch.object(feedback, "_chunk", counting_chunk):
-                plan = feedback._layout(cfg.n_traj, cfg.n_steps, policy == "per-step")
-                assert len(plan) == 8
-                assert all(np.all(np.diff(edges) == 1) for edges in plan)
-                rec = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
-        finally:
-            sys.setswitchinterval(interval)
+        with mock.patch.object(feedback, "STREAM_BLOCK", 1), \
+                mock.patch.object(feedback, "PER_STEP_TILE", 20), \
+                mock.patch.object(feedback, "worker_threads", lambda: 8), \
+                noise_budget(8), \
+                mock.patch.object(feedback, "_chunk", slow_chunk):
+            plan = feedback._layout(cfg.n_traj, cfg.n_steps, policy == "per-step")
+            assert len(plan) == 8
+            assert all(np.all(np.diff(edges) == 1) for edges in plan)
+            rec = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
-        assert seen
-        if policy != "per-step":
-            # one worker at a time steps a free-policy chunk
-            assert max(seen) == 1
+        assert_no_child()
+
+    def test_one_worker_where_fork_does_not_exist(self, monkeypatch):
+        # the caller alone runs the ensemble, as on one CPU
+        cfg = CHUNK_CONFIGS["terminal"]
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "worker_threads", lambda: 1):
+            ref = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
+        monkeypatch.delattr(os, "fork")
+        with mock.patch.object(feedback, "STREAM_BLOCK", 4), \
+                mock.patch.object(feedback, "worker_threads", lambda: 2):
+            assert len(feedback._layout(cfg.n_traj, cfg.n_steps)) == 1
+            rec = run_ensemble_arrays(cfg, [0.0, 0.1, 0.2])
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
 
     def test_two_workers_draw_every_normal_once(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
         with mock.patch.object(feedback, "worker_threads", lambda: 1):
             ref = run_ensemble_arrays(cfg, [cfg.t_final])
-        counts = []
+        # per block, in shared memory: the normals drawn and the process
+        # that drew them
+        counts, drawers = shared_ints(3), shared_ints(3)
         streams = []
+        caller = os.getpid()
         generator = qm.NoiseSource.generator
 
+        class DrawingGenerator(_CountingGenerator):
+            def standard_normal(self, size=None, out=None):
+                drawers[self.slot] = os.getpid()
+                return super().standard_normal(size, out)
+
         def counting_generator(source):
-            streams.append((source.stream, threading.current_thread()))
-            return _CountingGenerator(generator(source), counts)
+            # a generator made in a worker would fail the run
+            assert os.getpid() == caller
+            streams.append(source.stream)
+            return DrawingGenerator(generator(source), counts, source.stream)
 
         # chunks of at most one block: the first worker takes block 0, the
         # second takes block 1 and the 88 trajectories of block 2 in two
@@ -596,11 +638,43 @@ class TestWorkers:
                 noise_budget(512, cfg.n_steps):
             assert feedback._layout(cfg.n_traj, cfg.n_steps) == [[0, 256], [256, 428, 600]]
             rec = run_ensemble_arrays(cfg, [cfg.t_final])
-        assert sum(counts) == cfg.n_traj * cfg.n_steps * 2
-        # each block's generator is created once, on the calling thread
-        assert streams == [(b, threading.current_thread()) for b in (0, 1, 2)]
+        assert list(counts) == [2 * cfg.n_steps * n for n in (256, 256, 88)]
+        # each block's generator is created once, in the calling process; the
+        # caller draws block 0 and one forked child the other two
+        assert streams == [0, 1, 2]
+        assert drawers[0] == caller != drawers[1] == drawers[2]
         for name in ENSEMBLE_FIELDS:
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        assert_no_child()
+
+    @pytest.mark.filterwarnings("error")
+    def test_fork_warning_of_newer_pythons_is_not_an_error(self):
+        # Python 3.12 and later warn in the parent, after the fork, when the
+        # process has other threads, as numpy's OpenBLAS does
+        cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
+        with mock.patch.object(feedback, "worker_threads", lambda: 1):
+            ref = run_ensemble_arrays(cfg, [cfg.t_final])
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(
+                    f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                    "fork() may lead to deadlocks in the child.",
+                    DeprecationWarning,
+                    stacklevel=2,
+                )
+            return pid
+
+        with mock.patch.object(feedback, "worker_threads", lambda: 2):
+            rec = run_ensemble_arrays(cfg, [cfg.t_final])
+            with mock.patch.object(os, "fork", warning_fork):
+                warned = run_ensemble_arrays(cfg, [cfg.t_final])
+        for name in ENSEMBLE_FIELDS:
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+            assert np.array_equal(getattr(warned, name), getattr(ref, name)), name
+        assert_no_child()
 
     def test_worker_exception_reaches_the_caller(self):
         cfg = qm.EngineConfig(nbar=0.5, dt=0.01, t_final=0.05, n_traj=600, seed=23)
@@ -616,30 +690,109 @@ class TestWorkers:
             with pytest.raises(ValueError, match="second worker failed"):
                 run_ensemble_arrays(cfg, [cfg.t_final])
 
-    def test_a_failing_worker_stops_the_other(self):
-        def first_chunk(index, cancel):
-            if index == 0:
+    def test_an_exception_that_does_not_pickle_arrives_as_its_repr(self):
+        class Unpicklable(Exception):  # a local class does not pickle
+            pass
+
+        def first_chunk(worker, cancelled):
+            if worker == 1:
+                raise Unpicklable("worker failed")
+
+        with blocked_workers(first_chunk):
+            with pytest.raises(RuntimeError, match=r"Unpicklable\('worker failed'\)"):
+                run_blocked()
+        assert_no_child()
+
+    @staticmethod
+    def assert_failure_stops_the_others(workers):
+        # worker 1 fails once every other worker is in its first chunk,
+        # where each waits for the cancel flag that the failure sets
+        def first_chunk(worker, cancelled):
+            if worker == 1:
+                wait_until(lambda: chunks.all())
                 raise RuntimeError("worker failed")
-            cancel.wait(10)  # released when the caller cancels
+            wait_until(cancelled)
 
-        with blocked_workers(first_chunk, threading.Barrier(2, timeout=10)) as chunks:
+        with blocked_workers(first_chunk, workers) as chunks:
             with pytest.raises(RuntimeError, match="worker failed"):
-                run_ensemble_arrays(BLOCKED_CONFIG, [BLOCKED_CONFIG.t_final])
+                run_blocked(workers)
         # each worker ran the first of its five chunks, and no other
-        assert len(chunks) == len(set(chunks)) == 2
+        assert list(chunks) == [1] * workers
+        assert_no_child()
 
-    def test_an_interrupt_stops_the_workers(self):
-        barrier = threading.Barrier(3, timeout=10)
+    def test_a_failing_worker_stops_the_other(self):
+        # the caller, at its next chunk
+        self.assert_failure_stops_the_others(2)
 
-        def interrupted_wait(*args, **kwargs):
-            barrier.wait()  # both workers are in their first chunk
+    def test_a_failing_worker_stops_the_forked_ones_too(self):
+        # the caller and worker 2, a forked sibling of the failing worker
+        self.assert_failure_stops_the_others(3)
+
+    @staticmethod
+    def assert_interrupt_kills_the_worker(in_own_chunk):
+        # the forked worker blocks in its first chunk until it is cancelled
+        # (which an interrupt does not do) or a minute has passed; the
+        # interrupt kills it
+        def first_chunk(worker, cancelled):
+            if worker == 1:
+                wait_until(cancelled, timeout=60)
+                return
+            wait_until(lambda: chunks[1] == 1)
+            if in_own_chunk:
+                raise KeyboardInterrupt
+
+        def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        with blocked_workers(lambda index, cancel: cancel.wait(10), barrier) as chunks, \
-                mock.patch.object(feedback, "wait", interrupted_wait):
-            with pytest.raises(KeyboardInterrupt):
-                run_ensemble_arrays(BLOCKED_CONFIG, [BLOCKED_CONFIG.t_final])
-        assert len(chunks) == len(set(chunks)) == 2
+        start = time.monotonic()
+        with blocked_workers(first_chunk) as chunks:
+            handler = signal.signal(signal.SIGALRM, interrupt)
+            try:
+                if not in_own_chunk:
+                    # after the caller's own five chunks, as it waits for
+                    # the worker; a fork does not inherit the timer
+                    signal.setitimer(signal.ITIMER_REAL, 1.0)
+                with pytest.raises(KeyboardInterrupt):
+                    run_blocked()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30
+        assert list(chunks) == [1 if in_own_chunk else 5, 1]
+        assert_no_child()
+
+    def test_an_interrupt_stops_the_workers(self):
+        # as the caller waits for the forked worker
+        self.assert_interrupt_kills_the_worker(in_own_chunk=False)
+
+    def test_an_interrupt_in_the_callers_chunk_stops_the_workers(self):
+        self.assert_interrupt_kills_the_worker(in_own_chunk=True)
+
+    def test_a_worker_killed_by_a_signal_is_an_error(self):
+        # as the kernel's out-of-memory killer would; its columns, zeros, are
+        # not returned as results
+        def first_chunk(worker, cancelled):
+            if worker == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with blocked_workers(first_chunk) as chunks:
+            with pytest.raises(ChildProcessError, match="killed by signal SIGKILL"):
+                run_blocked()
+        assert list(chunks) == [5, 1]
+        assert_no_child()
+
+    def test_a_worker_whose_caller_is_gone_stops(self):
+        # the worker sees a new parent (as after its caller died) in its
+        # first chunk, and stops before its next
+        def first_chunk(worker, cancelled):
+            if worker == 1:
+                mock.patch.object(os, "getppid", lambda: 1).start()  # in the child only
+
+        with blocked_workers(first_chunk) as chunks:
+            with pytest.raises(RuntimeError, match="its caller is gone"):
+                run_blocked()
+        assert chunks[1] == 1
+        assert_no_child()
 
     def test_chunks_are_whole_blocks_without_a_narrow_tail(self):
         # each worker's range is whole blocks, cut near-equal at any trajectory
@@ -744,13 +897,16 @@ class TestScratch:
     ])
     def test_kernel_scratch_is_off_the_heap(self, policy, n_steps, fields):
         # each worker's noise and kernel scratch live in its one anonymous
-        # mapping, which tracemalloc does not see; it sees numpy's heap
-        # buffers: the record, the covariances and the run's tables
+        # mapping, and the records in the ensemble's, which tracemalloc does
+        # not see; it sees numpy's heap buffers: the covariances and the
+        # run's tables.  One worker, so that the whole ensemble runs in the
+        # traced process
         cfg = qm.EngineConfig(n_traj=2048, dt=0.01, t_final=n_steps / 100, policy=policy)
         assert cfg.n_steps == n_steps
         tracemalloc.start()
         try:
-            run_ensemble_arrays(cfg, [cfg.t_final], fields)
+            with mock.patch.object(feedback, "worker_threads", lambda: 1):
+                run_ensemble_arrays(cfg, [cfg.t_final], fields)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -774,7 +930,7 @@ class TestScratch:
             assert feedback._layout(cfg.n_traj, cfg.n_steps)[1][:2] == [5120, 5608]
             mappings = [16 * m * 500 + 2**20 + 160 * m for m in (512, 488)]
             assert feedback.ensemble_layout(cfg) == {
-                "workers": 2, "scratch_bytes": sum(mappings)
+                "workers": 2, "scratch_bytes": sum(mappings), "chunks": 20, "chunk_width": 512
             }
 
 
