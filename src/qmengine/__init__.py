@@ -38,4 +38,4 @@ from .thermo import (
     classical_cycle,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

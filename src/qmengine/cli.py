@@ -61,6 +61,7 @@ from .gaussian import NoiseSource
 from .single_shot import (
     binary_average_work,
     binary_efficiency,
+    erfc,
     extract_work_binary,
     max_binary_efficiency,
     sample_outcomes,
@@ -572,15 +573,37 @@ def _run_single_shot(config: EngineConfig, run: _Run) -> dict:
     }
 
 
+def _binary_work_se(nbar: float, r0: float, n: int) -> float:
+    """Closed-form standard error of the mean of n binary works.
+
+    With s = 1 + nbar, p0 = P(r >= r0/2) and m1 = sqrt(pi*s)*erfc(r0/(2*sqrt(s))),
+    <W'> = r0*m1 and <W'**2> = r0**2 * (4*s*p0 - 2*r0*m1).  r0 and n stay
+    outside the square root, so that r0**2 and the variance do not underflow.
+    Past r0/sqrt(s) ~ 54, p0 and m1 are subnormal and the variance can round
+    to <= 0; Var(W'/r0) >= m1**2 * (1 - p0) / p0, which holds for any W'
+    that is 0 with probability 1 - p0, bounds it from below there.
+    """
+    s = 1.0 + nbar
+    p0 = binary_p0(nbar, r0)
+    m1 = math.sqrt(math.pi * s) * erfc(r0 / (2.0 * math.sqrt(s)))
+    variance = 4.0 * s * p0 - 2.0 * r0 * m1 - m1 * m1
+    # p0 may underflow to 0 where m1 does not; a larger p0 keeps a lower bound
+    floor = m1 * math.sqrt(1.0 - p0) / math.sqrt(max(p0, 5e-324))
+    return r0 * max(math.sqrt(max(variance, 0.0)), floor) / math.sqrt(n)
+
+
 def _run_binary(config: EngineConfig, run: _Run) -> dict:
     rng = NoiseSource(config.seed).generator()
     r, theta = sample_outcomes(config.nbar, config.n_traj, rng)
     work = extract_work_binary(r, config.r0)
     mean, _, se = _moments(work)
     closed = binary_average_work(config.nbar, config.r0)
+    # the gates take both standard errors from the closed form: when no
+    # sample clears r0/2, the samples' own standard errors are 0
+    closed_se = _binary_work_se(config.nbar, config.r0, config.n_traj)
     p0_mc = float(np.mean(r >= 0.5 * config.r0))
-    p0_se = math.sqrt(max(p0_mc * (1.0 - p0_mc), 1e-12) / config.n_traj)
     p0 = binary_p0(config.nbar, config.r0)
+    p0_se = math.sqrt(p0 * (1.0 - p0)) / math.sqrt(config.n_traj)
     u_best, eta_best = max_binary_efficiency()
     run.csv(
         "cycles.csv",
@@ -592,9 +615,11 @@ def _run_binary(config: EngineConfig, run: _Run) -> dict:
             "mean_work_mc": mean,
             "stderr": se,
             "mean_work_closed_form": closed,
+            "stderr_closed_form": closed_se,
             "efficiency_closed_form": binary_efficiency(config.nbar, config.r0),
             "p0_mc": p0_mc,
             "p0_closed_form": p0,
+            "p0_stderr_closed_form": p0_se,
             "thermo_efficiency": binary_thermo_efficiency(
                 config.nbar, config.r0, config.demon_kbtd
             ),
@@ -602,7 +627,7 @@ def _run_binary(config: EngineConfig, run: _Run) -> dict:
             "grid_argmax_u": u_best,
         },
         "checks": {
-            "binary_mean_within_3se": abs(mean - closed) <= 3.0 * se,
+            "binary_mean_within_3se": abs(mean - closed) <= 3.0 * closed_se,
             "p0_within_3se": abs(p0_mc - p0) <= 3.0 * p0_se,
             "max_efficiency_in_band": 0.84 <= eta_best <= 0.86,
         },

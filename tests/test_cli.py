@@ -370,7 +370,7 @@ class TestOutputs:
     def test_manifest_records_stream_layout_and_versions(self, continuous_run):
         _, out = continuous_run
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["version"] == qm.__version__ == "0.3.0"
+        assert manifest["version"] == qm.__version__ == "0.4.0"
         assert manifest["noise_streams"] == {
             "bit_generator": "PCG64",
             "seeding": "SeedSequence(seed, spawn_key=(block,))",
@@ -776,6 +776,46 @@ class TestFamilies:
         miss = abs(results["mean_work_mc"] - results["mean_work_closed_form"])
         assert 0.01 * results["mean_work_closed_form"] < miss <= 3.0 * results["stderr"]
         assert summary["checks"]["binary_mean_within_3se"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "r0,seed",
+        [("7", 0), ("7", 1), ("7", 2), ("8", 0), ("8", 1), ("8", 2), ("54.1803", 0), ("1e-300", 0)],
+    )
+    def test_binary_gates_take_the_closed_form_standard_errors(self, tmp_path, r0, seed):
+        # at r0 = 7 and 8 no sample of 10^5 clears r0/2, so the samples' own
+        # standard errors are 0; at 54.1803 the closed-form variance rounds
+        # to < 0 and its lower bound holds the gate; at 1e-300, r0**2 underflows
+        assert run_cli(
+            ["binary", "--nbar", "0", "--r0", r0, "--seed", str(seed),
+             "--output-dir", str(tmp_path)]
+        ) == 0
+        results = json.loads((tmp_path / "summary.json").read_text())["results"]
+        assert results["stderr_closed_form"] > 0.0
+        assert 0.0 <= results["p0_stderr_closed_form"] < 1e-2
+        if r0 != "1e-300":
+            assert results["stderr"] == results["p0_mc"] == 0.0
+
+    @pytest.mark.parametrize("nbar,r0", [(0.0, 1.0), (0.5, 1.2), (2.0, 4.0), (0.0, 5.0)])
+    def test_binary_closed_form_second_moment_matches_the_samples(self, nbar, r0):
+        n = 400_000
+        r, _ = qm.sample_outcomes(nbar, n, qm.NoiseSource(23).generator())
+        squares = qm.extract_work_binary(r, r0) ** 2
+        mean = qm.binary_average_work(nbar, r0)
+        second = n * cli._binary_work_se(nbar, r0, n) ** 2 + mean * mean
+        assert abs(np.mean(squares) - second) <= 4.0 * np.std(squares) / math.sqrt(n)
+
+    @pytest.mark.parametrize("nbar", [0.0, 3.0, 1e6])
+    def test_binary_work_standard_error_is_positive_where_the_mean_is(self, nbar):
+        # past r0/sqrt(1 + nbar) ~ 54 the variance's terms are subnormal and
+        # their difference rounds to <= 0; the lower bound keeps a mean gate
+        # with no sample over r0/2 from failing
+        s = 1.0 + nbar
+        for u in np.linspace(53.0, 55.0, 2001).tolist():
+            r0 = u * math.sqrt(s)
+            se = cli._binary_work_se(nbar, r0, 10**5)
+            assert math.isfinite(se)
+            assert qm.binary_average_work(nbar, r0) <= 3.0 * se, u
 
     def test_binary_defaults_to_1e5_samples(self, tmp_path):
         # 10^5 stays the default, so the default run's bytes hold; at r0 = 1

@@ -1,5 +1,5 @@
 """Golden SHA-256 digests of every CSV each CLI family and preset writes,
-and of summary.json for two runs at tau != 1.
+and of summary.json for two runs at tau != 1 and one binary run.
 
 The digests were recorded at seed 5 with small fixed sizes, plus one run long
 enough to span many CSV row blocks and two ensembles of several noise-stream
@@ -131,7 +131,7 @@ GOLDEN = [
     (
         ("presets", "figure-S2"),
         {
-            "efficiency_grid.csv": "d166e06b98f030f66d3186eade3a927034e920024a72b292aa5b49be385936d8",
+            "efficiency_grid.csv": "cdee9251c8533bd4c3ce5f744ca41cbabbb02162fdda33ca202138197532ce0c",
         },
     ),
     (
@@ -161,7 +161,8 @@ def test_csv_digests(tmp_path, argv, digests):
 
 
 #: SHA-256 of summary.json for runs whose KS statistic and p-value bound, and
-#: expected mean, depend on tau/sigma and sigma/tau at tau != 1.
+#: expected mean, depend on tau/sigma and sigma/tau at tau != 1, and for a
+#: binary run whose closed forms take erfc away from the default r0 = 1.
 SUMMARY_GOLDEN = [
     (
         ("continuous", "--n-traj", "200", "--tau", "0.7"),
@@ -170,6 +171,10 @@ SUMMARY_GOLDEN = [
     (
         ("presets", "figure-2b", "--n-traj", "200", "--tau", "0.7", "--nbar", "2"),
         "1d3491286e14aed9c5a397257dcc9b38c25a9ca9c9b453ba5f189599e8f2c848",
+    ),
+    (
+        ("binary", "--nbar", "0.5", "--r0", "1.2", "--n-traj", "500"),
+        "b3d32ed5d7b8b783c88dabe60a992a466f69a471bb0c63c7fa066e14a237826a",
     ),
 ]
 
@@ -204,6 +209,8 @@ def _numpy_has_avx512f() -> bool:
     [
         ("presets", "figure-2b", "--n-traj", "200", "--seed", "5"),
         ("continuous", "--n-traj", "2000", "--seed", "2"),
+        ("binary", "--nbar", "0.5", "--r0", "1.2", "--n-traj", "500", "--seed", "5"),
+        ("presets", "figure-S2", "--seed", "5"),
     ],
     ids=" ".join,
 )

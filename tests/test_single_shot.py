@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 from scipy.stats import chi2, expon, kstest
 
 import qmengine as qm
@@ -158,55 +157,92 @@ class TestBinaryEfficiency:
                 assert qm.binary_average_work(nbar, r0) < 1.0 + nbar
 
 
-#: Branch edges of Cephes erfc: |x| = 1 (erf form), 8 (P/Q to R/S), about
-#: 26.64 (exp(-x*x) underflows: x*x > MAXLOG) and the non-finite inputs.
-_MAXLOG_CUT = math.sqrt(single_shot._MAXLOG)
+#: Where an erfc changes form: the zeros and the non-finite inputs; |x| = 1
+#: and 8; about 26.64, past which exp(-x*x) underflows (x*x > log(DBL_MAX));
+#: and glibc's branch points 0.84375, 1.25, 1/0.35, 6 and 28, each with its
+#: neighbours and of both signs.
+_UNDERFLOW_CUT = 26.641747557046326
+_GLIBC_BRANCHES = (0.84375, 1.25, 1 / 0.35, 6.0, 28.0)
 ERFC_EDGES = np.array(
     [0.0, -0.0, 1.0, -1.0, 8.0, -8.0, math.inf, -math.inf, math.nan, 5e-324, 1e300]
     + [np.nextafter(e, 0.0) for e in (1.0, -1.0, 8.0, -8.0)]
-    + [sign * (_MAXLOG_CUT + k * 4e-15) for sign in (1, -1) for k in range(-5, 6)]
+    + [sign * (_UNDERFLOW_CUT + k * 4e-15) for sign in (1, -1) for k in range(-5, 6)]
+    + [
+        sign * x
+        for b in _GLIBC_BRANCHES
+        for x in (np.nextafter(b, 0.0), b, np.nextafter(b, math.inf))
+        for sign in (1, -1)
+    ]
 )
+
+
+def _ulps(got, want) -> np.ndarray:
+    """|got - want| per point, in units of the last place of the double
+    nearest each 120-bit want."""
+    with mpmath.workprec(120):
+        return np.array([
+            float(abs(mpmath.mpf(g) - w)) / math.ulp(float(w)) for g, w in zip(got, want)
+        ])
 
 
 class TestErfc:
     @pytest.mark.filterwarnings("error")
-    def test_erfc_matches_scipy_bit_for_bit(self):
+    def test_erfc_is_within_8_ulp_of_mpmath(self):
         rng = np.random.default_rng(20)
+        u = np.arange(
+            0.0, single_shot.EFFICIENCY_U_MAX + 0.5 * single_shot.EFFICIENCY_U_STEP,
+            single_shot.EFFICIENCY_U_STEP,
+        )
+        nbar, r0 = np.meshgrid(
+            np.linspace(0.0, 4.0, 41), np.linspace(0.05, 5.0, 100), indexing="ij"
+        )
         points = np.concatenate([
-            ERFC_EDGES,
-            rng.uniform(-30.0, 30.0, 100_000),
-            rng.normal(0.0, 2.0, 50_000),
-            np.arange(0.0, 5.0 + 5e-4, 1e-3) / 2,  # the max_binary_efficiency grid
+            ERFC_EDGES[~np.isnan(ERFC_EDGES)],
+            rng.uniform(-30.0, 30.0, 20_000),
+            0.5 * u,  # the arguments max_binary_efficiency takes
+            (r0 / (2.0 * np.sqrt(1.0 + nbar))).ravel(),  # and figure-S2's
         ])
-        ref = special.erfc(points)
-        # arrays, also a 2-d one
-        assert single_shot.erfc(points).tobytes() == ref.tobytes()
-        assert single_shot.erfc(points[:600].reshape(20, 30)).tobytes() == ref[:600].tobytes()
-        # Python floats in, Python floats out: every edge and a subsample of the rest
-        for x, want in zip(points[:5_000], ref[:5_000]):
-            got = single_shot.erfc(float(x))
-            assert isinstance(got, float)
-            assert np.float64(got).tobytes() == want.tobytes(), x
-
+        x = points.tolist()
+        # past |x| = 40, where mpmath's series overflow at 1e300, erfc(+-40)
+        # stands in: both round to 0 or 2
+        with mpmath.workprec(120):
+            want = [mpmath.erfc(mpmath.mpf(min(max(p, -40.0), 40.0))) for p in x]
+        array_ulps = _ulps(single_shot.erfc(points).tolist(), want)
+        scalar_ulps = _ulps([single_shot.erfc(p) for p in x], want)
+        assert array_ulps.max() <= 8.0, x[int(array_ulps.argmax())]
+        assert scalar_ulps.max() <= 8.0, x[int(scalar_ulps.argmax())]
+        assert math.isnan(single_shot.erfc(math.nan))
+        assert np.isnan(single_shot.erfc(np.array([math.nan])))[0]
 
     @pytest.mark.filterwarnings("error")
-    def test_array_path_matches_the_scalar_loop_in_every_branch(self):
+    def test_array_path_matches_math_erfc_in_every_region(self):
         rng = np.random.default_rng(21)
         sign = rng.choice([-1.0, 1.0], 20_000)
-        branches = {
+        regions = {
             "|x| < 1": rng.uniform(-1.0, 1.0, 20_000),
             "1 <= |x| < 8": rng.uniform(1.0, 8.0, 20_000) * sign,
-            "8 <= |x| <= cut": rng.uniform(8.0, _MAXLOG_CUT, 20_000) * sign,
+            "8 <= |x| <= cut": rng.uniform(8.0, _UNDERFLOW_CUT, 20_000) * sign,
+            # results below the smallest normal double, down to 0 past 27.3
+            "subnormal": rng.uniform(_UNDERFLOW_CUT, 27.3, 20_000) * sign,
             # exp(-x*x) underflows, and x*x overflows past 1.3e154
             "underflow": np.concatenate([
-                rng.uniform(_MAXLOG_CUT, 1e3, 10_000), 10.0 ** rng.uniform(3.0, 308.0, 10_000)
+                rng.uniform(_UNDERFLOW_CUT, 1e3, 10_000), 10.0 ** rng.uniform(3.0, 308.0, 10_000)
             ]) * sign,
             "edges": ERFC_EDGES,
             "non-finite and zeros": np.array([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0]),
         }
-        for name, points in branches.items():
-            want = np.array([single_shot._erfc_scalar(x) for x in points.tolist()])
+        for name, points in regions.items():
+            want = np.array([math.erfc(x) for x in points.tolist()])
             assert single_shot.erfc(points).tobytes() == want.tobytes(), name
+        subnormal = single_shot.erfc(regions["subnormal"])
+        assert np.any((0.0 < subnormal) & (subnormal < np.finfo(float).tiny))
+        # a 2-d array keeps its shape; a Python float gives a Python float
+        grid = regions["|x| < 1"][:600].reshape(20, 30)
+        assert single_shot.erfc(grid).shape == (20, 30)
+        assert single_shot.erfc(grid).tobytes() == single_shot.erfc(grid.ravel()).tobytes()
+        for x in (0.5, np.float64(0.5)):
+            got = single_shot.erfc(x)
+            assert type(got) is float and got == math.erfc(0.5)
 
 
 class TestAddedQuantum:
