@@ -24,10 +24,10 @@ import itertools
 import json
 import math
 import platform
+import queue
 import sys
+import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 try:
@@ -36,9 +36,6 @@ except ImportError:  # not on Windows, where an ensemble forks no worker
     resource = None
 
 import numpy as np
-# np.histogram(bins="fd") reaches numpy.ma through np.quantile; loaded here,
-# its cost stays in the import instead of inside figure-2b's run
-import numpy.ma
 
 from . import __version__, feedback
 from .config import EngineConfig, POLICIES, SCHEMES
@@ -431,12 +428,14 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
     exactly, and hi is an even integer above 2**53, so hi + rint(lo) rounds
     half to even like '%.17g'); _fmt formats the rest, |v| < 1e-6,
     |v| >= 1e17, inf and nan, one cell at a time.
-    Rows are formatted _CSV_BLOCK_ROWS at a time on one worker thread per
-    CPU the process may use (feedback.worker_threads), and an array given
-    for several columns is formatted once per block.  The calling thread
-    writes and hashes the finished blocks in file order; the file write and
-    hashlib release the GIL, so that work overlaps the formatting.  At most
-    one block more than there are workers is in flight.
+    Rows are formatted _CSV_BLOCK_ROWS at a time by one plain thread per
+    CPU the process may use (feedback.worker_threads), at most one per
+    block, which take the blocks' indices from one FIFO queue; an array
+    given for several columns is formatted once per block.  The calling
+    thread writes and hashes the finished blocks in file order; the file
+    write and hashlib release the GIL, so that work overlaps the formatting.
+    At most one block more than there are threads is in flight, queued or
+    being formatted.
     """
     arrays = [np.asarray(col) for col in columns.values()]
     if len({len(a) for a in arrays}) != 1:
@@ -444,7 +443,27 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
         raise ValueError(f"CSV columns differ in length: {lengths}")
     header = "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
     starts = range(0, len(arrays[0]), _CSV_BLOCK_ROWS)
-    workers = max(1, min(feedback.worker_threads(), len(starts)))
+    workers = min(feedback.worker_threads(), len(starts))
+    # block k's bytes, or the exception formatting it raised, once done[k] is set
+    blocks: list = [None] * len(starts)
+    done = [threading.Event() for _ in starts]
+    tasks = queue.SimpleQueue()
+
+    def format_blocks() -> None:
+        while (k := tasks.get()) is not None:
+            try:
+                blocks[k] = _csv_block(arrays, starts[k])
+            except BaseException as exc:  # raised again by the caller
+                blocks[k] = exc
+            done[k].set()
+
+    def finished(k: int) -> bytes:
+        done[k].wait()
+        data, blocks[k] = blocks[k], None
+        if isinstance(data, BaseException):
+            raise data
+        return data
+
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def put(data: bytes) -> None:
@@ -452,19 +471,29 @@ def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
             digest.update(data)
 
         put(header.encode())
-        pool = ThreadPoolExecutor(workers)
-        pending = deque()
+        threads: list[threading.Thread] = []
         try:
-            for start in starts:
-                pending.append(pool.submit(_csv_block, arrays, start))
-                if len(pending) > workers:
-                    put(pending.popleft().result())
-            while pending:
-                put(pending.popleft().result())
+            for _ in range(workers):
+                threads.append(threading.Thread(target=format_blocks))
+                threads[-1].start()
+            for k in range(len(starts) + workers):
+                if k < len(starts):
+                    tasks.put(k)
+                if k >= workers:
+                    put(finished(k - workers))
         finally:
-            # after an error or an interrupt the queued blocks are dropped,
-            # and the pool is joined before the caller removes the file
-            pool.shutdown(cancel_futures=True)
+            # after an error or an interrupt the blocks no thread has taken
+            # are dropped, and the threads are joined before the caller
+            # removes the file
+            try:
+                while True:
+                    tasks.get_nowait()
+            except queue.Empty:
+                pass
+            for _ in threads:
+                tasks.put(None)
+            for thread in threads:
+                thread.join()
     return digest.hexdigest()
 
 

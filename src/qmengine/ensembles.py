@@ -14,8 +14,7 @@ that law's parameter on the step grid, and ``exact_work_pdf`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ KS_LEVEL = 0.01
 EFFICIENCY_BATCHES = 100
 
 
-@dataclass(frozen=True, slots=True)
-class WorkStatistics:
+class WorkStatistics(NamedTuple):
     """Work samples of one ensemble with their first two moments."""
 
     samples: np.ndarray
@@ -44,15 +42,13 @@ class WorkStatistics:
     t: float
 
 
-@dataclass(frozen=True, slots=True)
-class MeanWorkSeries:
+class MeanWorkSeries(NamedTuple):
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class EfficiencySeries:
+class EfficiencySeries(NamedTuple):
     """Ensemble work-conversion efficiency eta(t) = <W>/<Q> under per-step
     extraction, with Q = W + (q3 + q5)/4 - 1/2 (harvested work plus the
     energy still stored in the covariances)."""
@@ -62,8 +58,7 @@ class EfficiencySeries:
     stderr: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class KsResult:
+class KsResult(NamedTuple):
     """D_n of a KS comparison, the DKW-Massart bound on its p-value
     Pr(D_n >= D), and whether that bound is at or above KS_LEVEL."""
 

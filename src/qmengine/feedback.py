@@ -68,9 +68,9 @@ import mmap
 import os
 import pickle
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import pairwise, product
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,8 +116,7 @@ STREAM_LAYOUT = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Steps:
+class Steps(NamedTuple):
     """The record of a run, one trajectory or an ensemble: what ``_chunk``
     fills and what ``run_trajectory`` and ``run_ensembles`` return.
 
@@ -141,11 +140,10 @@ class Steps:
 
 
 #: The per-trajectory fields of ``Steps``, all but ``cov``: those a caller may ask for.
-STEP_FIELDS = Steps.__slots__[:-1]
+STEP_FIELDS = Steps._fields[:-1]
 
 
-@dataclass(frozen=True, slots=True)
-class _Tables:
+class _Tables(NamedTuple):
     """The constants of one run's steps: built once by ``_tables``, then only
     read, by every chunk and worker."""
 

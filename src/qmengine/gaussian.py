@@ -23,7 +23,7 @@ series that the kernel reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 # numpy loads its submodules on first use; loading this one here keeps its
@@ -46,8 +46,7 @@ def inv_2tau(tau: float) -> float:
     return 0.5 / tau if tau < NO_MEASUREMENT_TAU else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class NoiseSource:
+class NoiseSource(NamedTuple):
     """Deterministic, splittable randomness handle: a seed and a block stream.
 
     ``generator()`` is a PCG64 generator seeded by

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -233,22 +234,56 @@ def continuous_run(tmp_path_factory):
     return code, out
 
 
+def run_python(code: str, cwd: Path | None = None) -> str:
+    """stdout of a fresh interpreter that runs code with this package on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return proc.stdout
+
+
+#: One small run of each family and preset, and its exit status.
+SMALL_RUNS = [
+    (["single-shot", "--n-traj", "1000"], 0),
+    (["binary", "--n-traj", "1000"], 0),
+    (["classical", "--n-traj", "1000"], 0),
+    (["continuous", "--n-traj", "200", "--t-final", "1", "--dt", "0.01",
+      "--policy", "terminal"], 0),
+    (["presets", "figure-2c", "--n-traj", "200"], 0),
+    (["presets", "figure-2f"], 0),
+    (["presets", "figure-S2"], 0),
+    (["presets", "figure-S3", "--n-traj", "200"], 0),
+    (["presets", "figure-2b", "--n-traj", "200", "--t-final", "1"], 0),
+]
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
-        # numpy is the only runtime dependency
+        # numpy is the only runtime dependency, and the import loads no
+        # module that only some runs use, or none
+        loaded = ast.literal_eval(run_python("import qmengine.cli, sys; print(sorted(sys.modules))"))
+        assert "numpy.random" in loaded
+        for name in ("numpy.ma", "concurrent.futures", "logging", "scipy"):
+            assert not [m for m in loaded if m == name or m.startswith(name + ".")], name
+
+    def test_every_run_goes_without_concurrent_futures(self, tmp_path):
+        # figure-2b's Freedman-Diaconis bins are the only use of numpy.ma,
+        # which its run loads itself
         code = (
-            "import qmengine.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.'))))"
+            "import json, sys\n"
+            "sys.modules['concurrent.futures'] = None\n"
+            "import qmengine.cli\n"
+            "out = []\n"
+            f"for i, argv in enumerate({[argv for argv, _ in SMALL_RUNS]!r}):\n"
+            "    code = qmengine.cli.main(argv + ['--seed', '1', '--output-dir', f'run-{i}'])\n"
+            "    out.append([code, 'numpy.ma' in sys.modules])\n"
+            "print(json.dumps(out))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(qm.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            check=True, timeout=60,
-        )
-        loaded = ast.literal_eval(proc.stdout.strip())
-        assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
-        # numpy submodules the runs use are loaded with the package, not in a run
-        assert {"numpy.random", "numpy.ma"} <= set(loaded)
+        got = json.loads(run_python(code, cwd=tmp_path).splitlines()[-1])
+        expected = [[status, argv[1] == "figure-2b"] for argv, status in SMALL_RUNS]
+        assert got == expected
 
 
 class TestOutputs:
@@ -535,8 +570,10 @@ class TestCsvWriter:
         assert run_cli(argv + ["--output-dir", str(tmp_path / "full")]) == 0
         whole = (tmp_path / "full" / "cycles.csv").read_bytes()
         monkeypatch.setattr(cli, "open", FullDisk, raising=False)
+        live = threading.active_count()
         code = run_cli(argv + ["--output-dir", str(tmp_path / "out")])
         assert code == 1
+        assert threading.active_count() == live
         assert "No space left on device" in capsys.readouterr().err
         # the header, then the first block of eight rows, reached the file
         assert len(written) == 2
@@ -574,11 +611,14 @@ class TestCsvWriter:
                 return self.fh.write(data)
 
         columns = {"x": np.arange(25 * SMALL_BLOCK) / 7.0}
+        live = threading.active_count()
         with mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK), \
                 mock.patch.object(feedback, "worker_threads", lambda: workers), \
                 mock.patch.object(cli, "_csv_block", counting_block), \
                 mock.patch.object(cli, "open", SlowDisk, create=True):
             cli._write_csv(tmp_path / "out.csv", [], columns)
+        # the writer's threads have exited when it returns
+        assert threading.active_count() == live
         assert seen == [workers + 1]
         assert sorted(formatted) == list(range(0, 25 * SMALL_BLOCK, SMALL_BLOCK))
         assert (tmp_path / "out.csv").read_bytes() == reference_csv([], columns)
@@ -622,6 +662,42 @@ class TestCsvWriter:
         assert threading.main_thread() not in threads
         assert len(threads) < 25
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("end", ["block raises", "caller interrupted"])
+    def test_threads_are_joined_however_the_writer_stops(self, tmp_path, workers, end):
+        # block 2 of 25 raises on its thread, or sends SIGINT to the calling
+        # thread, as Ctrl-C does, and holds its thread a while: either way
+        # the blocks no thread has taken are dropped and every thread exits
+        csv_block, caller = cli._csv_block, threading.current_thread()
+        formatted = []
+
+        def stopping_block(arrays, start):
+            formatted.append(start)
+            if start == 2 * SMALL_BLOCK:
+                if end == "block raises":
+                    raise ValueError("block formatting failed")
+                signal.pthread_kill(caller.ident, signal.SIGINT)
+                time.sleep(0.2)
+            return csv_block(arrays, start)
+
+        assert caller is threading.main_thread()  # where Python takes signals
+        live = threading.active_count()
+        columns = {"x": np.arange(25 * SMALL_BLOCK) / 7.0}
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with mock.patch.object(cli, "_CSV_BLOCK_ROWS", SMALL_BLOCK), \
+                    mock.patch.object(feedback, "worker_threads", lambda: workers), \
+                    mock.patch.object(cli, "_csv_block", stopping_block), \
+                    pytest.raises(ValueError if end == "block raises" else KeyboardInterrupt):
+                cli._write_csv(tmp_path / "out.csv", [], columns)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert threading.active_count() == live
+        # no block past those in flight when block 2 stopped the writer; a
+        # lone thread held by block 2 takes none of them
+        last = 2 if (workers, end) == (1, "caller interrupted") else 2 + workers
+        assert max(formatted) <= last * SMALL_BLOCK
 
 
 def significant_digits(text: str) -> int:

@@ -1310,3 +1310,33 @@ class TestFreeLoop:
         assert copies and len({start for start, _ in copies}) == 1
         assert max(size for _, size in copies) <= 2**20
         assert feedback.FREE_SCRATCH == 2**20
+
+
+#: Each record of the package and its fields, in order.
+RECORDS = [
+    (Steps, feedback.STEP_FIELDS + ("cov",)),
+    (feedback._Tables, ("dt", "w1", "w2", "i1", "i2", "ito", "per_step", "recorded_cov",
+                        "grid", "grid_rows", "columns", "pairs", "drift")),
+    (qm.WorkStatistics, ("samples", "mean", "variance", "stderr", "n_traj", "t")),
+    (qm.MeanWorkSeries, ("t", "mean", "stderr")),
+    (qm.EfficiencySeries, ("t", "eta", "stderr")),
+    (qm.KsResult, ("statistic", "pvalue", "passed")),
+    (qm.NoiseSource, ("seed", "stream")),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, names", RECORDS, ids=[r.__name__ for r, _ in RECORDS])
+    def test_fields_keep_their_names_and_order_and_are_read_only(self, record, names):
+        rec = record(*range(len(names)))
+        assert [getattr(rec, name) for name in names] == list(range(len(names)))
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, -1)
+
+    def test_step_fields_and_the_default_stream(self):
+        assert feedback.STEP_FIELDS == (
+            "q1", "q2", "r1", "r2", "increment", "ledger", "harvest", "harvested"
+        )
+        assert qm.NoiseSource(7) == qm.NoiseSource(7, 0)
+        assert qm.NoiseSource(7).stream == 0
