@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnsupportedConfigurationError
 from .gaussian import inv_2tau
 
 POLICIES = ("terminal", "per-step", "none")
@@ -149,11 +148,6 @@ class EngineConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.scheme == "ito" and self.tau1 != self.tau2:
-            raise UnsupportedConfigurationError(
-                "the Ito work ledger is defined only for symmetric channels "
-                f"(tau1 == tau2); got ({self.tau1}, {self.tau2})"
-            )
         if not 0.0 < self.r0 <= math.sqrt(MAX_ENERGY):
             raise ValueError(
                 f"r0 must lie in (0, {math.sqrt(MAX_ENERGY):g}], got {self.r0}"

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import EngineConfig
 from .errors import UnsupportedConfigurationError
-from .feedback import Steps, run_ensemble_arrays, run_ensembles
+from .feedback import Steps, half_trace, run_ensemble_arrays, run_ensembles
 from .gaussian import covariance_series, inv_2tau
 
 #: Smallest sample the KS comparison accepts.
@@ -108,21 +108,13 @@ def sigma_schedule(
 
 def ledger_mean_work(config: EngineConfig) -> float:
     """Exact mean of the work ledger at t_final for the discrete scheme, any
-    channels: a sum over the covariance rows (c3, c4, c5) at the step starts,
-    as each step's means are independent of its noise.  Its terms are the Ito
-    drift nu**2*dt/tau1 (nu = c3/2) or the midpoint rule's (dt/4)*((c3**2 +
-    c4**2)*i1 + (c4**2 + c5**2)*i2), i = inv_2tau(tau).
+    channels and either scheme: the sum of ``half_trace`` over the
+    covariance rows at the step starts, as each step's means are independent
+    of its noise.
     """
     dt = config.resolved_dt
     cov = covariance_series(config.nbar, config.tau1, config.tau2, dt, config.n_steps)
-    c3, c4, c5 = cov[:-1].T
-    if config.scheme == "ito":
-        nu = 0.5 * c3
-        terms = nu * nu / config.tau1 * dt
-    else:
-        i1, i2 = inv_2tau(config.tau1), inv_2tau(config.tau2)
-        terms = 0.25 * dt * ((c3 * c3 + c4 * c4) * i1 + (c4 * c4 + c5 * c5) * i2)
-    return math.fsum(memoryview(terms))
+    return math.fsum(memoryview(half_trace(config, cov[:-1])))
 
 
 def _libm_exp(x: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ class UncertaintyViolationError(RuntimeError):
 class UnsupportedConfigurationError(ValueError):
     """Requested operation is only defined for a restricted configuration.
 
-    Typical case: the Ito work ledger and the variance schedule require
-    symmetric measurement channels (tau1 == tau2) in covariance normal form.
+    Typical cases: the exponential work law (``sigma_schedule``) requires
+    symmetric measurement channels (tau1 == tau2), and the mean-work curve,
+    the power estimate and the efficiency series each require one policy.
     """

@@ -55,10 +55,11 @@ covariances stay untouched because the kernel only reads them, from
 
 Alongside the harvested work, each trajectory carries a work ledger that
 accrues the stochastic work increments in one of two equivalent
-discretizations: a midpoint (Stratonovich) rule driven by the raw noise
-increments, or an Ito rule whose deterministic drift is the instantaneous
-power nu(t)**2/tau (defined only for symmetric channels in covariance
-normal form).  Both ledgers agree with the harvested work in ensemble mean.
+discretizations, for any channels: a midpoint (Stratonovich) rule driven by
+the raw noise increments, or an Ito rule, the same expression at the step's
+start plus its expectation ``half_trace``, 1/2 tr S_k of the covariance S_k
+of the step's mean kick.  Both ledgers have that expectation's sum as their
+exact mean, and agree with the harvested work in ensemble mean.
 """
 
 from __future__ import annotations
@@ -75,12 +76,7 @@ from typing import Callable, Collection, NamedTuple, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .errors import UnsupportedConfigurationError
 from .gaussian import NoiseSource, covariance_series, inv_2tau
-
-#: Absolute slack on |q4| and |q3 - q5| when the Ito ledger checks that the
-#: covariance matrix is in normal form.
-NORMAL_FORM_TOL = 1e-9
 
 #: Trajectories per noise stream.  Trajectory j draws its (n_steps, 2)
 #: standard normals from stream (seed, j // STREAM_BLOCK), right after the
@@ -161,54 +157,54 @@ class _Tables(NamedTuple):
     # c5*i2, shape (7, n_steps)
     columns: np.ndarray | None
     # per step, for the free policies: the pairs [c3*i1, c4*i1], [c4*i2,
-    # c5*i2] and the ledger's two (see _free), shape (n_steps, 4, 2, 1)
+    # c5*i2] and the ledger's [c3, c4], [c4, c5] (see _free), shape
+    # (n_steps, 4, 2, 1)
     pairs: np.ndarray | None
-    drift: np.ndarray  # per step, the Ito ledger's drift nu**2/tau*dt (0 if unused)
+    drift: np.ndarray  # per step, half_trace: the Ito ledger's drift
+
+
+def half_trace(config: EngineConfig, cov: np.ndarray) -> np.ndarray:
+    """1/2 tr S_k of config's steps from the covariance rows (c3, c4, c5) of
+    cov: the expectation of a ledger increment under either scheme, and the
+    Ito ledger's drift, (dt/4)*((c3**2 + c4**2)*i1 + (c4**2 + c5**2)*i2) with
+    i = inv_2tau(tau).  S_k is the covariance of the step's mean kick."""
+    i1, i2 = inv_2tau(config.tau1), inv_2tau(config.tau2)
+    c3, c4, c5 = cov.T
+    return 0.25 * config.resolved_dt * ((c3 * c3 + c4 * c4) * i1 + (c4 * c4 + c5 * c5) * i2)
 
 
 def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Tables:
     """The constants of config's steps along cov, recording the grid points in
-    record; an Ito ledger needs cov in normal form."""
+    record."""
     dt = config.resolved_dt
     i1, i2 = inv_2tau(config.tau1), inv_2tau(config.tau2)
-    ito = config.scheme == "ito"
-    if ito and (
-        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
-        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
-    ):
-        raise UnsupportedConfigurationError(
-            "Ito work ledger requires the covariance normal form along the run"
-        )
     record = np.asarray(record, dtype=int)
     rows = np.argsort(record, kind="stable")
     grid_rows = rows[record[rows] > 0]
     n_steps = len(cov) - 1
     c3, c4, c5 = cov[:n_steps].T
-    # the gains c3*i1 etc. of the mean update, and the Ito ledger's drift
+    # the gains c3*i1 etc. of the mean update
     a1, b1, a2, b2 = c3 * i1, c4 * i2, c4 * i1, c5 * i2
-    nu = 0.5 * c3
-    drift = nu * nu / config.tau1 * dt if ito else np.zeros(n_steps)
     per_step = config.policy == "per-step"
     columns = pairs = None
     if per_step:
         columns = np.array([c3, c4, c5, a1, b1, a2, b2])
     else:
-        ledger = (c3, c5, c3, c5) if ito else (c3, c4, c4, c5)
-        pairs = np.stack([a1, a2, b1, b2, *ledger], axis=1).reshape(n_steps, 4, 2, 1)
+        pairs = np.stack([a1, a2, b1, b2, c3, c4, c4, c5], axis=1).reshape(n_steps, 4, 2, 1)
     return _Tables(
         dt=dt,
         w1=math.sqrt(config.tau1 / dt) if i1 else 0.0,
         w2=math.sqrt(config.tau2 / dt) if i2 else 0.0,
         i1=i1,
         i2=i2,
-        ito=ito,
+        ito=config.scheme == "ito",
         per_step=per_step,
         recorded_cov=cov[record],
         grid=record[grid_rows],
         grid_rows=grid_rows,
         columns=columns,
         pairs=pairs,
-        drift=drift,
+        drift=half_trace(config, cov[:n_steps]),
     )
 
 
@@ -259,8 +255,9 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     innovations u_i = r_i - q_i; then new1 = q1 + dt*((q2 + c3*i1*u1) +
     c4*i2*u2) and new2 = q2 + dt*((-q1 + c4*i1*u1) + c5*i2*u2), and with
     inc_i = u_i*i_i*dt the ledger increment (m1*c3 + m2*c4)*inc1 + (m1*c4 +
-    m2*c5)*inc2 at the midpoints m = 0.5*(q + new) (Stratonovich) or
-    (nu**2/tau1*dt + q1*c3*inc1) + q2*c5*inc2 with nu = c3/2 (Ito).
+    m2*c5)*inc2 at the midpoints m = 0.5*(q + new) (Stratonovich), or at
+    m = q with the step's ``half_trace`` d added between the two terms
+    (Ito): ((m1*c3 + m2*c4)*inc1 + d) + (m1*c4 + m2*c5)*inc2.
 
     The means evolve without resets, so the steps run in order.  They are
     held as one (3, m) array z = [q1, q2, -q1], whose rows 0:2 are q =
@@ -268,8 +265,8 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     So each operation on the two channels is one call on two rows, adding
     in the step's order (-q1 + y is y + (-q1) exactly): new = q + dt*((p +
     u1*[c3*i1, c4*i1]) + u2*[c4*i2, c5*i2]), inc = u*[i1, i2]*dt, and the
-    ledger's (m1*[c3, c4] + m2*[c4, c5])*inc, whose two rows are added, or
-    q*[c3, c5]*inc, added to the drift.  The ledger is taken only if
+    ledger's (m1*[c3, c4] + m2*[c4, c5])*inc, whose two rows are added, with
+    the drift between them under Ito.  The ledger is taken only if
     ``out`` records it or its running sum.  Every operation writes into a
     (20, m) buffer at the head of ``work``, never into one of its own inputs:
     numpy checks such an overlap on every call, which costs more than the
@@ -296,9 +293,11 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     dw, tmp = buf[16:18]
     # step k reads z and the ledger from one set of buffers and writes the
     # next into the other, set k % 2: q, p, the new q, its rows and -new q1,
-    # the ledger and the new ledger
+    # the ledger's means (the rows of q under Ito, else the midpoints, taken
+    # into y), the ledger and the new ledger
     sides = [
-        (z[0:2], z[1:3], zn[0:2], zn[0], zn[1], zn[2], led, led_next)
+        (z[0:2], z[1:3], zn[0:2], zn[0], zn[1], zn[2],
+         *((z[0], z[1]) if t.ito else (y1, y2)), led, led_next)
         for z, zn, led, led_next in (
             (buf[0:3], buf[3:6], buf[18], buf[19]),
             (buf[3:6], buf[0:3], buf[19], buf[18]),
@@ -317,7 +316,7 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
         for k, wg, (a, c, l1, l2), d in zip(
             range(k0, k1), tile, t.pairs[k0:k1], t.drift[k0:k1].tolist()
         ):
-            q, p, new, new1, new2, neg, led, led_next = sides[k % 2]
+            q, p, new, new1, new2, neg, m1, m2, led, led_next = sides[k % 2]
             np.add(wg, q, r)  # readouts q + w*g
             np.subtract(r, q, u)  # innovations r - q
             np.multiply(u1, a, x)
@@ -330,20 +329,18 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
             if ledger:
                 np.multiply(u, inv, x)
                 np.multiply(x, dt, u)  # inc = innov*i*dt
-                if t.ito:
-                    # (nu**2/tau*dt + q1*c3*inc1) + q2*c5*inc2
-                    np.multiply(q, l1, x)
-                    np.multiply(x, u, y)
-                    np.add(y1, d, tmp)
-                    np.add(tmp, y2, dw)
-                else:
-                    # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2
+                if not t.ito:
                     np.add(q, new, x)
-                    np.multiply(x, 0.5, y)
-                    np.multiply(y1, l1, x)
-                    np.multiply(y2, l2, v)
-                    np.add(x, v, y)
-                    np.multiply(y, u, x)
+                    np.multiply(x, 0.5, y)  # the midpoints
+                # (m1*c3 + m2*c4)*inc1 and (m1*c4 + m2*c5)*inc2
+                np.multiply(m1, l1, x)
+                np.multiply(m2, l2, v)
+                np.add(x, v, y)
+                np.multiply(y, u, x)
+                if t.ito:
+                    np.add(x1, d, tmp)
+                    np.add(tmp, x2, dw)
+                else:
                     np.add(x1, x2, dw)
                 np.add(led, dw, led_next)
             if k + 1 == mark:
@@ -427,9 +424,9 @@ def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> No
                 field[into] = tile[:, at].T
 
         if ledger and t.ito:
-            # nu**2/tau*dt + (q1*c3)*inc1 + (q2*c5)*inc2 at q1 = q2 = 0:
-            # for finite normals the products are signed zeros, and the
-            # drift (>= +0) plus a signed zero is the drift
+            # ((q1*c3 + q2*c4)*inc1 + drift) + (q1*c4 + q2*c5)*inc2 at
+            # q1 = q2 = 0: for finite normals the products are signed zeros,
+            # and the drift (>= +0) plus a signed zero is the drift
             dw[...] = t.drift[cols]
         elif ledger:
             # (m1*c3 + m2*c4)*inc1 + (m1*c4 + m2*c5)*inc2, m_i = 0.5*(0 + new_i)

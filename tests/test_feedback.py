@@ -21,10 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmengine as qm
-from qmengine import cli, feedback
+from qmengine import cli, ensembles, feedback
 from qmengine.config import MAX_N_STEPS
-from qmengine.errors import UnsupportedConfigurationError
-from qmengine.feedback import NORMAL_FORM_TOL, Steps, run_ensemble_arrays
+from qmengine.feedback import Steps, run_ensemble_arrays
 from qmengine.gaussian import NO_MEASUREMENT_TAU, covariance_series, inv_2tau
 
 #: The per-trajectory fields of Steps; with cov, all of its fields.
@@ -126,16 +125,37 @@ class TestItoLedger:
         se = incs.std(ddof=1) / math.sqrt(len(incs))
         assert abs(incs.mean() - drift) <= 3.0 * se
 
-    def test_asymmetric_channels_rejected(self):
-        cfg = qm.EngineConfig(tau1=1.0, tau2=0.9, dt=0.01, scheme="ito")
-        with pytest.raises(UnsupportedConfigurationError):
-            qm.run_trajectory(cfg)
-
-    def test_non_normal_form_rejected(self):
+    def test_increment_is_half_trace_at_zero_means(self):
+        # off normal form too: at zero means the martingale part is a signed
+        # zero, so every increment is (dt/4)*((c3**2 + c4**2)*i1 + (c4**2 +
+        # c5**2)*i2) = 0.0025 * 2.34
         cfg = qm.EngineConfig(dt=0.01, policy="none", scheme="ito")
-        with pytest.raises(UnsupportedConfigurationError):
-            cov = constant_cov(1.5, 0.3, 1.5, 1)
-            _advance(cfg, cov, np.zeros((1, 1, 2)), [1])
+        cov = constant_cov(1.5, 0.3, 1.5, 1)
+        noise = qm.NoiseSource(44).generator().standard_normal((20, 1, 2))
+        steps = _advance(cfg, cov, noise, [1])
+        half_trace = 0.25 * 0.01 * ((1.5 * 1.5 + 0.3 * 0.3) * 0.5 + (0.3 * 0.3 + 1.5 * 1.5) * 0.5)
+        assert np.all(steps.increment == half_trace)
+        assert np.all(steps.increment == feedback.half_trace(cfg, cov[:1]))
+        assert half_trace == pytest.approx(0.00585, rel=1e-14)
+
+    @pytest.mark.parametrize("tau2", [1.0, 1.2, 0.7, math.inf])
+    def test_both_schemes_have_one_exact_mean(self, tau2):
+        cfgs = [
+            qm.EngineConfig(nbar=1.0, tau2=tau2, dt=0.01, t_final=2.0, policy="none", scheme=s)
+            for s in ("stratonovich", "ito")
+        ]
+        mean, ito_mean = map(ensembles.ledger_mean_work, cfgs)
+        assert ito_mean == mean
+
+    @pytest.mark.parametrize(("tau2", "seed"), [(1.0, 0), (1.2, 1), (0.7, 2), (math.inf, 3)])
+    def test_ensemble_mean_is_the_exact_mean_for_any_channels(self, tau2, seed):
+        cfg = qm.EngineConfig(
+            nbar=1.0, tau2=tau2, dt=0.01, t_final=2.0, n_traj=20_000, policy="none",
+            scheme="ito", seed=seed,
+        )
+        w = run_ensemble_arrays(cfg, [2.0], ["ledger"]).ledger[0]
+        se = w.std(ddof=1) / math.sqrt(len(w))
+        assert abs(w.mean() - ensembles.ledger_mean_work(cfg)) <= 3.0 * se
 
     def test_per_step_run_increments_equal_power_drift(self):
         # per-step policy resets the means, so every Ito ledger increment is
@@ -936,13 +956,9 @@ class TestScratch:
 
 def shared_configs(policy, scheme):
     """Configs that share WORKER_CONFIGS[policy, scheme]'s noise: figure-S3's
-    three channel ratios and a warmer start, or under Ito, which needs
-    symmetric channels, a warmer start and slower channels."""
+    three channel ratios and a warmer start."""
     base = WORKER_CONFIGS[policy, scheme]
-    if scheme == "ito":
-        changes = [{}, {"nbar": 2.0}, {"tau1": 0.8, "tau2": 0.8}]
-    else:
-        changes = [{"tau2": ratio} for ratio in (1.0, 0.9, 1.2)] + [{"nbar": 2.0}]
+    changes = [{"tau2": ratio} for ratio in (1.0, 0.9, 1.2)] + [{"nbar": 2.0}]
     return [dataclasses.replace(base, **change) for change in changes]
 
 
@@ -1092,13 +1108,6 @@ def reference_advance(config, cov, noise, record):
     w2 = math.sqrt(config.tau2 / dt) if config.tau2 < NO_MEASUREMENT_TAU else 0.0
 
     use_ito = config.scheme == "ito"
-    if use_ito and (
-        np.abs(cov[:, 1]).max() > NORMAL_FORM_TOL
-        or np.abs(cov[:, 0] - cov[:, 2]).max() > NORMAL_FORM_TOL
-    ):
-        raise UnsupportedConfigurationError(
-            "Ito work ledger requires the covariance normal form along the run"
-        )
     per_step = config.policy == "per-step"
 
     out = Steps(
@@ -1121,9 +1130,10 @@ def reference_advance(config, cov, noise, record):
         inc1 = innov1 * i1 * dt
         inc2 = innov2 * i2 * dt
         if use_ito:
-            # power drift nu**2/tau * dt (nu = q3/2) plus the martingale part
-            nu = 0.5 * c3
-            dW = nu * nu / config.tau1 * dt + q1 * c3 * inc1 + q2 * c5 * inc2
+            # the step-start means, with the expectation 1/2 tr S_k between
+            # the two channel terms
+            drift = 0.25 * dt * ((c3 * c3 + c4 * c4) * i1 + (c4 * c4 + c5 * c5) * i2)
+            dW = (q1 * c3 + q2 * c4) * inc1 + drift + (q1 * c4 + q2 * c5) * inc2
         else:
             # midpoint rule on the pre- and post-step means
             m1 = 0.5 * (q1 + new1)
@@ -1158,8 +1168,11 @@ KERNEL_CHANNELS = [
     (1.0, 1.0, "stratonovich"),
     (1.0, 1.0, "ito"),
     (1.0, 0.9, "stratonovich"),
+    (1.0, 0.9, "ito"),
     (1.0, 1.2, "stratonovich"),
+    (1.0, 1.2, "ito"),
     (1.0, math.inf, "stratonovich"),
+    (1.0, math.inf, "ito"),
     (math.inf, math.inf, "stratonovich"),
     (math.inf, math.inf, "ito"),
 ]
@@ -1270,7 +1283,8 @@ FREE_WIDTHS = [
 
 class TestFreeLoop:
     @pytest.mark.parametrize(("tau2", "scheme"), [
-        (1.0, "stratonovich"), (1.0, "ito"), (0.7, "stratonovich"), (math.inf, "stratonovich"),
+        (1.0, "stratonovich"), (1.0, "ito"), (0.7, "stratonovich"), (0.7, "ito"),
+        (math.inf, "stratonovich"), (math.inf, "ito"),
     ])
     @pytest.mark.parametrize("policy", ["terminal", "none"])
     @pytest.mark.parametrize(("m", "scratch"), FREE_WIDTHS)

@@ -1,5 +1,6 @@
 """Golden SHA-256 digests of every CSV each CLI family and preset writes,
-and of summary.json for two runs at tau != 1 and one binary run.
+and of summary.json for two runs at tau != 1, one binary run and one Ito run
+on asymmetric channels.
 
 The digests were recorded at seed 5 with small fixed sizes, plus one run long
 enough to span many CSV row blocks and two ensembles of several noise-stream
@@ -161,8 +162,9 @@ def test_csv_digests(tmp_path, argv, digests):
 
 
 #: SHA-256 of summary.json for runs whose KS statistic and p-value bound, and
-#: expected mean, depend on tau/sigma and sigma/tau at tau != 1, and for a
-#: binary run whose closed forms take erfc away from the default r0 = 1.
+#: expected mean, depend on tau/sigma and sigma/tau at tau != 1, for a
+#: binary run whose closed forms take erfc away from the default r0 = 1, and
+#: for an Ito ledger on asymmetric channels, gated by its exact mean.
 SUMMARY_GOLDEN = [
     (
         ("continuous", "--n-traj", "200", "--tau", "0.7"),
@@ -175,6 +177,10 @@ SUMMARY_GOLDEN = [
     (
         ("binary", "--nbar", "0.5", "--r0", "1.2", "--n-traj", "500"),
         "b3d32ed5d7b8b783c88dabe60a992a466f69a471bb0c63c7fa066e14a237826a",
+    ),
+    (
+        ("continuous", "--policy", "none", "--scheme", "ito", "--tau2", "1.2", "--n-traj", "500"),
+        "3456d570f25ac4888ccb5bc2308d426b91959beb727dd939fc1091d55228b850",
     ),
 ]
 
@@ -211,6 +217,8 @@ def _numpy_has_avx512f() -> bool:
         ("continuous", "--n-traj", "2000", "--seed", "2"),
         ("binary", "--nbar", "0.5", "--r0", "1.2", "--n-traj", "500", "--seed", "5"),
         ("presets", "figure-S2", "--seed", "5"),
+        ("continuous", "--policy", "none", "--scheme", "ito", "--tau2", "1.2", "--n-traj", "500",
+         "--seed", "5"),
     ],
     ids=" ".join,
 )
