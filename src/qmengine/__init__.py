@@ -20,7 +20,6 @@ from .ensembles import (
     run_ensemble,
     sigma_schedule,
 )
-from .errors import UncertaintyViolationError, UnsupportedConfigurationError
 from .feedback import Steps, run_trajectory
 from .gaussian import NoiseSource, covariance_series
 from .single_shot import (

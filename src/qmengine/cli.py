@@ -7,7 +7,7 @@ Exit status: 0 all checks passed, 2 a check failed or none applied, 1 usage
 or runtime error, after which no output file of the run is left behind.
 All files are dimensionless (energies in hbar*omega, times in 1/omega) and
 written with 17 significant digits.  A CSV cell reads as '%.17g' % v, or
-'%d' and '%s' for integer and bool columns, byte for byte, but cells are
+'%d' % v in a signed integer column, byte for byte, but cells are
 formatted as arrays, a block of rows at a time.  Zeros and floats whose
 17-digit rounding has decimal exponent in [-6, 16] are laid out from an
 exactly rounded significand; the rest (|v| < 1e-6, |v| >= 1e17, inf, nan)
@@ -52,7 +52,6 @@ from .ensembles import (
     run_ensemble,
     sigma_schedule,
 )
-from .errors import UncertaintyViolationError
 from .feedback import STREAM_LAYOUT, ensemble_layout, run_trajectory
 from .gaussian import NoiseSource
 from .single_shot import (
@@ -179,8 +178,6 @@ def parse_config(args: argparse.Namespace) -> EngineConfig:
 def _fmt(x) -> str:
     """A scalar as a comment or CSV cell shows it; also the per-cell
     fallback of _float_cells."""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return "%.17g" % float(x)
@@ -360,21 +357,18 @@ _POW10_U64 = np.array([10**p for p in range(20)], np.uint64)
 
 
 def _int_cells(a: np.ndarray) -> np.ndarray:
-    """'%d' % v for each integer v in a, as a (rows, width) uint8 matrix
-    whose zero bytes are to be dropped.
+    """'%d' % v for each signed integer v in a, as a (rows, width) uint8
+    matrix whose zero bytes are to be dropped.
 
-    |v| as an unsigned 64-bit integer (at most 20 digits) is laid out in
+    |v| as an unsigned 64-bit integer (at most 19 digits) is laid out in
     groups of four digits from _DIGIT_GROUPS, as many groups from the right
     as the widest cell needs; then the leading zeros are masked and a sign
     is put before the first digit.
     """
-    if a.dtype.kind == "u":
-        mag, neg = a.astype(np.uint64, copy=False), np.zeros(len(a), bool)
-    else:
-        a = a.astype(np.int64, copy=False)
-        neg = a < 0
-        # the two's complement ~a + 1 is |a|, also for the least int64
-        mag = np.where(neg, ~a.view(np.uint64) + 1, a.view(np.uint64))
+    a = a.astype(np.int64, copy=False)
+    neg = a < 0
+    # the two's complement ~a + 1 is |a|, also for the least int64
+    mag = np.where(neg, ~a.view(np.uint64) + 1, a.view(np.uint64))
     digits = np.maximum(np.searchsorted(_POW10_U64, mag, side="right"), 1)
     width = int((digits + neg).max(initial=1))
     cells = np.empty((len(a), 20), np.uint8)
@@ -390,12 +384,9 @@ def _int_cells(a: np.ndarray) -> np.ndarray:
 
 def _column_cells(a: np.ndarray) -> np.ndarray:
     """The cells of one column as a (rows, width) uint8 matrix whose zero
-    bytes are to be dropped."""
-    if a.dtype.kind == "b":
-        # numpy's bytes of bools are those of '%s'
-        text = a.astype("S")
-        return text.view(np.uint8).reshape(len(text), text.itemsize)
-    if a.dtype.kind in "iu":
+    bytes are to be dropped: a signed integer column's from _int_cells, any
+    other's from _float_cells."""
+    if a.dtype.kind == "i":
         return _int_cells(a)
     return _float_cells(a.astype(np.float64, copy=False))
 
@@ -420,14 +411,13 @@ def _csv_block(arrays: list[np.ndarray], start: int) -> bytes:
 def _write_csv(path: Path, comments: list[str], columns: dict) -> str:
     """Write columns as CSV and return the SHA-256 hex digest of the file.
 
-    Every cell reads as _fmt would write it.  Bool columns take numpy's own
-    bytes, and integer columns go through _int_cells.  Float columns go
-    through _float_cells: 0, -0 and every value whose 17-digit rounding has
-    decimal exponent in [-6, 16] are laid out by array arithmetic from the
-    significand _significands rounds exactly (hi + lo = |v| * 10**p
-    exactly, and hi is an even integer above 2**53, so hi + rint(lo) rounds
-    half to even like '%.17g'); _fmt formats the rest, |v| < 1e-6,
-    |v| >= 1e17, inf and nan, one cell at a time.
+    Every cell reads as _fmt would write it.  Signed integer columns go
+    through _int_cells, and float columns through _float_cells: 0, -0 and
+    every value whose 17-digit rounding has decimal exponent in [-6, 16] are
+    laid out by array arithmetic from the significand _significands rounds
+    exactly (hi + lo = |v| * 10**p exactly, and hi is an even integer above
+    2**53, so hi + rint(lo) rounds half to even like '%.17g'); _fmt formats
+    the rest, |v| < 1e-6, |v| >= 1e17, inf and nan, one cell at a time.
     Rows are formatted _CSV_BLOCK_ROWS at a time by one plain thread per
     CPU the process may use (feedback.worker_threads), at most one per
     block, which take the blocks' indices from one FIFO queue; an array
@@ -676,7 +666,7 @@ def _run_continuous(
         {"trajectory": np.arange(config.n_traj), "work": stats.samples},
     )
     results = {"mean_work": stats.mean, "stderr": stats.stderr, "variance": stats.variance,
-               "t": stats.t}
+               "t": config.t_final}
     checks: dict = {}
     expected, rate, rounding = None, None, 0.0
     if config.policy == "none":
@@ -757,19 +747,20 @@ def _preset_figure_2c(config: EngineConfig, run: _Run) -> dict:
     run.csv(
         "mean_work.csv",
         ["terminal-feedback mean work versus observation time"],
-        {"t": series.t, "mc_mean": series.mean, "mc_stderr": series.stderr,
+        {"t": grid, "mc_mean": series.mean, "mc_stderr": series.stderr,
          "sigma_over_tau": oracle},
     )
     ok = bool(np.all(np.abs(series.mean - oracle) <= 3.0 * series.stderr))
     return {
-        "results": {"t": list(series.t), "mc_mean": list(series.mean)},
+        "results": {"t": grid, "mc_mean": list(series.mean)},
         "checks": {"mean_curve_within_3se": ok},
         "layout": ensemble_layout(config),
     }
 
 
 def _preset_figure_2f(config: EngineConfig, run: _Run) -> dict:
-    t_grid = np.round(np.arange(0.0, config.t_final + 1e-9, 0.25), 10)
+    spacing = _PRESET_VALUES["figure-2f"]["spacing"]
+    t_grid = np.round(np.arange(0.0, config.t_final + 1e-9, spacing), 10)
     nu = sigma_schedule(config)[0][config.step_index(t_grid)]
     j_tau = nu * nu  # J = nu**2/tau
     run.csv(
@@ -800,7 +791,8 @@ def _preset_figure_s2(config: EngineConfig, run: _Run) -> dict:
 
 
 def _preset_figure_s3(config: EngineConfig, run: _Run) -> dict:
-    grid = np.round(np.arange(1.0, config.t_final + 1e-9, 1.0), 10)
+    spacing = _PRESET_VALUES["figure-S3"]["spacing"]
+    grid = np.round(np.arange(spacing, config.t_final + 1e-9, spacing), 10)
     columns: dict = {"t": grid}
     finals: dict = {}
     ratios = (1.0, 0.9, 1.2)
@@ -922,8 +914,7 @@ def main(argv=None) -> int:
     # the package's configuration errors are ValueErrors; an extreme input
     # that overflows a Python float raises an OverflowError, and one whose
     # arrays do not fit in memory a MemoryError
-    except (ValueError, OverflowError, MemoryError, UncertaintyViolationError,
-            OSError) as exc:
+    except (ValueError, OverflowError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .config import EngineConfig
-from .errors import UnsupportedConfigurationError
 from .feedback import Steps, half_trace, run_ensemble_arrays, run_ensembles
 from .gaussian import covariance_series, inv_2tau
 
@@ -38,12 +37,9 @@ class WorkStatistics(NamedTuple):
     mean: float
     variance: float
     stderr: float
-    n_traj: int
-    t: float
 
 
 class MeanWorkSeries(NamedTuple):
-    t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
 
@@ -53,7 +49,6 @@ class EfficiencySeries(NamedTuple):
     extraction, with Q = W + (q3 + q5)/4 - 1/2 (harvested work plus the
     energy still stored in the covariances)."""
 
-    t: np.ndarray
     eta: np.ndarray
     stderr: np.ndarray
 
@@ -82,7 +77,7 @@ def sigma_schedule(
     nu(t) = q3(t)/2 = q5(t)/2.
     """
     if config.tau1 != config.tau2:
-        raise UnsupportedConfigurationError(
+        raise ValueError(
             "sigma schedule requires symmetric channels (nu is defined only "
             f"in normal form); got ({config.tau1}, {config.tau2})"
         )
@@ -183,20 +178,13 @@ def run_ensemble(config: EngineConfig) -> WorkStatistics:
     their work at t_final."""
     (samples,) = work_samples(config, [config.t_final])
     mean, variance, stderr = _moments(samples)
-    return WorkStatistics(
-        samples=samples,
-        mean=mean,
-        variance=variance,
-        stderr=stderr,
-        n_traj=config.n_traj,
-        t=config.t_final,
-    )
+    return WorkStatistics(samples=samples, mean=mean, variance=variance, stderr=stderr)
 
 
 def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSeries:
     """Ensemble mean of the terminal-feedback work at each grid time <= t_final."""
     if config.policy != "terminal":
-        raise UnsupportedConfigurationError(
+        raise ValueError(
             f"mean work curve is defined for the terminal policy, got {config.policy!r}"
         )
     work = work_samples(config, t_grid)
@@ -204,7 +192,7 @@ def mean_work_curve(config: EngineConfig, t_grid: Sequence[float]) -> MeanWorkSe
     errs = np.empty(len(t_grid))
     for i in range(len(t_grid)):
         means[i], _, errs[i] = _moments(work[i])
-    return MeanWorkSeries(t=np.asarray(t_grid, dtype=float), mean=means, stderr=errs)
+    return MeanWorkSeries(mean=means, stderr=errs)
 
 
 def monte_carlo_power(
@@ -216,7 +204,7 @@ def monte_carlo_power(
     common trajectories cancels most of the Monte Carlo variance.
     """
     if config.policy != "terminal":
-        raise UnsupportedConfigurationError(
+        raise ValueError(
             f"power estimate is defined for the terminal policy, got {config.policy!r}"
         )
     w = work_samples(config, t_grid)
@@ -248,7 +236,7 @@ def efficiency_series(
     """
     for config in configs:
         if config.policy != "per-step":
-            raise UnsupportedConfigurationError(
+            raise ValueError(
                 f"efficiency series is defined for the per-step policy, got {config.policy!r}"
             )
         if config.n_traj < 2:
@@ -286,7 +274,7 @@ def _efficiency(steps: Steps, t_grid: Sequence[float]) -> EfficiencySeries:
         ))
         batch_eta = means / (means + excess[i])
         err[i] = float(np.std(batch_eta, ddof=1)) / math.sqrt(n_batches)
-    return EfficiencySeries(t=np.asarray(t_grid, dtype=float), eta=eta, stderr=err)
+    return EfficiencySeries(eta=eta, stderr=err)
 
 
 def ks_compare(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> KsResult:
@@ -300,8 +288,6 @@ def ks_compare(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     NaN gives statistic and p-value NaN and does not pass.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("cannot run a KS comparison on an empty sample")
     if samples.size < KS_MIN_SAMPLES:
         raise ValueError(f"need at least {KS_MIN_SAMPLES} samples, got {samples.size}")
     if np.isnan(samples).any():

@@ -153,13 +153,9 @@ class _Tables(NamedTuple):
     recorded_cov: np.ndarray  # the covariance rows at the recorded grid points
     grid: np.ndarray  # the recorded grid points 1..n_steps, ascending
     grid_rows: np.ndarray  # their record rows
-    # per step, under per-step: rows c3, c4, c5, c3*i1, c4*i2, c4*i1 and
-    # c5*i2, shape (7, n_steps)
-    columns: np.ndarray | None
-    # per step, for the free policies: the pairs [c3*i1, c4*i1], [c4*i2,
-    # c5*i2] and the ledger's [c3, c4], [c4, c5] (see _free), shape
-    # (n_steps, 4, 2, 1)
-    pairs: np.ndarray | None
+    # per step: the mean update's gains c3*i1, c4*i1, c4*i2, c5*i2 and the
+    # ledger's c3, c4, c4, c5, one row each, shape (8, n_steps)
+    gains: np.ndarray
     drift: np.ndarray  # per step, half_trace: the Ito ledger's drift
 
 
@@ -183,14 +179,6 @@ def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Ta
     grid_rows = rows[record[rows] > 0]
     n_steps = len(cov) - 1
     c3, c4, c5 = cov[:n_steps].T
-    # the gains c3*i1 etc. of the mean update
-    a1, b1, a2, b2 = c3 * i1, c4 * i2, c4 * i1, c5 * i2
-    per_step = config.policy == "per-step"
-    columns = pairs = None
-    if per_step:
-        columns = np.array([c3, c4, c5, a1, b1, a2, b2])
-    else:
-        pairs = np.stack([a1, a2, b1, b2, c3, c4, c4, c5], axis=1).reshape(n_steps, 4, 2, 1)
     return _Tables(
         dt=dt,
         w1=math.sqrt(config.tau1 / dt) if i1 else 0.0,
@@ -198,12 +186,11 @@ def _tables(config: EngineConfig, cov: np.ndarray, record: Sequence[int]) -> _Ta
         i1=i1,
         i2=i2,
         ito=config.scheme == "ito",
-        per_step=per_step,
+        per_step=config.policy == "per-step",
         recorded_cov=cov[record],
         grid=record[grid_rows],
         grid_rows=grid_rows,
-        columns=columns,
-        pairs=pairs,
+        gains=np.array([c3 * i1, c4 * i1, c4 * i2, c5 * i2, c3, c4, c4, c5]),
         drift=half_trace(config, cov[:n_steps]),
     )
 
@@ -266,19 +253,22 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
     in the step's order (-q1 + y is y + (-q1) exactly): new = q + dt*((p +
     u1*[c3*i1, c4*i1]) + u2*[c4*i2, c5*i2]), inc = u*[i1, i2]*dt, and the
     ledger's (m1*[c3, c4] + m2*[c4, c5])*inc, whose two rows are added, with
-    the drift between them under Ito.  The ledger is taken only if
-    ``out`` records it or its running sum.  Every operation writes into a
-    (20, m) buffer at the head of ``work``, never into one of its own inputs:
-    numpy checks such an overlap on every call, which costs more than the
-    arithmetic when m is small.  The noise is read from a time-major copy in
-    the rest of ``work``, scaled by the readout weights, made for as many
-    steps as fit FREE_SCRATCH bytes at a time (at least one), so each step
-    reads its normals contiguously; ``_layout`` keeps a chunk within
-    FREE_SCRATCH // 16 trajectories, so one step fits.  Nothing of the chunk's
-    size is allocated here: the caller's ``work`` is reused chunk after chunk.
+    the drift between them under Ito.  The four pairs are column k of
+    ``t.gains``, read as (n_steps, 4, 2, 1) through one view.  The ledger is
+    taken only if ``out`` records it or its running sum.  Every operation
+    writes into a (20, m) buffer at the head of ``work``, never into one of
+    its own inputs: numpy checks such an overlap on every call, which costs
+    more than the arithmetic when m is small.  The noise is read from a
+    time-major copy in the rest of ``work``, scaled by the readout weights,
+    made for as many steps as fit FREE_SCRATCH bytes at a time (at least
+    one), so each step reads its normals contiguously; ``_layout`` keeps a
+    chunk within FREE_SCRATCH // 16 trajectories, so one step fits.  Nothing
+    of the chunk's size is allocated here: the caller's ``work`` is reused
+    chunk after chunk.
     """
     m, n_steps, _ = noise.shape
     dt = t.dt
+    pairs = t.gains.T.reshape(-1, 4, 2, 1)
     ledger = out.increment is not None or out.ledger is not None
     recorded = [(f, i) for i, f in enumerate((out.q1, out.q2, out.r1, out.r2,
                                               out.increment, out.ledger)) if f is not None]
@@ -314,7 +304,7 @@ def _free(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> None:
         np.copyto(tile, noise[:, k0:k1].transpose(1, 2, 0))
         tile *= weights  # w*g
         for k, wg, (a, c, l1, l2), d in zip(
-            range(k0, k1), tile, t.pairs[k0:k1], t.drift[k0:k1].tolist()
+            range(k0, k1), tile, pairs[k0:k1], t.drift[k0:k1].tolist()
         ):
             q, p, new, new1, new2, neg, m1, m2, led, led_next = sides[k % 2]
             np.add(wg, q, r)  # readouts q + w*g
@@ -359,17 +349,18 @@ def _per_step(t: _Tables, noise: np.ndarray, out: Steps, work: np.ndarray) -> No
     their steps at once, in spans of PER_STEP_TILE // m (at least one) into
     seven buffers in ``work``, after two rows of m for the running sums'
     totals, with the expressions of ``_free``'s step at q1 = q2 = 0, in the
-    same order.  A term is dropped only where it cannot change a bit of the
-    result, such as a ``0.0 +`` that cannot change the sign of a zero.  Running sums are cumulative sums
-    along the steps, with the previous span's total added to the first
-    column, so they add in the loop's order.  When ``out`` records no
+    same order, and the gains of ``t.gains``, one row each.  A term is
+    dropped only where it cannot change a bit of the result, such as a
+    ``0.0 +`` that cannot change the sign of a zero.  Running sums are
+    cumulative sums along the steps, with the previous span's total added to
+    the first column, so they add in the loop's order.  When ``out`` records no
     running sum, only the recorded steps are taken, their noise and
     covariance rows gathered into the spans; the harvest and the ledger
     increment are taken only if ``out`` records them or their sums.
     """
     m, n_steps, _ = noise.shape
     dt = t.dt
-    c3, c4, c5, a1, b1, a2, b2 = t.columns
+    a1, a2, b1, b2, c3, c4, _, c5 = t.gains
     ledger = out.increment is not None or out.ledger is not None
     harvest = out.harvest is not None or out.harvested is not None
     running = out.ledger is not None or out.harvested is not None

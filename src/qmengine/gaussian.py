@@ -30,8 +30,6 @@ import numpy as np
 # cost in the import instead of inside the first run
 import numpy.random
 
-from .errors import UncertaintyViolationError
-
 #: Channels with tau at or beyond this sentinel are treated as unmonitored:
 #: every 1/(2*tau) backaction factor is dropped and the readout is silent.
 NO_MEASUREMENT_TAU = 1e12
@@ -89,9 +87,10 @@ def covariance_series(
     The thermal state has q3 = q5 = 2*nbar + 1 and q4 = 0.  Each step is one
     explicit-midpoint step of the Riccati flow, which is deterministic
     (independent of the readouts).  Returns (q3, q4, q5) at grid points
-    0..n_steps as an (n_steps + 1, 3) array.  Raises
-    UncertaintyViolationError if a step leaves the physical region, which
-    signals that dt is too large for the requested channels.
+    0..n_steps as an (n_steps + 1, 3) array.  Raises ValueError if a step
+    leaves the physical region q3*q5 - q4**2 >= 1 by more than
+    UNCERTAINTY_TOL, instead of clamping: such a step means dt is too large
+    for the requested channels.
     """
     if not tau1 > 0.0 or not tau2 > 0.0:
         raise ValueError(f"measurement times must be positive, got ({tau1}, {tau2})")
@@ -115,7 +114,7 @@ def covariance_series(
         c4 = c4 + dt * f4
         c5 = c5 + dt * f5
         if not (c3 > 0.0 and c5 > 0.0 and c3 * c5 - c4 * c4 >= 1.0 - UNCERTAINTY_TOL):
-            raise UncertaintyViolationError(
+            raise ValueError(
                 f"covariance step violated the uncertainty bound at dt={dt}: "
                 f"(q3, q4, q5) = ({c3}, {c4}, {c5})"
             )

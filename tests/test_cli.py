@@ -454,8 +454,6 @@ def reference_csv(comments: list[str], columns: dict) -> bytes:
     """The cell-by-cell writer that the block writer replaced."""
 
     def fmt(x) -> str:
-        if isinstance(x, (bool, np.bool_)):
-            return str(bool(x))
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         return "%.17g" % float(x)
@@ -479,20 +477,15 @@ EDGE_INTS = [0, -1, 2**53 + 1, -(2**53) - 3, 2**63 - 1, -(2**63)]
 
 @st.composite
 def csv_column(draw, n_rows: int):
-    kind = draw(st.sampled_from(["float", "int64", "uint64", "bool", "float64 list"]))
-    if kind in ("float", "float64 list"):
-        cells = st.sampled_from(EDGE_FLOATS) | st.floats()
-    elif kind == "int64":
+    kind = draw(st.sampled_from(["float", "int64", "float64 list"]))
+    if kind == "int64":
         cells = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
-    elif kind == "uint64":
-        cells = st.sampled_from([0, 2**53 + 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
     else:
-        cells = st.booleans()
+        cells = st.sampled_from(EDGE_FLOATS) | st.floats()
     values = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
     if kind == "float64 list":
         return [np.float64(v) for v in values]
-    dtype = {"float": np.float64, "int64": np.int64, "uint64": np.uint64, "bool": bool}[kind]
-    return np.array(values, dtype=dtype)
+    return np.array(values, dtype=np.int64 if kind == "int64" else np.float64)
 
 
 class TestCsvWriter:
@@ -793,8 +786,7 @@ class TestIntFormatter:
         assert got == ("%d\n" * len(column) % tuple(column.tolist())).encode()
 
     def test_zero_negatives_and_the_extremes_of_every_width(self):
-        for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
-                      np.uint32, np.uint64):
+        for dtype in (np.int8, np.int16, np.int32, np.int64):
             info = np.iinfo(dtype)
             values = [0, 1, info.min, info.max, info.min + 1, info.max - 1]
             values += [v for v in (-1, -10, -9999, -10_000) if v >= info.min]
@@ -804,7 +796,6 @@ class TestIntFormatter:
         # 1 to 19 digits of both signs, at and beside each power of ten
         values = [s * (10**p + d) for p in range(19) for d in (-1, 0, 1) for s in (1, -1)]
         self.assert_matches_percent(np.array(values, np.int64))
-        self.assert_matches_percent(np.array([10**19 - 1, 10**19, 2**64 - 1], np.uint64))
 
     def test_random_int64_over_several_blocks(self):
         rng = np.random.default_rng(18)

@@ -15,9 +15,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest, kstwo, norm
 
+from closed_forms import sigma_closed_form
+
 import qmengine as qm
 from qmengine import ensembles
-from qmengine.errors import UnsupportedConfigurationError
 from qmengine.feedback import run_ensemble_arrays
 from qmengine.gaussian import NO_MEASUREMENT_TAU, covariance_series
 
@@ -28,21 +29,6 @@ def exp_cdf(w):
 
 def bits(x) -> bytes:
     return np.float64(x).tobytes()
-
-
-def riccati_q3_closed_form(q3_0: float, tau: float, t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if q3_0 == 1.0:
-        return np.ones_like(t)
-    c = 2.0 * tau * math.atanh(1.0 / q3_0)
-    return 1.0 / np.tanh((t + c) / (2.0 * tau))
-
-
-def sigma_closed_form(q3_0: float, tau: float, t) -> np.ndarray:
-    """Integral of nu**2 for symmetric channels: t/4 + (tau/2)(q3(0)-q3(t))."""
-    return 0.25 * np.asarray(t, dtype=float) + 0.5 * tau * (
-        q3_0 - riccati_q3_closed_form(q3_0, tau, t)
-    )
 
 
 class TestExactWorkDistribution:
@@ -132,7 +118,7 @@ class TestSigmaSchedule:
         assert late_slope == pytest.approx(0.25, abs=1e-4)
 
     def test_asymmetric_channels_rejected(self):
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(ValueError, match="sigma schedule requires symmetric channels"):
             qm.sigma_schedule(qm.EngineConfig(tau2=0.9, dt=0.01))
 
     def test_per_step_scale(self):
@@ -215,7 +201,7 @@ class TestMeanWorkCurve:
 
     def test_requires_terminal_policy(self):
         cfg = qm.EngineConfig(policy="per-step")
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(ValueError, match="mean work curve is defined for the terminal"):
             qm.mean_work_curve(cfg, [0.5])
 
     @pytest.mark.parametrize("series", ["mean_work_curve", "sigma_schedule"])
@@ -309,7 +295,7 @@ class TestEfficiencySeries:
             assert bits(series.stderr[i]) == bits(want), i
 
     def test_requires_per_step_policy(self):
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(ValueError, match="efficiency series is defined for the per-step"):
             qm.efficiency_series([qm.EngineConfig(policy="terminal")], [1.0])
 
     def test_needs_two_trajectories_before_any_ensemble_runs(self):
@@ -406,7 +392,7 @@ class TestKsCompare:
         assert scaled.statistic == pytest.approx(base.statistic, abs=1e-12)
 
     def test_sample_floor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 100 samples, got 0"):
             qm.ks_compare(np.array([]), lambda w: w)
         with pytest.raises(ValueError):
             qm.ks_compare(np.ones(50), lambda w: w)

@@ -1009,8 +1009,9 @@ class TestSharedNoise:
         base = qm.EngineConfig(
             tau1=1e-3, tau2=1e-3, dt=1e-4, t_final=0.002, n_traj=11, policy="per-step"
         )
-        for nbar, error in ((1000.0, qm.UncertaintyViolationError), (-1.0, ValueError)):
-            with mock.patch.object(feedback, "_run_blocks") as run_blocks, pytest.raises(error):
+        for nbar, message in ((1000.0, "uncertainty bound"), (-1.0, "nbar must lie in")):
+            with mock.patch.object(feedback, "_run_blocks") as run_blocks, \
+                    pytest.raises(ValueError, match=message):
                 feedback.run_ensembles([base, dataclasses.replace(base, nbar=nbar)], [0.001])
             run_blocks.assert_not_called()
 
@@ -1330,10 +1331,10 @@ class TestFreeLoop:
 RECORDS = [
     (Steps, feedback.STEP_FIELDS + ("cov",)),
     (feedback._Tables, ("dt", "w1", "w2", "i1", "i2", "ito", "per_step", "recorded_cov",
-                        "grid", "grid_rows", "columns", "pairs", "drift")),
-    (qm.WorkStatistics, ("samples", "mean", "variance", "stderr", "n_traj", "t")),
-    (qm.MeanWorkSeries, ("t", "mean", "stderr")),
-    (qm.EfficiencySeries, ("t", "eta", "stderr")),
+                        "grid", "grid_rows", "gains", "drift")),
+    (qm.WorkStatistics, ("samples", "mean", "variance", "stderr")),
+    (qm.MeanWorkSeries, ("mean", "stderr")),
+    (qm.EfficiencySeries, ("eta", "stderr")),
     (qm.KsResult, ("statistic", "pvalue", "passed")),
     (qm.NoiseSource, ("seed", "stream")),
 ]

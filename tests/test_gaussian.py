@@ -14,18 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import riccati_q3_closed_form
+
 import qmengine as qm
-from qmengine.errors import UncertaintyViolationError
 from qmengine.feedback import STEP_FIELDS, Steps, _chunk, _scratch, _tables
 from qmengine.gaussian import NO_MEASUREMENT_TAU, UNCERTAINTY_TOL, inv_2tau
-
-
-def riccati_q3_closed_form(q3_0: float, tau: float, t: float) -> float:
-    """Closed-form solution of dq3/dt = (1 - q3**2)/(2 tau) for q3(0) >= 1."""
-    if q3_0 == 1.0:
-        return 1.0
-    c = 2.0 * tau * math.atanh(1.0 / q3_0)
-    return 1.0 / math.tanh((t + c) / (2.0 * tau))
 
 
 class TestThermalState:
@@ -87,7 +80,7 @@ class TestCovarianceFlow:
         assert abs(cov[-1, 0] - 1.0) < 1e-3
 
     def test_oversized_step_raises(self):
-        with pytest.raises(UncertaintyViolationError):
+        with pytest.raises(ValueError, match="covariance step violated the uncertainty bound"):
             qm.covariance_series(3.0, 1.0, 1.0, 10.0, 1)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
